@@ -14,6 +14,14 @@ fixed (``k_nearest``): the power-law in density applies to the power
 collected from a fixed-size set of nearest transmitters, while letting
 the set grow with density folds a logarithmic crowd-size term into the
 slope.
+
+Every sweep runs on one engine, :func:`crowd_sweep`. Trial t at grid
+index j draws its deployment, probe and shadowing seed from the
+substream ``(seed, "sweep", j, t)``, so every curve swept over one grid
+with one seed (LoS and NLoS, full crowd and ``k_nearest``) sees the same
+deployment, probe and shadowing seed at (j, t). The engine therefore
+samples each deployment and measures its probe distances once and
+derives every requested curve ("view") from those distances.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,9 +49,11 @@ __all__ = [
     "HarvestReport",
     "SweepPoint",
     "SweepCurve",
+    "SweepView",
     "sample_utilization",
     "convolve_load_pdfs",
     "aggregate_power",
+    "crowd_sweep",
     "upper_bound_sweep",
     "scaling_exponent",
     "nearest_share_study",
@@ -211,6 +222,30 @@ class HarvestReport:
         object.__setattr__(self, "per_transmitter_w", arr)
 
 
+def _received_power_w(
+    d: np.ndarray,
+    rat: RatProfile,
+    model: PathlossModel,
+    shadowing: ShadowingSpec | None,
+    seed: int,
+    k_nearest: int | None,
+) -> np.ndarray:
+    """Per-transmitter received power over links of length ``d`` (metres).
+
+    With ``k_nearest`` only that many shortest links contribute. Links
+    are floored at the larger of the model reference distance and the
+    RAT's physical minimum link distance. Shadowing is drawn from the
+    ``(seed, "shadowing")`` substream, spawned only when shadowing is on.
+    """
+    if k_nearest is not None and k_nearest < d.size:
+        d = np.partition(d, k_nearest - 1)[:k_nearest]
+    d = np.maximum(d, max(model.reference_distance_m, rat.min_link_distance_m))
+    loss_db = pathloss_db(model, d)
+    if shadowing is not None and shadowing.active:
+        loss_db = loss_db + draw_shadowing_db(shadowing, d.size, substream(seed, "shadowing"))
+    return rat.transmit_power_w * np.power(10.0, -loss_db / 10.0)
+
+
 def aggregate_power(
     probe: tuple[float, float],
     deployment: Deployment,
@@ -234,14 +269,7 @@ def aggregate_power(
     if deployment.count == 0:
         return HarvestReport(0.0, 0.0, np.zeros(0), 0.0)
     d = distances_to_probe(deployment.region, probe, deployment.xs, deployment.ys)
-    if k_nearest is not None and k_nearest < d.size:
-        d = np.partition(d, k_nearest - 1)[:k_nearest]
-    floor = max(model.reference_distance_m, rat.min_link_distance_m)
-    d = np.maximum(d, floor)
-    loss_db = pathloss_db(model, d)
-    rng = substream(seed, "shadowing")
-    shadow_db = draw_shadowing_db(shadowing, d.size, rng)
-    per_tx = rat.transmit_power_w * np.power(10.0, -(loss_db + shadow_db) / 10.0)
+    per_tx = _received_power_w(d, rat, model, shadowing, seed, k_nearest)
     per_tx = per_tx * np.broadcast_to(np.asarray(utilization, dtype=float), per_tx.shape)
     if sensitivity_floor_w is not None:
         per_tx = np.where(per_tx >= sensitivity_floor_w, per_tx, 0.0)
@@ -275,32 +303,108 @@ class SweepCurve:
         return np.array([getattr(p, statistic) for p in self.points])
 
 
-def _sweep_trial(
-    rat: RatProfile,
-    density: float,
-    model: PathlossModel,
-    region: Region,
-    shadowing: ShadowingSpec | None,
-    k_nearest: int | None,
-    seed: int,
-    grid_index: int,
-    trial: int,
-) -> float:
-    rng = substream(seed, "sweep", grid_index, trial)
-    dep_seed = int(rng.integers(0, 2**63 - 1))
-    deployment = sample_process(rat.spatial_process, density, region, dep_seed)
-    probe = region.sample_probe(rng)
-    report = aggregate_power(
-        probe,
-        deployment,
-        rat,
-        model,
-        1.0,
-        shadowing=shadowing,
-        seed=int(rng.integers(0, 2**63 - 1)),
-        k_nearest=k_nearest,
+@dataclass(frozen=True)
+class SweepView:
+    """One curve of a crowd sweep: how the shared trial deployments are received.
+
+    The view uses the first ``trials`` trials of every grid point; with
+    ``k_nearest`` only that many nearest transmitters contribute.
+    """
+
+    model: PathlossModel
+    trials: int
+    shadowing: ShadowingSpec | None = None
+    k_nearest: int | None = None
+    scenario: str = ""
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise InvalidParameterError("need at least one trial")
+
+
+def _sweep_point(density: float, totals: np.ndarray, bandwidth_hz: float) -> SweepPoint:
+    return SweepPoint(
+        density_per_km2=float(density),
+        mean_power_w=float(np.mean(totals)),
+        mean_density_w_per_hz=float(np.mean(totals) / bandwidth_hz),
+        std_power_w=float(np.std(totals)),
+        median_power_w=float(np.median(totals)),
+        median_density_w_per_hz=float(np.median(totals) / bandwidth_hz),
+        trials=totals.size,
     )
-    return report.total_power_w
+
+
+def crowd_sweep(
+    rat: RatProfile,
+    density_grid: list[float] | np.ndarray,
+    views: Sequence[SweepView],
+    seed: int,
+    *,
+    region: Region,
+    workers: int = 1,
+) -> tuple[SweepCurve, ...]:
+    """Full-buffer received power versus transmitter density, one curve per view.
+
+    Every transmitter radiates its full power across its whole band.
+    Trial t at grid index j draws a deployment, a uniform probe and a
+    shadowing seed from the substream ``(seed, "sweep", j, t)`` once,
+    measures the probe's distances once, and computes the total received
+    power of every view with ``t < view.trials`` from those distances; so
+    all views share the deployment, probe and shadowing seed at (j, t).
+    Only one trial's points are held per worker. Trials run on one pool
+    of ``workers`` threads, and results are bit-identical for any worker
+    count.
+    """
+    grid = np.asarray(density_grid, dtype=float)
+    if grid.size == 0:
+        raise InvalidParameterError("density grid must be non-empty")
+    if not views:
+        raise InvalidParameterError("need at least one view")
+    trials = max(view.trials for view in views)
+
+    def trial(key: tuple[int, int]) -> list[float]:
+        j, t = key
+        rng = substream(seed, "sweep", j, t)
+        deployment = sample_process(
+            rat.spatial_process, grid[j], region, int(rng.integers(0, 2**63 - 1))
+        )
+        probe = region.sample_probe(rng)
+        shadow_seed = int(rng.integers(0, 2**63 - 1))
+        if deployment.count == 0:
+            return [0.0] * len(views)
+        d = distances_to_probe(region, probe, deployment.xs, deployment.ys)
+        del deployment  # keep only the distances live while the views are computed
+        return [
+            float(_received_power_w(d, rat, v.model, v.shadowing, shadow_seed, v.k_nearest).sum())
+            if t < v.trials
+            else math.nan
+            for v in views
+        ]
+
+    keys = [(j, t) for j in range(grid.size) for t in range(trials)]
+    if workers > 1:
+        # One task per worker, each taking every workers-th trial: a future
+        # per trial would hold about 1 kB per trial until the sweep ends.
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(
+                pool.map(lambda i: [trial(key) for key in keys[i::workers]], range(workers))
+            )
+        powers = [parts[n % workers][n // workers] for n in range(len(keys))]
+    else:
+        powers = [trial(key) for key in keys]
+    # (view, grid index, trial); a view never reads the trials it does not use
+    table = np.array(powers).T.reshape(len(views), grid.size, trials)
+    return tuple(
+        SweepCurve(
+            rat.name,
+            view.scenario,
+            tuple(
+                _sweep_point(density, table[v, j, : view.trials], rat.bandwidth_hz)
+                for j, density in enumerate(grid)
+            ),
+        )
+        for v, view in enumerate(views)
+    )
 
 
 def upper_bound_sweep(
@@ -316,50 +420,16 @@ def upper_bound_sweep(
     scenario: str = "",
     workers: int = 1,
 ) -> SweepCurve:
-    """Full-buffer received power versus transmitter density.
+    """Full-buffer received power versus transmitter density: one curve.
 
-    Every transmitter radiates its full power across its whole band; the
-    probe is re-drawn uniformly per trial. Trials are keyed by (grid
-    index, trial index) substreams, so results are bit-identical no
-    matter how many workers execute them.
+    The one-view case of :func:`crowd_sweep`. Trial t at grid index j
+    uses the deployment, probe and shadowing seed of the substream
+    ``(seed, "sweep", j, t)``, the same as every other curve swept with
+    that seed over that grid, so results are bit-identical no matter how
+    many workers execute them.
     """
-    grid = np.asarray(density_grid, dtype=float)
-    if grid.size == 0:
-        raise InvalidParameterError("density grid must be non-empty")
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
-
-    points = []
-    for j, density in enumerate(grid):
-        totals = np.empty(trials)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for t, value in enumerate(
-                    pool.map(
-                        lambda t: _sweep_trial(
-                            rat, density, model, region, shadowing, k_nearest, seed, j, t
-                        ),
-                        range(trials),
-                    )
-                ):
-                    totals[t] = value
-        else:
-            for t in range(trials):
-                totals[t] = _sweep_trial(
-                    rat, density, model, region, shadowing, k_nearest, seed, j, t
-                )
-        points.append(
-            SweepPoint(
-                density_per_km2=float(density),
-                mean_power_w=float(np.mean(totals)),
-                mean_density_w_per_hz=float(np.mean(totals) / rat.bandwidth_hz),
-                std_power_w=float(np.std(totals)),
-                median_power_w=float(np.median(totals)),
-                median_density_w_per_hz=float(np.median(totals) / rat.bandwidth_hz),
-                trials=trials,
-            )
-        )
-    return SweepCurve(rat.name, scenario, tuple(points))
+    view = SweepView(model, trials, shadowing, k_nearest, scenario)
+    return crowd_sweep(rat, density_grid, [view], seed, region=region, workers=workers)[0]
 
 
 def scaling_exponent(curve: SweepCurve, statistic: str = "median_power_w") -> float:

@@ -87,6 +87,11 @@ class ShadowingSpec:
         if self.sigma_db < 0:
             raise InvalidParameterError("shadowing sigma must be non-negative")
 
+    @property
+    def active(self) -> bool:
+        """True when draws are random: enabled with a non-zero sigma."""
+        return self.enabled and self.sigma_db != 0.0
+
 
 def friis_reference_loss_db(frequency_hz: float, distance_m: float = 1.0) -> float:
     """Free-space loss at a reference distance, 20 log10(4 pi d f / c)."""
@@ -209,6 +214,6 @@ def draw_shadowing_db(
     spec: ShadowingSpec | None, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-link shadowing draws in dB; zeros when disabled or unspecified."""
-    if spec is None or not spec.enabled or spec.sigma_db == 0.0:
+    if spec is None or not spec.active:
         return np.zeros(size)
     return rng.normal(0.0, spec.sigma_db, size)

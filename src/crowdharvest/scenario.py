@@ -45,10 +45,10 @@ from .geometry import (
 from .harvest import (
     RatProfile,
     SweepCurve,
+    SweepView,
+    crowd_sweep,
     nearest_share_study,
     scaling_exponent,
-    sweep_to_csv,
-    upper_bound_sweep,
 )
 from .propagation import (
     PathlossModel,
@@ -607,81 +607,77 @@ def _density_grid(rat: RatConfig, points: int) -> np.ndarray:
 def run_case_study(config: ScenarioConfig, workers: int = 1) -> CaseStudyReport:
     """Sweep every RAT under both propagation scenarios and tabulate peaks.
 
-    Per technology and scenario this runs a full-crowd sweep over the
+    Per technology and scenario this computes a full-crowd curve over the
     density range (curves, Table rows) and a fixed-transmitter-count
-    sweep used for the density-scaling exponent fit. Table rows report
+    curve used for the density-scaling exponent fit. Table rows report
     the median received power at the technology's table density; the
     trial mean and standard deviation stay available in the sweep rows.
+
+    Each technology takes two sweeps, one over the density grid (LoS and
+    NLoS, full crowd and ``scaling_k_nearest``) and one at the table
+    density (LoS and NLoS). Within a sweep every curve at (grid index,
+    trial) uses the same deployment, probe and shadowing seed, drawn once.
     """
     t0 = time.perf_counter()
     cs = config.case_study
+    k = cs.scaling_k_nearest
     rows: list[TableRow] = []
     curves: list[SweepCurve] = []
     exponents: dict[str, dict[str, float]] = {}
-    scenarios = (("los", config.los), ("nlos", config.nlos))
     for rat_cfg in config.rats:
         profile = build_rat_profile(rat_cfg)
-        exponents[rat_cfg.name] = {}
         table_density = (
             rat_cfg.table_density_per_km2
             if rat_cfg.table_density_per_km2 is not None
             else rat_cfg.density_range_per_km2[1]
         )
-        scenario_power: dict[str, float] = {}
-        for scen_name, scen in scenarios:
+        grid_views: list[SweepView] = []
+        table_views: list[SweepView] = []
+        for scen_name, scen in (("los", config.los), ("nlos", config.nlos)):
             model = build_pathloss_model(scen, rat_cfg.carrier_frequency_hz)
             shadowing = ShadowingSpec(scen.shadowing_sigma_db, scen.shadowing_sigma_db > 0)
-            grid = _density_grid(rat_cfg, cs.grid_points)
-            curve = upper_bound_sweep(
-                profile,
-                grid,
-                model,
-                cs.trials,
-                config.seed,
-                region=config.region,
-                shadowing=shadowing,
-                scenario=scen_name,
-                workers=workers,
+            grid_views += [
+                SweepView(model, cs.trials, shadowing, scenario=scen_name),
+                SweepView(model, cs.scaling_trials, shadowing, k, f"{scen_name}_k{k}"),
+            ]
+            table_views.append(
+                SweepView(model, cs.trials, shadowing, scenario=f"{scen_name}_table")
             )
-            curves.append(curve)
-            scaling_curve = upper_bound_sweep(
-                profile,
-                grid,
-                model,
-                cs.scaling_trials,
-                config.seed,
-                region=config.region,
-                shadowing=shadowing,
-                k_nearest=cs.scaling_k_nearest,
-                scenario=f"{scen_name}_k{cs.scaling_k_nearest}",
-                workers=workers,
-            )
+        los, los_scaling, nlos, nlos_scaling = crowd_sweep(
+            profile,
+            _density_grid(rat_cfg, cs.grid_points),
+            grid_views,
+            config.seed,
+            region=config.region,
+            workers=workers,
+        )
+        los_table, nlos_table = crowd_sweep(
+            profile,
+            [table_density],
+            table_views,
+            config.seed,
+            region=config.region,
+            workers=workers,
+        )
+        curves += [los, nlos]
+        exponents[rat_cfg.name] = {}
+        for scen_name, scaling_curve in (("los", los_scaling), ("nlos", nlos_scaling)):
             try:
                 exponents[rat_cfg.name][scen_name] = scaling_exponent(scaling_curve)
             except FitFailureError:
                 # densities so sparse that typical deployments are empty
                 # (TV at the bottom of its range): slope not measurable
                 exponents[rat_cfg.name][scen_name] = math.nan
-            table_curve = upper_bound_sweep(
-                profile,
-                [table_density],
-                model,
-                cs.trials,
-                config.seed,
-                region=config.region,
-                shadowing=shadowing,
-                scenario=f"{scen_name}_table",
-                workers=workers,
-            )
-            scenario_power[scen_name] = table_curve.points[0].median_power_w
+        los_power = los_table.points[0].median_power_w
+        nlos_power = nlos_table.points[0].median_power_w
         rows.append(
             TableRow(
                 rat=rat_cfg.name,
                 table_density_per_km2=float(table_density),
-                peak_power_w=scenario_power["los"],
-                peak_density_w_per_hz=scenario_power["los"] / rat_cfg.bandwidth_hz,
-                nlos_power_w=scenario_power["nlos"],
-                nlos_density_w_per_hz=scenario_power["nlos"] / rat_cfg.bandwidth_hz,
+                peak_power_w=los_power,
+                peak_density_w_per_hz=los_power / rat_cfg.bandwidth_hz,
+                nlos_power_w=nlos_power,
+                nlos_density_w_per_hz=nlos_power / rat_cfg.bandwidth_hz,
                 winner_extrapolated=winner_extrapolated(
                     build_pathloss_model(config.nlos, rat_cfg.carrier_frequency_hz)
                 ),
@@ -824,8 +820,3 @@ def emit_report(report: CaseStudyReport, out_dir: str | Path) -> list[Path]:
         f"runtime_s={report.runtime_s:.3f}\nconfig_hash={report.config_hash}\nseed={report.seed}\n"
     )
     return paths
-
-
-def sweep_csv_for_curve(curve: SweepCurve) -> str:
-    """Standalone sweep emission with the standard four-column schema."""
-    return sweep_to_csv(curve)

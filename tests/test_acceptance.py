@@ -10,7 +10,6 @@ import json
 import math
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from crowdharvest import swipt
 from crowdharvest.propagation import ShadowingSpec
 from crowdharvest.rng import substream
 
-ARTIFACTS = Path(__file__).resolve().parents[1] / "test-artifacts"
 TABLE_TARGETS = {
     "macro": (0.21e-6, 11e-15),
     "femto": (0.47e-6, 24e-15),
@@ -214,8 +212,7 @@ def test_criterion_07_swipt_endpoints_and_optimizer():
     )
 
 
-def test_criterion_08_protocol_orderings():
-    ARTIFACTS.mkdir(exist_ok=True)
+def test_criterion_08_protocol_orderings(tmp_path):
     desk = swipt.LinkState(1e-3, 1e-3, 1e-9, 1.0)
     ts_vals, ps_vals = [], []
     for i in range(1000):
@@ -263,7 +260,7 @@ def test_criterion_08_protocol_orderings():
             "range_ps_m": range_ps,
         },
     }
-    (ARTIFACTS / "protocol_ordering_config.json").write_text(
+    (tmp_path / "protocol_ordering_config.json").write_text(
         json.dumps(archived, indent=2) + "\n"
     )
     report_pass(

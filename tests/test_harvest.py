@@ -165,6 +165,89 @@ class TestSweep:
         assert len(text.splitlines()) == 2
 
 
+def per_curve_sweep(rat, grid, view, seed, region):
+    """Reference: each curve re-draws its trials, one aggregate_power call per trial."""
+    points = []
+    for j, density in enumerate(np.asarray(grid, dtype=float)):
+        totals = np.empty(view.trials)
+        for t in range(view.trials):
+            rng = substream(seed, "sweep", j, t)
+            dep = geometry.sample_process(
+                rat.spatial_process, density, region, int(rng.integers(0, 2**63 - 1))
+            )
+            probe = region.sample_probe(rng)
+            totals[t] = harvest.aggregate_power(
+                probe,
+                dep,
+                rat,
+                view.model,
+                1.0,
+                shadowing=view.shadowing,
+                seed=int(rng.integers(0, 2**63 - 1)),
+                k_nearest=view.k_nearest,
+            ).total_power_w
+        points.append(
+            harvest.SweepPoint(
+                float(density),
+                float(np.mean(totals)),
+                float(np.mean(totals) / rat.bandwidth_hz),
+                float(np.std(totals)),
+                float(np.median(totals)),
+                float(np.median(totals) / rat.bandwidth_hz),
+                view.trials,
+            )
+        )
+    return harvest.SweepCurve(rat.name, view.scenario, tuple(points))
+
+
+TV = harvest.RatProfile(
+    name="tv",
+    bandwidth_hz=100e6,
+    transmit_power_w=1e6,
+    density_range_per_km2=(0.01, 0.2),
+    spatial_process=geometry.PoissonProcess(),
+    carrier_frequency_hz=600e6,
+    min_link_distance_m=100.0,
+)
+FEMTO = harvest.RatProfile(
+    name="femto",
+    bandwidth_hz=20e6,
+    transmit_power_w=1.0,
+    density_range_per_km2=(15.0, 200.0),
+    spatial_process=geometry.ClusteredProcess(20.0, 10.0, 50.0),
+    carrier_frequency_hz=2.1e9,
+    min_link_distance_m=5.0,
+)
+ORACLE_CASES = {
+    # about 0.04 transmitters per deployment: nearly every trial is empty
+    "empty-tv": (TV, [0.01, 0.02], geometry.Region(2000.0, 2000.0), 20),
+    "clustered-guard": (
+        FEMTO,
+        [15.0, 60.0],
+        geometry.Region(3000.0, 2000.0, boundary="guard", guard_margin_m=400.0),
+        20,
+    ),
+    # about 6 and 12 transmitters per deployment, fewer than k_nearest
+    "k-above-count": (MACRO, [1.5, 3.0], geometry.Region(2000.0, 2000.0), 40),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_crowd_sweep_matches_per_curve_reference(case, workers):
+    rat, grid, region, k = ORACLE_CASES[case]
+    los = free_space_model(rat.carrier_frequency_hz)
+    nlos = winner_urban_nlos_model(rat.carrier_frequency_hz)
+    views = [
+        harvest.SweepView(los, 7, None, scenario="los"),
+        harvest.SweepView(los, 5, ShadowingSpec(0.0), k, "los_k"),
+        harvest.SweepView(nlos, 6, ShadowingSpec(8.0), scenario="nlos"),
+        harvest.SweepView(nlos, 9, ShadowingSpec(8.0), k, "nlos_k"),
+    ]
+    curves = harvest.crowd_sweep(rat, grid, views, 29, region=region, workers=workers)
+    assert curves == tuple(per_curve_sweep(rat, grid, view, 29, region) for view in views)
+
+
 class TestScalingExponent:
     def test_exact_power_law(self):
         lam = np.geomspace(1.0, 100.0, 6)

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -192,6 +193,45 @@ class TestCaseStudy:
         for scen, a in (("los", 2.0), ("nlos", 4.3)):
             slope = rep.exponents["femto"][scen]
             assert 0.7 * a / 2 <= slope <= 1.3 * a / 2
+
+
+# sha256 of the artifacts of two reduced default configs, recorded with the
+# per-curve sweep loop that drew every curve's deployments separately; the
+# one-pass sweep must reproduce them byte for byte.
+PINNED_ARTIFACTS = {
+    (12, 12, 100): {
+        "table1.csv": "c9f027a619a8567a108cb30ce431708d1c72d1a6a534ce4e439fb495e2cad060",
+        "sweeps.csv": "2d1732930a2dd5c460f3a4c76829e7ce287e259107eeda3ec44998f2edda82d5",
+        "report.json": "e0ed155e8cfda5eeedd25d7fdf8a2464dba18037bef10518f6d1dcae680ee5e4",
+    },
+    (8, 5, 40): {
+        "table1.csv": "547248a11b3cd6166218c51fb808a42de908eae50e02875339f664be8d0542d2",
+        "sweeps.csv": "381faeebffc9cd2370757217be216b10fcaf767ef27d1f0030d835b0d7f0f90a",
+        "report.json": "c91733caaebc26c457f46f0c4122de28845eb2179b7dbb9333926313798c7040",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "counts", sorted(PINNED_ARTIFACTS), ids=lambda c: "trials{}-scaling{}-share{}".format(*c)
+)
+def test_case_study_artifacts_pinned(config, counts, tmp_path):
+    trials, scaling_trials, share_draws = counts
+    cfg = replace(
+        config,
+        case_study=replace(
+            config.case_study,
+            trials=trials,
+            scaling_trials=scaling_trials,
+            nearest_share_draws=share_draws,
+        ),
+    )
+    scenario.emit_report(scenario.run_case_study(cfg), tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_ARTIFACTS[counts]
+    }
+    assert digests == PINNED_ARTIFACTS[counts]
 
 
 def test_build_pathloss_models(config):
