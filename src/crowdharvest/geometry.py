@@ -15,7 +15,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.special import digamma, gammainc, gammaln, polygamma
@@ -545,11 +544,3 @@ def deployment_from_json(text: str) -> Deployment:
         _process_from_dict(doc["process"]),
         doc.get("seed"),
     )
-
-
-def save_deployment(deployment: Deployment, path: str | Path) -> None:
-    Path(path).write_text(deployment_to_json(deployment))
-
-
-def load_deployment(path: str | Path) -> Deployment:
-    return deployment_from_json(Path(path).read_text())

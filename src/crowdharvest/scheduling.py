@@ -24,6 +24,7 @@ lower spent energy, then earlier activity.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import itertools
@@ -156,6 +157,9 @@ EnergyArrivalProcess = (
 )
 
 
+_PATH_CHUNK = 4096
+
+
 def simulate_arrivals(process: EnergyArrivalProcess, k: int, seed: int) -> np.ndarray:
     """Length-k arrival trace; deterministic traces are truncated or zero-padded."""
     if k < 0:
@@ -166,22 +170,33 @@ def simulate_arrivals(process: EnergyArrivalProcess, k: int, seed: int) -> np.nd
     if isinstance(process, TriStateArrivals):
         return rng.integers(0, 3, k).astype(float) * process.energy_j
     if isinstance(process, MarkovArrivals):
-        p = process.matrix
-        cum = np.cumsum(p, axis=1)
-        out = np.empty(k)
-        state = 0  # chains start in their first state
-        draws = rng.random(k)
-        for i in range(k):
-            out[i] = process.states_j[state]
-            state = int(np.searchsorted(cum[state], draws[i], side="right"))
-            state = min(state, len(process.states_j) - 1)
-        return out
+        path = np.asarray(_markov_path(process, k, rng), dtype=np.intp)
+        return np.asarray(process.states_j, dtype=float)[path]
     if isinstance(process, DeterministicArrivals):
         out = np.zeros(k)
         m = min(k, len(process.trace_j))
         out[:m] = process.trace_j[:m]
         return out
     raise InvalidParameterError(f"unknown arrival process {process!r}")
+
+
+def _markov_path(process: MarkovArrivals, k: int, rng: np.random.Generator) -> list[int]:
+    """Energy-state index of each of k slots, starting in the first state.
+
+    Consumes one uniform draw per slot; state i + 1 is the first state
+    whose cumulative transition probability from state i exceeds draw i.
+    Draws are taken a chunk at a time, which yields the same numbers as
+    one call for all k and keeps few of them alive as Python floats.
+    """
+    cum = np.cumsum(process.matrix, axis=1).tolist()
+    last = len(process.states_j) - 1
+    path: list[int] = []
+    state = 0
+    for start in range(0, k, _PATH_CHUNK):
+        for u in rng.random(min(_PATH_CHUNK, k - start)).tolist():
+            path.append(state)
+            state = min(bisect.bisect_right(cum[state], u), last)
+    return path
 
 
 def mean_arrival(process: EnergyArrivalProcess) -> float:
@@ -503,6 +518,11 @@ def _run_dp(
             bucket = nxt.get(key)
             if bucket is None:
                 bucket = nxt[key] = []
+                if len(nxt) > state_bound:  # fail fast, before the layer is complete
+                    raise ProblemTooLargeError(
+                        f"state space exceeded the bound ({len(nxt)} states > {state_bound})"
+                        f" at slot {k}"
+                    )
             for v in values:
                 cand = _PathValue(
                     v.bits + delivered, v.energy + energy,
@@ -552,11 +572,13 @@ def _run_dp(
                         0,
                         1 + power_levels + i,
                     )
-        total = sum(len(v) for v in nxt.values())
-        if total > state_bound:
-            raise ProblemTooLargeError(
-                f"state space exceeded the bound ({total} > {state_bound}) at slot {k}"
-            )
+        if pareto:  # a state may hold several Pareto values
+            total = sum(len(v) for v in nxt.values())
+            if total > state_bound:
+                raise ProblemTooLargeError(
+                    f"state space exceeded the bound ({total} values > {state_bound})"
+                    f" at slot {k}"
+                )
         layer = nxt
     return layer
 
@@ -943,18 +965,50 @@ class Policy:
         return Policy(mdp, np.asarray(doc["actions"], dtype=np.int64), float(doc["gain"]))
 
 
-def _policy_tables(mdp: BatteryMdp, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = mdp.n_states
-    n_e = len(mdp.arrivals.states_j)
-    p = np.zeros((n, n))
-    r = np.zeros(n)
-    for b in range(mdp.battery_buckets):
-        for e in range(n_e):
-            s = mdp.state_index(b, e)
-            a = int(actions[b, e])
-            p[s] = mdp.transition_row(b, e, a)
-            r[s] = mdp.reward(a)
-    return p, r
+@dataclass(frozen=True)
+class _MdpArrays:
+    """Compact transition description of a BatteryMdp, built with numpy.
+
+    States are flat, ``s = battery_bucket * n_energy + energy_state``.
+    Action ``a`` in state ``s`` moves to state ``nxt[a, s, j]`` with
+    probability ``prob[s, j]``, one entry per next energy state ``j``,
+    and earns ``rewards[a]``; ``feasible[a, s]`` marks the actions the
+    battery covers. Infeasible actions point at in-range states, so
+    gathers need no masking; their values are never chosen.
+    """
+
+    nxt: np.ndarray  # (actions, states, energy states) next-state index
+    prob: np.ndarray  # (states, energy states)
+    rewards: np.ndarray  # (actions,)
+    feasible: np.ndarray  # (actions, states) bool
+
+    @staticmethod
+    def build(mdp: BatteryMdp) -> "_MdpArrays":
+        n_e = len(mdp.arrivals.states_j)
+        buckets = np.repeat(np.arange(mdp.battery_buckets), n_e)
+        spend_units = np.array([round(s / mdp.bucket_j) for s in mdp.spend_levels_j])
+        arrive_units = np.array([round(e / mdp.bucket_j) for e in mdp.arrivals.states_j])
+        left = buckets - spend_units[:, None]
+        b_next = np.clip(left[:, :, None] + arrive_units, 0, mdp.battery_buckets - 1)
+        return _MdpArrays(
+            nxt=b_next * n_e + np.arange(n_e),
+            prob=np.tile(mdp.arrivals.matrix, (mdp.battery_buckets, 1)),
+            rewards=np.array([mdp.reward(a) for a in range(len(mdp.spend_levels_j))]),
+            feasible=np.asarray(mdp.spend_levels_j)[:, None] <= buckets * mdp.bucket_j + 1e-12,
+        )
+
+    def expected(self, v: np.ndarray) -> np.ndarray:
+        """E[v(next state)] for every (action, state) pair."""
+        return (self.prob * v[self.nxt]).sum(-1)
+
+
+def _policy_tables(arrays: _MdpArrays, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense closed-loop transition matrix and reward vector of a policy."""
+    chosen = np.asarray(actions).ravel()
+    states = np.arange(chosen.size)
+    p = np.zeros((chosen.size, chosen.size))
+    p[states[:, None], arrays.nxt[chosen, states]] = arrays.prob
+    return p, arrays.rewards[chosen]
 
 
 def _evaluate_average_reward(p: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
@@ -978,26 +1032,24 @@ def _evaluate_average_reward(p: np.ndarray, r: np.ndarray) -> tuple[float, np.nd
 
 def mdp_policy_iteration(mdp: BatteryMdp, max_iterations: int = 1000) -> Policy:
     """Average-reward policy iteration run until the policy is stable."""
-    n_e = len(mdp.arrivals.states_j)
-    actions = np.zeros((mdp.battery_buckets, n_e), dtype=np.int64)
-    for b in range(mdp.battery_buckets):  # myopic start: biggest feasible spend
-        feas = mdp.feasible_actions(b)
-        actions[b, :] = max(feas, key=lambda a: mdp.reward(a))
+    arrays = _MdpArrays.build(mdp)
+    shape = (mdp.battery_buckets, len(mdp.arrivals.states_j))
+    states = np.arange(mdp.n_states)
+    # myopic start: the first feasible action of highest reward
+    actions = np.where(arrays.feasible, arrays.rewards[:, None], -np.inf).argmax(axis=0)
+    actions = actions.reshape(shape)
     for _ in range(max_iterations):
-        p, r = _policy_tables(mdp, actions)
+        p, r = _policy_tables(arrays, actions)
         gain, bias = _evaluate_average_reward(p, r)
-        new_actions = actions.copy()
-        for b in range(mdp.battery_buckets):
-            for e in range(n_e):
-                best_a = int(actions[b, e])
-                row = mdp.transition_row(b, e, best_a)
-                best_q = mdp.reward(best_a) + float(row @ bias)
-                for a in mdp.feasible_actions(b):
-                    q = mdp.reward(a) + float(mdp.transition_row(b, e, a) @ bias)
-                    if q > best_q + 1e-10:  # strict improvement keeps iteration stable
-                        best_q = q
-                        best_a = a
-                new_actions[b, e] = best_a
+        q = arrays.rewards[:, None] + arrays.expected(bias)
+        best_a = actions.ravel()
+        best_q = q[best_a, states]
+        for a in range(len(q)):  # index order, as a per-state scan would go
+            # strict improvement keeps iteration stable
+            better = arrays.feasible[a] & (q[a] > best_q + 1e-10)
+            best_q = np.where(better, q[a], best_q)
+            best_a = np.where(better, a, best_a)
+        new_actions = best_a.reshape(shape)
         if np.array_equal(new_actions, actions):
             return Policy(mdp, actions, gain, bias)
         actions = new_actions
@@ -1012,17 +1064,11 @@ def value_iteration_gain(
     A half-step damping makes the update aperiodic; the gain is the
     midpoint of the Bellman-residual span once the span collapses.
     """
-    n_e = len(mdp.arrivals.states_j)
-    n = mdp.n_states
-    q_rows: list[list[tuple[float, np.ndarray]]] = []
-    for b in range(mdp.battery_buckets):
-        for e in range(n_e):
-            q_rows.append(
-                [(mdp.reward(a), mdp.transition_row(b, e, a)) for a in mdp.feasible_actions(b)]
-            )
-    v = np.zeros(n)
+    arrays = _MdpArrays.build(mdp)
+    rewards = np.where(arrays.feasible, arrays.rewards[:, None], -np.inf)
+    v = np.zeros(mdp.n_states)
     for _ in range(max_iterations):
-        tv = np.array([max(r + row @ v for r, row in choices) for choices in q_rows])
+        tv = (rewards + arrays.expected(v)).max(axis=0)
         diff = tv - v
         span = float(diff.max() - diff.min())
         if span < span_tol:
@@ -1054,7 +1100,7 @@ def threshold_policy(
         feasible = [i for i, s in enumerate(levels) if 0 < s <= min(target, b_j) + 1e-12]
         if feasible:
             actions[b, :] = max(feasible, key=lambda i: levels[i])
-    p, r = _policy_tables(mdp, actions)
+    p, r = _policy_tables(_MdpArrays.build(mdp), actions)
     try:
         gain, bias = _evaluate_average_reward(p, r)
     except DegenerateModelError:
@@ -1088,6 +1134,8 @@ def evaluate_policy(
     available when the arrival process is the policy's own Markov chain.
     Simulation quantises the running battery to the policy's buckets
     (rounding down) before each lookup.
+    It follows the simulated state path of a Markov chain, so energy
+    states that share an arrival energy keep their own actions.
     """
     mdp = policy.mdp
     if process is None:
@@ -1095,28 +1143,33 @@ def evaluate_policy(
     if exact:
         if process is not mdp.arrivals and process != mdp.arrivals:
             raise InvalidParameterError("exact evaluation requires the policy's own chain")
-        p, r = _policy_tables(mdp, policy.actions)
+        p, r = _policy_tables(_MdpArrays.build(mdp), policy.actions)
         return _stationary_gain(p, r)
     if horizon < 1:
         raise InvalidParameterError("horizon must be at least 1")
-    arrivals = simulate_arrivals(process, horizon, seed)
-    n_e = policy.actions.shape[1]
-    e_idx = 0
     if isinstance(process, MarkovArrivals):
-        states = np.asarray(process.states_j)
+        # the stream simulate_arrivals draws from, so the trace is the same
+        path = _markov_path(process, horizon, substream(seed, "arrivals"))
+        energies = [float(e) for e in process.states_j]
+        slots = zip(map(energies.__getitem__, path), path)
     else:
-        states = None
+        slots = zip(simulate_arrivals(process, horizon, seed).tolist(), itertools.repeat(0))
+    actions = policy.actions.tolist()
+    levels = mdp.spend_levels_j
+    rewards = [mdp.reward(a) for a in range(len(levels))]
+    capacity, top, quantum = mdp.capacity_j, mdp.battery_buckets - 1, mdp.bucket_j
+    last_e = policy.actions.shape[1] - 1
     battery = 0.0
     total = 0.0
-    for k in range(horizon):
-        battery = min(mdp.capacity_j, battery + arrivals[k])
-        if states is not None:
-            matches = np.flatnonzero(np.isclose(states, arrivals[k]))
-            e_idx = int(matches[0]) if matches.size else 0
-        bucket = min(mdp.battery_buckets - 1, int(battery / mdp.bucket_j + 1e-12))
-        a = policy.action_at(bucket, min(e_idx, n_e - 1))
-        spend = min(mdp.spend_levels_j[a], battery)
-        total += mdp.reward_scale * math.log2(1.0 + spend * mdp.snr_per_joule)
+    for arrival, e in slots:
+        battery = min(capacity, battery + arrival)
+        a = actions[min(top, int(battery / quantum + 1e-12))][min(e, last_e)]
+        spend = levels[a]
+        if spend <= battery:
+            total += rewards[a]
+        else:
+            spend = battery
+            total += mdp.reward_scale * math.log2(1.0 + spend * mdp.snr_per_joule)
         battery -= spend
     return total / horizon
 
@@ -1185,10 +1238,6 @@ def combined_mode_controller(
         bits.append(slot_bits)
         banks.append(bank)
     return ModeControllerResult(tuple(modes), tuple(bits), float(sum(bits)), tuple(banks))
-
-
-def save_problem(problem: ScheduleProblem, path: str | Path) -> None:
-    Path(path).write_text(problem.to_json())
 
 
 def load_problem(path: str | Path) -> ScheduleProblem:

@@ -1,4 +1,8 @@
+import hashlib
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +46,31 @@ DESK_MDP = sched.BatteryMdp(
 )
 
 
+def desk_mdp(buckets, top_spend_j=4):
+    return replace(
+        DESK_MDP,
+        battery_buckets=buckets,
+        spend_levels_j=tuple(float(s) for s in range(top_spend_j + 1)),
+    )
+
+
+# Two energy states share 0 J but need different actions; policies on it
+# tell whether a simulation follows the chain's states or its energies.
+SHARED_ENERGY_MDP = sched.BatteryMdp(
+    arrivals=sched.MarkovArrivals(
+        (0.0, 0.0, 4.0), ((0.5, 0.0, 0.5), (0.0, 0.5, 0.5), (0.5, 0.5, 0.0))
+    ),
+    battery_buckets=9,
+    bucket_j=1.0,
+    spend_levels_j=(0.0, 1.0, 4.0),
+    snr_per_joule=2.0,
+)
+
+# Desk-model results and Markov trace digests recorded from the earlier
+# per-row implementation; the array solvers must reproduce them bit for bit.
+PINNED = json.loads(Path(__file__).with_name("desk_mdp_pinned.json").read_text())
+
+
 class TestArrivals:
     def test_bernoulli_certain(self):
         trace = sched.simulate_arrivals(sched.BernoulliArrivals(1.0, 3.0), 100, 1)
@@ -61,6 +90,14 @@ class TestArrivals:
         trace = sched.simulate_arrivals(chain, 1_000_000, 3)
         freq_state1 = np.mean(trace == 1.0)
         assert freq_state1 == pytest.approx(chain.stationary()[1], abs=0.01)
+
+    @pytest.mark.parametrize("key", sorted(PINNED["markov_trace_sha256"]))
+    def test_markov_trace_pinned(self, key):
+        name, k, seed = key.split("/")
+        chain = {"shared_energy": SHARED_ENERGY_MDP, "desk": DESK_MDP}[name].arrivals
+        trace = sched.simulate_arrivals(chain, int(k), int(seed))
+        digest = f"{hashlib.sha256(trace.tobytes()).hexdigest()} {trace.dtype} {trace.shape}"
+        assert digest == PINNED["markov_trace_sha256"][key]
 
     def test_deterministic_pad_truncate(self):
         proc = sched.DeterministicArrivals((1.0, 2.0, 3.0))
@@ -136,6 +173,44 @@ class TestOfflineOptimal:
         )
         with pytest.raises(ProblemTooLargeError):
             sched.offline_optimal(p, 8, state_bound=10_000)
+
+    @pytest.mark.parametrize("pareto", [False, True], ids=["offline_optimal", "min_relay_time"])
+    def test_state_bound_rejects_exactly_when_a_layer_exceeds_it(self, pareto):
+        levels = 2
+        p = sched.ScheduleProblem(
+            5, 1.0, (1.0, 0.5, 1.5, 0.0, 1.0), (0.5, 1.0, 0.0, 1.0, 0.5),
+            (1e-3, 2e-3, 1e-3, 1.5e-3, 1e-3), (2e-3, 1e-3, 1e-3, 1e-3, 1.5e-3), 1e-9,
+            source_capacity_j=2.0, rx_energy_cost_j=0.1,
+        )
+
+        def layer(k):  # the DP's layer after slot k - 1, from the k-slot prefix
+            prefix = replace(
+                p, slot_count=k, source_arrivals_j=p.source_arrivals_j[:k],
+                relay_arrivals_j=p.relay_arrivals_j[:k], source_gains=p.source_gains[:k],
+                relay_gains=p.relay_gains[:k],
+            )
+            return sched._run_dp(prefix, levels, 10**9, pareto)
+
+        layers = [layer(k) for k in range(1, p.slot_count + 1)]
+        states = [len(values) for values in layers]
+        stored = [sum(len(v) for v in values.values()) for values in layers]
+        assert states == sorted(set(states))  # every layer is larger than the last
+        if pareto:
+            assert stored != states  # some state holds several Pareto values
+
+        def solve(bound):
+            if pareto:
+                return sched.min_relay_time(p, 0.0, levels, state_bound=bound)
+            return sched.offline_optimal(p, levels, state_bound=bound)
+
+        for bound in sorted({b for n in states + stored for b in (n - 1, n)}):
+            if max(stored) > bound:
+                with pytest.raises(ProblemTooLargeError) as err:
+                    solve(bound)
+                if not pareto:  # stops at the first state past the bound
+                    assert f"({bound + 1} states > {bound})" in str(err.value)
+            else:
+                solve(bound)
 
     def test_oracle_guard(self):
         p = sched.ScheduleProblem(
@@ -411,6 +486,48 @@ class TestMdp:
         with pytest.raises(InvalidParameterError):
             sched.threshold_policy(DESK_MDP, -1.0)
 
+    @pytest.mark.parametrize("buckets", [16, 32, 64])
+    def test_desk_results_pinned(self, buckets):
+        mdp = desk_mdp(buckets)
+        want = PINNED[str(buckets)]
+        best = sched.mdp_policy_iteration(mdp)
+        assert "".join(str(a) for a in best.actions.ravel()) == want["pi_actions"]
+        assert best.gain == want["pi_gain"]
+        assert sched.value_iteration_gain(mdp, span_tol=1e-9) == want["vi_gain"]
+        thetas = np.linspace(0.0, mdp.capacity_j, 20)
+        gains = [sched.threshold_policy(mdp, float(t), spend_j=2.0).gain for t in thetas]
+        assert gains == want["threshold_gains"]
+        assert sched.evaluate_policy(best, horizon=20_000, seed=3) == want["monte_carlo_gain"]
+
+    def test_wide_battery_policy_iteration_still_degenerate(self):
+        # Known defect: the improvement step wanders into multichain
+        # policies on this model. Pinned until policy iteration handles them.
+        with pytest.raises(DegenerateModelError):
+            sched.mdp_policy_iteration(desk_mdp(128, top_spend_j=8))
+
+
+class TestMdpArrays:
+    @pytest.mark.parametrize(
+        "mdp",
+        [desk_mdp(16), desk_mdp(128, top_spend_j=8), SHARED_ENERGY_MDP],
+        ids=["desk16", "desk128", "shared_energy"],
+    )
+    def test_arrays_reproduce_rows_and_feasibility(self, mdp):
+        arrays = sched._MdpArrays.build(mdp)
+        n_e = len(mdp.arrivals.states_j)
+        for b in range(mdp.battery_buckets):
+            feasible = mdp.feasible_actions(b)
+            for e in range(n_e):
+                s = mdp.state_index(b, e)
+                assert np.flatnonzero(arrays.feasible[:, s]).tolist() == feasible
+                for a in feasible:
+                    row = np.zeros(mdp.n_states)
+                    np.add.at(row, arrays.nxt[a, s], arrays.prob[s])
+                    assert np.array_equal(row, mdp.transition_row(b, e, a))
+        assert arrays.rewards.tolist() == [
+            mdp.reward(a) for a in range(len(mdp.spend_levels_j))
+        ]
+
 
 class TestEvaluatePolicy:
     def test_never_transmit_zero(self):
@@ -422,6 +539,15 @@ class TestEvaluatePolicy:
         exact = sched.evaluate_policy(policy, exact=True)
         mc = sched.evaluate_policy(policy, horizon=1_000_000, seed=4)
         assert exact == pytest.approx(policy.gain, abs=1e-9)
+        assert mc == pytest.approx(exact, rel=0.01)
+
+    def test_follows_energy_states_that_share_an_energy(self):
+        actions = np.zeros((9, 3), dtype=np.int64)
+        actions[4:, 0] = 2  # 4 J in state 0 once the battery holds it
+        actions[1:, 2] = 1  # 1 J in state 2; state 1 (also 0 J) idles
+        policy = sched.Policy(SHARED_ENERGY_MDP, actions, gain=0.0)
+        exact = sched.evaluate_policy(policy, exact=True)
+        mc = sched.evaluate_policy(policy, horizon=200_000, seed=0)
         assert mc == pytest.approx(exact, rel=0.01)
 
     def test_reproducible(self):
