@@ -32,6 +32,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -381,260 +382,234 @@ def validate_schedule(problem: ScheduleProblem, schedule: Schedule, tol: float =
 # Leveled state expansion. Actions are encoded 0 = idle, 1..L = source
 # fraction i/L, L+1..2L = relay fraction (i-L)/L.
 
-
-def _expand_actions(power_levels: int) -> list[tuple[str, float]]:
-    acts: list[tuple[str, float]] = [("idle", 0.0)]
-    acts += [("src", i / power_levels) for i in range(1, power_levels + 1)]
-    acts += [("rel", i / power_levels) for i in range(1, power_levels + 1)]
-    return acts
+# Candidate rows the DP expands at once. It bounds the DP's working memory,
+# and the state bound is checked after every block.
+_BLOCK_ROWS = 1 << 20
 
 
-class _PathValue:
-    """Accumulated objective along one DP path.
-
-    Total order: higher bits, then lower energy, then earlier activity,
-    then the action ids. Paths are parent-linked so extending one is
-    O(1); the full key is only materialised on deep ties.
-    """
-
-    __slots__ = ("bits", "energy", "relay_slots", "parent", "action", "act_code", "_key")
-
-    def __init__(self, bits, energy, relay_slots, parent, action, act_code):
-        self.bits = bits
-        self.energy = energy
-        self.relay_slots = relay_slots
-        self.parent = parent
-        self.action = action
-        self.act_code = act_code  # 0 = active slot, 1 = idle slot
-        self._key = None
-
-    def path(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        actions: list[int] = []
-        activity: list[int] = []
-        node = self
-        while node.parent is not None:
-            actions.append(node.action)
-            activity.append(node.act_code)
-            node = node.parent
-        actions.reverse()
-        activity.reverse()
-        return tuple(actions), tuple(activity)
-
-    @property
-    def actions(self) -> tuple[int, ...]:
-        return self.path()[0]
-
-    @property
-    def key(self) -> tuple:
-        if self._key is None:
-            actions, activity = self.path()
-            self._key = (-round(self.bits, 12), round(self.energy, 12), activity, actions)
-        return self._key
-
-    def beats(self, other: "_PathValue") -> bool:
-        a, b = round(self.bits, 12), round(other.bits, 12)
-        if a != b:
-            return a > b
-        a, b = round(self.energy, 12), round(other.energy, 12)
-        if a != b:
-            return a < b
-        return self.key < other.key
+def _check_levels(power_levels: int) -> None:
+    if (
+        isinstance(power_levels, bool)
+        or not isinstance(power_levels, (int, np.integer))
+        or power_levels < 1
+    ):
+        raise InvalidParameterError(f"power levels must be an integer >= 1, got {power_levels!r}")
 
 
-def _transition(
+class _Step(NamedTuple):
+    """One slot from each state (rows) under each action id (columns)."""
+
+    b_s: np.ndarray  # next state, not rounded
+    b_r: np.ndarray
+    buf: np.ndarray
+    delivered: np.ndarray
+    energy: np.ndarray
+    spend: np.ndarray
+    active: np.ndarray
+    expanded: np.ndarray  # the actions the DP explores
+
+
+def _step(
     problem: ScheduleProblem,
     k: int,
-    state: tuple[float, float, float],
-    act_kind: str,
-    frac: float,
-) -> tuple[tuple[float, float, float], float, float, bool]:
-    """One slot step; returns (state', delivered_bits, energy_spent, active)."""
-    b_s, b_r, buf = state
-    b_s = min(problem.source_capacity_j, b_s + problem.source_arrivals_j[k])
-    b_r = min(problem.relay_capacity_j, b_r + problem.relay_arrivals_j[k])
-    delivered = 0.0
-    energy = 0.0
-    received = 0.0
-    active = False
-    if act_kind == "src":
-        spend = frac * b_s
-        if spend > 0:
-            active = True
-            energy += spend
-            b_s -= spend
-            if b_r >= problem.rx_energy_cost_j:
-                b_r -= problem.rx_energy_cost_j
-                energy += problem.rx_energy_cost_j
-                received = _rate_bits(spend, problem.source_gains[k], problem)
-    elif act_kind == "rel":
-        spend = frac * b_r
-        if spend > 0:
-            active = True
-            energy += spend
-            b_r -= spend
-            delivered = min(buf, _rate_bits(spend, problem.relay_gains[k], problem))
-    if problem.delay_constrained:
-        buf_new = received
-    else:
-        buf_new = buf - delivered + received
-    return (b_s, b_r, buf_new), delivered, energy, active
+    b_s: np.ndarray,
+    b_r: np.ndarray,
+    buf: np.ndarray,
+    power_levels: int,
+) -> _Step:
+    """Slot ``k`` of the two-hop transition, for every state and action.
+
+    The DP and ``_replay`` share this transition; the oracle and the
+    validator derive it independently. An action that spends nothing
+    leaves the slot idle. The DP expands only the idle action, source
+    actions on a non-empty source battery, and relay actions on a
+    non-empty relay battery with buffered bits: the others repeat the
+    idle outcome or waste relay energy.
+    """
+    fractions = np.arange(1, power_levels + 1) / power_levels
+    frac = np.concatenate(([0.0], fractions, fractions))
+    src = np.zeros(frac.size, dtype=bool)
+    src[1 : power_levels + 1] = True
+    rel = np.zeros_like(src)
+    rel[power_levels + 1 :] = True
+    bsh = np.minimum(problem.source_capacity_j, b_s + problem.source_arrivals_j[k])[:, None]
+    brh = np.minimum(problem.relay_capacity_j, b_r + problem.relay_arrivals_j[k])[:, None]
+    buf = buf[:, None]
+    spend = frac * np.where(src, bsh, brh)
+    active = spend > 0
+    gain = np.where(src, problem.source_gains[k], problem.relay_gains[k])
+    rate = np.log2(1.0 + (spend / problem.slot_duration_s) * gain / problem.noise_power_w)
+    rx_ok = src & active & (brh >= problem.rx_energy_cost_j)
+    rx = np.where(rx_ok, problem.rx_energy_cost_j, 0.0)
+    received = np.where(rx_ok, rate, 0.0)
+    delivered = np.where(rel, np.minimum(buf, rate), 0.0)
+    return _Step(
+        b_s=bsh - np.where(src, spend, 0.0),
+        b_r=brh - np.where(rel, spend, rx),
+        buf=received if problem.delay_constrained else buf - delivered + received,
+        delivered=delivered,
+        energy=spend + rx,
+        spend=spend,
+        active=active,
+        expanded=~(src | rel) | (src & (bsh > 0)) | (rel & (brh > 0) & (buf > 0)),
+    )
 
 
-def _round_state(state: tuple[float, float, float]) -> tuple[float, float, float]:
-    return (round(state[0], 12), round(state[1], 12), round(state[2], 12))
+class _Layer(NamedTuple):
+    """The paths the DP stores after a slot, one row each.
+
+    Paths are ordered by delivered bits (up, rounded to 12 decimals), spent
+    energy (down, rounded), then their activity tuple (active 0 before idle
+    1) and their action-id tuple. All paths of a layer have the same
+    length, so the dense rank of a tuple over the layer stands for the
+    tuple, and a child's tuple sorts as (rank of its parent's, its own
+    symbol). While a layer is built, ``activity`` and ``actions`` hold
+    those pairs as ``rank * alphabet + symbol``.
+    """
+
+    b_s: np.ndarray  # source battery, rounded to 12 decimals
+    b_r: np.ndarray  # relay battery, rounded
+    buf: np.ndarray  # buffered bits, rounded
+    bits: np.ndarray
+    energy: np.ndarray
+    relay_slots: np.ndarray
+    activity: np.ndarray  # rank of the activity tuple
+    actions: np.ndarray  # rank of the action-id tuple
+    parent: np.ndarray  # row of the extended path in the previous layer
+    action: np.ndarray  # action id of this slot
+
+    def take(self, rows: np.ndarray) -> "_Layer":
+        return _Layer(*(column[rows] for column in self))
+
+
+def _path_order(layer: _Layer, *primary: np.ndarray) -> np.ndarray:
+    """Row order by the ``primary`` keys (most significant first), then by path order."""
+    keys = (layer.actions, layer.activity, np.round(layer.energy, 12), -np.round(layer.bits, 12))
+    return np.lexsort(keys + primary[::-1])
+
+
+def _changed(column: np.ndarray) -> np.ndarray:
+    return column[1:] != column[:-1]
+
+
+def _survivors(layer: _Layer, pareto: bool) -> tuple[_Layer, int]:
+    """Best path per state, or with ``pareto`` the Pareto set over (bits up,
+    relay slots down) per state; rows come back sorted by state. Also
+    returns the number of states."""
+    group = (layer.b_s, layer.b_r, layer.buf) + ((layer.relay_slots,) if pareto else ())
+    layer = layer.take(_path_order(layer, *group))
+    new_state = np.ones(layer.bits.size, dtype=bool)
+    new_state[1:] = _changed(layer.b_s) | _changed(layer.b_r) | _changed(layer.buf)
+    first = new_state.copy()
+    if pareto:
+        first[1:] |= _changed(layer.relay_slots)
+    n_states = int(new_state.sum())
+    layer = layer.take(first)
+    if pareto:  # keep a relay count only if it buys more bits than every smaller one
+        state = np.cumsum(new_state[first]) - 1
+        best = np.full(n_states, -np.inf)
+        keep = np.zeros(layer.bits.size, dtype=bool)
+        for count in np.unique(layer.relay_slots):
+            rows = np.flatnonzero(layer.relay_slots == count)
+            rows = rows[best[state[rows]] < layer.bits[rows] - 1e-12]
+            keep[rows] = True
+            best[state[rows]] = layer.bits[rows]
+        layer = layer.take(keep)
+    return layer, n_states
+
+
+def _dense_rank(keys: np.ndarray) -> np.ndarray:
+    return np.unique(keys, return_inverse=True)[1]
 
 
 def _run_dp(
     problem: ScheduleProblem, power_levels: int, state_bound: int, pareto: bool
-) -> dict[tuple[float, float, float], list[_PathValue]]:
+) -> list[_Layer]:
     """Forward DP over reachable (source battery, relay battery, buffer).
 
-    With ``pareto`` the per-state value is the Pareto set over (delivered
-    bits up, relay slots down), needed for minimum-relay-time queries;
-    otherwise a single best path per state suffices (throughput
-    objective). The slot transition is inlined: per state the harvested
-    batteries are computed once and each quantised action extends the
-    path in O(1).
+    Returns the layer before the first slot and the layer after each slot.
+    Per state it keeps the best path, or with ``pareto`` the Pareto set
+    over (delivered bits up, relay slots down) that minimum-relay-time
+    queries need. States are keyed by their values rounded to 12 decimals.
+    Parents are expanded in blocks of at most ``_BLOCK_ROWS`` candidate
+    rows, each merged into the layer's survivors, and the problem is
+    rejected as soon as a layer holds more than ``state_bound`` states;
+    with ``pareto`` also when a finished layer stores more values.
     """
-    fractions = [i / power_levels for i in range(1, power_levels + 1)]
-    cap_s, cap_r = problem.source_capacity_j, problem.relay_capacity_j
-    rx_cost = problem.rx_energy_cost_j
-    dt = problem.slot_duration_s
-    noise = problem.noise_power_w
-    delay = problem.delay_constrained
-    log2 = math.log2
-
-    start = _round_state((problem.initial_source_j, problem.initial_relay_j, 0.0))
-    layer: dict[tuple[float, float, float], list[_PathValue]] = {
-        start: [_PathValue(0.0, 0.0, 0, None, -1, 1)]
-    }
+    start = np.round([problem.initial_source_j, problem.initial_relay_j, 0.0], 12)
+    zero, root = np.zeros(1, dtype=np.int64), np.full(1, -1)
+    layers = [_Layer(start[:1], start[1:2], start[2:], np.zeros(1), np.zeros(1),
+                     zero, zero, zero, root, root)]
+    n_actions = 2 * power_levels + 1
+    per_block = max(1, _BLOCK_ROWS // n_actions)
     for k in range(problem.slot_count):
-        e_s, e_r = problem.source_arrivals_j[k], problem.relay_arrivals_j[k]
-        h_k, g_k = problem.source_gains[k], problem.relay_gains[k]
-        nxt: dict[tuple[float, float, float], list[_PathValue]] = {}
-
-        def emit(state, values, delivered, energy, relay_inc, act_code, action_id):
-            key = _round_state(state)
-            bucket = nxt.get(key)
-            if bucket is None:
-                bucket = nxt[key] = []
-                if len(nxt) > state_bound:  # fail fast, before the layer is complete
-                    raise ProblemTooLargeError(
-                        f"state space exceeded the bound ({len(nxt)} states > {state_bound})"
-                        f" at slot {k}"
-                    )
-            for v in values:
-                cand = _PathValue(
-                    v.bits + delivered, v.energy + energy,
-                    v.relay_slots + relay_inc, v, action_id, act_code,
-                )
-                if pareto:
-                    _pareto_insert(bucket, cand)
-                elif not bucket:
-                    bucket.append(cand)
-                elif cand.beats(bucket[0]):
-                    bucket[0] = cand
-        for (b_s, b_r, buf), values in layer.items():
-            bsh = b_s + e_s
-            if bsh > cap_s:
-                bsh = cap_s
-            brh = b_r + e_r
-            if brh > cap_r:
-                brh = cap_r
-            buf_idle = 0.0 if delay else buf
-            emit((bsh, brh, buf_idle), values, 0.0, 0.0, 0, 1, 0)
-            if bsh > 0:
-                rx_ok = brh >= rx_cost
-                br_after = brh - rx_cost if rx_ok else brh
-                for i, frac in enumerate(fractions):
-                    spend = frac * bsh
-                    received = log2(1.0 + (spend / dt) * h_k / noise) if rx_ok else 0.0
-                    emit(
-                        (bsh - spend, br_after, received if delay else buf + received),
-                        values,
-                        0.0,
-                        spend + (rx_cost if rx_ok else 0.0),
-                        0,
-                        0,
-                        1 + i,
-                    )
-            if brh > 0 and buf > 0:
-                for i, frac in enumerate(fractions):
-                    spend = frac * brh
-                    rate = log2(1.0 + (spend / dt) * g_k / noise)
-                    delivered = buf if buf < rate else rate
-                    emit(
-                        (bsh, brh - spend, 0.0 if delay else buf - delivered),
-                        values,
-                        delivered,
-                        spend,
-                        1,
-                        0,
-                        1 + power_levels + i,
-                    )
-        if pareto:  # a state may hold several Pareto values
-            total = sum(len(v) for v in nxt.values())
-            if total > state_bound:
+        prev = layers[-1]
+        layer = None
+        for lo in range(0, prev.bits.size, per_block):
+            rows = np.arange(lo, min(lo + per_block, prev.bits.size))
+            step = _step(problem, k, prev.b_s[rows], prev.b_r[rows], prev.buf[rows], power_levels)
+            local, action = np.nonzero(step.expanded)
+            parent = rows[local]
+            cell = (local, action)
+            block = _Layer(
+                b_s=np.round(step.b_s[cell], 12),
+                b_r=np.round(step.b_r[cell], 12),
+                buf=np.round(step.buf[cell], 12),
+                bits=prev.bits[parent] + step.delivered[cell],
+                energy=prev.energy[parent] + step.energy[cell],
+                relay_slots=prev.relay_slots[parent] + (action > power_levels),
+                activity=prev.activity[parent] * 2 + (action == 0),
+                actions=prev.actions[parent] * n_actions + action,
+                parent=parent,
+                action=action,
+            )
+            if layer is not None:
+                block = _Layer(*map(np.concatenate, zip(layer, block)))
+            layer, n_states = _survivors(block, pareto)
+            if n_states > state_bound:  # fail fast, before the layer is complete
                 raise ProblemTooLargeError(
-                    f"state space exceeded the bound ({total} values > {state_bound})"
+                    f"state space exceeded the bound ({n_states} states > {state_bound})"
                     f" at slot {k}"
                 )
-        layer = nxt
-    return layer
-
-
-def _pareto_insert(bucket: list[_PathValue], cand: _PathValue) -> None:
-    """Keep candidates not dominated in (bits up, relay_slots down)."""
-    eps = 1e-12
-    for v in bucket:
-        if v.bits >= cand.bits - eps and v.relay_slots <= cand.relay_slots:
-            if (v.bits > cand.bits + eps or v.relay_slots < cand.relay_slots
-                    or v.key <= cand.key):
-                return
-    bucket[:] = [
-        v
-        for v in bucket
-        if not (
-            cand.bits >= v.bits - eps
-            and cand.relay_slots <= v.relay_slots
-            and (cand.bits > v.bits + eps or cand.relay_slots < v.relay_slots
-                 or cand.key <= v.key)
+        if layer.bits.size > state_bound:  # a state may hold several Pareto values
+            raise ProblemTooLargeError(
+                f"state space exceeded the bound ({layer.bits.size} values > {state_bound})"
+                f" at slot {k}"
+            )
+        layers.append(
+            layer._replace(activity=_dense_rank(layer.activity), actions=_dense_rank(layer.actions))
         )
-    ]
-    bucket.append(cand)
+    return layers
 
 
-def _replay(problem: ScheduleProblem, action_ids: tuple[int, ...], power_levels: int,
+def _action_ids(layers: list[_Layer], row: int) -> list[int]:
+    """Action ids of the path ending at ``row`` of the last layer."""
+    ids = []
+    for layer in reversed(layers[1:]):
+        ids.append(int(layer.action[row]))
+        row = layer.parent[row]
+    return ids[::-1]
+
+
+def _replay(problem: ScheduleProblem, action_ids: list[int], power_levels: int,
             objective_kind: str = "delivered_bits") -> Schedule:
-    acts = _expand_actions(power_levels)
-    state = (problem.initial_source_j, problem.initial_relay_j, 0.0)
+    b_s = np.array([problem.initial_source_j], dtype=float)
+    b_r = np.array([problem.initial_relay_j], dtype=float)
+    buf = np.zeros(1)
     p_s, p_r, d_s, d_r, bits = [], [], [], [], []
-    relay_slots = 0
-    for k, ai in enumerate(action_ids):
-        kind, frac = acts[ai]
-        b_s0 = min(problem.source_capacity_j, state[0] + problem.source_arrivals_j[k])
-        b_r0 = min(problem.relay_capacity_j, state[1] + problem.relay_arrivals_j[k])
-        state, delivered, _, active = _transition(problem, k, state, kind, frac)
-        if kind == "src" and active:
-            spend = frac * b_s0
-            p_s.append(spend / problem.slot_duration_s)
-            p_r.append(0.0)
-            d_s.append(1)
-            d_r.append(0)
-        elif kind == "rel" and active:
-            spend = frac * b_r0
-            p_s.append(0.0)
-            p_r.append(spend / problem.slot_duration_s)
-            d_s.append(0)
-            d_r.append(1)
-            relay_slots += 1
-        else:
-            p_s.append(0.0)
-            p_r.append(0.0)
-            d_s.append(0)
-            d_r.append(0)
-        bits.append(delivered)
-    objective = sum(bits) if objective_kind == "delivered_bits" else float(relay_slots)
+    for k, a in enumerate(action_ids):
+        step = _step(problem, k, b_s, b_r, buf, power_levels)
+        active = bool(step.active[0, a])
+        power = float(step.spend[0, a]) / problem.slot_duration_s
+        source = active and a <= power_levels
+        relay = active and a > power_levels
+        p_s.append(power if source else 0.0)
+        p_r.append(power if relay else 0.0)
+        d_s.append(int(source))
+        d_r.append(int(relay))
+        bits.append(float(step.delivered[0, a]))
+        b_s, b_r, buf = step.b_s[:, a], step.b_r[:, a], step.buf[:, a]
+    objective = sum(bits) if objective_kind == "delivered_bits" else float(sum(d_r))
     return Schedule(
         tuple(p_s), tuple(p_r), tuple(d_s), tuple(d_r), tuple(bits),
         objective, objective_kind,
@@ -651,14 +626,10 @@ def offline_optimal(
     matches the exhaustive oracle on any instance both can solve. The
     state-space guard rejects oversized problems.
     """
-    layer = _run_dp(problem, power_levels, state_bound, pareto=False)
-    best: _PathValue | None = None
-    for values in layer.values():
-        for v in values:
-            if best is None or v.beats(best):
-                best = v
-    assert best is not None
-    return _replay(problem, best.actions, power_levels)
+    _check_levels(power_levels)
+    layers = _run_dp(problem, power_levels, state_bound, pareto=False)
+    best = int(_path_order(layers[-1])[0])
+    return _replay(problem, _action_ids(layers, best), power_levels)
 
 
 def brute_force_oracle(
@@ -670,13 +641,13 @@ def brute_force_oracle(
     array arithmetic and picks the best objective under the documented
     tie-breaking.
     """
+    _check_levels(power_levels)
     n_actions = 2 * power_levels + 1
     n_seq = n_actions ** problem.slot_count
     if n_seq > max_schedules:
         raise ProblemTooLargeError(f"{n_seq} schedules exceed the oracle bound {max_schedules}")
-    actions = np.array(
-        list(itertools.product(range(n_actions), repeat=problem.slot_count)), dtype=np.int64
-    )
+    # every action sequence, in itertools.product order
+    actions = np.indices((n_actions,) * problem.slot_count).reshape(problem.slot_count, -1).T
     n = actions.shape[0]
     b_s = np.full(n, float(problem.initial_source_j))
     b_r = np.full(n, float(problem.initial_relay_j))
@@ -721,7 +692,7 @@ def brute_force_oracle(
     keys = tuple(activity[:, k] for k in reversed(range(problem.slot_count)))
     order = np.lexsort(keys + (np.round(energy, 12), -np.round(bits, 12)))
     best = int(order[0])
-    return _replay(problem, tuple(int(a) for a in actions[best]), power_levels)
+    return _replay(problem, [int(a) for a in actions[best]], power_levels)
 
 
 def min_relay_time(
@@ -735,20 +706,21 @@ def min_relay_time(
     Infeasible demands raise :class:`InfeasibleDemandError` carrying the
     maximum achievable bits for the instance.
     """
-    if demand_bits < 0:
-        raise InvalidParameterError("demand must be non-negative")
-    layer = _run_dp(problem, power_levels, state_bound, pareto=True)
-    candidates: list[_PathValue] = [v for values in layer.values() for v in values]
-    max_bits = max(v.bits for v in candidates)
-    feasible = [v for v in candidates if v.bits >= demand_bits - 1e-9]
-    if not feasible:
+    _check_levels(power_levels)
+    if not math.isfinite(demand_bits) or demand_bits < 0:
+        raise InvalidParameterError(f"demand must be finite and non-negative, got {demand_bits}")
+    layers = _run_dp(problem, power_levels, state_bound, pareto=True)
+    last = layers[-1]
+    max_bits = float(last.bits.max())
+    feasible = np.flatnonzero(last.bits >= demand_bits - 1e-9)
+    if feasible.size == 0:
         raise InfeasibleDemandError(
             f"demand {demand_bits} bits infeasible; at most {max_bits} achievable",
             max_achievable_bits=max_bits,
         )
-    best = min(feasible, key=lambda v: (v.relay_slots,) + v.key)
-    schedule = _replay(problem, best.actions, power_levels, objective_kind="relay_slots")
-    return schedule
+    candidates = last.take(feasible)
+    best = int(feasible[_path_order(candidates, candidates.relay_slots)[0]])
+    return _replay(problem, _action_ids(layers, best), power_levels, objective_kind="relay_slots")
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +878,11 @@ class BatteryMdp:
         )
 
     def transition_row(self, battery_bucket: int, energy_state: int, action: int) -> np.ndarray:
-        """Distribution over next states for one (state, action) pair."""
+        """Distribution over next states for one feasible (state, action) pair."""
+        if action not in self.feasible_actions(battery_bucket):
+            raise InvalidParameterError(
+                f"action {action} is infeasible in battery bucket {battery_bucket}"
+            )
         n_e = len(self.arrivals.states_j)
         row = np.zeros(self.n_states)
         spend_units = round(self.spend_levels_j[action] / self.bucket_j)
@@ -927,6 +903,22 @@ class Policy:
     actions: np.ndarray  # shape (buckets, n_energy_states) of spend level indices
     gain: float
     bias: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        mdp = self.mdp
+        shape = (mdp.battery_buckets, len(mdp.arrivals.states_j))
+        levels = np.asarray(mdp.spend_levels_j)
+        actions = np.asarray(self.actions)
+        if (
+            actions.shape != shape
+            or not np.issubdtype(actions.dtype, np.integer)
+            or actions.min() < 0
+            or actions.max() >= levels.size
+        ):
+            raise InvalidParameterError(f"policy table must be {shape} spend-level indices")
+        held_j = np.arange(mdp.battery_buckets)[:, None] * mdp.bucket_j
+        if np.any(levels[actions] > held_j + 1e-12):  # the rule of feasible_actions
+            raise InvalidParameterError("policy spends more than its battery bucket holds")
 
     def action_at(self, battery_bucket: int, energy_state: int) -> int:
         return int(self.actions[battery_bucket, energy_state])
@@ -1091,8 +1083,8 @@ def threshold_policy(
         raise InvalidParameterError("threshold must be non-negative")
     target = mdp.bucket_j if spend_j is None else spend_j
     n_e = len(mdp.arrivals.states_j)
-    actions = np.zeros((mdp.battery_buckets, n_e), dtype=np.int64)
     levels = mdp.spend_levels_j
+    actions = np.full((mdp.battery_buckets, n_e), levels.index(0.0), dtype=np.int64)
     for b in range(mdp.battery_buckets):
         b_j = b * mdp.bucket_j
         if b_j + 1e-12 < theta_j or b_j <= 0:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from crowdharvest import scheduling as sched
@@ -183,17 +185,9 @@ class TestOfflineOptimal:
             source_capacity_j=2.0, rx_energy_cost_j=0.1,
         )
 
-        def layer(k):  # the DP's layer after slot k - 1, from the k-slot prefix
-            prefix = replace(
-                p, slot_count=k, source_arrivals_j=p.source_arrivals_j[:k],
-                relay_arrivals_j=p.relay_arrivals_j[:k], source_gains=p.source_gains[:k],
-                relay_gains=p.relay_gains[:k],
-            )
-            return sched._run_dp(prefix, levels, 10**9, pareto)
-
-        layers = [layer(k) for k in range(1, p.slot_count + 1)]
-        states = [len(values) for values in layers]
-        stored = [sum(len(v) for v in values.values()) for values in layers]
+        layers = sched._run_dp(p, levels, 10**9, pareto)[1:]  # the layer after each slot
+        states = [len(set(zip(x.b_s.tolist(), x.b_r.tolist(), x.buf.tolist()))) for x in layers]
+        stored = [x.bits.size for x in layers]
         assert states == sorted(set(states))  # every layer is larger than the last
         if pareto:
             assert stored != states  # some state holds several Pareto values
@@ -207,10 +201,34 @@ class TestOfflineOptimal:
             if max(stored) > bound:
                 with pytest.raises(ProblemTooLargeError) as err:
                     solve(bound)
-                if not pareto:  # stops at the first state past the bound
-                    assert f"({bound + 1} states > {bound})" in str(err.value)
+                first = next(k for k, n in enumerate(stored) if n > bound)
+                assert str(err.value).endswith(f"at slot {first}")
             else:
                 solve(bound)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda p: sched.offline_optimal(p, 0),
+            lambda p: sched.offline_optimal(p, -2),
+            lambda p: sched.offline_optimal(p, 2.0),
+            lambda p: sched.offline_optimal(p, True),
+            lambda p: sched.brute_force_oracle(p, 0),
+            lambda p: sched.min_relay_time(p, 1.0, 0),
+            lambda p: sched.min_relay_time(p, math.nan),
+            lambda p: sched.min_relay_time(p, math.inf),
+            lambda p: sched.min_relay_time(p, -1.0),
+        ],
+        ids=["levels-0", "levels-negative", "levels-float", "levels-bool", "oracle-levels-0",
+             "min-time-levels-0", "demand-nan", "demand-inf", "demand-negative"],
+    )
+    def test_invalid_inputs_rejected_before_any_work(self, solve):
+        # far past any state bound, so only a check made up front can answer
+        p = sched.ScheduleProblem(
+            12, 1.0, (1.0,) * 12, (1.0,) * 12, (1e-3,) * 12, (1e-3,) * 12, 1e-9
+        )
+        with pytest.raises(InvalidParameterError):
+            solve(p)
 
     def test_oracle_guard(self):
         p = sched.ScheduleProblem(
@@ -318,6 +336,49 @@ class TestMinRelayTime:
             oracle_slots, _ = min_time_oracle(p, demand, 4)
             assert ours.objective_value == oracle_slots
             sched.validate_schedule(p, ours)
+
+
+amounts_j = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+gains = st.floats(0.2e-3, 2e-3)
+
+
+@st.composite
+def schedule_problems(draw):
+    """Small two-hop problems over every field the solvers read."""
+    k = draw(st.integers(1, 4))
+
+    def per_slot(values):
+        return tuple(draw(st.lists(values, min_size=k, max_size=k)))
+
+    return sched.ScheduleProblem(
+        slot_count=k,
+        slot_duration_s=draw(st.floats(0.25, 4.0)),
+        source_arrivals_j=per_slot(amounts_j),
+        relay_arrivals_j=per_slot(amounts_j),
+        source_gains=per_slot(gains),
+        relay_gains=per_slot(gains),
+        noise_power_w=1e-9,
+        source_capacity_j=draw(st.sampled_from([1.0, 2.0, math.inf])),
+        relay_capacity_j=draw(st.sampled_from([1.0, 2.0, math.inf])),
+        rx_energy_cost_j=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        delay_constrained=draw(st.booleans()),
+        initial_source_j=draw(amounts_j),
+        initial_relay_j=draw(amounts_j),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule_problems(), st.integers(2, 4), st.floats(0.0, 1.0))
+def test_dp_matches_exhaustive_oracles(problem, levels, demand_share):
+    optimal = sched.offline_optimal(problem, levels)
+    oracle = sched.brute_force_oracle(problem, levels)
+    assert optimal.objective_value == pytest.approx(oracle.objective_value, rel=1e-9, abs=1e-12)
+    sched.validate_schedule(problem, optimal)
+    demand = demand_share * optimal.objective_value
+    quickest = sched.min_relay_time(problem, demand, levels)
+    assert quickest.objective_value == min_time_oracle(problem, demand, levels)[0]
+    assert sum(quickest.bits_per_slot) >= demand - 1e-9
+    sched.validate_schedule(problem, quickest)
 
 
 class TestWaterFilling:
@@ -527,6 +588,48 @@ class TestMdpArrays:
         assert arrays.rewards.tolist() == [
             mdp.reward(a) for a in range(len(mdp.spend_levels_j))
         ]
+
+
+class TestPolicyFeasibility:
+    def spend_4_j(self):  # 4 J in every state, more than the low buckets hold
+        return np.full((DESK_MDP.battery_buckets, 2), 4, dtype=np.int64)
+
+    def test_infeasible_table_rejected(self):
+        # the exact evaluation used to score this table at the full 4 J reward
+        # every slot (3.170) while the simulation truncated the spends (1.164)
+        with pytest.raises(InvalidParameterError):
+            sched.Policy(DESK_MDP, self.spend_4_j(), gain=0.0)
+
+    def test_infeasible_table_rejected_from_json(self):
+        doc = json.loads(sched.mdp_policy_iteration(DESK_MDP).to_json())
+        doc["actions"] = self.spend_4_j().tolist()
+        with pytest.raises(InvalidParameterError):
+            sched.Policy.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "actions",
+        [
+            np.zeros((15, 2), dtype=np.int64),
+            np.zeros((16, 2)),
+            np.full((16, 2), 5),
+            np.full((16, 2), -1),
+        ],
+        ids=["shape", "dtype", "index-past-levels", "negative-index"],
+    )
+    def test_malformed_table_rejected(self, actions):
+        with pytest.raises(InvalidParameterError):
+            sched.Policy(DESK_MDP, actions, gain=0.0)
+
+    def test_transition_row_rejects_infeasible_action(self):
+        with pytest.raises(InvalidParameterError):
+            DESK_MDP.transition_row(1, 0, 4)  # used to wrap round to states 26 and 31
+        assert DESK_MDP.transition_row(4, 0, 4).sum() == pytest.approx(1.0)
+
+    def test_threshold_policy_idles_on_the_zero_level(self):
+        mdp = replace(DESK_MDP, spend_levels_j=(1.0, 2.0, 0.0))
+        policy = sched.threshold_policy(mdp, 3.0, spend_j=2.0)
+        assert np.all(policy.actions[:3] == 2)
+        assert np.all(policy.actions[3:] == 1)
 
 
 class TestEvaluatePolicy:
