@@ -157,28 +157,23 @@ class Deployment:
         return int(self.xs.size)
 
 
-def sample_ppp(density_per_km2: float, region: Region, seed: int) -> Deployment:
-    """Sample a homogeneous PPP with the given density (nodes per km^2)."""
+def _ppp_points(
+    rng: np.random.Generator, density_per_km2: float, region: Region
+) -> tuple[np.ndarray, np.ndarray]:
+    """Point draw of :func:`sample_ppp` from its substream."""
     if density_per_km2 < 0:
         raise InvalidParameterError("density must be non-negative")
-    rng = substream(seed, "ppp")
     mean_count = density_per_km2 * region.area_km2
     n = int(rng.poisson(mean_count))
     xs = rng.uniform(0.0, region.width_m, n)
     ys = rng.uniform(0.0, region.height_m, n)
-    return Deployment(xs, ys, density_per_km2, region, PoissonProcess(), seed)
+    return xs, ys
 
 
-def sample_clustered(spec: ClusteredProcess, region: Region, seed: int) -> Deployment:
-    """Sample a Thomas cluster process.
-
-    Under toroidal boundaries the offspring wrap around, which keeps the
-    process stationary on the torus. Under a guard boundary the parents
-    are drawn on an enlarged window (4 spreads of margin) and offspring
-    falling outside the region are dropped, so interior statistics are
-    unbiased by the border.
-    """
-    rng = substream(seed, "clustered")
+def _clustered_points(
+    rng: np.random.Generator, spec: ClusteredProcess, region: Region
+) -> tuple[np.ndarray, np.ndarray]:
+    """Point draw of :func:`sample_clustered` from its substream."""
     if region.boundary == "toroidal":
         pad = 0.0
     else:
@@ -199,7 +194,36 @@ def sample_clustered(spec: ClusteredProcess, region: Region, seed: int) -> Deplo
     else:
         keep = region.contains(xs, ys)
         xs, ys = xs[keep], ys[keep]
+    return xs, ys
+
+
+def sample_ppp(density_per_km2: float, region: Region, seed: int) -> Deployment:
+    """Sample a homogeneous PPP with the given density (nodes per km^2)."""
+    xs, ys = _ppp_points(substream(seed, "ppp"), density_per_km2, region)
+    return Deployment(xs, ys, density_per_km2, region, PoissonProcess(), seed)
+
+
+def sample_clustered(spec: ClusteredProcess, region: Region, seed: int) -> Deployment:
+    """Sample a Thomas cluster process.
+
+    Under toroidal boundaries the offspring wrap around, which keeps the
+    process stationary on the torus. Under a guard boundary the parents
+    are drawn on an enlarged window (4 spreads of margin) and offspring
+    falling outside the region are dropped, so interior statistics are
+    unbiased by the border.
+    """
+    xs, ys = _clustered_points(substream(seed, "clustered"), spec, region)
     return Deployment(xs, ys, spec.density_per_km2, region, spec, seed)
+
+
+def _rescaled(process: ClusteredProcess, density_per_km2: float) -> ClusteredProcess:
+    """``process`` at a target density, rescaled through its parent density."""
+    scale = density_per_km2 / process.density_per_km2
+    return ClusteredProcess(
+        parent_density_per_km2=process.parent_density_per_km2 * scale,
+        mean_offspring=process.mean_offspring,
+        spread_m=process.spread_m,
+    )
 
 
 def sample_process(
@@ -212,13 +236,20 @@ def sample_process(
     """
     if isinstance(process, PoissonProcess):
         return sample_ppp(density_per_km2, region, seed)
-    scale = density_per_km2 / process.density_per_km2
-    spec = ClusteredProcess(
-        parent_density_per_km2=process.parent_density_per_km2 * scale,
-        mean_offspring=process.mean_offspring,
-        spread_m=process.spread_m,
-    )
-    return sample_clustered(spec, region, seed)
+    return sample_clustered(_rescaled(process, density_per_km2), region, seed)
+
+
+def _process_points(process: SpatialProcess, density_per_km2: float):
+    """How :func:`sample_process` draws its points at this density.
+
+    Returns ``(label, draw)``: the deployment seed's substream is
+    ``substream(seed, label)``, and ``draw(rng, region)`` returns the
+    ``(xs, ys)`` that ``sample_process`` draws from it.
+    """
+    if isinstance(process, PoissonProcess):
+        return "ppp", lambda rng, region: _ppp_points(rng, density_per_km2, region)
+    spec = _rescaled(process, density_per_km2)
+    return "clustered", lambda rng, region: _clustered_points(rng, spec, region)
 
 
 def rayleigh_scale_for_density(density_per_m2: float) -> float:
@@ -456,10 +487,8 @@ def deployment_to_csv(deployment: Deployment) -> str:
     return buf.getvalue()
 
 
-def deployment_from_csv(
-    text: str, region: Region, density_per_km2: float | None = None
-) -> Deployment:
-    """Parse an ``x_m,y_m`` document into a deployment on the given region."""
+def _points_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse an ``x_m,y_m`` document into coordinate arrays, checking no region."""
     from .errors import IngestionError
 
     reader = csv.reader(io.StringIO(text))
@@ -481,11 +510,17 @@ def deployment_from_csv(
         raise IngestionError(
             f"{len(bad)} malformed rows (first at line {bad[0][0]})", bad_rows=bad
         )
-    xs_arr = np.asarray(xs, dtype=float)
-    ys_arr = np.asarray(ys, dtype=float)
+    return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+
+
+def deployment_from_csv(
+    text: str, region: Region, density_per_km2: float | None = None
+) -> Deployment:
+    """Parse an ``x_m,y_m`` document into a deployment on the given region."""
+    xs, ys = _points_from_csv(text)
     if density_per_km2 is None:
-        density_per_km2 = xs_arr.size / region.area_km2
-    return Deployment(xs_arr, ys_arr, density_per_km2, region, PoissonProcess())
+        density_per_km2 = xs.size / region.area_km2
+    return Deployment(xs, ys, density_per_km2, region, PoissonProcess())
 
 
 def _process_to_dict(process: SpatialProcess) -> dict:

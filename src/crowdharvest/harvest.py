@@ -21,7 +21,11 @@ substream ``(seed, "sweep", j, t)``, so every curve swept over one grid
 with one seed (LoS and NLoS, full crowd and ``k_nearest``) sees the same
 deployment, probe and shadowing seed at (j, t). The engine therefore
 samples each deployment and measures its probe distances once and
-derives every requested curve ("view") from those distances.
+derives every requested curve ("view") from those distances. The sweeps
+and :func:`nearest_share_study` share one block-wise trial kernel,
+:func:`_trial_powers`, which derives the generator states of many trials
+at once and computes many small deployments with one set of array
+operations, bit-identical to one :func:`aggregate_power` call per trial.
 """
 
 from __future__ import annotations
@@ -29,16 +33,22 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FitFailureError, InvalidParameterError
-from .geometry import Deployment, Region, SpatialProcess, distances_to_probe, sample_process
+from .geometry import (
+    Deployment,
+    Region,
+    SpatialProcess,
+    _process_points,
+    distances_to_probe,
+)
 from .propagation import PathlossModel, ShadowingSpec, draw_shadowing_db, pathloss_db
-from .rng import substream
+from .rng import substream, substream_states
 
 __all__ = [
     "RatProfile",
@@ -222,27 +232,22 @@ class HarvestReport:
         object.__setattr__(self, "per_transmitter_w", arr)
 
 
-def _received_power_w(
+def _link_power_w(
     d: np.ndarray,
     rat: RatProfile,
     model: PathlossModel,
-    shadowing: ShadowingSpec | None,
-    seed: int,
-    k_nearest: int | None,
+    shadow_db: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-transmitter received power over links of length ``d`` (metres).
 
-    With ``k_nearest`` only that many shortest links contribute. Links
-    are floored at the larger of the model reference distance and the
-    RAT's physical minimum link distance. Shadowing is drawn from the
-    ``(seed, "shadowing")`` substream, spawned only when shadowing is on.
+    Links are floored at the larger of the model reference distance and
+    the RAT's physical minimum link distance; ``shadow_db`` adds one
+    shadowing draw per link.
     """
-    if k_nearest is not None and k_nearest < d.size:
-        d = np.partition(d, k_nearest - 1)[:k_nearest]
     d = np.maximum(d, max(model.reference_distance_m, rat.min_link_distance_m))
     loss_db = pathloss_db(model, d)
-    if shadowing is not None and shadowing.active:
-        loss_db = loss_db + draw_shadowing_db(shadowing, d.size, substream(seed, "shadowing"))
+    if shadow_db is not None:
+        loss_db = loss_db + shadow_db
     return rat.transmit_power_w * np.power(10.0, -loss_db / 10.0)
 
 
@@ -263,13 +268,18 @@ def aggregate_power(
     Link distances are floored at the larger of the model reference
     distance and the RAT's physical minimum link distance. When
     ``k_nearest`` is given only that many nearest transmitters
-    contribute. Deterministic for a fixed seed (the seed drives the
-    shadowing draws).
+    contribute. Deterministic for a fixed seed: shadowing is drawn from
+    the ``(seed, "shadowing")`` substream, spawned only when it is on.
     """
     if deployment.count == 0:
         return HarvestReport(0.0, 0.0, np.zeros(0), 0.0)
     d = distances_to_probe(deployment.region, probe, deployment.xs, deployment.ys)
-    per_tx = _received_power_w(d, rat, model, shadowing, seed, k_nearest)
+    if k_nearest is not None and k_nearest < d.size:
+        d = np.partition(d, k_nearest - 1)[:k_nearest]
+    shadow_db = None
+    if shadowing is not None and shadowing.active:
+        shadow_db = draw_shadowing_db(shadowing, d.size, substream(seed, "shadowing"))
+    per_tx = _link_power_w(d, rat, model, shadow_db)
     per_tx = per_tx * np.broadcast_to(np.asarray(utilization, dtype=float), per_tx.shape)
     if sensitivity_floor_w is not None:
         per_tx = np.where(per_tx >= sensitivity_floor_w, per_tx, 0.0)
@@ -334,6 +344,143 @@ def _sweep_point(density: float, totals: np.ndarray, bandwidth_hz: float) -> Swe
     )
 
 
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenation that does not copy a single part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+_TRIAL_BLOCK = 128  # trials whose substream states are derived together
+_CHUNK_POINTS = 2**11  # points whose distances and powers are computed together
+
+
+def _trial_powers(
+    rat: RatProfile,
+    region: Region,
+    seed: int,
+    densities: Sequence[float],
+    trials: int,
+    trial_key: Callable[[int], tuple[int, tuple[int | str, ...]]],
+    views: Sequence[SweepView],
+    workers: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Total and strongest received power of every view in every trial.
+
+    Trial r, with ``trial_key(r) = (j, path)``, draws a deployment seed, a
+    uniform probe and a shadowing seed from ``substream(seed, *path)``.
+    Its deployment is what ``sample_process(rat.spatial_process,
+    densities[j], region, deployment seed)`` samples, and a shadowed view
+    draws from ``substream(shadowing seed, "shadowing")`` as
+    :func:`aggregate_power` does. Both arrays are (trial, view); an empty
+    deployment reads 0.
+
+    Trials run in blocks of ``_TRIAL_BLOCK``: each block derives its trial,
+    deployment and shadowing generator states with one
+    :func:`substream_states` call each and re-points one generator per
+    worker. Distances and powers are computed on at most ``_CHUNK_POINTS``
+    points at a time (or one larger deployment), while every trial's sum,
+    maximum and ``k_nearest`` partition is taken on that trial's own slice,
+    so values are bit-identical to the per-trial computation. Workers take
+    every ``workers``-th block; results do not depend on ``workers``.
+    """
+    samplers = [_process_points(rat.spatial_process, density) for density in densities]
+    shadowed = any(v.shadowing is not None and v.shadowing.active for v in views)
+    totals = np.zeros((trials, len(views)))
+    maxima = np.zeros((trials, len(views)))
+
+    def run_chunk(gen, chunk, probes, shadow_states) -> None:
+        """Compute the (row, xs, ys) deployments of ``chunk`` and empty it."""
+        rows = [r for r, _, _ in chunk]
+        counts = [xs.size for _, xs, _ in chunk]
+        xs = _joined([xs for _, xs, _ in chunk])
+        ys = _joined([ys for _, _, ys in chunk])
+        chunk.clear()
+        if not np.all(region.contains(xs, ys)):
+            raise InvalidParameterError("deployment points must lie inside the region")
+        if len(rows) == 1:
+            probe = probes[rows[0]]
+        else:
+            probe = tuple(np.repeat([probes[r][i] for r in rows], counts) for i in (0, 1))
+        d = distances_to_probe(region, probe, xs, ys)
+        del xs, ys, probe
+        bounds = np.cumsum([0, *counts]).tolist()
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        draws: dict[ShadowingSpec, np.ndarray] = {}
+        for v, view in enumerate(views):
+            spec = view.shadowing if view.shadowing is not None and view.shadowing.active else None
+            if spec is not None and spec not in draws:
+                parts = []
+                for r, n in zip(rows, counts):
+                    gen.bit_generator.state = shadow_states[r]
+                    parts.append(draw_shadowing_db(spec, n, gen))
+                draws[spec] = _joined(parts)
+            shadow_db = draws.get(spec)
+            view_spans = spans
+            if view.k_nearest is not None:
+                k = view.k_nearest
+                # the k nearest links; a trial's shadowing draws start its stream
+                d_view = np.concatenate(
+                    [d[a:b] if b - a <= k else np.partition(d[a:b], k - 1)[:k] for a, b in spans]
+                )
+                if shadow_db is not None:
+                    shadow_db = np.concatenate([shadow_db[a : min(b, a + k)] for a, b in spans])
+                sizes = np.cumsum([0, *(min(n, k) for n in counts)]).tolist()
+                view_spans = list(zip(sizes[:-1], sizes[1:]))
+            else:
+                d_view = d
+            power = _link_power_w(d_view, rat, view.model, shadow_db)
+            del d_view, shadow_db
+            for r, (a, b) in zip(rows, view_spans):
+                totals[r, v] = power[a:b].sum()
+                maxima[r, v] = power[a:b].max()
+            del power
+
+    def run_block(gen, block: range) -> None:
+        keys = [trial_key(r) for r in block]
+        probes, deployment_keys, shadow_keys = {}, [], []
+        for r, (j, _), state in zip(block, keys, substream_states([(seed, *p) for _, p in keys])):
+            gen.bit_generator.state = state
+            deployment_keys.append((int(gen.integers(0, 2**63 - 1)), samplers[j][0]))
+            probes[r] = region.sample_probe(gen)
+            shadow_keys.append((int(gen.integers(0, 2**63 - 1)), "shadowing"))
+        shadow_states = dict(zip(block, substream_states(shadow_keys))) if shadowed else {}
+        # a chunk holds at most _CHUNK_POINTS points or one larger deployment,
+        # which is computed alone and before the next deployment is drawn
+        chunk, points = [], 0
+        for r, (j, _), state in zip(block, keys, substream_states(deployment_keys)):
+            gen.bit_generator.state = state
+            xs, ys = samplers[j][1](gen, region)
+            if not xs.size:
+                continue
+            if chunk and points + xs.size > _CHUNK_POINTS:
+                run_chunk(gen, chunk, probes, shadow_states)
+                points = 0
+            chunk.append((r, xs, ys))
+            points += xs.size
+            del xs, ys
+            if points >= _CHUNK_POINTS:
+                run_chunk(gen, chunk, probes, shadow_states)
+                points = 0
+        if chunk:
+            run_chunk(gen, chunk, probes, shadow_states)
+
+    blocks = [
+        range(start, min(start + _TRIAL_BLOCK, trials))
+        for start in range(0, trials, _TRIAL_BLOCK)
+    ]
+
+    def run_worker(w: int) -> None:
+        gen = np.random.default_rng(0)  # re-pointed to each substream's state
+        for block in blocks[w::workers]:
+            run_block(gen, block)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_worker, range(workers)))
+    else:
+        run_worker(0)
+    return totals, maxima
+
+
 def crowd_sweep(
     rat: RatProfile,
     density_grid: list[float] | np.ndarray,
@@ -349,11 +496,11 @@ def crowd_sweep(
     Trial t at grid index j draws a deployment, a uniform probe and a
     shadowing seed from the substream ``(seed, "sweep", j, t)`` once,
     measures the probe's distances once, and computes the total received
-    power of every view with ``t < view.trials`` from those distances; so
-    all views share the deployment, probe and shadowing seed at (j, t).
-    Only one trial's points are held per worker. Trials run on one pool
-    of ``workers`` threads, and results are bit-identical for any worker
-    count.
+    power of every view from those distances; so all views share the
+    deployment, probe and shadowing seed at (j, t), and a view reads its
+    first ``view.trials`` trials. Trials run in blocks on one pool of
+    ``workers`` threads (see :func:`_trial_powers`), and results are
+    bit-identical for any worker count.
     """
     grid = np.asarray(density_grid, dtype=float)
     if grid.size == 0:
@@ -361,45 +508,24 @@ def crowd_sweep(
     if not views:
         raise InvalidParameterError("need at least one view")
     trials = max(view.trials for view in views)
-
-    def trial(key: tuple[int, int]) -> list[float]:
-        j, t = key
-        rng = substream(seed, "sweep", j, t)
-        deployment = sample_process(
-            rat.spatial_process, grid[j], region, int(rng.integers(0, 2**63 - 1))
-        )
-        probe = region.sample_probe(rng)
-        shadow_seed = int(rng.integers(0, 2**63 - 1))
-        if deployment.count == 0:
-            return [0.0] * len(views)
-        d = distances_to_probe(region, probe, deployment.xs, deployment.ys)
-        del deployment  # keep only the distances live while the views are computed
-        return [
-            float(_received_power_w(d, rat, v.model, v.shadowing, shadow_seed, v.k_nearest).sum())
-            if t < v.trials
-            else math.nan
-            for v in views
-        ]
-
-    keys = [(j, t) for j in range(grid.size) for t in range(trials)]
-    if workers > 1:
-        # One task per worker, each taking every workers-th trial: a future
-        # per trial would hold about 1 kB per trial until the sweep ends.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda i: [trial(key) for key in keys[i::workers]], range(workers))
-            )
-        powers = [parts[n % workers][n // workers] for n in range(len(keys))]
-    else:
-        powers = [trial(key) for key in keys]
-    # (view, grid index, trial); a view never reads the trials it does not use
-    table = np.array(powers).T.reshape(len(views), grid.size, trials)
+    totals, _ = _trial_powers(
+        rat,
+        region,
+        seed,
+        grid,
+        grid.size * trials,
+        lambda r: (r // trials, ("sweep", r // trials, r % trials)),
+        views,
+        workers,
+    )
+    # (grid index, trial, view); a view never reads the trials it does not use
+    table = totals.reshape(grid.size, trials, len(views))
     return tuple(
         SweepCurve(
             rat.name,
             view.scenario,
             tuple(
-                _sweep_point(density, table[v, j, : view.trials], rat.bandwidth_hz)
+                _sweep_point(density, table[j, : view.trials, v], rat.bandwidth_hz)
                 for j, density in enumerate(grid)
             ),
         )
@@ -470,27 +596,14 @@ def nearest_share_study(
     nearest transmitter; ``mean_fraction`` is the unweighted mean of the
     per-draw share, reported for sensitivity.
     """
-    strongest = np.empty(draws)
-    totals = np.empty(draws)
-    fractions = np.empty(draws)
-    for t in range(draws):
-        rng = substream(seed, "share", t)
-        deployment = sample_process(
-            rat.spatial_process, density_per_km2, region, int(rng.integers(0, 2**63 - 1))
-        )
-        probe = region.sample_probe(rng)
-        report = aggregate_power(
-            probe,
-            deployment,
-            rat,
-            model,
-            1.0,
-            shadowing=shadowing,
-            seed=int(rng.integers(0, 2**63 - 1)),
-        )
-        totals[t] = report.total_power_w
-        strongest[t] = report.nearest_fraction * report.total_power_w
-        fractions[t] = report.nearest_fraction
+    view = SweepView(model, draws, shadowing)
+    totals, maxima = _trial_powers(
+        rat, region, seed, [density_per_km2], draws, lambda t: (0, ("share", t)), [view]
+    )
+    totals, maxima = totals[:, 0], maxima[:, 0]
+    # the strongest-node term as aggregate_power reports it: fraction * total
+    fractions = np.divide(maxima, totals, out=np.zeros(draws), where=totals > 0)
+    strongest = fractions * totals
     total_sum = totals.sum()
     share = float(strongest.sum() / total_sum) if total_sum > 0 else 0.0
     return share, float(fractions.mean())

@@ -40,7 +40,8 @@ from .geometry import (
     PoissonProcess,
     Region,
     SpatialProcess,
-    deployment_from_csv,
+    _points_from_csv,
+    _process_to_dict,
 )
 from .harvest import (
     RatProfile,
@@ -390,16 +391,7 @@ def config_to_dict(config: ScenarioConfig) -> dict:
                 "carrier_frequency_hz": r.carrier_frequency_hz,
                 "min_link_distance_m": r.min_link_distance_m,
                 "table_density_per_km2": r.table_density_per_km2,
-                "spatial_process": (
-                    {"kind": "ppp"}
-                    if isinstance(r.spatial_process, PoissonProcess)
-                    else {
-                        "kind": "clustered",
-                        "parent_density_per_km2": r.spatial_process.parent_density_per_km2,
-                        "mean_offspring": r.spatial_process.mean_offspring,
-                        "spread_m": r.spatial_process.spread_m,
-                    }
-                ),
+                "spatial_process": _process_to_dict(r.spatial_process),
             }
             for r in config.rats
         ],
@@ -545,31 +537,14 @@ def ingest_locations_csv(
     report of dropped out-of-region points. Malformed rows raise an
     :class:`IngestionError` listing the offending line numbers.
     """
-    text = Path(path).read_text()
-    deployment = deployment_from_csv(text, _RegionIgnoringBounds(region))
-    inside = region.contains(deployment.xs, deployment.ys)
-    report = []
-    if not np.all(inside):
-        dropped = np.flatnonzero(~inside)
-        report = [
-            f"dropped point {i} at ({deployment.xs[i]:.1f}, {deployment.ys[i]:.1f}): outside region"
-            for i in dropped
-        ]
-    xs, ys = deployment.xs[inside], deployment.ys[inside]
-    result = Deployment(
-        xs.copy(), ys.copy(), xs.size / region.area_km2, region, PoissonProcess()
-    )
-    return result, report
-
-
-class _RegionIgnoringBounds(Region):
-    """Region stand-in whose containment test always passes (pre-filter)."""
-
-    def __init__(self, base: Region):
-        super().__init__(base.width_m, base.height_m, base.boundary, base.guard_margin_m)
-
-    def contains(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:  # noqa: D102
-        return np.ones_like(np.asarray(xs), dtype=bool)
+    xs, ys = _points_from_csv(Path(path).read_text())
+    inside = region.contains(xs, ys)
+    report = [
+        f"dropped point {i} at ({xs[i]:.1f}, {ys[i]:.1f}): outside region"
+        for i in np.flatnonzero(~inside)
+    ]
+    xs, ys = xs[inside], ys[inside]
+    return Deployment(xs, ys, xs.size / region.area_km2, region, PoissonProcess()), report
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +567,7 @@ class CaseStudyReport:
     table: tuple[TableRow, ...]
     curves: tuple[SweepCurve, ...]
     exponents: dict[str, dict[str, float]]  # rat -> scenario -> fitted slope
+    fit_failures: dict[str, dict[str, str]]  # rat -> scenario -> why the slope is NaN
     nearest_share: float
     nearest_mean_fraction: float
     config_hash: str
@@ -624,6 +600,7 @@ def run_case_study(config: ScenarioConfig, workers: int = 1) -> CaseStudyReport:
     rows: list[TableRow] = []
     curves: list[SweepCurve] = []
     exponents: dict[str, dict[str, float]] = {}
+    fit_failures: dict[str, dict[str, str]] = {}
     for rat_cfg in config.rats:
         profile = build_rat_profile(rat_cfg)
         table_density = (
@@ -664,10 +641,11 @@ def run_case_study(config: ScenarioConfig, workers: int = 1) -> CaseStudyReport:
         for scen_name, scaling_curve in (("los", los_scaling), ("nlos", nlos_scaling)):
             try:
                 exponents[rat_cfg.name][scen_name] = scaling_exponent(scaling_curve)
-            except FitFailureError:
+            except FitFailureError as exc:
                 # densities so sparse that typical deployments are empty
                 # (TV at the bottom of its range): slope not measurable
                 exponents[rat_cfg.name][scen_name] = math.nan
+                fit_failures.setdefault(rat_cfg.name, {})[scen_name] = str(exc)
         los_power = los_table.points[0].median_power_w
         nlos_power = nlos_table.points[0].median_power_w
         rows.append(
@@ -699,6 +677,7 @@ def run_case_study(config: ScenarioConfig, workers: int = 1) -> CaseStudyReport:
         table=tuple(rows),
         curves=tuple(curves),
         exponents=exponents,
+        fit_failures=fit_failures,
         nearest_share=share,
         nearest_mean_fraction=mean_fraction,
         config_hash=config_hash(config),
@@ -802,8 +781,10 @@ def emit_report(report: CaseStudyReport, out_dir: str | Path) -> list[Path]:
     """Write table1.csv, sweeps.csv, report.json, and a runtime sidecar.
 
     The first three files are byte-deterministic for a fixed report; the
-    sidecar carries the wall clock and is excluded from reproducibility
-    comparisons.
+    sidecar (runmeta.txt) carries the wall clock and, for each scaling
+    exponent reported as null, the reason its fit failed
+    (``fit_failure.<rat>.<scenario>=<message>``). It is excluded from
+    reproducibility comparisons.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -816,7 +797,13 @@ def emit_report(report: CaseStudyReport, out_dir: str | Path) -> list[Path]:
         p = out / name
         p.write_text(text)
         paths.append(p)
+    failures = "".join(
+        f"fit_failure.{rat}.{scen}={message}\n"
+        for rat, by_scenario in report.fit_failures.items()
+        for scen, message in by_scenario.items()
+    )
     (out / "runmeta.txt").write_text(
         f"runtime_s={report.runtime_s:.3f}\nconfig_hash={report.config_hash}\nseed={report.seed}\n"
+        + failures
     )
     return paths

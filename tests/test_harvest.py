@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,34 +220,118 @@ FEMTO = harvest.RatProfile(
     carrier_frequency_hz=2.1e9,
     min_link_distance_m=5.0,
 )
+WIFI = harvest.RatProfile(
+    name="wifi",
+    bandwidth_hz=60e6,
+    transmit_power_w=0.1,
+    density_range_per_km2=(50.0, 1000.0),
+    spatial_process=geometry.PoissonProcess(),
+    carrier_frequency_hz=2.4e9,
+    min_link_distance_m=2.0,
+)
+# (rat, grid, region, k_nearest, trials added to the first and third view)
 ORACLE_CASES = {
     # about 0.04 transmitters per deployment: nearly every trial is empty
-    "empty-tv": (TV, [0.01, 0.02], geometry.Region(2000.0, 2000.0), 20),
+    "empty-tv": (TV, [0.01, 0.02], geometry.Region(2000.0, 2000.0), 20, 0),
     "clustered-guard": (
         FEMTO,
         [15.0, 60.0],
         geometry.Region(3000.0, 2000.0, boundary="guard", guard_margin_m=400.0),
         20,
+        0,
     ),
     # about 6 and 12 transmitters per deployment, fewer than k_nearest
-    "k-above-count": (MACRO, [1.5, 3.0], geometry.Region(2000.0, 2000.0), 40),
+    "k-above-count": (MACRO, [1.5, 3.0], geometry.Region(2000.0, 2000.0), 40, 0),
+    # 135 trials per grid point: the 270 trials span three blocks of the kernel
+    "block-crossing": (
+        MACRO, [1.5, 3.0], geometry.Region(2000.0, 2000.0), 5, harvest._TRIAL_BLOCK
+    ),
 }
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_crowd_sweep_matches_per_curve_reference(case, workers):
-    rat, grid, region, k = ORACLE_CASES[case]
+    rat, grid, region, k, extra = ORACLE_CASES[case]
     los = free_space_model(rat.carrier_frequency_hz)
     nlos = winner_urban_nlos_model(rat.carrier_frequency_hz)
     views = [
-        harvest.SweepView(los, 7, None, scenario="los"),
+        harvest.SweepView(los, 7 + extra, None, scenario="los"),
         harvest.SweepView(los, 5, ShadowingSpec(0.0), k, "los_k"),
-        harvest.SweepView(nlos, 6, ShadowingSpec(8.0), scenario="nlos"),
+        harvest.SweepView(nlos, 6 + extra, ShadowingSpec(8.0), scenario="nlos"),
         harvest.SweepView(nlos, 9, ShadowingSpec(8.0), k, "nlos_k"),
     ]
     curves = harvest.crowd_sweep(rat, grid, views, 29, region=region, workers=workers)
     assert curves == tuple(per_curve_sweep(rat, grid, view, 29, region) for view in views)
+
+
+def test_workers_write_disjoint_trials_under_fast_switching():
+    # more workers than blocks of work per core, switching threads every microsecond
+    region = geometry.Region(2000.0, 2000.0)
+    args = (MACRO, [1.0, 3.0], NLOS, 300, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        par = harvest.upper_bound_sweep(
+            *args, region=region, shadowing=ShadowingSpec(8.0), workers=4
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert par == harvest.upper_bound_sweep(*args, region=region, shadowing=ShadowingSpec(8.0))
+
+
+def per_draw_share(rat, density, model, draws, seed, region, shadowing):
+    """Reference: nearest_share_study as one aggregate_power call per draw."""
+    strongest = np.empty(draws)
+    totals = np.empty(draws)
+    fractions = np.empty(draws)
+    for t in range(draws):
+        rng = substream(seed, "share", t)
+        deployment = geometry.sample_process(
+            rat.spatial_process, density, region, int(rng.integers(0, 2**63 - 1))
+        )
+        probe = region.sample_probe(rng)
+        report = harvest.aggregate_power(
+            probe,
+            deployment,
+            rat,
+            model,
+            1.0,
+            shadowing=shadowing,
+            seed=int(rng.integers(0, 2**63 - 1)),
+        )
+        totals[t] = report.total_power_w
+        strongest[t] = report.nearest_fraction * report.total_power_w
+        fractions[t] = report.nearest_fraction
+    total_sum = totals.sum()
+    share = float(strongest.sum() / total_sum) if total_sum > 0 else 0.0
+    return share, float(fractions.mean())
+
+
+SHARE_CASES = {
+    # about 300 transmitters per deployment, several deployments per chunk
+    "macro-ppp": (MACRO, 5.0, REGION),
+    # 0.25 transmitters per deployment: most deployments are empty
+    "tv-sparse": (TV, 0.01, geometry.Region(5000.0, 5000.0)),
+    "femto-clustered": (FEMTO, 100.0, geometry.Region(2000.0, 2000.0)),
+    "femto-guard": (
+        FEMTO, 60.0, geometry.Region(3000.0, 2000.0, boundary="guard", guard_margin_m=400.0)
+    ),
+    # 4,000 transmitters per deployment, more than one chunk holds
+    "wifi-dense": (WIFI, 1000.0, geometry.Region(2000.0, 2000.0)),
+}
+
+
+@pytest.mark.parametrize("shadowing", [ShadowingSpec(8.0), None], ids=["shadowed", "unshadowed"])
+@pytest.mark.parametrize("case", sorted(SHARE_CASES))
+def test_nearest_share_study_matches_per_draw_reference(case, shadowing):
+    rat, density, region = SHARE_CASES[case]
+    model = winner_urban_nlos_model(rat.carrier_frequency_hz)
+    for draws, seed in ((harvest._TRIAL_BLOCK - 1, 3), (harvest._TRIAL_BLOCK + 1, 4)):
+        got = harvest.nearest_share_study(
+            rat, density, model, draws, seed, region=region, shadowing=shadowing
+        )
+        assert got == per_draw_share(rat, density, model, draws, seed, region, shadowing)
 
 
 class TestScalingExponent:

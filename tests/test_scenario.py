@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -83,6 +84,10 @@ class TestConfig:
         h2 = scenario.config_hash(scenario.default_config())
         assert h1 == h2
         assert scenario.config_hash(replace(config, seed=1)) != h1
+
+    def test_default_hash_pinned(self, config):
+        # reports and recorded benchmark digests are keyed by this hash
+        assert scenario.config_hash(config) == "9d89df18dbd77f01"
 
     def test_unknown_rat_lookup(self, config):
         with pytest.raises(ConfigError):
@@ -184,6 +189,21 @@ class TestCaseStudy:
         flags = {r.rat: r.winner_extrapolated for r in rep.table}
         assert flags["tv"] is True
         assert flags["macro"] is False
+
+    def test_runmeta_records_why_fits_failed(self, report, tmp_path):
+        rep, _ = report
+        scenario.emit_report(rep, tmp_path)
+        lines = (tmp_path / "runmeta.txt").read_text().splitlines()
+        recorded = dict(line.split("=", 1) for line in lines if line.startswith("fit_failure."))
+        nan = {
+            f"fit_failure.{rat}.{scen}"
+            for rat, by_scenario in rep.exponents.items()
+            for scen, slope in by_scenario.items()
+            if math.isnan(slope)
+        }
+        # TV at the bottom of its range: most deployments are empty
+        assert nan and set(recorded) == nan
+        assert all(message for message in recorded.values())
 
     def test_femto_density_projection(self, report):
         # femto density range spans more than 20x; the fitted clustered
