@@ -16,7 +16,7 @@ String path elements are allowed for readability; they are mapped to
 integers with SHA-256, which is stable across platforms and runs
 (unlike the builtin ``hash``).
 
-Batch drivers that need thousands of substreams use
+Batch routines that need thousands of substreams use
 :func:`substream_states`, which derives the PCG64 states of many keys at
 once and lets one generator be re-pointed from key to key by assigning
 ``bit_generator.state``. :func:`substream` stays the definition: every
