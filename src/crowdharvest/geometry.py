@@ -14,7 +14,9 @@ import csv
 import io
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import digamma, gammainc, gammaln, polygamma
@@ -199,8 +201,7 @@ def _clustered_points(
 
 def sample_ppp(density_per_km2: float, region: Region, seed: int) -> Deployment:
     """Sample a homogeneous PPP with the given density (nodes per km^2)."""
-    xs, ys = _ppp_points(substream(seed, "ppp"), density_per_km2, region)
-    return Deployment(xs, ys, density_per_km2, region, PoissonProcess(), seed)
+    return sample_process(PoissonProcess(), density_per_km2, region, seed)
 
 
 def sample_clustered(spec: ClusteredProcess, region: Region, seed: int) -> Deployment:
@@ -212,17 +213,43 @@ def sample_clustered(spec: ClusteredProcess, region: Region, seed: int) -> Deplo
     falling outside the region are dropped, so interior statistics are
     unbiased by the border.
     """
-    xs, ys = _clustered_points(substream(seed, "clustered"), spec, region)
-    return Deployment(xs, ys, spec.density_per_km2, region, spec, seed)
+    # rescaling to the process's own density returns an equal process
+    return sample_process(spec, spec.density_per_km2, region, seed)
 
 
-def _rescaled(process: ClusteredProcess, density_per_km2: float) -> ClusteredProcess:
-    """``process`` at a target density, rescaled through its parent density."""
+class _Sampler(NamedTuple):
+    """How a spatial process is sampled at one density.
+
+    A deployment seed's points are ``draw(substream(seed, label), region)``;
+    the deployment records ``process`` and ``density_per_km2``.
+    """
+
+    label: str
+    process: SpatialProcess
+    density_per_km2: float
+    draw: Callable[[np.random.Generator, Region], tuple[np.ndarray, np.ndarray]]
+
+
+def _process_points(process: SpatialProcess, density_per_km2: float) -> _Sampler:
+    """The sampler of ``process`` at a target density (see :func:`sample_process`)."""
+    if isinstance(process, PoissonProcess):
+        return _Sampler(
+            "ppp",
+            process,
+            density_per_km2,
+            lambda rng, region: _ppp_points(rng, density_per_km2, region),
+        )
     scale = density_per_km2 / process.density_per_km2
-    return ClusteredProcess(
+    spec = ClusteredProcess(
         parent_density_per_km2=process.parent_density_per_km2 * scale,
         mean_offspring=process.mean_offspring,
         spread_m=process.spread_m,
+    )
+    return _Sampler(
+        "clustered",
+        spec,
+        spec.density_per_km2,
+        lambda rng, region: _clustered_points(rng, spec, region),
     )
 
 
@@ -234,22 +261,9 @@ def sample_process(
     Clustered processes are rescaled through the parent density so the
     per-cluster structure (mean offspring, spread) is preserved.
     """
-    if isinstance(process, PoissonProcess):
-        return sample_ppp(density_per_km2, region, seed)
-    return sample_clustered(_rescaled(process, density_per_km2), region, seed)
-
-
-def _process_points(process: SpatialProcess, density_per_km2: float):
-    """How :func:`sample_process` draws its points at this density.
-
-    Returns ``(label, draw)``: the deployment seed's substream is
-    ``substream(seed, label)``, and ``draw(rng, region)`` returns the
-    ``(xs, ys)`` that ``sample_process`` draws from it.
-    """
-    if isinstance(process, PoissonProcess):
-        return "ppp", lambda rng, region: _ppp_points(rng, density_per_km2, region)
-    spec = _rescaled(process, density_per_km2)
-    return "clustered", lambda rng, region: _clustered_points(rng, spec, region)
+    sampler = _process_points(process, density_per_km2)
+    xs, ys = sampler.draw(substream(seed, sampler.label), region)
+    return Deployment(xs, ys, sampler.density_per_km2, region, sampler.process, seed)
 
 
 def rayleigh_scale_for_density(density_per_m2: float) -> float:

@@ -330,6 +330,8 @@ class SweepView:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise InvalidParameterError("need at least one trial")
+        if self.k_nearest is not None and self.k_nearest < 1:
+            raise InvalidParameterError("k_nearest must be at least 1")
 
 
 def _sweep_point(density: float, totals: np.ndarray, bandwidth_hz: float) -> SweepPoint:
@@ -359,19 +361,22 @@ def _trial_powers(
     seed: int,
     densities: Sequence[float],
     trials: int,
-    trial_key: Callable[[int], tuple[int, tuple[int | str, ...]]],
+    trial_key: Callable[[int], tuple[int, int, tuple[int | str, ...]]],
     views: Sequence[SweepView],
     workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Total and strongest received power of every view in every trial.
+    *,
+    strongest: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Total (and, with ``strongest``, strongest) received power per view and trial.
 
-    Trial r, with ``trial_key(r) = (j, path)``, draws a deployment seed, a
-    uniform probe and a shadowing seed from ``substream(seed, *path)``.
+    Trial r, with ``trial_key(r) = (j, t, path)``, draws a deployment seed,
+    a uniform probe and a shadowing seed from ``substream(seed, *path)``.
     Its deployment is what ``sample_process(rat.spatial_process,
     densities[j], region, deployment seed)`` samples, and a shadowed view
     draws from ``substream(shadowing seed, "shadowing")`` as
-    :func:`aggregate_power` does. Both arrays are (trial, view); an empty
-    deployment reads 0.
+    :func:`aggregate_power` does. View v reads the trials with
+    ``t < v.trials``. Both arrays are (trial, view); an empty deployment,
+    or a trial the view does not read, reads 0.
 
     Trials run in blocks of ``_TRIAL_BLOCK``: each block derives its trial,
     deployment and shadowing generator states with one
@@ -379,20 +384,24 @@ def _trial_powers(
     worker. Distances and powers are computed on at most ``_CHUNK_POINTS``
     points at a time (or one larger deployment), while every trial's sum,
     maximum and ``k_nearest`` partition is taken on that trial's own slice,
-    so values are bit-identical to the per-trial computation. Workers take
-    every ``workers``-th block; results do not depend on ``workers``.
+    so values are bit-identical to the per-trial computation. A trial's
+    shadowing stream is drawn as far as its longest reading view needs; a
+    ``k_nearest`` view reads the stream's first draws. Workers take every
+    ``workers``-th block; results do not depend on ``workers``.
     """
     samplers = [_process_points(rat.spatial_process, density) for density in densities]
-    shadowed = any(v.shadowing is not None and v.shadowing.active for v in views)
+    specs = [v.shadowing if v.shadowing is not None and v.shadowing.active else None for v in views]
+    shadow_trials = max((v.trials for v, spec in zip(views, specs) if spec), default=0)
     totals = np.zeros((trials, len(views)))
-    maxima = np.zeros((trials, len(views)))
+    maxima = np.zeros((trials, len(views))) if strongest else None
 
     def run_chunk(gen, chunk, probes, shadow_states) -> None:
-        """Compute the (row, xs, ys) deployments of ``chunk`` and empty it."""
-        rows = [r for r, _, _ in chunk]
-        counts = [xs.size for _, xs, _ in chunk]
-        xs = _joined([xs for _, xs, _ in chunk])
-        ys = _joined([ys for _, _, ys in chunk])
+        """Compute the (row, t, xs, ys) deployments of ``chunk`` and empty it."""
+        rows = [r for r, _, _, _ in chunk]
+        ts = [t for _, t, _, _ in chunk]
+        counts = [xs.size for _, _, xs, _ in chunk]
+        xs = _joined([xs for _, _, xs, _ in chunk])
+        ys = _joined([ys for _, _, _, ys in chunk])
         chunk.clear()
         if not np.all(region.contains(xs, ys)):
             raise InvalidParameterError("deployment points must lie inside the region")
@@ -404,57 +413,81 @@ def _trial_powers(
         del xs, ys, probe
         bounds = np.cumsum([0, *counts]).tolist()
         spans = list(zip(bounds[:-1], bounds[1:]))
-        draws: dict[ShadowingSpec, np.ndarray] = {}
-        for v, view in enumerate(views):
-            spec = view.shadowing if view.shadowing is not None and view.shadowing.active else None
-            if spec is not None and spec not in draws:
-                parts = []
-                for r, n in zip(rows, counts):
+        # links[v][i]: how many links view v reads in the chunk's i-th trial
+        links = [
+            [
+                (0 if t >= view.trials else n if view.k_nearest is None else min(n, view.k_nearest))
+                for t, n in zip(ts, counts)
+            ]
+            for view in views
+        ]
+        draws: dict[ShadowingSpec, list[np.ndarray | None]] = {}
+        for spec in dict.fromkeys(s for s in specs if s):
+            lengths = [max(col) for col in zip(*(m for m, s in zip(links, specs) if s == spec))]
+            draws[spec] = parts = []
+            for r, m in zip(rows, lengths):
+                if m:
                     gen.bit_generator.state = shadow_states[r]
-                    parts.append(draw_shadowing_db(spec, n, gen))
-                draws[spec] = _joined(parts)
-            shadow_db = draws.get(spec)
-            view_spans = spans
+                    parts.append(draw_shadowing_db(spec, m, gen))
+                else:
+                    parts.append(None)
+        for v, view in enumerate(views):
+            used = [i for i, m in enumerate(links[v]) if m]
+            if not used:
+                continue
             if view.k_nearest is not None:
                 k = view.k_nearest
-                # the k nearest links; a trial's shadowing draws start its stream
+                # the k nearest links of every trial
                 d_view = np.concatenate(
-                    [d[a:b] if b - a <= k else np.partition(d[a:b], k - 1)[:k] for a, b in spans]
+                    [
+                        d[a:b] if b - a <= k else np.partition(d[a:b], k - 1)[:k]
+                        for a, b in (spans[i] for i in used)
+                    ]
                 )
-                if shadow_db is not None:
-                    shadow_db = np.concatenate([shadow_db[a : min(b, a + k)] for a, b in spans])
-                sizes = np.cumsum([0, *(min(n, k) for n in counts)]).tolist()
-                view_spans = list(zip(sizes[:-1], sizes[1:]))
-            else:
+            elif len(used) == len(rows):
                 d_view = d
+            else:
+                d_view = _joined([d[slice(*spans[i])] for i in used])
+            shadow_db = None
+            if specs[v]:
+                shadow_db = _joined([draws[specs[v]][i][: links[v][i]] for i in used])
             power = _link_power_w(d_view, rat, view.model, shadow_db)
             del d_view, shadow_db
-            for r, (a, b) in zip(rows, view_spans):
-                totals[r, v] = power[a:b].sum()
-                maxima[r, v] = power[a:b].max()
+            a = 0
+            for i in used:
+                b = a + links[v][i]
+                totals[rows[i], v] = power[a:b].sum()
+                if strongest:
+                    maxima[rows[i], v] = power[a:b].max()
+                a = b
             del power
 
     def run_block(gen, block: range) -> None:
         keys = [trial_key(r) for r in block]
-        probes, deployment_keys, shadow_keys = {}, [], []
-        for r, (j, _), state in zip(block, keys, substream_states([(seed, *p) for _, p in keys])):
+        probes, deployment_keys, shadow_rows, shadow_keys = {}, [], [], []
+        for r, (j, t, _), state in zip(
+            block, keys, substream_states([(seed, *path) for _, _, path in keys])
+        ):
             gen.bit_generator.state = state
-            deployment_keys.append((int(gen.integers(0, 2**63 - 1)), samplers[j][0]))
+            deployment_keys.append((int(gen.integers(0, 2**63 - 1)), samplers[j].label))
             probes[r] = region.sample_probe(gen)
-            shadow_keys.append((int(gen.integers(0, 2**63 - 1)), "shadowing"))
-        shadow_states = dict(zip(block, substream_states(shadow_keys))) if shadowed else {}
+            shadow_seed = int(gen.integers(0, 2**63 - 1))
+            if t < shadow_trials:  # some shadowed view reads this trial
+                shadow_rows.append(r)
+                shadow_keys.append((shadow_seed, "shadowing"))
+        shadow_states = dict(zip(shadow_rows, substream_states(shadow_keys)))
         # a chunk holds at most _CHUNK_POINTS points or one larger deployment,
         # which is computed alone and before the next deployment is drawn
         chunk, points = [], 0
-        for r, (j, _), state in zip(block, keys, substream_states(deployment_keys)):
+        for r, (j, t, _), state in zip(block, keys, substream_states(deployment_keys)):
             gen.bit_generator.state = state
-            xs, ys = samplers[j][1](gen, region)
+            xs, ys = samplers[j].draw(gen, region)
             if not xs.size:
                 continue
             if chunk and points + xs.size > _CHUNK_POINTS:
                 run_chunk(gen, chunk, probes, shadow_states)
                 points = 0
-            chunk.append((r, xs, ys))
+            chunk.append((r, t, xs, ys))
             points += xs.size
             del xs, ys
             if points >= _CHUNK_POINTS:
@@ -514,11 +547,11 @@ def crowd_sweep(
         seed,
         grid,
         grid.size * trials,
-        lambda r: (r // trials, ("sweep", r // trials, r % trials)),
+        lambda r: (r // trials, r % trials, ("sweep", r // trials, r % trials)),
         views,
         workers,
     )
-    # (grid index, trial, view); a view never reads the trials it does not use
+    # (grid index, trial, view); a view's trials past view.trials read 0
     table = totals.reshape(grid.size, trials, len(views))
     return tuple(
         SweepCurve(
@@ -598,7 +631,14 @@ def nearest_share_study(
     """
     view = SweepView(model, draws, shadowing)
     totals, maxima = _trial_powers(
-        rat, region, seed, [density_per_km2], draws, lambda t: (0, ("share", t)), [view]
+        rat,
+        region,
+        seed,
+        [density_per_km2],
+        draws,
+        lambda t: (0, t, ("share", t)),
+        [view],
+        strongest=True,
     )
     totals, maxima = totals[:, 0], maxima[:, 0]
     # the strongest-node term as aggregate_power reports it: fraction * total

@@ -499,6 +499,8 @@ def _validate_config(config: ScenarioConfig) -> None:
             raise ConfigError("collab.xi must lie in [0, 1]")
         if config.case_study.grid_points < 4:
             raise ConfigError("case_study.grid_points must be at least 4 for scaling fits")
+        if config.case_study.scaling_k_nearest < 1:
+            raise ConfigError("case_study.scaling_k_nearest must be at least 1")
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 

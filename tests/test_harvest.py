@@ -265,6 +265,58 @@ def test_crowd_sweep_matches_per_curve_reference(case, workers):
     assert curves == tuple(per_curve_sweep(rat, grid, view, 29, region) for view in views)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_sweep_view_rejects_k_nearest_below_one(k):
+    with pytest.raises(InvalidParameterError, match="k_nearest"):
+        harvest.SweepView(LOS, 5, k_nearest=k)
+
+
+def test_views_compute_only_the_links_they_read(monkeypatch):
+    # a short full-crowd view next to a long shadowed k-nearest view: the
+    # short view's trials past its count and the links beyond the k nearest
+    # are neither received nor shadowed
+    region = geometry.Region(2000.0, 2000.0)
+    grid, k, seed = [1.5, 3.0], 4, 29
+    views = [
+        harvest.SweepView(LOS, 3, None, scenario="short"),
+        harvest.SweepView(NLOS, 40, ShadowingSpec(8.0), k, "long_k"),
+    ]
+    received = {"short": 0, "long_k": 0}
+    shadow_sizes = []
+    link_power_w, draw_shadowing_db = harvest._link_power_w, harvest.draw_shadowing_db
+
+    def counting_power(d, rat, model, shadow_db=None):
+        received["short" if model is LOS else "long_k"] += d.size
+        return link_power_w(d, rat, model, shadow_db)
+
+    def counting_shadowing(spec, size, rng):
+        shadow_sizes.append(size)
+        return draw_shadowing_db(spec, size, rng)
+
+    monkeypatch.setattr(harvest, "_link_power_w", counting_power)
+    monkeypatch.setattr(harvest, "draw_shadowing_db", counting_shadowing)
+    curves = harvest.crowd_sweep(MACRO, grid, views, seed, region=region)
+    monkeypatch.undo()
+    counts = np.array(
+        [
+            [
+                geometry.sample_process(
+                    MACRO.spatial_process,
+                    density,
+                    region,
+                    int(substream(seed, "sweep", j, t).integers(0, 2**63 - 1)),
+                ).count
+                for t in range(40)
+            ]
+            for j, density in enumerate(grid)
+        ]
+    )
+    assert counts.max() > k
+    assert received == {"short": counts[:, :3].sum(), "long_k": np.minimum(counts, k).sum()}
+    assert max(shadow_sizes) == k and sum(shadow_sizes) == received["long_k"]
+    assert curves == tuple(per_curve_sweep(MACRO, grid, view, seed, region) for view in views)
+
+
 def test_workers_write_disjoint_trials_under_fast_switching():
     # more workers than blocks of work per core, switching threads every microsecond
     region = geometry.Region(2000.0, 2000.0)

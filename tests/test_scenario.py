@@ -63,6 +63,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="efficiency"):
             scenario.load_config(path)
 
+    def test_scaling_k_nearest_below_one_rejected(self, config):
+        doc = scenario.config_to_dict(config)
+        doc["case_study"]["scaling_k_nearest"] = 0
+        with pytest.raises(ConfigError, match="scaling_k_nearest"):
+            scenario.config_from_dict(doc)
+
     def test_missing_seed_rejected(self, config, tmp_path):
         doc = scenario.config_to_dict(config)
         del doc["seed"]
