@@ -43,7 +43,7 @@ from .errors import (
     ProblemTooLargeError,
 )
 from .rng import substream
-from .swipt import LinkState, RelayMode, end_to_end_snr, optimize_split
+from .swipt import LinkState, RelayMode, _rate, end_to_end_snr, optimize_split
 
 __all__ = [
     "BernoulliArrivals",
@@ -1220,7 +1220,7 @@ def combined_mode_controller(
             gamma2 = (
                 relay_power * swipt_link.relay_destination_gain / swipt_link.noise_power_w
             )
-            slot_bits = 0.5 * math.log2(1.0 + end_to_end_snr(gamma1, gamma2, mode))
+            slot_bits = _rate(0.5, end_to_end_snr(gamma1, gamma2, mode))
             bank = 0.0
             modes.append("non_swipt")
         else:

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,8 +70,8 @@ class SwiptConfig:
     rho2: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.frame_duration_s <= 0:
-            raise InvalidParameterError("frame duration must be positive")
+        if not (math.isfinite(self.frame_duration_s) and self.frame_duration_s > 0):
+            raise InvalidParameterError("frame duration must be finite and positive")
         for name in ("alpha", "rho"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -102,8 +104,9 @@ class LinkState:
             "ambient_power_at_relay_w",
             "ambient_power_at_source_w",
         ):
-            if getattr(self, name) < 0:
-                raise InvalidParameterError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidParameterError(f"{name} must be finite and non-negative")
         if self.noise_power_w <= 0:
             raise InvalidParameterError("noise power must be positive")
 
@@ -119,6 +122,8 @@ def end_to_end_snr(gamma1: float, gamma2: float, mode: RelayMode) -> float:
     """Compose hop SNRs: min for DF, cascade g1 g2/(g1+g2+1) for AF."""
     if mode is RelayMode.DECODE_FORWARD:
         return min(gamma1, gamma2)
+    if mode is not RelayMode.AMPLIFY_FORWARD:
+        raise InvalidParameterError(f"mode must be a RelayMode, got {mode!r}")
     denom = gamma1 + gamma2 + 1.0
     return gamma1 * gamma2 / denom if denom > 0 else 0.0
 
@@ -127,6 +132,67 @@ def _rate(pre_log: float, snr: float) -> float:
     if pre_log <= 0 or snr <= 0:
         return 0.0
     return pre_log * math.log2(1.0 + snr)
+
+
+def _ts_rate(
+    link: LinkState, eta: float, mode: RelayMode, t: float,
+) -> Callable[[float], float]:
+    """The TS throughput of ``link`` as a function of ``alpha``.
+
+    This is the one definition of time switching. The split-independent
+    SNR of the first hop is computed once per call of ``_ts_rate``; every
+    expression keeps the operation order of the per-split formula, so a
+    search that reuses the returned function gets the same floats as one
+    ``ts_throughput`` call per split.
+    """
+    p, h = link.source_power_w, link.source_relay_gain
+    g, n = link.relay_destination_gain, link.noise_power_w
+    gamma1 = p * h / n
+
+    def rate(a: float) -> float:
+        if a <= 0.0 or a >= 1.0:
+            return 0.0
+        harvested = eta * a * t * p * h
+        hop_time = (1.0 - a) * t / 2.0
+        relay_power = harvested / hop_time
+        gamma2 = relay_power * g / n
+        return _rate((1.0 - a) / 2.0, end_to_end_snr(gamma1, gamma2, mode))
+
+    return rate
+
+
+def _ps_rate(
+    link: LinkState, eta: float, mode: RelayMode, t: float,
+    post_noise_splitting: bool = False, conversion_noise_w: float = 0.0,
+) -> Callable[[float], float]:
+    """The PS throughput of ``link`` as a function of ``rho``.
+
+    This is the one definition of power splitting. The received power
+    and the half-frame are computed once; as in ``_ts_rate``, every
+    expression keeps its per-split operation order.
+    """
+    received = link.source_power_w * link.source_relay_gain
+    half_frame = t / 2.0
+    g, n = link.relay_destination_gain, link.noise_power_w
+
+    def rate(rho: float) -> float:
+        if rho <= 0.0 or rho >= 1.0:
+            return 0.0
+        harvested = eta * rho * received * half_frame
+        relay_power = harvested / half_frame
+        info_signal = (1.0 - rho) * received
+        if post_noise_splitting:
+            info_noise = (1.0 - rho) * n + conversion_noise_w
+        else:
+            info_noise = n
+        gamma1 = info_signal / info_noise
+        gamma2 = relay_power * g / n
+        return _rate(0.5, end_to_end_snr(gamma1, gamma2, mode))
+
+    return rate
+
+
+_RATES = {"ts": _ts_rate, "ps": _ps_rate}
 
 
 def ts_throughput(
@@ -139,16 +205,7 @@ def ts_throughput(
     split equally between the two hops; the relay spends all harvested
     energy on its half. Zero at both endpoints of ``alpha``.
     """
-    a = cfg.alpha
-    t = cfg.frame_duration_s
-    if a <= 0.0 or a >= 1.0:
-        return 0.0
-    harvested = eta * a * t * link.source_power_w * link.source_relay_gain
-    hop_time = (1.0 - a) * t / 2.0
-    relay_power = harvested / hop_time
-    gamma1 = link.source_power_w * link.source_relay_gain / link.noise_power_w
-    gamma2 = relay_power * link.relay_destination_gain / link.noise_power_w
-    return _rate((1.0 - a) / 2.0, end_to_end_snr(gamma1, gamma2, mode))
+    return _ts_rate(link, eta, mode, cfg.frame_duration_s)(cfg.alpha)
 
 
 def ps_throughput(
@@ -164,21 +221,9 @@ def ps_throughput(
     the relay forwards with the harvested energy. Zero at both
     endpoints of ``rho``.
     """
-    rho = cfg.rho
-    t = cfg.frame_duration_s
-    if rho <= 0.0 or rho >= 1.0:
-        return 0.0
-    received = link.source_power_w * link.source_relay_gain
-    harvested = eta * rho * received * (t / 2.0)
-    relay_power = harvested / (t / 2.0)
-    info_signal = (1.0 - rho) * received
-    if post_noise_splitting:
-        info_noise = (1.0 - rho) * link.noise_power_w + conversion_noise_w
-    else:
-        info_noise = link.noise_power_w
-    gamma1 = info_signal / info_noise
-    gamma2 = relay_power * link.relay_destination_gain / link.noise_power_w
-    return _rate(0.5, end_to_end_snr(gamma1, gamma2, mode))
+    return _ps_rate(
+        link, eta, mode, cfg.frame_duration_s, post_noise_splitting, conversion_noise_w
+    )(cfg.rho)
 
 
 @dataclass(frozen=True)
@@ -261,13 +306,19 @@ def hybrid_ps_throughput(
     return hybrid_ps_frame(cfg, link, eta, mode).throughput_bps_hz
 
 
-def _objective(protocol: str, split: float, link: LinkState, eta: float,
-               mode: RelayMode, t: float) -> float:
-    if protocol == "ts":
-        return ts_throughput(SwiptConfig(frame_duration_s=t, alpha=split), link, eta, mode)
-    if protocol == "ps":
-        return ps_throughput(SwiptConfig(frame_duration_s=t, rho=split), link, eta, mode)
-    raise InvalidParameterError(f"unknown protocol {protocol!r}, expected 'ts' or 'ps'")
+def _search_rate(
+    protocol: str, link: LinkState, eta: float, mode: RelayMode, frame_duration_s: float,
+) -> Callable[[float], float]:
+    """Check the arguments shared by the split searches, then build the rate."""
+    if protocol not in _RATES:
+        raise InvalidParameterError(f"unknown protocol {protocol!r}, expected 'ts' or 'ps'")
+    if not isinstance(mode, RelayMode):
+        raise InvalidParameterError(f"mode must be a RelayMode, got {mode!r}")
+    if not 0.0 < eta <= 1.0:
+        raise InvalidParameterError("eta must lie in (0, 1]")
+    if not (math.isfinite(frame_duration_s) and frame_duration_s > 0):
+        raise InvalidParameterError("frame duration must be finite and positive")
+    return _RATES[protocol](link, eta, mode, frame_duration_s)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -287,33 +338,37 @@ def optimize_split(
     Golden-section search refines the best bracket of a coarse grid
     until the interval is below ``tol``; the better of the refined point
     and the raw grid maximum is returned, which guards against any
-    multimodality the unimodal assumption misses.
+    multimodality the unimodal assumption misses. Every argument is
+    checked before the first evaluation.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tolerance must be positive")
-    grid = np.linspace(0.0, 1.0, coarse_points)
-    values = [_objective(protocol, s, link, eta, mode, frame_duration_s) for s in grid]
+    if (isinstance(coarse_points, bool) or not isinstance(coarse_points, numbers.Integral)
+            or coarse_points < 2):
+        raise InvalidParameterError("coarse_points must be an integer of at least 2")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError("tolerance must be finite and positive")
+    rate = _search_rate(protocol, link, eta, mode, frame_duration_s)
+    grid = np.linspace(0.0, 1.0, coarse_points).tolist()
+    values = [rate(s) for s in grid]
     best_i = int(np.argmax(values))
-    grid_best_split, grid_best_value = float(grid[best_i]), float(values[best_i])
+    grid_best_split, grid_best_value = grid[best_i], values[best_i]
 
-    lo = grid[max(best_i - 1, 0)]
-    hi = grid[min(best_i + 1, coarse_points - 1)]
-    a, b = float(lo), float(hi)
+    a = grid[max(best_i - 1, 0)]
+    b = grid[min(best_i + 1, coarse_points - 1)]
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = _objective(protocol, c, link, eta, mode, frame_duration_s)
-    fd = _objective(protocol, d, link, eta, mode, frame_duration_s)
+    fc = rate(c)
+    fd = rate(d)
     while b - a > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = _objective(protocol, c, link, eta, mode, frame_duration_s)
+            fc = rate(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = _objective(protocol, d, link, eta, mode, frame_duration_s)
+            fd = rate(d)
     split = (a + b) / 2.0
-    value = _objective(protocol, split, link, eta, mode, frame_duration_s)
+    value = rate(split)
     if value >= grid_best_value:
         return split, value
     return grid_best_split, grid_best_value
@@ -328,7 +383,8 @@ def split_sweep(
     frame_duration_s: float = 1.0,
 ) -> list[tuple[float, float]]:
     """(split, throughput) pairs for CSV emission."""
-    return [
-        (float(s), _objective(protocol, float(s), link, eta, mode, frame_duration_s))
-        for s in np.asarray(grid, dtype=float)
-    ]
+    rate = _search_rate(protocol, link, eta, mode, frame_duration_s)
+    splits = np.asarray(grid, dtype=float)
+    if not np.all((splits >= 0.0) & (splits <= 1.0)):
+        raise InvalidParameterError("every split of the grid must lie in [0, 1]")
+    return [(s, rate(s)) for s in splits.tolist()]

@@ -194,14 +194,7 @@ def test_criterion_07_swipt_endpoints_and_optimizer():
         link = _random_link(seed)
         protocol = "ts" if seed % 2 == 0 else "ps"
         _, value = swipt.optimize_split(protocol, link, tol=1e-9)
-        if protocol == "ts":
-            ref = max(
-                swipt.ts_throughput(swipt.SwiptConfig(alpha=float(s)), link) for s in grid
-            )
-        else:
-            ref = max(
-                swipt.ps_throughput(swipt.SwiptConfig(rho=float(s)), link) for s in grid
-            )
+        ref = max(rate for _, rate in swipt.split_sweep(protocol, link, grid))
         if ref > 0:
             shortfall = max(0.0, (ref - value) / ref)
             worst = max(worst, shortfall)

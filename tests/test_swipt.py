@@ -1,9 +1,14 @@
+import json
+import math
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdharvest import swipt
+from crowdharvest import scheduling, swipt
 from crowdharvest.errors import InvalidParameterError
 from crowdharvest.rng import substream
 
@@ -17,8 +22,8 @@ DF = swipt.RelayMode.DECODE_FORWARD
 AF = swipt.RelayMode.AMPLIFY_FORWARD
 
 
-def random_link(seed):
-    rng = substream(seed, "link")
+def random_link(seed, key="link"):
+    rng = substream(seed, key)
     return swipt.LinkState(
         source_relay_gain=float(rng.uniform(1e-4, 1e-2)),
         relay_destination_gain=float(rng.uniform(1e-4, 1e-2)),
@@ -69,6 +74,14 @@ class TestSnrComposition:
         assert af <= min(g1, g2) + 1e-9
         assert min(g1, g2) == df
 
+    @pytest.mark.parametrize("mode", ["df", "af", None])
+    def test_unknown_mode_rejected(self, mode):
+        # anything but a RelayMode used to be composed as amplify-and-forward
+        with pytest.raises(InvalidParameterError):
+            swipt.end_to_end_snr(1.0, 2.0, mode)
+        with pytest.raises(InvalidParameterError):
+            swipt.ts_throughput(swipt.SwiptConfig(alpha=0.3), DESK, mode=mode)
+
 
 class TestOptimizer:
     def test_zero_gain_link(self):
@@ -83,6 +96,56 @@ class TestOptimizer:
     def test_unknown_protocol(self):
         with pytest.raises(InvalidParameterError):
             swipt.optimize_split("qs", DESK)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(coarse_points=0), dict(coarse_points=-3), dict(coarse_points=1),
+        dict(coarse_points=51.0), dict(coarse_points=True),
+        dict(tol=math.nan), dict(tol=math.inf), dict(tol=-1e-9),
+        dict(eta=-0.5), dict(eta=0.0), dict(eta=2.0), dict(eta=math.nan),
+        dict(frame_duration_s=math.nan), dict(frame_duration_s=math.inf),
+        dict(frame_duration_s=0.0), dict(mode="df"),
+    ])
+    @pytest.mark.parametrize("protocol", ["ts", "ps"])
+    def test_invalid_search_rejected_before_any_evaluation(self, monkeypatch, protocol, kwargs):
+        def no_evaluation(*args):
+            raise AssertionError("a throughput was evaluated")
+
+        monkeypatch.setattr(swipt, "_rate", no_evaluation)
+        with pytest.raises(InvalidParameterError):
+            swipt.optimize_split(protocol, DESK, **kwargs)
+        sweep_kwargs = {k: v for k, v in kwargs.items() if k not in ("tol", "coarse_points")}
+        if sweep_kwargs:
+            with pytest.raises(InvalidParameterError):
+                swipt.split_sweep(protocol, DESK, np.linspace(0.0, 1.0, 5), **sweep_kwargs)
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.5], [-0.1, 0.5], [0.2, math.nan]])
+    def test_sweep_rejects_splits_outside_unit_interval(self, grid):
+        with pytest.raises(InvalidParameterError):
+            swipt.split_sweep("ts", DESK, np.array(grid))
+
+    @pytest.mark.parametrize("field", [
+        "source_relay_gain", "relay_destination_gain", "noise_power_w", "source_power_w",
+        "ambient_power_at_relay_w", "ambient_power_at_source_w",
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_link_rejected(self, field, bad):
+        from dataclasses import replace
+
+        with pytest.raises(InvalidParameterError):
+            replace(DESK, **{field: bad})
+
+    @pytest.mark.parametrize("eta", [0.3, 0.5, 1.0])
+    def test_ps_df_optimum_equalises_hop_snrs(self, eta):
+        # Under DF the first-hop SNR falls and the second-hop SNR rises with
+        # rho; they meet at rho* = 1 / (1 + eta g2), where the rate peaks.
+        for seed in range(300):
+            link = random_link(seed, "accept-link")
+            split, value = swipt.optimize_split("ps", link, eta=eta, tol=1e-9)
+            rho = 1.0 / (1.0 + eta * link.relay_destination_gain)
+            snr = (1.0 - rho) * link.source_power_w * link.source_relay_gain / link.noise_power_w
+            expected = 0.5 * math.log2(1.0 + snr)
+            assert abs(split - rho) <= 1e-9
+            assert abs(value - expected) <= 1e-6 * expected
 
     @pytest.mark.parametrize("protocol", ["ts", "ps"])
     def test_desk_link_matches_fine_grid(self, protocol):
@@ -240,3 +303,95 @@ def test_throughput_non_negative_and_monotone_in_eta(alpha, eta):
     low = swipt.ts_throughput(cfg, DESK, eta=eta * 0.5)
     high = swipt.ts_throughput(cfg, DESK, eta=eta)
     assert 0.0 <= low <= high
+
+
+# Results recorded from the optimiser that built a validated SwiptConfig for
+# every evaluation; the per-protocol rate kernels must reproduce them bit for
+# bit.
+PINNED = json.loads(Path(__file__).with_name("swipt_pinned.json").read_text())
+MODES = {"df": DF, "af": AF}
+SEARCH_SETTINGS = {
+    "tol1e-6-grid51": dict(tol=1e-6, coarse_points=51),
+    "tol1e-9-grid201": dict(tol=1e-9, coarse_points=201),
+    "eta0.3-frame0.7": dict(eta=0.3, frame_duration_s=0.7),
+}
+SWEEP_SETTINGS = {
+    "default": {},
+    "eta0.3-frame0.7": dict(eta=0.3, frame_duration_s=0.7),
+}
+SWEEP_GRID = np.linspace(0.0, 1.0, 41)
+
+
+def pinned_links(fading=20, random=20):
+    links = {}
+    for i in range(fading):
+        rng = substream(7, "fade", i)
+        links[f"fade/{i}"] = DESK.with_fading(float(rng.exponential()), float(rng.exponential()))
+    for seed in range(random):
+        links[f"random/{seed}"] = random_link(seed)
+    return links
+
+
+def optimize_split_results(protocol, mode, setting):
+    return {
+        name: list(swipt.optimize_split(protocol, link, mode=MODES[mode], **SEARCH_SETTINGS[setting]))
+        for name, link in pinned_links().items()
+    }
+
+
+def split_sweep_results(protocol, mode, setting):
+    return {
+        name: [list(row) for row in swipt.split_sweep(
+            protocol, link, SWEEP_GRID, mode=MODES[mode], **SWEEP_SETTINGS[setting])]
+        for name, link in pinned_links(3, 3).items()
+    }
+
+
+def post_noise_results(mode):
+    return {
+        name: [
+            swipt.ps_throughput(swipt.SwiptConfig(rho=float(r)), link, mode=MODES[mode],
+                                post_noise_splitting=True, conversion_noise_w=1e-9)
+            for r in SWEEP_GRID
+        ]
+        for name, link in pinned_links(3, 3).items()
+    }
+
+
+def controller_result():
+    trace = substream(11, "ambient").uniform(0.0, 1.5, 40)
+    result = scheduling.combined_mode_controller(trace, pinned_links(2, 0)["fade/1"], 1.0)
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(result).items()}
+
+
+def pinned_results():
+    """Every pinned value, keyed as in ``swipt_pinned.json``."""
+    return {
+        "optimize_split": {
+            f"{p}/{m}/{s}": optimize_split_results(p, m, s)
+            for p in ("ts", "ps") for m in MODES for s in SEARCH_SETTINGS
+        },
+        "split_sweep": {
+            f"{p}/{m}/{s}": split_sweep_results(p, m, s)
+            for p in ("ts", "ps") for m in MODES for s in SWEEP_SETTINGS
+        },
+        "ps_post_noise": {m: post_noise_results(m) for m in MODES},
+        "combined_mode_controller": controller_result(),
+    }
+
+
+class TestPinned:
+    @pytest.mark.parametrize("key", sorted(PINNED["optimize_split"]))
+    def test_optimize_split(self, key):
+        assert optimize_split_results(*key.split("/")) == PINNED["optimize_split"][key]
+
+    @pytest.mark.parametrize("key", sorted(PINNED["split_sweep"]))
+    def test_split_sweep(self, key):
+        assert split_sweep_results(*key.split("/")) == PINNED["split_sweep"][key]
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_ps_post_noise(self, mode):
+        assert post_noise_results(mode) == PINNED["ps_post_noise"][mode]
+
+    def test_combined_mode_controller(self):
+        assert controller_result() == PINNED["combined_mode_controller"]
