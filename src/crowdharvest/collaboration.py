@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
+# scipy is imported inside the function that calls it: loading it costs every command ~0.3 s.
 
 from .errors import IngestionError, InvalidParameterError
 from .rng import substream
@@ -345,6 +345,8 @@ def correlated_bernoulli_traces(
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidParameterError("arrival probability must lie in [0, 1]")
+    from scipy.special import ndtr
+
     rho = traffic_correlation_kernel(distance_m, correlation_distance_m)
     rng = substream(seed, "copula")
     z_a = rng.standard_normal(slots)

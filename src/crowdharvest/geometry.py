@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import digamma, gammainc, gammaln, polygamma
+# scipy is imported inside the functions that call it: loading it costs every command ~0.3 s.
 
 from .errors import (
     FitFailureError,
@@ -286,6 +286,8 @@ def nth_nearest_distance_pdf(
         raise InvalidParameterError("neighbour order n must be a positive integer")
     if density_per_m2 <= 0:
         raise InvalidParameterError("density must be positive")
+    from scipy.special import gammaln
+
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise InvalidParameterError("distances must be non-negative")
@@ -314,6 +316,8 @@ def nth_nearest_distance_cdf(
         raise InvalidParameterError("neighbour order n must be a positive integer")
     if density_per_m2 <= 0:
         raise InvalidParameterError("density must be positive")
+    from scipy.special import gammainc
+
     r_arr = np.asarray(r, dtype=float)
     out = gammainc(n, math.pi * density_per_m2 * np.square(r_arr))
     if out.ndim == 0:
@@ -422,12 +426,16 @@ class DistanceFit:
         r = np.asarray(r, dtype=float)
         if self.family == "rayleigh":
             return 1.0 - np.exp(-np.square(r) / (2.0 * self.scale**2))
+        from scipy.special import gammainc
+
         return gammainc(self.shape, np.maximum(r, 0.0) / self.scale)
 
     def pdf(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if self.family == "rayleigh":
             return (r / self.scale**2) * np.exp(-np.square(r) / (2.0 * self.scale**2))
+        from scipy.special import gammaln
+
         k, th = self.shape, self.scale
         with np.errstate(divide="ignore"):
             log_r = np.where(r > 0, np.log(r), -np.inf)
@@ -440,6 +448,8 @@ def _fit_gamma_shape(mean: float, mean_log: float, init: float) -> float:
     target = math.log(mean) - mean_log
     if target <= 0:
         raise FitFailureError("gamma fit failed: non-positive log-moment gap")
+    from scipy.special import digamma, polygamma
+
     k = max(init, 1e-6)
     for _ in range(200):
         g = math.log(k) - digamma(k) - target

@@ -619,6 +619,7 @@ def nearest_share_study(
     *,
     region: Region,
     shadowing: ShadowingSpec | None = None,
+    workers: int = 1,
 ) -> tuple[float, float]:
     """Share of crowd-harvested energy supplied by the strongest node.
 
@@ -627,7 +628,9 @@ def nearest_share_study(
     share, the summed strongest-node power over the summed total power,
     which is the fraction of all harvested energy attributable to the
     nearest transmitter; ``mean_fraction`` is the unweighted mean of the
-    per-draw share, reported for sensitivity.
+    per-draw share, reported for sensitivity. Draws run in blocks on
+    ``workers`` threads (see :func:`_trial_powers`), and results are
+    bit-identical for any worker count.
     """
     view = SweepView(model, draws, shadowing)
     totals, maxima = _trial_powers(
@@ -638,6 +641,7 @@ def nearest_share_study(
         draws,
         lambda t: (0, t, ("share", t)),
         [view],
+        workers,
         strongest=True,
     )
     totals, maxima = totals[:, 0], maxima[:, 0]

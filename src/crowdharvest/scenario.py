@@ -674,6 +674,7 @@ def run_case_study(config: ScenarioConfig, workers: int = 1) -> CaseStudyReport:
         config.seed,
         region=config.region,
         shadowing=ShadowingSpec(config.nlos.shadowing_sigma_db, config.nlos.shadowing_sigma_db > 0),
+        workers=workers,
     )
     return CaseStudyReport(
         table=tuple(rows),

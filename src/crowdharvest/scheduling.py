@@ -43,7 +43,15 @@ from .errors import (
     ProblemTooLargeError,
 )
 from .rng import substream
-from .swipt import LinkState, RelayMode, _rate, end_to_end_snr, optimize_split
+from .swipt import (
+    LinkState,
+    RelayMode,
+    _check_eta,
+    _check_frame_duration,
+    _rate,
+    end_to_end_snr,
+    optimize_split,
+)
 
 __all__ = [
     "BernoulliArrivals",
@@ -1198,6 +1206,8 @@ def combined_mode_controller(
     ambient trickle keeps accumulating. With ``swipt_enabled=False`` the
     fallback slots idle, which is the pure non-SWIPT baseline.
     """
+    _check_eta(eta)
+    _check_frame_duration(slot_duration_s)
     if activation_threshold_j < 0:
         raise InvalidParameterError("activation threshold must be non-negative")
     trace = np.asarray(ambient_trace_j, dtype=float)

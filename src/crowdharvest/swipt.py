@@ -70,8 +70,7 @@ class SwiptConfig:
     rho2: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.frame_duration_s) and self.frame_duration_s > 0):
-            raise InvalidParameterError("frame duration must be finite and positive")
+        _check_frame_duration(self.frame_duration_s)
         for name in ("alpha", "rho"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -118,6 +117,16 @@ class LinkState:
         )
 
 
+def _check_eta(eta: float) -> None:
+    if not 0.0 < eta <= 1.0:
+        raise InvalidParameterError("eta must lie in (0, 1]")
+
+
+def _check_frame_duration(frame_duration_s: float) -> None:
+    if not (math.isfinite(frame_duration_s) and frame_duration_s > 0):
+        raise InvalidParameterError("frame duration must be finite and positive")
+
+
 def end_to_end_snr(gamma1: float, gamma2: float, mode: RelayMode) -> float:
     """Compose hop SNRs: min for DF, cascade g1 g2/(g1+g2+1) for AF."""
     if mode is RelayMode.DECODE_FORWARD:
@@ -145,6 +154,7 @@ def _ts_rate(
     search that reuses the returned function gets the same floats as one
     ``ts_throughput`` call per split.
     """
+    _check_eta(eta)
     p, h = link.source_power_w, link.source_relay_gain
     g, n = link.relay_destination_gain, link.noise_power_w
     gamma1 = p * h / n
@@ -171,6 +181,7 @@ def _ps_rate(
     and the half-frame are computed once; as in ``_ts_rate``, every
     expression keeps its per-split operation order.
     """
+    _check_eta(eta)
     received = link.source_power_w * link.source_relay_gain
     half_frame = t / 2.0
     g, n = link.relay_destination_gain, link.noise_power_w
@@ -244,6 +255,7 @@ def hybrid_ts_frame(
     mode: RelayMode = RelayMode.DECODE_FORWARD,
 ) -> HybridFrame:
     """TS with a second harvesting slot for ambient RF power at the relay."""
+    _check_eta(eta)
     a1, a2 = cfg.alpha1, cfg.alpha2
     t = cfg.frame_duration_s
     info = 1.0 - a1 - a2
@@ -278,6 +290,7 @@ def hybrid_ps_frame(
     conversion_noise_w: float = 0.0,
 ) -> HybridFrame:
     """PS with a second power split for ambient RF harvesting at the relay."""
+    _check_eta(eta)
     r1, r2 = cfg.rho1, cfg.rho2
     t = cfg.frame_duration_s
     info_share = 1.0 - r1 - r2
@@ -314,10 +327,7 @@ def _search_rate(
         raise InvalidParameterError(f"unknown protocol {protocol!r}, expected 'ts' or 'ps'")
     if not isinstance(mode, RelayMode):
         raise InvalidParameterError(f"mode must be a RelayMode, got {mode!r}")
-    if not 0.0 < eta <= 1.0:
-        raise InvalidParameterError("eta must lie in (0, 1]")
-    if not (math.isfinite(frame_duration_s) and frame_duration_s > 0):
-        raise InvalidParameterError("frame duration must be finite and positive")
+    _check_frame_duration(frame_duration_s)
     return _RATES[protocol](link, eta, mode, frame_duration_s)
 
 

@@ -1,9 +1,14 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import crowdharvest
 from crowdharvest.cli import main
 
 
@@ -160,3 +165,25 @@ def test_sweep_harvest_pinned_schema(tmp_path, capsys):
     text = (tmp_path / "sweep_harvest_macro_los.csv").read_text()
     assert text.splitlines()[0] == "lambda_per_km2,mean_power_w,mean_density_w_per_hz,stddev_w"
     assert len(text.splitlines()) == 6
+
+
+def test_importing_any_module_loads_no_scipy(tmp_path):
+    # Only the nearest-distance laws and fits and the copula traces call scipy;
+    # a fresh interpreter (this one has scipy loaded) checks that nothing else does.
+    probe = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        import crowdharvest
+        names = [m.name for m in pkgutil.iter_modules(crowdharvest.__path__)]
+        assert "cli" in names, names
+        for name in names:
+            importlib.import_module(f"crowdharvest.{name}")
+        from crowdharvest import cli, scenario
+        cli.build_parser()
+        scenario.default_config()
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(crowdharvest.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-B", "-c", probe], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

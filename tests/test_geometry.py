@@ -240,6 +240,16 @@ class TestFit:
         with pytest.raises(InvalidParameterError):
             geometry.fit_nearest_distance(np.arange(100, dtype=float) + 1, "weibull")
 
+    @pytest.mark.parametrize("family", ["rayleigh", "gamma"])
+    def test_fitted_pdf_integrates_to_fitted_cdf(self, family):
+        samples = np.random.default_rng(4).gamma(2.0, 100.0, 10_000)
+        fit = geometry.fit_nearest_distance(samples, family)
+        total, _ = quad(fit.pdf, 0, np.inf)
+        assert total == pytest.approx(1.0, abs=1e-6)
+        for a, b in ((0.0, 50.0), (50.0, 300.0), (300.0, 2000.0)):
+            value, _ = quad(fit.pdf, a, b)
+            assert value == pytest.approx(fit.cdf(b) - fit.cdf(a), abs=1e-8)
+
 
 class TestSerialisation:
     def test_csv_round_trip(self):

@@ -386,6 +386,13 @@ def test_nearest_share_study_matches_per_draw_reference(case, shadowing):
         assert got == per_draw_share(rat, density, model, draws, seed, region, shadowing)
 
 
+def test_nearest_share_study_workers_do_not_change_results():
+    args = (MACRO, 5.0, NLOS, 2 * harvest._TRIAL_BLOCK + 1, 11)
+    kwargs = dict(region=REGION, shadowing=ShadowingSpec(8.0))
+    seq = harvest.nearest_share_study(*args, **kwargs, workers=1)
+    assert harvest.nearest_share_study(*args, **kwargs, workers=2) == seq
+
+
 class TestScalingExponent:
     def test_exact_power_law(self):
         lam = np.geomspace(1.0, 100.0, 6)

@@ -683,6 +683,16 @@ class TestCombinedModeController:
         # outside the outage both behave identically
         assert combined.bits_per_slot[:10] == baseline.bits_per_slot[:10]
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(slot_duration_s=0.0), dict(slot_duration_s=math.nan), dict(eta=5.0),
+    ])
+    @pytest.mark.parametrize("swipt_enabled", [True, False])
+    def test_invalid_slot_or_efficiency_rejected(self, kwargs, swipt_enabled):
+        with pytest.raises(InvalidParameterError):
+            sched.combined_mode_controller(
+                np.full(3, 2.0), self.LINK, 1.0, swipt_enabled=swipt_enabled, **kwargs
+            )
+
 
 class TestSerialisation:
     def test_problem_json_round_trip(self):

@@ -203,6 +203,20 @@ class TestOrderings:
         assert range_ts >= range_ps
 
 
+@pytest.mark.parametrize("eta", [7.0, 0.0, -0.5, math.nan])
+@pytest.mark.parametrize("rate,cfg", [
+    (swipt.ts_throughput, swipt.SwiptConfig(alpha=0.3)),
+    (swipt.ps_throughput, swipt.SwiptConfig(rho=0.3)),
+    (swipt.hybrid_ts_frame, swipt.SwiptConfig(alpha1=0.3)),
+    (swipt.hybrid_ps_frame, swipt.SwiptConfig(rho1=0.3)),
+    (swipt.hybrid_ts_throughput, swipt.SwiptConfig(alpha1=0.3)),
+    (swipt.hybrid_ps_throughput, swipt.SwiptConfig(rho1=0.3)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_rate_functions_reject_efficiency_outside_unit_interval(rate, cfg, eta):
+    with pytest.raises(InvalidParameterError):
+        rate(cfg, DESK, eta=eta)
+
+
 class TestHybrid:
     def test_ts_reduction_exact(self):
         for alpha in (0.1, 0.3, 0.7):
