@@ -78,19 +78,18 @@ def cmd_pathloss(args: argparse.Namespace) -> int:
 
 def cmd_harvest(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    rat_cfg = cfg.rat(args.rat)
-    profile = scenario.build_rat_profile(rat_cfg)
+    rat = cfg.rat(args.rat)
     scen = cfg.los if args.scenario == "los" else cfg.nlos
-    model = scenario.build_pathloss_model(scen, rat_cfg.carrier_frequency_hz)
+    model = scenario.build_pathloss_model(scen, rat.carrier_frequency_hz)
     shadowing = ShadowingSpec(scen.shadowing_sigma_db, scen.shadowing_sigma_db > 0)
-    density = args.density if args.density is not None else rat_cfg.density_range_per_km2[1]
+    density = args.density if args.density is not None else rat.density_range_per_km2[1]
     draws = args.trials or 1000
     share, mean_fraction = harvest.nearest_share_study(
-        profile, density, model, draws, cfg.seed,
+        rat, density, model, draws, cfg.seed,
         region=cfg.region, shadowing=shadowing,
     )
     curve = harvest.upper_bound_sweep(
-        profile, [density], model, draws, cfg.seed,
+        rat, [density], model, draws, cfg.seed,
         region=cfg.region, shadowing=shadowing, scenario=args.scenario,
     )
     p = curve.points[0]
@@ -107,17 +106,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     grid = np.asarray([float(x) for x in args.grid.split(",")]) if args.grid else None
     if args.target == "harvest":
-        rat_cfg = cfg.rat(args.rat)
-        profile = scenario.build_rat_profile(rat_cfg)
+        rat = cfg.rat(args.rat)
         scen = cfg.los if args.scenario == "los" else cfg.nlos
-        model = scenario.build_pathloss_model(scen, rat_cfg.carrier_frequency_hz)
+        model = scenario.build_pathloss_model(scen, rat.carrier_frequency_hz)
         shadowing = ShadowingSpec(scen.shadowing_sigma_db, scen.shadowing_sigma_db > 0)
         if grid is None:
-            lo, hi = rat_cfg.density_range_per_km2
+            lo, hi = rat.density_range_per_km2
             grid = np.geomspace(lo, hi, cfg.case_study.grid_points)
         trials = args.trials or cfg.case_study.trials
         curve = harvest.upper_bound_sweep(
-            profile, grid, model, trials, cfg.seed,
+            rat, grid, model, trials, cfg.seed,
             region=cfg.region, shadowing=shadowing, scenario=args.scenario,
         )
         _write(out / f"sweep_harvest_{args.rat}_{args.scenario}.csv", harvest.sweep_to_csv(curve))

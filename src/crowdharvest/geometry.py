@@ -14,8 +14,9 @@ import csv
 import io
 import json
 import math
+import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -547,38 +548,84 @@ def deployment_from_csv(
     return Deployment(xs, ys, density_per_km2, region, PoissonProcess())
 
 
-def _process_to_dict(process: SpatialProcess) -> dict:
-    if isinstance(process, PoissonProcess):
-        return {"kind": "ppp"}
-    return {
-        "kind": "clustered",
-        "parent_density_per_km2": process.parent_density_per_km2,
-        "mean_offspring": process.mean_offspring,
-        "spread_m": process.spread_m,
-    }
+def _float(value) -> float:
+    # strings too: YAML 1.1 reads an exponent without a decimal point (1e-9) as a string
+    if value is None or isinstance(value, bool):
+        raise InvalidParameterError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise InvalidParameterError(f"expected a string, got {value!r}")
+    return value
+
+
+def _float_pair(value) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise InvalidParameterError(f"expected a [lo, hi] pair, got {value!r}")
+    return _float(value[0]), _float(value[1])
 
 
 def _process_from_dict(d: dict) -> SpatialProcess:
-    if d.get("kind") == "ppp":
-        return PoissonProcess()
-    if d.get("kind") == "clustered":
-        return ClusteredProcess(
-            parent_density_per_km2=float(d["parent_density_per_km2"]),
-            mean_offspring=float(d["mean_offspring"]),
-            spread_m=float(d["spread_m"]),
-        )
-    raise InvalidParameterError(f"unknown spatial process kind {d.get('kind')!r}")
+    """The process that ``dataclasses.asdict`` serialised as ``d``."""
+    kinds = {"ppp": PoissonProcess, "clustered": ClusteredProcess}
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if kind not in kinds:
+        raise InvalidParameterError(f"unknown spatial process kind {kind!r}")
+    return _dataclass_from_dict(kinds[kind], {k: v for k, v in d.items() if k != "kind"})
+
+
+# How a field is read, by its annotation.
+_FIELD_CASTS = {
+    "float": _float,
+    "int": _int,
+    "str": _str,
+    "float | None": lambda value: None if value is None else _float(value),
+    "tuple[float, float]": _float_pair,
+    "SpatialProcess": _process_from_dict,
+}
+
+
+def _dataclass_from_dict(cls, d: dict):
+    """The dataclass ``cls`` read strictly from ``d``, the form ``dataclasses.asdict`` writes.
+
+    This is the one parser of serialised processes, regions and scenario
+    config sections. An unknown key, a missing field that has no default,
+    or a value that does not read as its field's annotation raises
+    :class:`InvalidParameterError` naming the key.
+    """
+    if not isinstance(d, dict):
+        raise InvalidParameterError(f"expected a mapping, got {d!r}")
+    init_fields = {f.name: f for f in fields(cls) if f.init}
+    unknown = sorted(set(d) - set(init_fields))
+    if unknown:
+        raise InvalidParameterError(f"unknown key(s) {unknown}")
+    missing = [
+        name for name, f in init_fields.items()
+        if name not in d and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise InvalidParameterError(f"missing key(s) {missing}")
+    kwargs = {}
+    for name, value in d.items():
+        try:
+            kwargs[name] = _FIELD_CASTS[init_fields[name].type](value)
+        except (TypeError, ValueError) as exc:  # InvalidParameterError is a ValueError
+            raise InvalidParameterError(f"invalid value for {name}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def deployment_to_json(deployment: Deployment) -> str:
     doc = {
-        "region": {
-            "width_m": deployment.region.width_m,
-            "height_m": deployment.region.height_m,
-            "boundary": deployment.region.boundary,
-            "guard_margin_m": deployment.region.guard_margin_m,
-        },
-        "process": _process_to_dict(deployment.process),
+        "region": asdict(deployment.region),
+        "process": asdict(deployment.process),
         "density_per_km2": deployment.density_per_km2,
         "seed": deployment.seed,
         "points": [[float(x), float(y)] for x, y in zip(deployment.xs, deployment.ys)],
@@ -587,19 +634,14 @@ def deployment_to_json(deployment: Deployment) -> str:
 
 
 def deployment_from_json(text: str) -> Deployment:
+    """Parse :func:`deployment_to_json`; a malformed region or process raises."""
     doc = json.loads(text)
-    region = Region(
-        width_m=float(doc["region"]["width_m"]),
-        height_m=float(doc["region"]["height_m"]),
-        boundary=doc["region"].get("boundary", "toroidal"),
-        guard_margin_m=float(doc["region"].get("guard_margin_m", 0.0)),
-    )
     pts = np.asarray(doc["points"], dtype=float).reshape(-1, 2)
     return Deployment(
         pts[:, 0].copy(),
         pts[:, 1].copy(),
         float(doc["density_per_km2"]),
-        region,
+        _dataclass_from_dict(Region, doc["region"]),
         _process_from_dict(doc["process"]),
         doc.get("seed"),
     )

@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -47,7 +48,7 @@ from .geometry import (
     _process_points,
     distances_to_probe,
 )
-from .propagation import PathlossModel, ShadowingSpec, draw_shadowing_db, pathloss_db
+from .propagation import PathlossModel, ShadowingSpec, draw_shadowing_db, received_power
 from .rng import substream, substream_states
 
 __all__ = [
@@ -83,6 +84,7 @@ class RatProfile:
     spatial_process: SpatialProcess
     carrier_frequency_hz: float
     min_link_distance_m: float = 1.0  # physical floor: mast height / model validity
+    table_density_per_km2: float | None = None  # peak-power table density; None = range top
 
     def __post_init__(self) -> None:
         if self.bandwidth_hz <= 0:
@@ -94,6 +96,8 @@ class RatProfile:
             raise InvalidParameterError("density range must be ordered and positive")
         if self.min_link_distance_m <= 0:
             raise InvalidParameterError("minimum link distance must be positive")
+        if self.table_density_per_km2 is not None and not self.table_density_per_km2 > 0:
+            raise InvalidParameterError("table density must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -232,25 +236,6 @@ class HarvestReport:
         object.__setattr__(self, "per_transmitter_w", arr)
 
 
-def _link_power_w(
-    d: np.ndarray,
-    rat: RatProfile,
-    model: PathlossModel,
-    shadow_db: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-transmitter received power over links of length ``d`` (metres).
-
-    Links are floored at the larger of the model reference distance and
-    the RAT's physical minimum link distance; ``shadow_db`` adds one
-    shadowing draw per link.
-    """
-    d = np.maximum(d, max(model.reference_distance_m, rat.min_link_distance_m))
-    loss_db = pathloss_db(model, d)
-    if shadow_db is not None:
-        loss_db = loss_db + shadow_db
-    return rat.transmit_power_w * np.power(10.0, -loss_db / 10.0)
-
-
 def aggregate_power(
     probe: tuple[float, float],
     deployment: Deployment,
@@ -264,6 +249,10 @@ def aggregate_power(
     k_nearest: int | None = None,
 ) -> HarvestReport:
     """Total and per-transmitter received power at a probe point.
+
+    This is the per-trial definition that the trial kernel
+    (:func:`_trial_powers`) reproduces bit for bit, and the oracle the
+    tests compare the kernel against; nothing else in the package calls it.
 
     Link distances are floored at the larger of the model reference
     distance and the RAT's physical minimum link distance. When
@@ -279,7 +268,8 @@ def aggregate_power(
     shadow_db = None
     if shadowing is not None and shadowing.active:
         shadow_db = draw_shadowing_db(shadowing, d.size, substream(seed, "shadowing"))
-    per_tx = _link_power_w(d, rat, model, shadow_db)
+    floor_m = max(model.reference_distance_m, rat.min_link_distance_m)
+    per_tx = received_power(rat.transmit_power_w, model, np.maximum(d, floor_m), shadow_db)
     per_tx = per_tx * np.broadcast_to(np.asarray(utilization, dtype=float), per_tx.shape)
     if sensitivity_floor_w is not None:
         per_tx = np.where(per_tx >= sensitivity_floor_w, per_tx, 0.0)
@@ -387,8 +377,11 @@ def _trial_powers(
     so values are bit-identical to the per-trial computation. A trial's
     shadowing stream is drawn as far as its longest reading view needs; a
     ``k_nearest`` view reads the stream's first draws. Workers take every
-    ``workers``-th block; results do not depend on ``workers``.
+    ``workers``-th block; results do not depend on ``workers``, which must
+    be an integer of at least 1.
     """
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise InvalidParameterError(f"workers must be an integer of at least 1, got {workers!r}")
     samplers = [_process_points(rat.spatial_process, density) for density in densities]
     specs = [v.shadowing if v.shadowing is not None and v.shadowing.active else None for v in views]
     shadow_trials = max((v.trials for v, spec in zip(views, specs) if spec), default=0)
@@ -451,7 +444,10 @@ def _trial_powers(
             shadow_db = None
             if specs[v]:
                 shadow_db = _joined([draws[specs[v]][i][: links[v][i]] for i in used])
-            power = _link_power_w(d_view, rat, view.model, shadow_db)
+            floor_m = max(view.model.reference_distance_m, rat.min_link_distance_m)
+            power = received_power(
+                rat.transmit_power_w, view.model, np.maximum(d_view, floor_m), shadow_db
+            )
             del d_view, shadow_db
             a = 0
             for i in used:

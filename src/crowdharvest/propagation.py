@@ -186,28 +186,21 @@ def pathloss_db(model: PathlossModel, d_m: float | np.ndarray) -> float | np.nda
 
 def received_power(
     p_tx_w: float,
-    bandwidth_hz: float,
     model: PathlossModel,
     d_m: float | np.ndarray,
-    shadowing_db: float | np.ndarray = 0.0,
-    antenna_gain_db: float = 0.0,
-) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Received power (W) and power density (W/Hz) on one link.
+    shadowing_db: float | np.ndarray | None = None,
+) -> float | np.ndarray:
+    """Received power (W) over links of length ``d_m``: P_tx * 10^(-(loss + shadowing)/10).
 
-    power = P_tx * 10^((gain - loss - shadowing)/10); the density divides
-    by the bandwidth, i.e. the transmitter spreads its power uniformly
-    over its band.
+    ``shadowing_db`` adds one draw per link. This is the one definition of
+    link power; the crowd-harvest kernel calls it on floored distances.
     """
     if p_tx_w < 0:
         raise InvalidParameterError("transmit power must be non-negative")
-    if bandwidth_hz <= 0:
-        raise InvalidParameterError("bandwidth must be positive")
-    loss = pathloss_db(model, d_m)
-    power = p_tx_w * np.power(10.0, (antenna_gain_db - loss - np.asarray(shadowing_db)) / 10.0)
-    density = power / bandwidth_hz
-    if np.ndim(power) == 0:
-        return float(power), float(density)
-    return power, density
+    loss_db = pathloss_db(model, d_m)
+    if shadowing_db is not None:
+        loss_db = loss_db + shadowing_db
+    return p_tx_w * np.power(10.0, -loss_db / 10.0)
 
 
 def draw_shadowing_db(

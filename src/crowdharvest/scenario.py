@@ -39,9 +39,8 @@ from .geometry import (
     Deployment,
     PoissonProcess,
     Region,
-    SpatialProcess,
+    _dataclass_from_dict,
     _points_from_csv,
-    _process_to_dict,
 )
 from .harvest import (
     RatProfile,
@@ -62,7 +61,6 @@ from .swipt import LinkState, RelayMode
 
 __all__ = [
     "PathlossScenarioConfig",
-    "RatConfig",
     "SwiptDefaults",
     "SchedulingDefaults",
     "CollabDefaults",
@@ -99,18 +97,6 @@ class PathlossScenarioConfig:
     def __post_init__(self) -> None:
         if self.anchor not in ("friis", "winner"):
             raise ConfigError(f"unknown pathloss anchor {self.anchor!r}")
-
-
-@dataclass(frozen=True)
-class RatConfig:
-    name: str
-    bandwidth_hz: float
-    transmit_power_w: float
-    density_range_per_km2: tuple[float, float]
-    carrier_frequency_hz: float
-    spatial_process: SpatialProcess
-    min_link_distance_m: float = 1.0
-    table_density_per_km2: float | None = None  # defaults to the range top
 
 
 @dataclass(frozen=True)
@@ -182,7 +168,7 @@ class CaseStudyDefaults:
 class ScenarioConfig:
     seed: int
     region: Region
-    rats: tuple[RatConfig, ...]
+    rats: tuple[RatProfile, ...]
     los: PathlossScenarioConfig
     nlos: PathlossScenarioConfig
     swipt: SwiptDefaults
@@ -190,7 +176,7 @@ class ScenarioConfig:
     collab: CollabDefaults
     case_study: CaseStudyDefaults
 
-    def rat(self, name: str) -> RatConfig:
+    def rat(self, name: str) -> RatProfile:
         for rat in self.rats:
             if rat.name == name:
                 return rat
@@ -203,7 +189,7 @@ def default_config(seed: int = 20260808) -> ScenarioConfig:
         seed=seed,
         region=Region(width_m=side, height_m=side),
         rats=(
-            RatConfig(
+            RatProfile(
                 name="macro",
                 bandwidth_hz=20e6,
                 transmit_power_w=40.0,
@@ -212,7 +198,7 @@ def default_config(seed: int = 20260808) -> ScenarioConfig:
                 spatial_process=PoissonProcess(),
                 min_link_distance_m=50.0,  # urban-NLoS validity floor (elevated masts)
             ),
-            RatConfig(
+            RatProfile(
                 name="femto",
                 bandwidth_hz=20e6,
                 transmit_power_w=1.0,
@@ -223,7 +209,7 @@ def default_config(seed: int = 20260808) -> ScenarioConfig:
                 ),
                 min_link_distance_m=5.0,
             ),
-            RatConfig(
+            RatProfile(
                 name="wifi",
                 bandwidth_hz=60e6,
                 transmit_power_w=0.1,
@@ -232,7 +218,7 @@ def default_config(seed: int = 20260808) -> ScenarioConfig:
                 spatial_process=PoissonProcess(),
                 min_link_distance_m=2.0,
             ),
-            RatConfig(
+            RatProfile(
                 name="tv",
                 bandwidth_hz=100e6,
                 transmit_power_w=1e6,
@@ -276,137 +262,48 @@ def build_pathloss_model(
     )
 
 
-def build_rat_profile(rat: RatConfig) -> RatProfile:
-    return RatProfile(
-        name=rat.name,
-        bandwidth_hz=rat.bandwidth_hz,
-        transmit_power_w=rat.transmit_power_w,
-        density_range_per_km2=rat.density_range_per_km2,
-        spatial_process=rat.spatial_process,
-        carrier_frequency_hz=rat.carrier_frequency_hz,
-        min_link_distance_m=rat.min_link_distance_m,
-    )
+def build_rat_profile(rat: RatProfile) -> RatProfile:
+    """Return ``rat`` unchanged.
+
+    A scenario's RATs are already the profiles the sweeps take; this
+    identity is kept only for the benchmark workloads that call it, and
+    nothing in the package does.
+    """
+    return rat
 
 
 # ---------------------------------------------------------------------------
 # YAML serialisation with strict validation.
 
 
-_SENTINEL = object()
-
-
 def _require_keys(d: dict, allowed: set[str], path: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path} must be a mapping")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) at {path}: {sorted(unknown)}")
 
 
-def _get(d: dict, key: str, path: str, cast, default=_SENTINEL):
-    if key not in d:
-        if default is _SENTINEL:
-            raise ConfigError(f"missing required key {path}.{key}")
-        return default
-    try:
-        return cast(d[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value at {path}.{key}: {exc}") from exc
-
-
-def _process_from_cfg(d: dict, path: str) -> SpatialProcess:
-    kind = _get(d, "kind", path, str)
-    if kind == "ppp":
-        _require_keys(d, {"kind"}, path)
-        return PoissonProcess()
-    if kind == "clustered":
-        _require_keys(
-            d, {"kind", "parent_density_per_km2", "mean_offspring", "spread_m"}, path
-        )
-        try:
-            return ClusteredProcess(
-                parent_density_per_km2=_get(d, "parent_density_per_km2", path, float),
-                mean_offspring=_get(d, "mean_offspring", path, float),
-                spread_m=_get(d, "spread_m", path, float),
-            )
-        except InvalidParameterError as exc:
-            raise ConfigError(f"invalid spatial process at {path}: {exc}") from exc
-    raise ConfigError(f"unknown spatial process kind {kind!r} at {path}")
-
-
-def _pathloss_from_cfg(d: dict, path: str) -> PathlossScenarioConfig:
-    _require_keys(
-        d,
-        {
-            "exponent",
-            "anchor",
-            "intercept_db",
-            "frequency_coeff_db",
-            "shadowing_sigma_db",
-            "reference_distance_m",
-        },
-        path,
-    )
-    return PathlossScenarioConfig(
-        exponent=_get(d, "exponent", path, float),
-        anchor=_get(d, "anchor", path, str, "friis"),
-        intercept_db=_get(d, "intercept_db", path, float, 25.0),
-        frequency_coeff_db=_get(d, "frequency_coeff_db", path, float, 20.0),
-        shadowing_sigma_db=_get(d, "shadowing_sigma_db", path, float, 0.0),
-        reference_distance_m=_get(d, "reference_distance_m", path, float, 1.0),
-    )
-
-
 def _dataclass_from_cfg(cls, d: dict, path: str):
-    import dataclasses
-
-    names = {f.name for f in dataclasses.fields(cls)}
-    _require_keys(d, names, path)
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in d:
-            value = d[f.name]
-            if value is not None and f.type in ("float", "int", "float | None"):
-                value = (int if f.type == "int" else float)(value)
-            kwargs[f.name] = value
+    """One config section, parsed strictly; any error names the section's path."""
     try:
-        return cls(**kwargs)
-    except (TypeError, InvalidParameterError) as exc:
+        return _dataclass_from_dict(cls, d)
+    except (InvalidParameterError, ConfigError) as exc:
         raise ConfigError(f"invalid section {path}: {exc}") from exc
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    doc = {
+    sections = asdict(config)
+    return {
         "seed": config.seed,
-        "region": {
-            "width_m": config.region.width_m,
-            "height_m": config.region.height_m,
-            "boundary": config.region.boundary,
-            "guard_margin_m": config.region.guard_margin_m,
-        },
-        "rats": [
-            {
-                "name": r.name,
-                "bandwidth_hz": r.bandwidth_hz,
-                "transmit_power_w": r.transmit_power_w,
-                "density_range_per_km2": list(r.density_range_per_km2),
-                "carrier_frequency_hz": r.carrier_frequency_hz,
-                "min_link_distance_m": r.min_link_distance_m,
-                "table_density_per_km2": r.table_density_per_km2,
-                "spatial_process": _process_to_dict(r.spatial_process),
-            }
-            for r in config.rats
-        ],
-        "pathloss": {"los": asdict(config.los), "nlos": asdict(config.nlos)},
-        "swipt": asdict(config.swipt),
-        "scheduling": asdict(config.scheduling),
-        "collab": asdict(config.collab),
-        "case_study": asdict(config.case_study),
+        "region": sections["region"],
+        "rats": list(sections["rats"]),
+        "pathloss": {"los": sections["los"], "nlos": sections["nlos"]},
+        **{name: sections[name] for name in ("swipt", "scheduling", "collab", "case_study")},
     }
-    return doc
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a mapping")
     _require_keys(
         doc,
         {"seed", "region", "rats", "pathloss", "swipt", "scheduling", "collab", "case_study"},
@@ -414,63 +311,22 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     )
     if "seed" not in doc:
         raise ConfigError("missing required key seed (no implicit entropy)")
-    region_d = doc.get("region", {})
-    _require_keys(region_d, {"width_m", "height_m", "boundary", "guard_margin_m"}, "region")
-    try:
-        region = Region(
-            width_m=_get(region_d, "width_m", "region", float),
-            height_m=_get(region_d, "height_m", "region", float),
-            boundary=_get(region_d, "boundary", "region", str, "toroidal"),
-            guard_margin_m=_get(region_d, "guard_margin_m", "region", float, 0.0),
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(f"invalid region: {exc}") from exc
-    rats = []
-    for i, rd in enumerate(doc.get("rats", [])):
-        path = f"rats[{i}]"
-        _require_keys(
-
-            rd,
-            {
-                "name",
-                "bandwidth_hz",
-                "transmit_power_w",
-                "density_range_per_km2",
-                "carrier_frequency_hz",
-                "min_link_distance_m",
-                "table_density_per_km2",
-                "spatial_process",
-            },
-            path,
-        )
-        rng_pair = rd.get("density_range_per_km2")
-        if not isinstance(rng_pair, (list, tuple)) or len(rng_pair) != 2:
-            raise ConfigError(f"{path}.density_range_per_km2 must be a [lo, hi] pair")
-        table_density = rd.get("table_density_per_km2")
-        rats.append(
-            RatConfig(
-                name=_get(rd, "name", path, str),
-                bandwidth_hz=_get(rd, "bandwidth_hz", path, float),
-                transmit_power_w=_get(rd, "transmit_power_w", path, float),
-                density_range_per_km2=(float(rng_pair[0]), float(rng_pair[1])),
-                carrier_frequency_hz=_get(rd, "carrier_frequency_hz", path, float),
-                spatial_process=_process_from_cfg(
-                    rd.get("spatial_process", {"kind": "ppp"}), f"{path}.spatial_process"
-                ),
-                min_link_distance_m=_get(rd, "min_link_distance_m", path, float, 1.0),
-                table_density_per_km2=None if table_density is None else float(table_density),
-            )
-        )
-    if not rats:
-        raise ConfigError("at least one RAT profile is required")
+    if isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int):
+        raise ConfigError(f"seed must be an integer, got {doc['seed']!r}")
+    rats_d = doc.get("rats", [])
+    if not isinstance(rats_d, list) or not rats_d:
+        raise ConfigError("rats must be a non-empty list of RAT profiles")
+    rats = tuple(_dataclass_from_cfg(RatProfile, rd, f"rats[{i}]") for i, rd in enumerate(rats_d))
     pathloss_d = doc.get("pathloss", {})
     _require_keys(pathloss_d, {"los", "nlos"}, "pathloss")
     config = ScenarioConfig(
-        seed=int(doc["seed"]),
-        region=region,
-        rats=tuple(rats),
-        los=_pathloss_from_cfg(pathloss_d.get("los", {}), "pathloss.los"),
-        nlos=_pathloss_from_cfg(pathloss_d.get("nlos", {}), "pathloss.nlos"),
+        seed=doc["seed"],
+        region=_dataclass_from_cfg(Region, doc.get("region", {}), "region"),
+        rats=rats,
+        los=_dataclass_from_cfg(PathlossScenarioConfig, pathloss_d.get("los", {}), "pathloss.los"),
+        nlos=_dataclass_from_cfg(
+            PathlossScenarioConfig, pathloss_d.get("nlos", {}), "pathloss.nlos"
+        ),
         swipt=_dataclass_from_cfg(SwiptDefaults, doc.get("swipt", {}), "swipt"),
         scheduling=_dataclass_from_cfg(
             SchedulingDefaults, doc.get("scheduling", {}), "scheduling"
@@ -486,10 +342,6 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 
 def _validate_config(config: ScenarioConfig) -> None:
     try:
-        for rat in config.rats:
-            build_rat_profile(rat)
-            if rat.table_density_per_km2 is not None and rat.table_density_per_km2 <= 0:
-                raise ConfigError(f"rats[{rat.name}].table_density_per_km2 must be positive")
         config.swipt.link()
         if not 0 < config.swipt.efficiency <= 1:
             raise ConfigError("swipt.efficiency must lie in (0, 1]")
@@ -577,7 +429,7 @@ class CaseStudyReport:
     runtime_s: float  # excluded from deterministic artifacts
 
 
-def _density_grid(rat: RatConfig, points: int) -> np.ndarray:
+def _density_grid(rat: RatProfile, points: int) -> np.ndarray:
     lo, hi = rat.density_range_per_km2
     return np.geomspace(lo, hi, points)
 
@@ -603,17 +455,16 @@ def run_case_study(config: ScenarioConfig, workers: int = 1) -> CaseStudyReport:
     curves: list[SweepCurve] = []
     exponents: dict[str, dict[str, float]] = {}
     fit_failures: dict[str, dict[str, str]] = {}
-    for rat_cfg in config.rats:
-        profile = build_rat_profile(rat_cfg)
+    for rat in config.rats:
         table_density = (
-            rat_cfg.table_density_per_km2
-            if rat_cfg.table_density_per_km2 is not None
-            else rat_cfg.density_range_per_km2[1]
+            rat.table_density_per_km2
+            if rat.table_density_per_km2 is not None
+            else rat.density_range_per_km2[1]
         )
         grid_views: list[SweepView] = []
         table_views: list[SweepView] = []
         for scen_name, scen in (("los", config.los), ("nlos", config.nlos)):
-            model = build_pathloss_model(scen, rat_cfg.carrier_frequency_hz)
+            model = build_pathloss_model(scen, rat.carrier_frequency_hz)
             shadowing = ShadowingSpec(scen.shadowing_sigma_db, scen.shadowing_sigma_db > 0)
             grid_views += [
                 SweepView(model, cs.trials, shadowing, scenario=scen_name),
@@ -623,15 +474,15 @@ def run_case_study(config: ScenarioConfig, workers: int = 1) -> CaseStudyReport:
                 SweepView(model, cs.trials, shadowing, scenario=f"{scen_name}_table")
             )
         los, los_scaling, nlos, nlos_scaling = crowd_sweep(
-            profile,
-            _density_grid(rat_cfg, cs.grid_points),
+            rat,
+            _density_grid(rat, cs.grid_points),
             grid_views,
             config.seed,
             region=config.region,
             workers=workers,
         )
         los_table, nlos_table = crowd_sweep(
-            profile,
+            rat,
             [table_density],
             table_views,
             config.seed,
@@ -639,35 +490,34 @@ def run_case_study(config: ScenarioConfig, workers: int = 1) -> CaseStudyReport:
             workers=workers,
         )
         curves += [los, nlos]
-        exponents[rat_cfg.name] = {}
+        exponents[rat.name] = {}
         for scen_name, scaling_curve in (("los", los_scaling), ("nlos", nlos_scaling)):
             try:
-                exponents[rat_cfg.name][scen_name] = scaling_exponent(scaling_curve)
+                exponents[rat.name][scen_name] = scaling_exponent(scaling_curve)
             except FitFailureError as exc:
                 # densities so sparse that typical deployments are empty
                 # (TV at the bottom of its range): slope not measurable
-                exponents[rat_cfg.name][scen_name] = math.nan
-                fit_failures.setdefault(rat_cfg.name, {})[scen_name] = str(exc)
+                exponents[rat.name][scen_name] = math.nan
+                fit_failures.setdefault(rat.name, {})[scen_name] = str(exc)
         los_power = los_table.points[0].median_power_w
         nlos_power = nlos_table.points[0].median_power_w
         rows.append(
             TableRow(
-                rat=rat_cfg.name,
+                rat=rat.name,
                 table_density_per_km2=float(table_density),
                 peak_power_w=los_power,
-                peak_density_w_per_hz=los_power / rat_cfg.bandwidth_hz,
+                peak_density_w_per_hz=los_power / rat.bandwidth_hz,
                 nlos_power_w=nlos_power,
-                nlos_density_w_per_hz=nlos_power / rat_cfg.bandwidth_hz,
+                nlos_density_w_per_hz=nlos_power / rat.bandwidth_hz,
                 winner_extrapolated=winner_extrapolated(
-                    build_pathloss_model(config.nlos, rat_cfg.carrier_frequency_hz)
+                    build_pathloss_model(config.nlos, rat.carrier_frequency_hz)
                 ),
             )
         )
     share_rat = config.rat(cs.nearest_share_rat)
-    share_profile = build_rat_profile(share_rat)
     nlos_model = build_pathloss_model(config.nlos, share_rat.carrier_frequency_hz)
     share, mean_fraction = nearest_share_study(
-        share_profile,
+        share_rat,
         share_rat.density_range_per_km2[1],
         nlos_model,
         cs.nearest_share_draws,

@@ -44,9 +44,7 @@ __all__ = [
     "ts_throughput",
     "ps_throughput",
     "hybrid_ts_frame",
-    "hybrid_ts_throughput",
     "hybrid_ps_frame",
-    "hybrid_ps_throughput",
     "optimize_split",
     "split_sweep",
 ]
@@ -144,56 +142,64 @@ def _rate(pre_log: float, snr: float) -> float:
 
 
 def _ts_rate(
-    link: LinkState, eta: float, mode: RelayMode, t: float,
+    link: LinkState, eta: float, mode: RelayMode, t: float, alpha2: float = 0.0,
 ) -> Callable[[float], float]:
     """The TS throughput of ``link`` as a function of ``alpha``.
 
-    This is the one definition of time switching. The split-independent
-    SNR of the first hop is computed once per call of ``_ts_rate``; every
-    expression keeps the operation order of the per-split formula, so a
-    search that reuses the returned function gets the same floats as one
-    ``ts_throughput`` call per split.
+    This is the one definition of time switching; ``alpha2`` is the
+    hybrid's second slot, which harvests the relay's ambient power, and
+    the information time is what both slots leave. The split-independent
+    terms (the first-hop SNR and the ambient energy) are computed once per
+    call of ``_ts_rate``; every expression keeps the operation order of the
+    per-split formula, so a search that reuses the returned function gets
+    the same floats as one ``ts_throughput`` call per split.
     """
     _check_eta(eta)
     p, h = link.source_power_w, link.source_relay_gain
     g, n = link.relay_destination_gain, link.noise_power_w
     gamma1 = p * h / n
+    ambient = eta * alpha2 * t * link.ambient_power_at_relay_w
 
     def rate(a: float) -> float:
-        if a <= 0.0 or a >= 1.0:
+        info = 1.0 - a - alpha2
+        if info <= 0.0:
             return 0.0
-        harvested = eta * a * t * p * h
-        hop_time = (1.0 - a) * t / 2.0
+        harvested = eta * a * t * p * h + ambient
+        hop_time = info * t / 2.0
         relay_power = harvested / hop_time
         gamma2 = relay_power * g / n
-        return _rate((1.0 - a) / 2.0, end_to_end_snr(gamma1, gamma2, mode))
+        return _rate(info / 2.0, end_to_end_snr(gamma1, gamma2, mode))
 
     return rate
 
 
 def _ps_rate(
-    link: LinkState, eta: float, mode: RelayMode, t: float,
+    link: LinkState, eta: float, mode: RelayMode, t: float, rho2: float = 0.0,
     post_noise_splitting: bool = False, conversion_noise_w: float = 0.0,
 ) -> Callable[[float], float]:
     """The PS throughput of ``link`` as a function of ``rho``.
 
-    This is the one definition of power splitting. The received power
-    and the half-frame are computed once; as in ``_ts_rate``, every
-    expression keeps its per-split operation order.
+    This is the one definition of power splitting; ``rho2`` is the
+    hybrid's second split, which harvests the relay's ambient power, and
+    the decoder gets what both splits leave. The received power, the
+    half-frame and the ambient energy are computed once; as in
+    ``_ts_rate``, every expression keeps its per-split operation order.
     """
     _check_eta(eta)
     received = link.source_power_w * link.source_relay_gain
     half_frame = t / 2.0
     g, n = link.relay_destination_gain, link.noise_power_w
+    ambient = eta * rho2 * link.ambient_power_at_relay_w * half_frame
 
     def rate(rho: float) -> float:
-        if rho <= 0.0 or rho >= 1.0:
+        info = 1.0 - rho - rho2
+        if info <= 0.0:
             return 0.0
-        harvested = eta * rho * received * half_frame
+        harvested = eta * rho * received * half_frame + ambient
         relay_power = harvested / half_frame
-        info_signal = (1.0 - rho) * received
+        info_signal = info * received
         if post_noise_splitting:
-            info_noise = (1.0 - rho) * n + conversion_noise_w
+            info_noise = info * n + conversion_noise_w
         else:
             info_noise = n
         gamma1 = info_signal / info_noise
@@ -233,7 +239,7 @@ def ps_throughput(
     endpoints of ``rho``.
     """
     return _ps_rate(
-        link, eta, mode, cfg.frame_duration_s, post_noise_splitting, conversion_noise_w
+        link, eta, mode, cfg.frame_duration_s, 0.0, post_noise_splitting, conversion_noise_w
     )(cfg.rho)
 
 
@@ -254,33 +260,15 @@ def hybrid_ts_frame(
     cfg: SwiptConfig, link: LinkState, eta: float = 0.5,
     mode: RelayMode = RelayMode.DECODE_FORWARD,
 ) -> HybridFrame:
-    """TS with a second harvesting slot for ambient RF power at the relay."""
-    _check_eta(eta)
-    a1, a2 = cfg.alpha1, cfg.alpha2
+    """TS with a second harvesting slot for ambient RF power at the relay.
+
+    With ``alpha2 = 0`` the throughput is ``ts_throughput`` at ``alpha1``.
+    """
     t = cfg.frame_duration_s
-    info = 1.0 - a1 - a2
-    if info <= 0.0:
-        return HybridFrame(0.0, 0.0)
-    harvested = eta * t * (
-        a1 * link.source_power_w * link.source_relay_gain
-        + a2 * link.ambient_power_at_relay_w
-    )
-    if harvested <= 0.0:
-        return HybridFrame(0.0, eta * link.ambient_power_at_source_w * info * t / 2.0)
-    hop_time = info * t / 2.0
-    relay_power = harvested / hop_time
-    gamma1 = link.source_power_w * link.source_relay_gain / link.noise_power_w
-    gamma2 = relay_power * link.relay_destination_gain / link.noise_power_w
-    throughput = _rate(info / 2.0, end_to_end_snr(gamma1, gamma2, mode))
-    banked = eta * link.ambient_power_at_source_w * hop_time
+    throughput = _ts_rate(link, eta, mode, t, cfg.alpha2)(cfg.alpha1)
+    info = 1.0 - cfg.alpha1 - cfg.alpha2
+    banked = eta * link.ambient_power_at_source_w * info * t / 2.0 if info > 0.0 else 0.0
     return HybridFrame(throughput, banked)
-
-
-def hybrid_ts_throughput(
-    cfg: SwiptConfig, link: LinkState, eta: float = 0.5,
-    mode: RelayMode = RelayMode.DECODE_FORWARD,
-) -> float:
-    return hybrid_ts_frame(cfg, link, eta, mode).throughput_bps_hz
 
 
 def hybrid_ps_frame(
@@ -289,34 +277,17 @@ def hybrid_ps_frame(
     post_noise_splitting: bool = False,
     conversion_noise_w: float = 0.0,
 ) -> HybridFrame:
-    """PS with a second power split for ambient RF harvesting at the relay."""
-    _check_eta(eta)
-    r1, r2 = cfg.rho1, cfg.rho2
+    """PS with a second power split for ambient RF harvesting at the relay.
+
+    With ``rho2 = 0`` the throughput is ``ps_throughput`` at ``rho1``.
+    """
     t = cfg.frame_duration_s
-    info_share = 1.0 - r1 - r2
-    if info_share <= 0.0:
-        return HybridFrame(0.0, 0.0)
-    received = link.source_power_w * link.source_relay_gain
-    harvested = eta * (r1 * received + r2 * link.ambient_power_at_relay_w) * (t / 2.0)
-    banked = eta * link.ambient_power_at_source_w * (t / 2.0)
-    if harvested <= 0.0:
-        return HybridFrame(0.0, banked)
-    relay_power = harvested / (t / 2.0)
-    info_signal = info_share * received
-    if post_noise_splitting:
-        info_noise = info_share * link.noise_power_w + conversion_noise_w
-    else:
-        info_noise = link.noise_power_w
-    gamma1 = info_signal / info_noise
-    gamma2 = relay_power * link.relay_destination_gain / link.noise_power_w
-    return HybridFrame(_rate(0.5, end_to_end_snr(gamma1, gamma2, mode)), banked)
-
-
-def hybrid_ps_throughput(
-    cfg: SwiptConfig, link: LinkState, eta: float = 0.5,
-    mode: RelayMode = RelayMode.DECODE_FORWARD,
-) -> float:
-    return hybrid_ps_frame(cfg, link, eta, mode).throughput_bps_hz
+    throughput = _ps_rate(
+        link, eta, mode, t, cfg.rho2, post_noise_splitting, conversion_noise_w
+    )(cfg.rho1)
+    info = 1.0 - cfg.rho1 - cfg.rho2
+    banked = eta * link.ambient_power_at_source_w * (t / 2.0) if info > 0.0 else 0.0
+    return HybridFrame(throughput, banked)
 
 
 def _search_rate(

@@ -68,7 +68,7 @@ def test_criterion_01_ppp_nearest_distance_law(config):
 
 def test_criterion_02_density_scaling_exponents(config):
     start = time.perf_counter()
-    macro = scenario.build_rat_profile(config.rat("macro"))
+    macro = config.rat("macro")
     grid = np.geomspace(0.5, 5.0, 5)  # one decade
     slopes = {}
     for name, scen, window in (
@@ -93,7 +93,7 @@ def test_criterion_02_density_scaling_exponents(config):
 
 
 def test_criterion_03_transmit_power_linearity(config):
-    macro = scenario.build_rat_profile(config.rat("macro"))
+    macro = config.rat("macro")
     model = scenario.build_pathloss_model(config.los, macro.carrier_frequency_hz)
     grid = np.geomspace(0.5, 5.0, 5)
     base = harvest.upper_bound_sweep(
@@ -135,7 +135,7 @@ def test_criterion_04_table_reproduction(case_study_runs):
 
 
 def test_criterion_05_nearest_node_energy_fraction(config):
-    macro = scenario.build_rat_profile(config.rat("macro"))
+    macro = config.rat("macro")
     model = scenario.build_pathloss_model(config.nlos, macro.carrier_frequency_hz)
     share, mean_fraction = harvest.nearest_share_study(
         macro, 5.0, model, draws=10_000, seed=config.seed,

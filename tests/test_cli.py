@@ -1,14 +1,18 @@
 import csv
+import importlib
 import io
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 
 import crowdharvest
+from crowdharvest import scenario
 from crowdharvest.cli import main
 
 
@@ -135,12 +139,25 @@ def test_collab_trace_round_trip(tmp_path, capsys):
     assert "over 3 slots" in out
 
 
-def test_config_error_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command,edit", [
+    (["deploy"], lambda doc: {"seed": 1, "unknown_section": {}}),
+    (["schedule", "solve"], lambda doc: {**doc, "scheduling": {"slot_count": "abc"}}),
+    (["casestudy"], lambda doc: {**doc, "case_study": {"trials": None}}),
+    (["casestudy"], lambda doc: {**doc, "case_study": {"trials": 2.7}}),
+])
+def test_config_error_exit_code(tmp_path, capsys, command, edit):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("seed: 1\nunknown_section: {}\n")
-    code, _, err = run(["deploy", "--config", str(bad), "--out", str(tmp_path)], capsys)
+    bad.write_text(yaml.safe_dump(edit(scenario.config_to_dict(scenario.default_config()))))
+    code, _, err = run([*command, "--config", str(bad), "--out", str(tmp_path)], capsys)
     assert code == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_invalid_workers_exit_code(tmp_path, capsys, workers):
+    code, _, err = run(["casestudy", "--workers", workers, "--out", str(tmp_path)], capsys)
+    assert code == 4
+    assert "workers" in err and "Traceback" not in err
 
 
 def test_harvest_summary(capsys, tmp_path):
@@ -187,3 +204,13 @@ def test_importing_any_module_loads_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(crowdharvest.__path__))
+)
+def test_every_exported_name_resolves(module):
+    # a stale __all__ entry fails only on `from ... import *`, so check each name
+    mod = importlib.import_module(f"crowdharvest.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

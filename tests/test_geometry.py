@@ -278,6 +278,34 @@ class TestSerialisation:
         assert back.region == dep.region
         assert back.process == dep.process
 
+    def test_json_round_trip_guard_region_bit_identical(self):
+        region = geometry.Region(3000.0, 2000.0, "guard", 250.0)
+        dep = geometry.sample_clustered(geometry.ClusteredProcess(5.0, 4.0, 30.0), region, 9)
+        back = geometry.deployment_from_json(geometry.deployment_to_json(dep))
+        assert dep.count > 0
+        assert np.array_equal(back.xs, dep.xs) and np.array_equal(back.ys, dep.ys)
+        assert (back.region, back.process, back.density_per_km2, back.seed) == (
+            dep.region, dep.process, dep.density_per_km2, dep.seed
+        )
+
+    @pytest.mark.parametrize("part,edit", [
+        ("process", lambda d: d.pop("spread_m")),
+        ("process", lambda d: d.update(spread=30.0)),
+        ("process", lambda d: d.update(kind="thomas")),
+        ("process", lambda d: d.update(mean_offspring=None)),
+        ("region", lambda d: d.update(guard_margin=10.0)),
+        ("region", lambda d: d.pop("width_m")),
+        ("region", lambda d: d.update(width_m="wide")),
+    ])
+    def test_json_malformed_region_or_process_rejected(self, part, edit):
+        import json
+
+        dep = geometry.sample_clustered(geometry.ClusteredProcess(5.0, 4.0, 30.0), REGION, 9)
+        doc = json.loads(geometry.deployment_to_json(dep))
+        edit(doc[part])
+        with pytest.raises(InvalidParameterError):
+            geometry.deployment_from_json(json.dumps(doc))
+
 
 @given(
     x=st.floats(0, 7745.0),

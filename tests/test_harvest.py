@@ -39,6 +39,8 @@ def make_deployment(xs, ys):
         {"density_range_per_km2": (5.0, 0.5)},
         {"density_range_per_km2": (0.0, 5.0)},
         {"min_link_distance_m": 0.0},
+        {"table_density_per_km2": 0.0},
+        {"table_density_per_km2": -1.0},
     ],
 )
 def test_rat_profile_invariants(kwargs):
@@ -283,17 +285,17 @@ def test_views_compute_only_the_links_they_read(monkeypatch):
     ]
     received = {"short": 0, "long_k": 0}
     shadow_sizes = []
-    link_power_w, draw_shadowing_db = harvest._link_power_w, harvest.draw_shadowing_db
+    received_power, draw_shadowing_db = harvest.received_power, harvest.draw_shadowing_db
 
-    def counting_power(d, rat, model, shadow_db=None):
+    def counting_power(p_tx_w, model, d, shadow_db=None):
         received["short" if model is LOS else "long_k"] += d.size
-        return link_power_w(d, rat, model, shadow_db)
+        return received_power(p_tx_w, model, d, shadow_db)
 
     def counting_shadowing(spec, size, rng):
         shadow_sizes.append(size)
         return draw_shadowing_db(spec, size, rng)
 
-    monkeypatch.setattr(harvest, "_link_power_w", counting_power)
+    monkeypatch.setattr(harvest, "received_power", counting_power)
     monkeypatch.setattr(harvest, "draw_shadowing_db", counting_shadowing)
     curves = harvest.crowd_sweep(MACRO, grid, views, seed, region=region)
     monkeypatch.undo()
@@ -391,6 +393,29 @@ def test_nearest_share_study_workers_do_not_change_results():
     kwargs = dict(region=REGION, shadowing=ShadowingSpec(8.0))
     seq = harvest.nearest_share_study(*args, **kwargs, workers=1)
     assert harvest.nearest_share_study(*args, **kwargs, workers=2) == seq
+
+
+@pytest.mark.parametrize("workers", [-1, 0, 1.5, True, "2"])
+@pytest.mark.parametrize("entry", ["crowd_sweep", "upper_bound_sweep", "nearest_share_study"])
+def test_invalid_workers_rejected_before_any_trial(monkeypatch, entry, workers):
+    # workers=-1 used to compute only the first block of trials, and 0 raised a bare ValueError
+    def no_trials(keys):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harvest, "substream_states", no_trials)
+    calls = {
+        "crowd_sweep": lambda: harvest.crowd_sweep(
+            MACRO, [1.0, 2.0], [harvest.SweepView(LOS, 400)], 3, region=REGION, workers=workers
+        ),
+        "upper_bound_sweep": lambda: harvest.upper_bound_sweep(
+            MACRO, [1.0, 2.0], LOS, 400, 3, region=REGION, workers=workers
+        ),
+        "nearest_share_study": lambda: harvest.nearest_share_study(
+            MACRO, 5.0, NLOS, 400, 3, region=REGION, workers=workers
+        ),
+    }
+    with pytest.raises(InvalidParameterError, match="workers"):
+        calls[entry]()
 
 
 class TestScalingExponent:

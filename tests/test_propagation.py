@@ -46,7 +46,7 @@ class TestPathloss:
     def test_free_space_matches_friis_aperture(self):
         # 150 kW isotropic at 20 km, 600 MHz: about 0.6 uW received
         model = prop.free_space_model(600e6)
-        power, _ = prop.received_power(150e3, 100e6, model, 20_000.0)
+        power = prop.received_power(150e3, model, 20_000.0)
         oracle = friis_aperture_power(150e3, 600e6, 20_000.0)
         assert power == pytest.approx(oracle, rel=1e-9)
         assert power == pytest.approx(0.593e-6, rel=0.01)
@@ -66,34 +66,34 @@ class TestPathloss:
 class TestReceivedPower:
     def test_zero_transmit_power(self):
         model = prop.free_space_model(2.1e9)
-        power, density = prop.received_power(0.0, 20e6, model, 100.0)
-        assert power == 0.0 and density == 0.0
+        assert prop.received_power(0.0, model, 100.0) == 0.0
 
     def test_linear_in_transmit_power(self):
         model = prop.free_space_model(2.1e9)
-        p1, _ = prop.received_power(40.0, 20e6, model, 137.0, shadowing_db=3.0)
-        p2, _ = prop.received_power(80.0, 20e6, model, 137.0, shadowing_db=3.0)
+        p1 = prop.received_power(40.0, model, 137.0, shadowing_db=3.0)
+        p2 = prop.received_power(80.0, model, 137.0, shadowing_db=3.0)
         assert p2 == 2.0 * p1
 
     def test_reference_distance_example(self):
-        # 40 W over 20 MHz with 38 dB reference loss: 40 * 10^-3.8
+        # 40 W with 38 dB reference loss: 40 * 10^-3.8
         model = prop.PathlossModel(2.0, 1.0, 38.0, 2.1e9)
-        power, density = prop.received_power(40.0, 20e6, model, 1.0)
+        power = prop.received_power(40.0, model, 1.0)
         assert power == pytest.approx(40.0 * 10 ** (-3.8), rel=1e-12)
-        assert density == pytest.approx(power / 20e6, rel=1e-12)
 
-    def test_density_inverse_in_bandwidth(self):
+    def test_shadowing_adds_to_the_loss(self):
         model = prop.free_space_model(2.1e9)
-        _, d1 = prop.received_power(40.0, 20e6, model, 100.0)
-        _, d2 = prop.received_power(40.0, 40e6, model, 100.0)
-        assert d1 == 2.0 * d2
+        d = np.array([10.0, 100.0, 1000.0])
+        shadow = np.array([-3.0, 0.0, 8.0])
+        power = prop.received_power(40.0, model, d, shadow)
+        expected = 40.0 * np.power(10.0, -(prop.pathloss_db(model, d) + shadow) / 10.0)
+        assert np.array_equal(power, expected)
 
     def test_invalid_inputs(self):
         model = prop.free_space_model(2.1e9)
         with pytest.raises(InvalidParameterError):
-            prop.received_power(-1.0, 20e6, model, 100.0)
-        with pytest.raises(InvalidParameterError):
-            prop.received_power(1.0, 0.0, model, 100.0)
+            prop.received_power(-1.0, model, 100.0)
+        with pytest.raises(DistanceOutOfRangeError):
+            prop.received_power(1.0, model, 0.5)
 
 
 def test_shadowing_lognormal_moment():

@@ -53,15 +53,39 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"rats\[0\].*bandwidth_hzz"):
             scenario.load_config(path)
 
-    def test_invalid_field_named(self, config, tmp_path):
+    @pytest.mark.parametrize("section,key,value", [
+        ("swipt", "efficiency", 1.5),
+        ("scheduling", "slot_count", "abc"),
+        ("case_study", "trials", None),
+        ("case_study", "trials", 2.7),
+    ])
+    def test_invalid_field_named(self, config, tmp_path, section, key, value):
         doc = scenario.config_to_dict(config)
-        doc["swipt"]["efficiency"] = 1.5
+        doc[section][key] = value
         path = tmp_path / "bad.yaml"
         import yaml
 
         path.write_text(yaml.safe_dump(doc))
-        with pytest.raises(ConfigError, match="efficiency"):
+        with pytest.raises(ConfigError, match=key):
             scenario.load_config(path)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda doc: doc["rats"][1]["spatial_process"].pop("spread_m"), r"rats\[1\].*spread_m"),
+        (lambda doc: doc["rats"][1]["spatial_process"].update(kind="thomas"), r"rats\[1\].*thomas"),
+        (lambda doc: doc["rats"][0].pop("spatial_process"), r"rats\[0\].*spatial_process"),
+        (lambda doc: doc["rats"][0].update(density_range_per_km2=[1.0]), r"rats\[0\].*density"),
+        (lambda doc: doc["rats"][3].update(table_density_per_km2=0.0), r"rats\[3\].*table density"),
+        (lambda doc: doc["region"].update(guard_margin=1.0), r"region.*guard_margin"),
+        (lambda doc: doc["pathloss"]["nlos"].update(anchor="okumura"), r"pathloss\.nlos.*okumura"),
+        (lambda doc: doc.update(pathloss=None), "pathloss"),
+        (lambda doc: doc.update(rats=None), "rats"),
+        (lambda doc: doc.update(seed="7"), "seed"),
+    ])
+    def test_malformed_section_rejected_with_path(self, config, edit, match):
+        doc = scenario.config_to_dict(config)
+        edit(doc)
+        with pytest.raises(ConfigError, match=match):
+            scenario.config_from_dict(doc)
 
     def test_scaling_k_nearest_below_one_rejected(self, config):
         doc = scenario.config_to_dict(config)

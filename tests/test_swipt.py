@@ -53,8 +53,9 @@ class TestEndpoints:
         assert swipt.ps_throughput(swipt.SwiptConfig(rho=rho), DESK) == 0.0
 
     def test_hybrid_full_split_zero(self):
-        assert swipt.hybrid_ts_throughput(swipt.SwiptConfig(alpha1=0.6, alpha2=0.4), DESK) == 0.0
-        assert swipt.hybrid_ps_throughput(swipt.SwiptConfig(rho1=0.3, rho2=0.7), DESK) == 0.0
+        ts = swipt.hybrid_ts_frame(swipt.SwiptConfig(alpha1=0.6, alpha2=0.4), DESK)
+        ps = swipt.hybrid_ps_frame(swipt.SwiptConfig(rho1=0.3, rho2=0.7), DESK)
+        assert ts.throughput_bps_hz == 0.0 and ps.throughput_bps_hz == 0.0
 
     def test_invalid_splits_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -209,8 +210,6 @@ class TestOrderings:
     (swipt.ps_throughput, swipt.SwiptConfig(rho=0.3)),
     (swipt.hybrid_ts_frame, swipt.SwiptConfig(alpha1=0.3)),
     (swipt.hybrid_ps_frame, swipt.SwiptConfig(rho1=0.3)),
-    (swipt.hybrid_ts_throughput, swipt.SwiptConfig(alpha1=0.3)),
-    (swipt.hybrid_ps_throughput, swipt.SwiptConfig(rho1=0.3)),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_rate_functions_reject_efficiency_outside_unit_interval(rate, cfg, eta):
     with pytest.raises(InvalidParameterError):
@@ -218,19 +217,31 @@ def test_rate_functions_reject_efficiency_outside_unit_interval(rate, cfg, eta):
 
 
 class TestHybrid:
-    def test_ts_reduction_exact(self):
-        for alpha in (0.1, 0.3, 0.7):
-            plain = swipt.ts_throughput(swipt.SwiptConfig(alpha=alpha), DESK)
-            hybrid = swipt.hybrid_ts_throughput(
-                swipt.SwiptConfig(alpha1=alpha, alpha2=0.0), DESK
-            )
-            assert hybrid == plain
+    # With the second split at 0 a hybrid is its plain protocol, bit for bit.
+    # Random links with ambient power and random eta: on DESK alone (P = 1)
+    # a second copy of the maths can agree while differing elsewhere.
 
-    def test_ps_reduction_exact(self):
-        for rho in (0.1, 0.5, 0.9):
-            plain = swipt.ps_throughput(swipt.SwiptConfig(rho=rho), DESK)
-            hybrid = swipt.hybrid_ps_throughput(swipt.SwiptConfig(rho1=rho, rho2=0.0), DESK)
-            assert hybrid == plain
+    @pytest.mark.parametrize("mode", [DF, AF], ids=["df", "af"])
+    def test_ts_reduction_exact(self, mode):
+        for i in range(200):
+            link = random_link(i, "hybrid")
+            rng = substream(i, "hybrid-split")
+            eta, t, alpha = rng.uniform(0.05, 1.0), rng.uniform(0.2, 3.0), rng.uniform()
+            plain = swipt.ts_throughput(swipt.SwiptConfig(t, alpha=alpha), link, eta, mode)
+            hybrid = swipt.hybrid_ts_frame(swipt.SwiptConfig(t, alpha1=alpha), link, eta, mode)
+            assert hybrid.throughput_bps_hz == plain
+
+    @pytest.mark.parametrize("post_noise", [False, True], ids=["pre-noise", "post-noise"])
+    @pytest.mark.parametrize("mode", [DF, AF], ids=["df", "af"])
+    def test_ps_reduction_exact(self, mode, post_noise):
+        for i in range(200):
+            link = random_link(i, "hybrid")
+            rng = substream(i, "hybrid-split")
+            eta, t, rho = rng.uniform(0.05, 1.0), rng.uniform(0.2, 3.0), rng.uniform()
+            noise = (post_noise, rng.uniform(0.0, 1e-8) if post_noise else 0.0)
+            plain = swipt.ps_throughput(swipt.SwiptConfig(t, rho=rho), link, eta, mode, *noise)
+            hybrid = swipt.hybrid_ps_frame(swipt.SwiptConfig(t, rho1=rho), link, eta, mode, *noise)
+            assert hybrid.throughput_bps_hz == plain
 
     def test_large_ambient_drives_alpha1_to_zero(self):
         from dataclasses import replace
@@ -242,7 +253,9 @@ class TestHybrid:
             for a2 in grid:
                 if a1 + a2 > 1.0:
                     continue
-                v = swipt.hybrid_ts_throughput(swipt.SwiptConfig(alpha1=a1, alpha2=a2), link)
+                v = swipt.hybrid_ts_frame(
+                    swipt.SwiptConfig(alpha1=a1, alpha2=a2), link
+                ).throughput_bps_hz
                 if v > best:
                     best, best_cfg = v, (a1, a2)
         assert best_cfg[0] == 0.0
@@ -256,7 +269,7 @@ class TestHybrid:
             swipt.ps_throughput(swipt.SwiptConfig(rho=r), link) for r in grid
         )
         hybrid = max(
-            swipt.hybrid_ps_throughput(swipt.SwiptConfig(rho1=r1, rho2=r2), link)
+            swipt.hybrid_ps_frame(swipt.SwiptConfig(rho1=r1, rho2=r2), link).throughput_bps_hz
             for r1 in grid
             for r2 in grid
             if r1 + r2 <= 1.0
@@ -305,8 +318,10 @@ def test_throughput_monotone_in_link_quality(name):
 
     cfg_ts = swipt.SwiptConfig(alpha1=0.3, alpha2=0.2)
     base = swipt.LinkState(1e-3, 1e-3, 1e-9, 1.0, ambient_power_at_relay_w=1e-4)
-    lo = swipt.hybrid_ts_throughput(cfg_ts, base)
-    hi = swipt.hybrid_ts_throughput(cfg_ts, replace(base, **{name: getattr(base, name) * 3}))
+    lo = swipt.hybrid_ts_frame(cfg_ts, base).throughput_bps_hz
+    hi = swipt.hybrid_ts_frame(
+        cfg_ts, replace(base, **{name: getattr(base, name) * 3})
+    ).throughput_bps_hz
     assert hi >= lo
 
 
