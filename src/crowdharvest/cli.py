@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import collaboration, geometry, harvest, scenario, scheduling, swipt
+from ._documents import read_text, write_csv
 from .errors import ConfigError, InfeasibleDemandError, SimulationError
-from .propagation import ShadowingSpec, pathloss_db
+from .propagation import pathloss_db
 from .rng import substream
 
 
@@ -60,15 +61,12 @@ def cmd_deploy(args: argparse.Namespace) -> int:
 
 def cmd_pathloss(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    rat = cfg.rat(args.rat)
-    scen = cfg.los if args.scenario == "los" else cfg.nlos
-    model = scenario.build_pathloss_model(scen, rat.carrier_frequency_hz)
+    model, _ = cfg.channel(cfg.rat(args.rat), args.scenario)
     d_lo = max(args.d_min, model.reference_distance_m)
     grid = np.geomspace(d_lo, args.d_max, args.points)
-    lines = ["d_m,loss_db"]
-    for d in grid:
-        lines.append(f"{d:.6g},{pathloss_db(model, float(d)):.6g}")
-    text = "\n".join(lines) + "\n"
+    text = write_csv(
+        ["d_m", "loss_db"], ((f"{d:.6g}", f"{pathloss_db(model, float(d)):.6g}") for d in grid)
+    )
     if args.out:
         _write(_out_dir(args) / f"pathloss_{args.rat}_{args.scenario}.csv", text)
     else:
@@ -79,9 +77,7 @@ def cmd_pathloss(args: argparse.Namespace) -> int:
 def cmd_harvest(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     rat = cfg.rat(args.rat)
-    scen = cfg.los if args.scenario == "los" else cfg.nlos
-    model = scenario.build_pathloss_model(scen, rat.carrier_frequency_hz)
-    shadowing = ShadowingSpec(scen.shadowing_sigma_db, scen.shadowing_sigma_db > 0)
+    model, shadowing = cfg.channel(rat, args.scenario)
     density = args.density if args.density is not None else rat.density_range_per_km2[1]
     draws = args.trials or 1000
     share, mean_fraction = harvest.nearest_share_study(
@@ -107,9 +103,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = np.asarray([float(x) for x in args.grid.split(",")]) if args.grid else None
     if args.target == "harvest":
         rat = cfg.rat(args.rat)
-        scen = cfg.los if args.scenario == "los" else cfg.nlos
-        model = scenario.build_pathloss_model(scen, rat.carrier_frequency_hz)
-        shadowing = ShadowingSpec(scen.shadowing_sigma_db, scen.shadowing_sigma_db > 0)
+        model, shadowing = cfg.channel(rat, args.scenario)
         if grid is None:
             lo, hi = rat.density_range_per_km2
             grid = np.geomspace(lo, hi, cfg.case_study.grid_points)
@@ -125,14 +119,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.target == "swipt_split":
         if grid is None:
             grid = np.linspace(0.0, 1.0, 101)
-        link = cfg.swipt.link()
-        rows = swipt.split_sweep(
-            args.protocol, link, grid, cfg.swipt.efficiency, cfg.swipt.mode(),
-            cfg.swipt.frame_duration_s,
-        )
-        text = "split,throughput_bps_hz\n" + "".join(
-            f"{s:.6g},{v:.10g}\n" for s, v in rows
-        )
+        rows, text = _split_sweep_csv(cfg, args.protocol, grid)
         _write(out / f"sweep_swipt_{args.protocol}.csv", text)
         best = max(rows, key=lambda r: r[1])
         print(f"swipt split sweep: best {args.protocol} split {best[0]:.4g} "
@@ -142,28 +129,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         mdp = _desk_mdp(cfg)
         if grid is None:
             grid = np.linspace(0.0, mdp.capacity_j, 20)
-        lines = ["theta_j,gain_bits_per_slot"]
-        best = (0.0, -1.0)
-        for theta in grid:
-            policy = scheduling.threshold_policy(mdp, float(theta))
-            lines.append(f"{theta:.6g},{policy.gain:.10g}")
-            if policy.gain > best[1]:
-                best = (float(theta), policy.gain)
-        _write(out / "sweep_schedule_theta.csv", "\n".join(lines) + "\n")
+        rows = [(float(t), scheduling.threshold_policy(mdp, float(t)).gain) for t in grid]
+        _write(out / "sweep_schedule_theta.csv", write_csv(
+            ["theta_j", "gain_bits_per_slot"], ((f"{t:.6g}", f"{g:.10g}") for t, g in rows)
+        ))
+        best = max(rows, key=lambda r: r[1])  # the first best theta
         print(f"threshold sweep: best theta {best[0]:.4g} J, gain {best[1]:.6g} bits/slot")
         return 0
     if args.target == "collab_xi":
         nodes, qos, params = _collab_setup(cfg)
         if grid is None:
             grid = np.linspace(0.0, 1.0, 21)
-        lines = ["xi,objective"]
+        rows = []
         for xi in grid:
             result = collaboration.collab_schedule(
                 nodes, qos, replace(params, xi=float(xi)), cfg.seed
             )
             objective = result.delivered_count - qos.horizon * result.violations
-            lines.append(f"{xi:.6g},{objective:.10g}")
-        _write(out / "sweep_collab_xi.csv", "\n".join(lines) + "\n")
+            rows.append((f"{xi:.6g}", f"{objective:.10g}"))
+        _write(out / "sweep_collab_xi.csv", write_csv(["xi", "objective"], rows))
         xi_star, obj = collaboration.optimize_frame_split(nodes, qos, params, grid, cfg.seed)
         print(f"frame-split sweep: best xi {xi_star:.4g}, objective {obj:.6g}")
         return 0
@@ -181,13 +165,20 @@ def cmd_swipt(args: argparse.Namespace) -> int:
     name = "alpha" if args.protocol == "ts" else "rho"
     print(f"optimal {args.protocol} split {name}={split:.6g} -> {value:.6g} bits/s/Hz")
     if args.out:
-        grid = np.linspace(0.0, 1.0, args.points)
-        rows = swipt.split_sweep(
-            args.protocol, link, grid, cfg.swipt.efficiency, mode, cfg.swipt.frame_duration_s
-        )
-        text = "split,throughput_bps_hz\n" + "".join(f"{s:.6g},{v:.10g}\n" for s, v in rows)
+        _, text = _split_sweep_csv(cfg, args.protocol, np.linspace(0.0, 1.0, args.points))
         _write(_out_dir(args) / f"swipt_{args.protocol}.csv", text)
     return 0
+
+
+def _split_sweep_csv(
+    cfg: scenario.ScenarioConfig, protocol: str, grid: np.ndarray
+) -> tuple[list[tuple[float, float]], str]:
+    """The configured link's split sweep, and its ``split,throughput_bps_hz`` CSV."""
+    s = cfg.swipt
+    rows = swipt.split_sweep(protocol, s.link(), grid, s.efficiency, s.mode(), s.frame_duration_s)
+    return rows, write_csv(
+        ["split", "throughput_bps_hz"], ((f"{a:.6g}", f"{v:.10g}") for a, v in rows)
+    )
 
 
 def _desk_problem(cfg: scenario.ScenarioConfig) -> scheduling.ScheduleProblem:
@@ -227,7 +218,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     if args.action == "solve":
         problem = (
-            scheduling.load_problem(args.problem) if args.problem else _desk_problem(cfg)
+            scheduling.ScheduleProblem.from_json(read_text(args.problem))
+            if args.problem else _desk_problem(cfg)
         )
         if args.min_time is not None:
             sched = scheduling.min_relay_time(problem, args.min_time, cfg.scheduling.power_levels)
@@ -245,11 +237,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         vi_gain = scheduling.value_iteration_gain(mdp)
         print(f"policy-iteration gain {policy.gain:.8g} bits/slot "
               f"(value iteration {vi_gain:.8g})")
-        lines = ["battery_bucket,energy_state,spend_j"]
-        for b in range(mdp.battery_buckets):
-            for e in range(len(mdp.arrivals.states_j)):
-                lines.append(f"{b},{e},{mdp.spend_levels_j[policy.action_at(b, e)]:g}")
-        _write(out / "policy.csv", "\n".join(lines) + "\n")
+        _write(out / "policy.csv", write_csv(["battery_bucket", "energy_state", "spend_j"], (
+            (b, e, f"{mdp.spend_levels_j[policy.action_at(b, e)]:g}")
+            for b in range(mdp.battery_buckets)
+            for e in range(len(mdp.arrivals.states_j))
+        )))
         _write(out / "policy.json", policy.to_json())
         return 0
     if args.action == "evaluate":
@@ -286,7 +278,7 @@ def cmd_collab(args: argparse.Namespace) -> int:
     if args.demo:
         nodes, qos, params = collaboration.rescue_demo()
     elif args.trace:
-        a, b, _events = collaboration.trace_from_csv(Path(args.trace).read_text())
+        a, b, _events = collaboration.trace_from_csv(read_text(args.trace))
         base_nodes, qos, params = _collab_setup(cfg)
         nodes = (
             replace(base_nodes[0], arrival_process=scheduling.DeterministicArrivals(tuple(a))),

@@ -15,15 +15,14 @@ Gaussian copula turns it into correlated Bernoulli arrival traces.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 # scipy is imported inside the function that calls it: loading it costs every command ~0.3 s.
 
-from .errors import IngestionError, InvalidParameterError
+from ._documents import read_csv, write_csv
+from .errors import InvalidParameterError
 from .rng import substream
 from .scheduling import DeterministicArrivals, EnergyArrivalProcess, simulate_arrivals
 
@@ -389,42 +388,22 @@ FRAMES_CSV_HEADER = ["frame", "node", "jt", "delivered", "gap"]
 
 
 def trace_to_csv(arrivals_a: np.ndarray, arrivals_b: np.ndarray, events: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_CSV_HEADER)
-    for k in range(len(arrivals_a)):
-        writer.writerow(
-            [k, f"{arrivals_a[k]:.10g}", f"{arrivals_b[k]:.10g}", int(events[k])]
-        )
-    return buf.getvalue()
+    return write_csv(TRACE_CSV_HEADER, (
+        (k, f"{arrivals_a[k]:.10g}", f"{arrivals_b[k]:.10g}", int(events[k]))
+        for k in range(len(arrivals_a))
+    ))
 
 
 def trace_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or [c.strip() for c in rows[0]] != TRACE_CSV_HEADER:
-        raise IngestionError("expected header 'slot,arrival_a_j,arrival_b_j,event'")
-    a, b, ev, bad = [], [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            a.append(float(row[1]))
-            b.append(float(row[2]))
-            ev.append(bool(int(row[3])))
-        except (ValueError, IndexError):
-            bad.append((lineno, ",".join(row)))
-    if bad:
-        raise IngestionError(
-            f"{len(bad)} malformed rows (first at line {bad[0][0]})", bad_rows=bad
-        )
-    return np.asarray(a), np.asarray(b), np.asarray(ev, dtype=bool)
+    rows = read_csv(
+        text, TRACE_CSV_HEADER, lambda row: (float(row[1]), float(row[2]), bool(int(row[3])))
+    )
+    a, b, events = np.asarray(rows, dtype=float).reshape(-1, 3).T.copy()
+    return a, b, events.astype(bool)
 
 
 def frames_to_csv(result: CollabResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FRAMES_CSV_HEADER)
-    for k, fr in enumerate(result.frames):
-        writer.writerow([k, fr.scheduled_node, int(fr.jt_active), int(fr.delivered), fr.gap_after])
-    return buf.getvalue()
+    return write_csv(FRAMES_CSV_HEADER, (
+        (k, fr.scheduled_node, int(fr.jt_active), int(fr.delivered), fr.gap_after)
+        for k, fr in enumerate(result.frames)
+    ))

@@ -10,18 +10,15 @@ an optional guard margin for probe placement.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-import numbers
 from collections.abc import Callable
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 # scipy is imported inside the functions that call it: loading it costs every command ~0.3 s.
 
+from ._documents import dataclass_from_dict, dumps, loads, read_csv, write_csv
 from .errors import (
     FitFailureError,
     InsufficientPointsError,
@@ -504,38 +501,16 @@ CSV_HEADER = ["x_m", "y_m"]
 
 
 def deployment_to_csv(deployment: Deployment) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for x, y in zip(deployment.xs, deployment.ys):
-        writer.writerow([f"{x:.6f}", f"{y:.6f}"])
-    return buf.getvalue()
+    return write_csv(
+        CSV_HEADER, ((f"{x:.6f}", f"{y:.6f}") for x, y in zip(deployment.xs, deployment.ys))
+    )
 
 
 def _points_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse an ``x_m,y_m`` document into coordinate arrays, checking no region."""
-    from .errors import IngestionError
-
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or [c.strip() for c in rows[0]] != CSV_HEADER:
-        raise IngestionError("expected header 'x_m,y_m'")
-    xs, ys, bad = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            x, y = float(row[0]), float(row[1])
-        except (ValueError, IndexError):
-            bad.append((lineno, ",".join(row)))
-            continue
-        xs.append(x)
-        ys.append(y)
-    if bad:
-        raise IngestionError(
-            f"{len(bad)} malformed rows (first at line {bad[0][0]})", bad_rows=bad
-        )
-    return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    points = read_csv(text, CSV_HEADER, lambda row: (float(row[0]), float(row[1])))
+    xs, ys = np.asarray(points, dtype=float).reshape(-1, 2).T.copy()
+    return xs, ys
 
 
 def deployment_from_csv(
@@ -548,100 +523,28 @@ def deployment_from_csv(
     return Deployment(xs, ys, density_per_km2, region, PoissonProcess())
 
 
-def _float(value) -> float:
-    # strings too: YAML 1.1 reads an exponent without a decimal point (1e-9) as a string
-    if value is None or isinstance(value, bool):
-        raise InvalidParameterError(f"expected a number, got {value!r}")
-    return float(value)
+@dataclass(frozen=True)
+class _DeploymentDoc:
+    """The layout of :func:`deployment_to_json`."""
 
-
-def _int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidParameterError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _str(value) -> str:
-    if not isinstance(value, str):
-        raise InvalidParameterError(f"expected a string, got {value!r}")
-    return value
-
-
-def _float_pair(value) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise InvalidParameterError(f"expected a [lo, hi] pair, got {value!r}")
-    return _float(value[0]), _float(value[1])
-
-
-def _process_from_dict(d: dict) -> SpatialProcess:
-    """The process that ``dataclasses.asdict`` serialised as ``d``."""
-    kinds = {"ppp": PoissonProcess, "clustered": ClusteredProcess}
-    kind = d.get("kind") if isinstance(d, dict) else None
-    if kind not in kinds:
-        raise InvalidParameterError(f"unknown spatial process kind {kind!r}")
-    return _dataclass_from_dict(kinds[kind], {k: v for k, v in d.items() if k != "kind"})
-
-
-# How a field is read, by its annotation.
-_FIELD_CASTS = {
-    "float": _float,
-    "int": _int,
-    "str": _str,
-    "float | None": lambda value: None if value is None else _float(value),
-    "tuple[float, float]": _float_pair,
-    "SpatialProcess": _process_from_dict,
-}
-
-
-def _dataclass_from_dict(cls, d: dict):
-    """The dataclass ``cls`` read strictly from ``d``, the form ``dataclasses.asdict`` writes.
-
-    This is the one parser of serialised processes, regions and scenario
-    config sections. An unknown key, a missing field that has no default,
-    or a value that does not read as its field's annotation raises
-    :class:`InvalidParameterError` naming the key.
-    """
-    if not isinstance(d, dict):
-        raise InvalidParameterError(f"expected a mapping, got {d!r}")
-    init_fields = {f.name: f for f in fields(cls) if f.init}
-    unknown = sorted(set(d) - set(init_fields))
-    if unknown:
-        raise InvalidParameterError(f"unknown key(s) {unknown}")
-    missing = [
-        name for name, f in init_fields.items()
-        if name not in d and f.default is MISSING and f.default_factory is MISSING
-    ]
-    if missing:
-        raise InvalidParameterError(f"missing key(s) {missing}")
-    kwargs = {}
-    for name, value in d.items():
-        try:
-            kwargs[name] = _FIELD_CASTS[init_fields[name].type](value)
-        except (TypeError, ValueError) as exc:  # InvalidParameterError is a ValueError
-            raise InvalidParameterError(f"invalid value for {name}: {exc}") from exc
-    return cls(**kwargs)
+    region: Region
+    process: SpatialProcess
+    density_per_km2: float
+    points: tuple[tuple[float, float], ...]
+    seed: int | None = None
 
 
 def deployment_to_json(deployment: Deployment) -> str:
-    doc = {
-        "region": asdict(deployment.region),
-        "process": asdict(deployment.process),
-        "density_per_km2": deployment.density_per_km2,
-        "seed": deployment.seed,
-        "points": [[float(x), float(y)] for x, y in zip(deployment.xs, deployment.ys)],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    points = tuple((float(x), float(y)) for x, y in zip(deployment.xs, deployment.ys))
+    return dumps(asdict(_DeploymentDoc(
+        deployment.region, deployment.process, deployment.density_per_km2, points, deployment.seed
+    )))
 
 
 def deployment_from_json(text: str) -> Deployment:
-    """Parse :func:`deployment_to_json`; a malformed region or process raises."""
-    doc = json.loads(text)
-    pts = np.asarray(doc["points"], dtype=float).reshape(-1, 2)
+    """Parse :func:`deployment_to_json`; a missing, unknown or malformed key raises."""
+    doc = dataclass_from_dict(_DeploymentDoc, loads(text))
+    pts = np.asarray(doc.points, dtype=float).reshape(-1, 2)
     return Deployment(
-        pts[:, 0].copy(),
-        pts[:, 1].copy(),
-        float(doc["density_per_km2"]),
-        _dataclass_from_dict(Region, doc["region"]),
-        _process_from_dict(doc["process"]),
-        doc.get("seed"),
+        pts[:, 0].copy(), pts[:, 1].copy(), doc.density_per_km2, doc.region, doc.process, doc.seed
     )

@@ -30,8 +30,6 @@ operations, bit-identical to one :func:`aggregate_power` call per trial.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import numbers
 from collections.abc import Callable, Sequence
@@ -40,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._documents import write_csv
 from .errors import FitFailureError, InvalidParameterError
 from .geometry import (
     Deployment,
@@ -652,18 +651,14 @@ def nearest_share_study(
 SWEEP_CSV_HEADER = ["lambda_per_km2", "mean_power_w", "mean_density_w_per_hz", "stddev_w"]
 
 
+def _sweep_cells(p: SweepPoint) -> list[str]:
+    """A sweep point's cells under ``SWEEP_CSV_HEADER``."""
+    return [
+        f"{v:.10g}"
+        for v in (p.density_per_km2, p.mean_power_w, p.mean_density_w_per_hz, p.std_power_w)
+    ]
+
+
 def sweep_to_csv(curve: SweepCurve) -> str:
     """Serialise a sweep with the standard four-column schema."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER)
-    for p in curve.points:
-        writer.writerow(
-            [
-                f"{p.density_per_km2:.10g}",
-                f"{p.mean_power_w:.10g}",
-                f"{p.mean_density_w_per_hz:.10g}",
-                f"{p.std_power_w:.10g}",
-            ]
-        )
-    return buf.getvalue()
+    return write_csv(SWEEP_CSV_HEADER, map(_sweep_cells, curve.points))

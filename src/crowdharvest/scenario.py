@@ -21,9 +21,7 @@ milliwatts, far above any published field value).
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 import time
@@ -33,19 +31,15 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError, FitFailureError, InvalidParameterError
-from .geometry import (
-    ClusteredProcess,
-    Deployment,
-    PoissonProcess,
-    Region,
-    _dataclass_from_dict,
-    _points_from_csv,
-)
+from ._documents import dataclass_from_dict, dumps, read_text, write_csv
+from .errors import ConfigError, FitFailureError, IngestionError, InvalidParameterError
+from .geometry import ClusteredProcess, Deployment, PoissonProcess, Region, _points_from_csv
 from .harvest import (
+    SWEEP_CSV_HEADER,
     RatProfile,
     SweepCurve,
     SweepView,
+    _sweep_cells,
     crowd_sweep,
     nearest_share_study,
     scaling_exponent,
@@ -182,6 +176,12 @@ class ScenarioConfig:
                 return rat
         raise ConfigError(f"unknown RAT {name!r}; have {[r.name for r in self.rats]}")
 
+    def channel(self, rat: RatProfile, scenario: str) -> tuple[PathlossModel, ShadowingSpec]:
+        """Pathloss model and shadowing of ``rat`` under the "los" or "nlos" scenario."""
+        scen = {"los": self.los, "nlos": self.nlos}[scenario]
+        model = build_pathloss_model(scen, rat.carrier_frequency_hz)
+        return model, ShadowingSpec(scen.shadowing_sigma_db, scen.shadowing_sigma_db > 0)
+
 
 def default_config(seed: int = 20260808) -> ScenarioConfig:
     side = math.sqrt(60e6)  # 60 km^2 study window
@@ -287,9 +287,18 @@ def _require_keys(d: dict, allowed: set[str], path: str) -> None:
 def _dataclass_from_cfg(cls, d: dict, path: str):
     """One config section, parsed strictly; any error names the section's path."""
     try:
-        return _dataclass_from_dict(cls, d)
+        return dataclass_from_dict(cls, d)
     except (InvalidParameterError, ConfigError) as exc:
         raise ConfigError(f"invalid section {path}: {exc}") from exc
+
+
+# The top-level sections that each hold one dataclass, in document order.
+_SECTIONS = {
+    "swipt": SwiptDefaults,
+    "scheduling": SchedulingDefaults,
+    "collab": CollabDefaults,
+    "case_study": CaseStudyDefaults,
+}
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
@@ -299,16 +308,12 @@ def config_to_dict(config: ScenarioConfig) -> dict:
         "region": sections["region"],
         "rats": list(sections["rats"]),
         "pathloss": {"los": sections["los"], "nlos": sections["nlos"]},
-        **{name: sections[name] for name in ("swipt", "scheduling", "collab", "case_study")},
+        **{name: sections[name] for name in _SECTIONS},
     }
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    _require_keys(
-        doc,
-        {"seed", "region", "rats", "pathloss", "swipt", "scheduling", "collab", "case_study"},
-        "<root>",
-    )
+    _require_keys(doc, {"seed", "region", "rats", "pathloss", *_SECTIONS}, "<root>")
     if "seed" not in doc:
         raise ConfigError("missing required key seed (no implicit entropy)")
     if isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int):
@@ -323,18 +328,16 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         seed=doc["seed"],
         region=_dataclass_from_cfg(Region, doc.get("region", {}), "region"),
         rats=rats,
-        los=_dataclass_from_cfg(PathlossScenarioConfig, pathloss_d.get("los", {}), "pathloss.los"),
-        nlos=_dataclass_from_cfg(
-            PathlossScenarioConfig, pathloss_d.get("nlos", {}), "pathloss.nlos"
-        ),
-        swipt=_dataclass_from_cfg(SwiptDefaults, doc.get("swipt", {}), "swipt"),
-        scheduling=_dataclass_from_cfg(
-            SchedulingDefaults, doc.get("scheduling", {}), "scheduling"
-        ),
-        collab=_dataclass_from_cfg(CollabDefaults, doc.get("collab", {}), "collab"),
-        case_study=_dataclass_from_cfg(
-            CaseStudyDefaults, doc.get("case_study", {}), "case_study"
-        ),
+        **{
+            name: _dataclass_from_cfg(
+                PathlossScenarioConfig, pathloss_d.get(name, {}), f"pathloss.{name}"
+            )
+            for name in ("los", "nlos")
+        },
+        **{
+            name: _dataclass_from_cfg(cls, doc.get(name, {}), name)
+            for name, cls in _SECTIONS.items()
+        },
     )
     _validate_config(config)
     return config
@@ -359,11 +362,9 @@ def _validate_config(config: ScenarioConfig) -> None:
 
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = yaml.safe_load(text)
+        doc = yaml.safe_load(read_text(path))
+    except IngestionError as exc:
+        raise ConfigError(str(exc)) from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     return config_from_dict(doc)
@@ -391,7 +392,7 @@ def ingest_locations_csv(
     report of dropped out-of-region points. Malformed rows raise an
     :class:`IngestionError` listing the offending line numbers.
     """
-    xs, ys = _points_from_csv(Path(path).read_text())
+    xs, ys = _points_from_csv(read_text(path))
     inside = region.contains(xs, ys)
     report = [
         f"dropped point {i} at ({xs[i]:.1f}, {ys[i]:.1f}): outside region"
@@ -463,9 +464,8 @@ def run_case_study(config: ScenarioConfig, workers: int = 1) -> CaseStudyReport:
         )
         grid_views: list[SweepView] = []
         table_views: list[SweepView] = []
-        for scen_name, scen in (("los", config.los), ("nlos", config.nlos)):
-            model = build_pathloss_model(scen, rat.carrier_frequency_hz)
-            shadowing = ShadowingSpec(scen.shadowing_sigma_db, scen.shadowing_sigma_db > 0)
+        for scen_name in ("los", "nlos"):
+            model, shadowing = config.channel(rat, scen_name)
             grid_views += [
                 SweepView(model, cs.trials, shadowing, scenario=scen_name),
                 SweepView(model, cs.scaling_trials, shadowing, k, f"{scen_name}_k{k}"),
@@ -509,13 +509,11 @@ def run_case_study(config: ScenarioConfig, workers: int = 1) -> CaseStudyReport:
                 peak_density_w_per_hz=los_power / rat.bandwidth_hz,
                 nlos_power_w=nlos_power,
                 nlos_density_w_per_hz=nlos_power / rat.bandwidth_hz,
-                winner_extrapolated=winner_extrapolated(
-                    build_pathloss_model(config.nlos, rat.carrier_frequency_hz)
-                ),
+                winner_extrapolated=winner_extrapolated(config.channel(rat, "nlos")[0]),
             )
         )
     share_rat = config.rat(cs.nearest_share_rat)
-    nlos_model = build_pathloss_model(config.nlos, share_rat.carrier_frequency_hz)
+    nlos_model, nlos_shadowing = config.channel(share_rat, "nlos")
     share, mean_fraction = nearest_share_study(
         share_rat,
         share_rat.density_range_per_km2[1],
@@ -523,7 +521,7 @@ def run_case_study(config: ScenarioConfig, workers: int = 1) -> CaseStudyReport:
         cs.nearest_share_draws,
         config.seed,
         region=config.region,
-        shadowing=ShadowingSpec(config.nlos.shadowing_sigma_db, config.nlos.shadowing_sigma_db > 0),
+        shadowing=nlos_shadowing,
         workers=workers,
     )
     return CaseStudyReport(
@@ -553,54 +551,34 @@ TABLE_CSV_HEADER = [
 ]
 
 
+def _table_doc(row: TableRow) -> dict:
+    """A table row under its report.json keys; table1.csv has every column but the last."""
+    doc = asdict(row)
+    for prefix in ("peak", "nlos"):
+        doc[f"{prefix}_power_density_w_per_hz"] = doc.pop(f"{prefix}_density_w_per_hz")
+    return doc
+
+
 def _table_csv(report: CaseStudyReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TABLE_CSV_HEADER)
-    for row in report.table:
-        writer.writerow(
-            [
-                row.rat,
-                f"{row.table_density_per_km2:.10g}",
-                f"{row.peak_power_w:.10g}",
-                f"{row.peak_density_w_per_hz:.10g}",
-                f"{row.nlos_power_w:.10g}",
-                f"{row.nlos_density_w_per_hz:.10g}",
-            ]
-        )
-    return buf.getvalue()
+    return write_csv(TABLE_CSV_HEADER, (
+        [doc["rat"]] + [f"{doc[key]:.10g}" for key in TABLE_CSV_HEADER[1:]]
+        for doc in map(_table_doc, report.table)
+    ))
+
+
+# sweeps.csv: the RAT and scenario, the sweep schema, then the medians the table uses
+SWEEPS_CSV_HEADER = [
+    "rat", "scenario", *SWEEP_CSV_HEADER, "median_power_w", "median_density_w_per_hz"
+]
 
 
 def _sweeps_csv(report: CaseStudyReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "rat",
-            "scenario",
-            "lambda_per_km2",
-            "mean_power_w",
-            "mean_density_w_per_hz",
-            "stddev_w",
-            "median_power_w",
-            "median_density_w_per_hz",
-        ]
-    )
-    for curve in report.curves:
-        for p in curve.points:
-            writer.writerow(
-                [
-                    curve.rat_name,
-                    curve.scenario,
-                    f"{p.density_per_km2:.10g}",
-                    f"{p.mean_power_w:.10g}",
-                    f"{p.mean_density_w_per_hz:.10g}",
-                    f"{p.std_power_w:.10g}",
-                    f"{p.median_power_w:.10g}",
-                    f"{p.median_density_w_per_hz:.10g}",
-                ]
-            )
-    return buf.getvalue()
+    return write_csv(SWEEPS_CSV_HEADER, (
+        [curve.rat_name, curve.scenario, *_sweep_cells(p),
+         f"{p.median_power_w:.10g}", f"{p.median_density_w_per_hz:.10g}"]
+        for curve in report.curves
+        for p in curve.points
+    ))
 
 
 def _report_json(report: CaseStudyReport) -> str:
@@ -611,23 +589,12 @@ def _report_json(report: CaseStudyReport) -> str:
     doc = {
         "config_hash": report.config_hash,
         "seed": report.seed,
-        "table": [
-            {
-                "rat": r.rat,
-                "table_density_per_km2": r.table_density_per_km2,
-                "peak_power_w": r.peak_power_w,
-                "peak_power_density_w_per_hz": r.peak_density_w_per_hz,
-                "nlos_power_w": r.nlos_power_w,
-                "nlos_power_density_w_per_hz": r.nlos_density_w_per_hz,
-                "winner_extrapolated": r.winner_extrapolated,
-            }
-            for r in report.table
-        ],
+        "table": [_table_doc(row) for row in report.table],
         "scaling_exponents": exponents,
         "nearest_node_energy_share": report.nearest_share,
         "nearest_node_mean_fraction": report.nearest_mean_fraction,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dumps(doc)
 
 
 def emit_report(report: CaseStudyReport, out_dir: str | Path) -> list[Path]:

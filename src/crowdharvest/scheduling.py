@@ -25,17 +25,14 @@ lower spent energy, then earlier activity.
 from __future__ import annotations
 
 import bisect
-import csv
-import io
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from ._documents import dataclass_from_dict, dumps, loads, write_csv
 from .errors import (
     DegenerateModelError,
     InfeasibleDemandError,
@@ -95,8 +92,8 @@ class BernoulliArrivals:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise InvalidParameterError("arrival probability must lie in [0, 1]")
-        if self.energy_j <= 0:
-            raise InvalidParameterError("arrival energy must be positive")
+        if not 0 < self.energy_j < math.inf:
+            raise InvalidParameterError("arrival energy must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -107,8 +104,8 @@ class TriStateArrivals:
     kind: str = field(default="tri_state", init=False)
 
     def __post_init__(self) -> None:
-        if self.energy_j <= 0:
-            raise InvalidParameterError("arrival energy must be positive")
+        if not 0 < self.energy_j < math.inf:
+            raise InvalidParameterError("arrival energy must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -123,12 +120,12 @@ class MarkovArrivals:
         n = len(self.states_j)
         if n == 0:
             raise InvalidParameterError("need at least one energy state")
-        if any(s < 0 for s in self.states_j):
-            raise InvalidParameterError("state energies must be non-negative")
+        if not all(0 <= s < math.inf for s in self.states_j):
+            raise InvalidParameterError("state energies must be non-negative and finite")
         if len(self.transitions) != n or any(len(row) != n for row in self.transitions):
             raise InvalidParameterError("transition matrix must be square")
         for row in self.transitions:
-            if any(p < 0 for p in row):
+            if not all(p >= 0 for p in row):  # NaN fails too
                 raise InvalidParameterError("transition probabilities must be non-negative")
             if abs(sum(row) - 1.0) > 1e-9:
                 raise InvalidParameterError("transition matrix rows must sum to 1")
@@ -157,8 +154,8 @@ class DeterministicArrivals:
     kind: str = field(default="deterministic", init=False)
 
     def __post_init__(self) -> None:
-        if any(e < 0 for e in self.trace_j):
-            raise InvalidParameterError("trace entries must be non-negative")
+        if not all(0 <= e < math.inf for e in self.trace_j):
+            raise InvalidParameterError("trace entries must be non-negative and finite")
 
 
 EnergyArrivalProcess = (
@@ -256,42 +253,25 @@ class ScheduleProblem:
         if self.rx_energy_cost_j < 0:
             raise InvalidParameterError("receive cost must be non-negative")
 
+    # An unbounded battery capacity is written as null.
+    _CAPACITIES = ("source_capacity_j", "relay_capacity_j")
+
     def to_json(self) -> str:
-        doc = {
-            "slot_count": self.slot_count,
-            "slot_duration_s": self.slot_duration_s,
-            "source_arrivals_j": list(self.source_arrivals_j),
-            "relay_arrivals_j": list(self.relay_arrivals_j),
-            "source_gains": list(self.source_gains),
-            "relay_gains": list(self.relay_gains),
-            "noise_power_w": self.noise_power_w,
-            "source_capacity_j": self.source_capacity_j if math.isfinite(self.source_capacity_j) else None,
-            "relay_capacity_j": self.relay_capacity_j if math.isfinite(self.relay_capacity_j) else None,
-            "rx_energy_cost_j": self.rx_energy_cost_j,
-            "delay_constrained": self.delay_constrained,
-            "initial_source_j": self.initial_source_j,
-            "initial_relay_j": self.initial_relay_j,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc = asdict(self)
+        for key in self._CAPACITIES:
+            doc[key] = doc[key] if math.isfinite(doc[key]) else None
+        return dumps(doc)
 
     @staticmethod
     def from_json(text: str) -> "ScheduleProblem":
-        doc = json.loads(text)
-        return ScheduleProblem(
-            slot_count=int(doc["slot_count"]),
-            slot_duration_s=float(doc["slot_duration_s"]),
-            source_arrivals_j=tuple(doc["source_arrivals_j"]),
-            relay_arrivals_j=tuple(doc["relay_arrivals_j"]),
-            source_gains=tuple(doc["source_gains"]),
-            relay_gains=tuple(doc["relay_gains"]),
-            noise_power_w=float(doc["noise_power_w"]),
-            source_capacity_j=math.inf if doc["source_capacity_j"] is None else float(doc["source_capacity_j"]),
-            relay_capacity_j=math.inf if doc["relay_capacity_j"] is None else float(doc["relay_capacity_j"]),
-            rx_energy_cost_j=float(doc.get("rx_energy_cost_j", 0.0)),
-            delay_constrained=bool(doc.get("delay_constrained", False)),
-            initial_source_j=float(doc.get("initial_source_j", 0.0)),
-            initial_relay_j=float(doc.get("initial_relay_j", 0.0)),
-        )
+        """Parse :meth:`to_json`; a missing, unknown or mistyped key raises."""
+        doc = loads(text)
+        if isinstance(doc, dict):
+            doc = {
+                k: math.inf if v is None and k in ScheduleProblem._CAPACITIES else v
+                for k, v in doc.items()
+            }
+        return dataclass_from_dict(ScheduleProblem, doc)
 
 
 @dataclass(frozen=True)
@@ -309,21 +289,12 @@ SCHEDULE_CSV_HEADER = ["slot", "P_s", "P_r", "d_s", "d_r", "bits"]
 
 
 def schedule_to_csv(schedule: Schedule) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCHEDULE_CSV_HEADER)
-    for k in range(len(schedule.source_powers_w)):
-        writer.writerow(
-            [
-                k,
-                f"{schedule.source_powers_w[k]:.10g}",
-                f"{schedule.relay_powers_w[k]:.10g}",
-                schedule.source_indicators[k],
-                schedule.relay_indicators[k],
-                f"{schedule.bits_per_slot[k]:.10g}",
-            ]
-        )
-    return buf.getvalue()
+    slots = zip(schedule.source_powers_w, schedule.relay_powers_w, schedule.source_indicators,
+                schedule.relay_indicators, schedule.bits_per_slot)
+    return write_csv(SCHEDULE_CSV_HEADER, (
+        (k, f"{p_s:.10g}", f"{p_r:.10g}", d_s, d_r, f"{bits:.10g}")
+        for k, (p_s, p_r, d_s, d_r, bits) in enumerate(slots)
+    ))
 
 
 def _rate_bits(spend_j: float, gain: float, problem: ScheduleProblem) -> float:
@@ -931,38 +902,25 @@ class Policy:
     def action_at(self, battery_bucket: int, energy_state: int) -> int:
         return int(self.actions[battery_bucket, energy_state])
 
+    # policy.json writes the MDP's arrival chain as its fields with an "arrival_" prefix.
     def to_json(self) -> str:
-        doc = {
-            "mdp": {
-                "arrival_states_j": list(self.mdp.arrivals.states_j),
-                "arrival_transitions": [list(r) for r in self.mdp.arrivals.transitions],
-                "battery_buckets": self.mdp.battery_buckets,
-                "bucket_j": self.mdp.bucket_j,
-                "spend_levels_j": list(self.mdp.spend_levels_j),
-                "snr_per_joule": self.mdp.snr_per_joule,
-                "reward_scale": self.mdp.reward_scale,
-            },
-            "actions": self.actions.tolist(),
-            "gain": self.gain,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        mdp = asdict(self.mdp)
+        chain = mdp.pop("arrivals")
+        mdp.update(arrival_states_j=chain["states_j"], arrival_transitions=chain["transitions"])
+        return dumps({"mdp": mdp, "actions": self.actions.tolist(), "gain": self.gain})
 
     @staticmethod
     def from_json(text: str) -> "Policy":
-        doc = json.loads(text)
-        m = doc["mdp"]
-        mdp = BatteryMdp(
-            arrivals=MarkovArrivals(
-                states_j=tuple(m["arrival_states_j"]),
-                transitions=tuple(tuple(r) for r in m["arrival_transitions"]),
-            ),
-            battery_buckets=int(m["battery_buckets"]),
-            bucket_j=float(m["bucket_j"]),
-            spend_levels_j=tuple(m["spend_levels_j"]),
-            snr_per_joule=float(m["snr_per_joule"]),
-            reward_scale=float(m.get("reward_scale", 1.0)),
-        )
-        return Policy(mdp, np.asarray(doc["actions"], dtype=np.int64), float(doc["gain"]))
+        """Parse :meth:`to_json`; a missing, unknown or mistyped key raises."""
+        doc = loads(text)
+        mdp = doc.get("mdp") if isinstance(doc, dict) else None
+        if isinstance(mdp, dict):  # a stray "arrivals" key lands in the chain and is rejected
+            doc = {**doc, "mdp": {
+                **{k: v for k, v in mdp.items() if not k.startswith("arrival")},
+                "arrivals": {k.removeprefix("arrival_"): v
+                             for k, v in mdp.items() if k.startswith("arrival")},
+            }}
+        return dataclass_from_dict(Policy, doc)
 
 
 @dataclass(frozen=True)
@@ -1241,6 +1199,3 @@ def combined_mode_controller(
         banks.append(bank)
     return ModeControllerResult(tuple(modes), tuple(bits), float(sum(bits)), tuple(banks))
 
-
-def load_problem(path: str | Path) -> ScheduleProblem:
-    return ScheduleProblem.from_json(Path(path).read_text())

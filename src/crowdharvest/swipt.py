@@ -75,7 +75,7 @@ class SwiptConfig:
                 raise InvalidParameterError(f"{name} must lie in [0, 1]")
         for pair in (("alpha1", "alpha2"), ("rho1", "rho2")):
             a, b = (getattr(self, n) for n in pair)
-            if a < 0 or b < 0 or a + b > 1.0 + 1e-12:
+            if not (a >= 0 and b >= 0 and a + b <= 1.0 + 1e-12):  # NaN fails too
                 raise InvalidParameterError(
                     f"{pair[0]} and {pair[1]} must be non-negative with sum at most 1"
                 )

@@ -1,0 +1,30 @@
+import hashlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+GUARDED = ("src", "tests", "configs")
+
+
+def _source_tree() -> dict[str, str]:
+    """SHA-256 of every file under the guarded directories, bytecode caches aside."""
+    return {
+        str(path.relative_to(ROOT)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for top in GUARDED
+        for path in sorted((ROOT / top).rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts
+    }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def source_tree_unchanged():
+    """Fail the run if a test creates, changes or deletes a file in the source tree."""
+    before = _source_tree()
+    yield
+    after = _source_tree()
+    changed = sorted(
+        name for name in before.keys() | after.keys() if before.get(name) != after.get(name)
+    )
+    if changed:
+        pytest.fail(f"tests wrote into the source tree: {changed}")

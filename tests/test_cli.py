@@ -153,6 +153,51 @@ def test_config_error_exit_code(tmp_path, capsys, command, edit):
     assert "config error" in err
 
 
+def test_non_finite_trace_exit_code(tmp_path, capsys):
+    # a NaN arrival would fill node A's battery and deliver from it
+    trace_path = tmp_path / "trace.csv"
+    trace_path.write_text("slot,arrival_a_j,arrival_b_j,event\n0,nan,2,0\n1,0,0,0\n2,0,0,0\n")
+    code, out, err = run(["collab", "--trace", str(trace_path), "--out", str(tmp_path)], capsys)
+    assert code == 4
+    assert "deliveries" not in out
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["deploy", "--from-csv"],
+    ["collab", "--trace"],
+    ["schedule", "solve", "--problem"],
+])
+def test_missing_input_file_exit_code(tmp_path, capsys, command):
+    missing = tmp_path / "no_such_file"
+    code, _, err = run([*command, str(missing), "--out", str(tmp_path)], capsys)
+    assert code == 4
+    assert err.count("\n") == 1 and "cannot read" in err and str(missing) in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"slot_count": 2}',
+    '{"slot_count": 1, "slot_duration_s": 1.0, "source_arrivals_j": [1.0],'
+    ' "relay_arrivals_j": [0.0], "source_gains": [1.0], "relay_gains": [1.0],'
+    ' "noise_power_w": 1.0, "slot_durations": 1.0}',
+    '{"slot_count": 2.7, "slot_duration_s": 1.0, "source_arrivals_j": [1.0, 1.0],'
+    ' "relay_arrivals_j": [0.0, 0.0], "source_gains": [1.0, 1.0], "relay_gains": [1.0, 1.0],'
+    ' "noise_power_w": 1.0}',
+    '{"slot_count": 1, "slot_duration_s": null, "source_arrivals_j": [1.0],'
+    ' "relay_arrivals_j": [0.0], "source_gains": [1.0], "relay_gains": [1.0],'
+    ' "noise_power_w": 1.0}',
+    '{"slot_count": 1,',
+], ids=["missing-keys", "unknown-key", "fractional-slot-count", "null-float", "not-json"])
+def test_bad_problem_document_exit_code(tmp_path, capsys, text):
+    problem = tmp_path / "problem.json"
+    problem.write_text(text)
+    code, out, err = run(["schedule", "solve", "--problem", str(problem), "--out", str(tmp_path)],
+                         capsys)
+    assert code == 4
+    assert "offline optimum" not in out
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_invalid_workers_exit_code(tmp_path, capsys, workers):
     code, _, err = run(["casestudy", "--workers", workers, "--out", str(tmp_path)], capsys)

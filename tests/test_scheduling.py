@@ -111,6 +111,30 @@ class TestArrivals:
             sched.MarkovArrivals((0.0, 1.0), ((0.5, 0.4), (0.5, 0.5)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sched.DeterministicArrivals((math.nan, 1.0)),
+    lambda: sched.DeterministicArrivals((0.0, math.inf)),
+    lambda: sched.BernoulliArrivals(0.5, math.nan),
+    lambda: sched.BernoulliArrivals(0.5, math.inf),
+    lambda: sched.BernoulliArrivals(math.nan, 1.0),
+    lambda: sched.TriStateArrivals(math.inf),
+    lambda: sched.TriStateArrivals(math.nan),
+    lambda: sched.MarkovArrivals((0.0, math.nan), ((0.5, 0.5), (0.5, 0.5))),
+    lambda: sched.MarkovArrivals((0.0, math.inf), ((0.5, 0.5), (0.5, 0.5))),
+    lambda: sched.MarkovArrivals((0.0, 1.0), ((math.nan, 1.0), (0.5, 0.5))),
+    lambda: sched.MarkovArrivals((0.0, 1.0), ((math.nan, math.nan), (0.5, 0.5))),
+    lambda: sched.MarkovArrivals((0.0, 1.0), ((math.inf, 1.0), (0.5, 0.5))),
+], ids=[
+    "trace-nan", "trace-inf", "bernoulli-energy-nan", "bernoulli-energy-inf",
+    "bernoulli-p-nan", "tri-state-inf", "tri-state-nan", "markov-state-nan",
+    "markov-state-inf", "markov-row-nan", "markov-row-all-nan", "markov-row-inf",
+])
+def test_non_finite_arrival_model_rejected(make):
+    # a NaN arrival fills a battery: min(capacity, battery + nan) is the capacity
+    with pytest.raises(InvalidParameterError):
+        make()
+
+
 class TestOfflineOptimal:
     def test_zero_arrivals_zero_objective(self):
         p = sched.ScheduleProblem(

@@ -64,6 +64,10 @@ class TestEndpoints:
             swipt.SwiptConfig(alpha1=0.7, alpha2=0.5)
         with pytest.raises(InvalidParameterError):
             swipt.SwiptConfig(rho1=-0.1)
+        # NaN fails every ordered comparison, so a check like a < 0 lets it through
+        for name in ("alpha1", "alpha2", "rho1", "rho2"):
+            with pytest.raises(InvalidParameterError):
+                swipt.SwiptConfig(**{name: math.nan})
 
 
 class TestSnrComposition:
