@@ -241,17 +241,21 @@ class ScheduleProblem:
         k = self.slot_count
         if k < 1:
             raise InvalidParameterError("need at least one slot")
+        # every check is written so that NaN fails it
         for name in ("source_arrivals_j", "relay_arrivals_j", "source_gains", "relay_gains"):
-            if len(getattr(self, name)) != k:
+            values = getattr(self, name)
+            if len(values) != k:
                 raise InvalidParameterError(f"{name} must have length {k}")
-        if self.slot_duration_s <= 0:
-            raise InvalidParameterError("slot duration must be positive")
-        if self.noise_power_w <= 0:
-            raise InvalidParameterError("noise power must be positive")
-        if self.source_capacity_j <= 0 or self.relay_capacity_j <= 0:
+            if not all(0 <= v < math.inf for v in values):
+                raise InvalidParameterError(f"{name} must be non-negative and finite")
+        for name in ("slot_duration_s", "noise_power_w"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidParameterError(f"{name} must be positive and finite")
+        if not (self.source_capacity_j > 0 and self.relay_capacity_j > 0):
             raise InvalidParameterError("battery capacities must be positive (or inf)")
-        if self.rx_energy_cost_j < 0:
-            raise InvalidParameterError("receive cost must be non-negative")
+        for name in ("rx_energy_cost_j", "initial_source_j", "initial_relay_j"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidParameterError(f"{name} must be non-negative and finite")
 
     # An unbounded battery capacity is written as null.
     _CAPACITIES = ("source_capacity_j", "relay_capacity_j")
@@ -461,10 +465,31 @@ class _Layer(NamedTuple):
         return _Layer(*(column[rows] for column in self))
 
 
+def _path_keys(layer: _Layer, *primary: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ``primary`` keys, then the path-order keys, most significant first."""
+    return primary + (-np.round(layer.bits, 12), np.round(layer.energy, 12),
+                      layer.activity, layer.actions)
+
+
 def _path_order(layer: _Layer, *primary: np.ndarray) -> np.ndarray:
     """Row order by the ``primary`` keys (most significant first), then by path order."""
-    keys = (layer.actions, layer.activity, np.round(layer.energy, 12), -np.round(layer.bits, 12))
-    return np.lexsort(keys + primary[::-1])
+    return np.lexsort(_path_keys(layer, *primary)[::-1])
+
+
+def _first_lexmin(*keys: np.ndarray) -> int:
+    """The row ``np.lexsort(keys[::-1])[0]`` names, without a sort.
+
+    Keeps the rows that hold each key's minimum in turn, most significant
+    key first, and returns the first row left: O(rows) per key. The keys
+    must hold no NaN.
+    """
+    rows = np.flatnonzero(keys[0] == keys[0].min())
+    for key in keys[1:]:
+        if rows.size == 1:
+            break
+        values = key[rows]
+        rows = rows[values == values.min()]
+    return int(rows[0])
 
 
 def _changed(column: np.ndarray) -> np.ndarray:
@@ -607,43 +632,50 @@ def offline_optimal(
     """
     _check_levels(power_levels)
     layers = _run_dp(problem, power_levels, state_bound, pareto=False)
-    best = int(_path_order(layers[-1])[0])
+    best = _first_lexmin(*_path_keys(layers[-1]))
     return _replay(problem, _action_ids(layers, best), power_levels)
 
 
 def brute_force_oracle(
     problem: ScheduleProblem, power_levels: int = 8, max_schedules: int = 10_000_000
 ) -> Schedule:
-    """Exhaustive enumeration of every quantised schedule (vectorised).
+    """Exhaustive enumeration of every quantised schedule, by prefix expansion.
 
-    Independent of the DP path: simulates all action sequences with
-    array arithmetic and picks the best objective under the documented
-    tie-breaking.
+    Independent of the DP path: it derives the slot transition and the
+    schedule on its own and calls none of the DP's code. After slot ``k``
+    the arrays hold one row per action prefix of ``k + 1`` slots, in
+    ``itertools.product`` order: slot ``k`` extends every prefix by each of
+    the n = 2L + 1 action ids, so row ``prefix * n + action``, and each
+    prefix's transition is computed once. The best final row has the most
+    delivered bits, then the least spent energy (both rounded to 12
+    decimals), then an active slot before an idle one, slot by slot, then
+    the lowest row, which orders the action ids: the DP's tie-breaking.
+    The schedule is read from each slot's arrays at the best row's prefix,
+    row ``best // n^(K-1-k)`` after slot ``k``.
     """
     _check_levels(power_levels)
+    k_slots = problem.slot_count
     n_actions = 2 * power_levels + 1
-    n_seq = n_actions ** problem.slot_count
+    n_seq = n_actions ** k_slots
     if n_seq > max_schedules:
         raise ProblemTooLargeError(f"{n_seq} schedules exceed the oracle bound {max_schedules}")
-    # every action sequence, in itertools.product order
-    actions = np.indices((n_actions,) * problem.slot_count).reshape(problem.slot_count, -1).T
-    n = actions.shape[0]
-    b_s = np.full(n, float(problem.initial_source_j))
-    b_r = np.full(n, float(problem.initial_relay_j))
-    buf = np.zeros(n)
-    bits = np.zeros(n)
-    energy = np.zeros(n)
-    activity = np.zeros((n, problem.slot_count), dtype=np.int8)
+    act = np.arange(n_actions)
+    src = (act >= 1) & (act <= power_levels)
+    rel = act > power_levels
+    frac = np.where(
+        src, act / power_levels, np.where(rel, (act - power_levels) / power_levels, 0.0)
+    )
+    b_s = np.full(1, float(problem.initial_source_j))
+    b_r = np.full(1, float(problem.initial_relay_j))
+    buf = np.zeros(1)
+    bits = np.zeros(1)
+    energy = np.zeros(1)
+    slots = []  # per slot and prefix: source spend, relay spend, delivered bits
     dt = problem.slot_duration_s
-    for k in range(problem.slot_count):
-        b_s = np.minimum(problem.source_capacity_j, b_s + problem.source_arrivals_j[k])
-        b_r = np.minimum(problem.relay_capacity_j, b_r + problem.relay_arrivals_j[k])
-        act = actions[:, k]
-        src = (act >= 1) & (act <= power_levels)
-        rel = act > power_levels
-        frac = np.where(
-            src, act / power_levels, np.where(rel, (act - power_levels) / power_levels, 0.0)
-        )
+    for k in range(k_slots):
+        # one row per prefix, one column per action id
+        b_s = np.minimum(problem.source_capacity_j, b_s + problem.source_arrivals_j[k])[:, None]
+        b_r = np.minimum(problem.relay_capacity_j, b_r + problem.relay_arrivals_j[k])[:, None]
         spend_s = np.where(src, frac * b_s, 0.0)
         rx_ok = src & (spend_s > 0) & (b_r >= problem.rx_energy_cost_j)
         received = np.where(
@@ -657,21 +689,32 @@ def brute_force_oracle(
             np.log2(1.0 + (spend_r / dt) * problem.relay_gains[k] / problem.noise_power_w),
             0.0,
         )
-        delivered = np.minimum(buf, capacity_bits)
-        bits += delivered
-        b_s -= spend_s
-        b_r -= spend_r
-        b_r -= np.where(rx_ok, problem.rx_energy_cost_j, 0.0)
-        energy += spend_s + spend_r + np.where(rx_ok, problem.rx_energy_cost_j, 0.0)
+        delivered = np.minimum(buf[:, None], capacity_bits)
+        rx = np.where(rx_ok, problem.rx_energy_cost_j, 0.0)
+        bits = (bits[:, None] + delivered).ravel()
+        energy = (energy[:, None] + ((spend_s + spend_r) + rx)).ravel()
+        b_s = (b_s - spend_s).ravel()
+        b_r = ((b_r - spend_r) - rx).ravel()
         if problem.delay_constrained:
-            buf = received
+            buf = received.ravel()
         else:
-            buf = buf - delivered + received
-        activity[:, k] = np.where((spend_s > 0) | (spend_r > 0), 0, 1)
-    keys = tuple(activity[:, k] for k in reversed(range(problem.slot_count)))
-    order = np.lexsort(keys + (np.round(energy, 12), -np.round(bits, 12)))
-    best = int(order[0])
-    return _replay(problem, [int(a) for a in actions[best]], power_levels)
+            buf = ((buf[:, None] - delivered) + received).ravel()
+        slots.append((spend_s.ravel(), spend_r.ravel(), delivered.ravel()))
+    # a slot-k prefix is shared by n^(K-1-k) consecutive final rows
+    shared = [n_actions ** (k_slots - 1 - k) for k in range(k_slots)]
+    idle = [np.repeat(~((spend_s > 0) | (spend_r > 0)), n)
+            for (spend_s, spend_r, _), n in zip(slots, shared)]
+    best = _first_lexmin(-np.round(bits, 12), np.round(energy, 12), *idle)
+    p_s, p_r, d_s, d_r, per_slot = [], [], [], [], []
+    for (spend_s, spend_r, delivered), n in zip(slots, shared):
+        row = best // n
+        s_s, s_r = float(spend_s[row]), float(spend_r[row])
+        p_s.append(s_s / dt if s_s > 0 else 0.0)
+        p_r.append(s_r / dt if s_r > 0 else 0.0)
+        d_s.append(int(s_s > 0))
+        d_r.append(int(s_r > 0))
+        per_slot.append(float(delivered[row]))
+    return Schedule(tuple(p_s), tuple(p_r), tuple(d_s), tuple(d_r), tuple(per_slot), sum(per_slot))
 
 
 def min_relay_time(
@@ -691,14 +734,13 @@ def min_relay_time(
     layers = _run_dp(problem, power_levels, state_bound, pareto=True)
     last = layers[-1]
     max_bits = float(last.bits.max())
-    feasible = np.flatnonzero(last.bits >= demand_bits - 1e-9)
-    if feasible.size == 0:
+    feasible = last.bits >= demand_bits - 1e-9
+    if not feasible.any():
         raise InfeasibleDemandError(
             f"demand {demand_bits} bits infeasible; at most {max_bits} achievable",
             max_achievable_bits=max_bits,
         )
-    candidates = last.take(feasible)
-    best = int(feasible[_path_order(candidates, candidates.relay_slots)[0]])
+    best = _first_lexmin(*_path_keys(last, ~feasible, last.relay_slots))
     return _replay(problem, _action_ids(layers, best), power_levels, objective_kind="relay_slots")
 
 

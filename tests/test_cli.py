@@ -187,7 +187,11 @@ def test_missing_input_file_exit_code(tmp_path, capsys, command):
     ' "relay_arrivals_j": [0.0], "source_gains": [1.0], "relay_gains": [1.0],'
     ' "noise_power_w": 1.0}',
     '{"slot_count": 1,',
-], ids=["missing-keys", "unknown-key", "fractional-slot-count", "null-float", "not-json"])
+    '{"slot_count": 2, "slot_duration_s": 1.0, "source_arrivals_j": [NaN, 1.0],'
+    ' "relay_arrivals_j": [1.0, 1.0], "source_gains": [1e-3, 1e-3], "relay_gains": [1e-3, 1e-3],'
+    ' "noise_power_w": 1e-9}',
+], ids=["missing-keys", "unknown-key", "fractional-slot-count", "null-float", "not-json",
+        "nan-arrival"])
 def test_bad_problem_document_exit_code(tmp_path, capsys, text):
     problem = tmp_path / "problem.json"
     problem.write_text(text)

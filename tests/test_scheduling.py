@@ -21,8 +21,8 @@ from crowdharvest.rng import substream
 from crowdharvest.swipt import LinkState
 
 
-def random_problem(seed, max_slots=4):
-    rng = substream(seed, "problem")
+def random_problem(seed, max_slots=4, key="problem"):
+    rng = substream(seed, key)
     k = int(rng.integers(2, max_slots + 1))
     return sched.ScheduleProblem(
         slot_count=k,
@@ -133,6 +133,37 @@ def test_non_finite_arrival_model_rejected(make):
     # a NaN arrival fills a battery: min(capacity, battery + nan) is the capacity
     with pytest.raises(InvalidParameterError):
         make()
+
+
+VALID_PROBLEM = dict(
+    slot_count=2, slot_duration_s=1.0, source_arrivals_j=(1.0, 0.5), relay_arrivals_j=(0.5, 1.0),
+    source_gains=(1e-3, 1e-3), relay_gains=(1e-3, 1e-3), noise_power_w=1e-9,
+)
+NAN, INF = math.nan, math.inf
+
+
+# values each field must reject; an infinite capacity stays allowed
+BAD_PROBLEM_FIELDS = {
+    "source_arrivals_j": [(NAN, 1.0), (INF, 1.0), (-1.0, 1.0)],
+    "relay_arrivals_j": [(1.0, NAN), (1.0, INF), (1.0, -0.5)],
+    "source_gains": [(NAN, 1e-3), (INF, 1e-3), (-1e-3, 1e-3)],
+    "relay_gains": [(1e-3, NAN), (1e-3, INF), (1e-3, -1e-3)],
+    "slot_duration_s": [NAN, INF, 0.0],
+    "noise_power_w": [NAN, INF, -1e-9],
+    "source_capacity_j": [NAN, 0.0],
+    "relay_capacity_j": [NAN, -1.0],
+    "rx_energy_cost_j": [NAN, INF, -0.1],
+    "initial_source_j": [NAN, INF, -1.0],
+    "initial_relay_j": [NAN, INF, -1.0],
+}
+
+
+@pytest.mark.parametrize("field", BAD_PROBLEM_FIELDS)
+def test_problem_rejects_nan_infinite_or_negative_fields(field):
+    sched.ScheduleProblem(**VALID_PROBLEM)  # the base problem is valid
+    for value in BAD_PROBLEM_FIELDS[field]:
+        with pytest.raises(InvalidParameterError):
+            sched.ScheduleProblem(**{**VALID_PROBLEM, field: value})
 
 
 class TestOfflineOptimal:
@@ -403,6 +434,124 @@ def test_dp_matches_exhaustive_oracles(problem, levels, demand_share):
     assert quickest.objective_value == min_time_oracle(problem, demand, levels)[0]
     assert sum(quickest.bits_per_slot) >= demand - 1e-9
     sched.validate_schedule(problem, quickest)
+
+
+def reference_oracle(problem, power_levels):
+    """The enumeration ``brute_force_oracle`` replaced: a table of every action
+    sequence, every slot recomputed for every sequence, and a full lexsort."""
+    n_actions = 2 * power_levels + 1
+    actions = np.indices((n_actions,) * problem.slot_count).reshape(problem.slot_count, -1).T
+    n = actions.shape[0]
+    b_s = np.full(n, float(problem.initial_source_j))
+    b_r = np.full(n, float(problem.initial_relay_j))
+    buf = np.zeros(n)
+    bits = np.zeros(n)
+    energy = np.zeros(n)
+    activity = np.zeros((n, problem.slot_count), dtype=np.int8)
+    dt = problem.slot_duration_s
+    for k in range(problem.slot_count):
+        b_s = np.minimum(problem.source_capacity_j, b_s + problem.source_arrivals_j[k])
+        b_r = np.minimum(problem.relay_capacity_j, b_r + problem.relay_arrivals_j[k])
+        act = actions[:, k]
+        src = (act >= 1) & (act <= power_levels)
+        rel = act > power_levels
+        frac = np.where(
+            src, act / power_levels, np.where(rel, (act - power_levels) / power_levels, 0.0)
+        )
+        spend_s = np.where(src, frac * b_s, 0.0)
+        rx_ok = src & (spend_s > 0) & (b_r >= problem.rx_energy_cost_j)
+        received = np.where(
+            rx_ok,
+            np.log2(1.0 + (spend_s / dt) * problem.source_gains[k] / problem.noise_power_w),
+            0.0,
+        )
+        spend_r = np.where(rel, frac * b_r, 0.0)
+        capacity_bits = np.where(
+            spend_r > 0,
+            np.log2(1.0 + (spend_r / dt) * problem.relay_gains[k] / problem.noise_power_w),
+            0.0,
+        )
+        delivered = np.minimum(buf, capacity_bits)
+        bits += delivered
+        b_s -= spend_s
+        b_r -= spend_r
+        b_r -= np.where(rx_ok, problem.rx_energy_cost_j, 0.0)
+        energy += spend_s + spend_r + np.where(rx_ok, problem.rx_energy_cost_j, 0.0)
+        if problem.delay_constrained:
+            buf = received
+        else:
+            buf = buf - delivered + received
+        activity[:, k] = np.where((spend_s > 0) | (spend_r > 0), 0, 1)
+    keys = tuple(activity[:, k] for k in reversed(range(problem.slot_count)))
+    order = np.lexsort(keys + (np.round(energy, 12), -np.round(bits, 12)))
+    best = int(order[0])
+    return sched._replay(problem, [int(a) for a in actions[best]], power_levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule_problems(), st.integers(2, 4))
+def test_oracle_equals_reference_enumeration(problem, levels):
+    assert sched.brute_force_oracle(problem, levels) == reference_oracle(problem, levels)
+
+
+def test_oracle_equals_reference_enumeration_on_criterion_09_instances():
+    for seed in range(20):
+        problem = random_problem(seed, key="accept-problem")
+        assert sched.brute_force_oracle(problem, 8) == reference_oracle(problem, 8)
+
+
+@st.composite
+def tied_keys(draw):
+    """1-6 keys of one length, small ints or rounded floats, so most rows tie."""
+    rows = draw(st.integers(1, 30))
+    keys = []
+    for _ in range(draw(st.integers(1, 6))):
+        values = draw(st.sampled_from([
+            st.integers(0, 2),
+            st.floats(-1.0, 1.0).map(lambda x: round(x, 1)),
+        ]))
+        keys.append(np.array(draw(st.lists(values, min_size=rows, max_size=rows))))
+    return keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_keys())
+def test_first_lexmin_is_first_row_of_lexsort(keys):
+    assert sched._first_lexmin(*keys) == np.lexsort(keys[::-1])[0]
+
+
+def test_first_lexmin_single_row_and_all_tied():
+    assert sched._first_lexmin(np.array([2.5]), np.array([-1])) == 0
+    assert sched._first_lexmin(np.zeros(7), np.ones(7, dtype=np.int8), np.full(7, -0.0)) == 0
+
+
+# (power levels, source and relay capacity, receive cost, delay constraint)
+FIVE_SLOT_CASES = [
+    (4, (math.inf, math.inf), 0.0, False),
+    (5, (2.0, 1.0), 0.1, False),
+    (4, (1.0, math.inf), 0.5, True),
+    (6, (2.0, 2.0), 0.0, True),
+    (6, (math.inf, 2.0), 0.1, False),
+    (5, (math.inf, math.inf), 0.1, True),
+]
+
+
+@pytest.mark.parametrize("index", range(len(FIVE_SLOT_CASES)))
+def test_dp_matches_oracle_at_five_slots(index):
+    levels, (source_capacity, relay_capacity), rx_cost, delay = FIVE_SLOT_CASES[index]
+    rng = substream(index, "five-slot")
+    p = sched.ScheduleProblem(
+        5, 1.0, tuple(rng.uniform(0.0, 2.0, 5)), tuple(rng.uniform(0.0, 2.0, 5)),
+        tuple(rng.uniform(0.2e-3, 2e-3, 5)), tuple(rng.uniform(0.2e-3, 2e-3, 5)), 1e-9,
+        source_capacity_j=source_capacity, relay_capacity_j=relay_capacity,
+        rx_energy_cost_j=rx_cost, delay_constrained=delay,
+    )
+    optimal = sched.offline_optimal(p, levels)
+    oracle = sched.brute_force_oracle(p, levels)
+    assert oracle.objective_value > 0
+    assert optimal.objective_value == pytest.approx(oracle.objective_value, rel=1e-9)
+    sched.validate_schedule(p, optimal)
+    sched.validate_schedule(p, oracle)
 
 
 class TestWaterFilling:
