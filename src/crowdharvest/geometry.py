@@ -324,15 +324,29 @@ def nth_nearest_distance_cdf(
 
 
 def distances_to_probe(
-    region: Region, probe: tuple[float, float], xs: np.ndarray, ys: np.ndarray
+    region: Region,
+    probe: tuple[float, float],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Distances from a probe point to all positions, honouring the boundary."""
-    dx = np.abs(xs - probe[0])
-    dy = np.abs(ys - probe[1])
+    """Distances from a probe point to all positions, honouring the boundary.
+
+    With ``out`` nothing is allocated: the distances are written into
+    ``out``, which must not share memory with ``xs`` or ``ys``, and ``xs``
+    and ``ys`` are overwritten with the per-axis offsets. The values are
+    the same either way.
+    """
+    if out is not None and (np.may_share_memory(out, xs) or np.may_share_memory(out, ys)):
+        raise InvalidParameterError("out must not share memory with the coordinates")
+    sx, sy = (None, None) if out is None else (xs, ys)
+    dx = np.abs(np.subtract(xs, probe[0], out=sx), out=sx)
+    dy = np.abs(np.subtract(ys, probe[1], out=sy), out=sy)
     if region.boundary == "toroidal":
-        dx = np.minimum(dx, region.width_m - dx)
-        dy = np.minimum(dy, region.height_m - dy)
-    return np.hypot(dx, dy)
+        dx = np.minimum(dx, np.subtract(region.width_m, dx, out=out), out=sx)
+        dy = np.minimum(dy, np.subtract(region.height_m, dy, out=out), out=sy)
+    return np.hypot(dx, dy, out=out)
 
 
 def nearest_distances(

@@ -258,7 +258,14 @@ def aggregate_power(
     ``k_nearest`` is given only that many nearest transmitters
     contribute. Deterministic for a fixed seed: shadowing is drawn from
     the ``(seed, "shadowing")`` substream, spawned only when it is on.
+    ``k_nearest`` must be at least 1 and every utilisation must lie in
+    [0, 1]; both are checked before any distance is computed.
     """
+    if k_nearest is not None and k_nearest < 1:
+        raise InvalidParameterError("k_nearest must be at least 1")
+    load = np.asarray(utilization, dtype=float)
+    if not np.all((load >= 0.0) & (load <= 1.0)):
+        raise InvalidParameterError("utilization must lie in [0, 1]")
     if deployment.count == 0:
         return HarvestReport(0.0, 0.0, np.zeros(0), 0.0)
     d = distances_to_probe(deployment.region, probe, deployment.xs, deployment.ys)
@@ -269,7 +276,7 @@ def aggregate_power(
         shadow_db = draw_shadowing_db(shadowing, d.size, substream(seed, "shadowing"))
     floor_m = max(model.reference_distance_m, rat.min_link_distance_m)
     per_tx = received_power(rat.transmit_power_w, model, np.maximum(d, floor_m), shadow_db)
-    per_tx = per_tx * np.broadcast_to(np.asarray(utilization, dtype=float), per_tx.shape)
+    per_tx = per_tx * np.broadcast_to(load, per_tx.shape)
     if sensitivity_floor_w is not None:
         per_tx = np.where(per_tx >= sensitivity_floor_w, per_tx, 0.0)
     total = float(per_tx.sum())
@@ -344,6 +351,24 @@ _TRIAL_BLOCK = 128  # trials whose substream states are derived together
 _CHUNK_POINTS = 2**11  # points whose distances and powers are computed together
 
 
+class _LinkWorkspace:
+    """One worker's two float64 rows, link distances and link power.
+
+    The rows are reused for every chunk and grow to the largest chunk seen;
+    the old buffer is freed before the larger one is allocated.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = np.empty((2, 0))
+
+    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``n`` columns of the distance row and of the power row."""
+        if self._buffer.shape[1] < n:
+            del self._buffer
+            self._buffer = np.empty((2, n))
+        return self._buffer[0, :n], self._buffer[1, :n]
+
+
 def _trial_powers(
     rat: RatProfile,
     region: Region,
@@ -378,6 +403,15 @@ def _trial_powers(
     ``k_nearest`` view reads the stream's first draws. Workers take every
     ``workers``-th block; results do not depend on ``workers``, which must
     be an integer of at least 1.
+
+    The link arithmetic allocates no array of the chunk's size. Each worker
+    owns one :class:`_LinkWorkspace` of two rows, sized to the largest chunk
+    it has seen: a chunk's distances go into the first row, with the chunk's
+    coordinates as scratch, and each view's links, partitioned in place for
+    ``k_nearest``, floored and turned into link power with
+    :func:`received_power`'s ``out``, into the second. Every element sees
+    the operations of the allocating calls in their order, so the values
+    are the same bits.
     """
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise InvalidParameterError(f"workers must be an integer of at least 1, got {workers!r}")
@@ -387,7 +421,7 @@ def _trial_powers(
     totals = np.zeros((trials, len(views)))
     maxima = np.zeros((trials, len(views))) if strongest else None
 
-    def run_chunk(gen, chunk, probes, shadow_states) -> None:
+    def run_chunk(gen, workspace, chunk, probes, shadow_states) -> None:
         """Compute the (row, t, xs, ys) deployments of ``chunk`` and empty it."""
         rows = [r for r, _, _, _ in chunk]
         ts = [t for _, t, _, _ in chunk]
@@ -401,7 +435,8 @@ def _trial_powers(
             probe = probes[rows[0]]
         else:
             probe = tuple(np.repeat([probes[r][i] for r in rows], counts) for i in (0, 1))
-        d = distances_to_probe(region, probe, xs, ys)
+        d, power_row = workspace.rows(xs.size)
+        distances_to_probe(region, probe, xs, ys, out=d)  # xs and ys become scratch
         del xs, ys, probe
         bounds = np.cumsum([0, *counts]).tolist()
         spans = list(zip(bounds[:-1], bounds[1:]))
@@ -427,27 +462,25 @@ def _trial_powers(
             used = [i for i, m in enumerate(links[v]) if m]
             if not used:
                 continue
-            if view.k_nearest is not None:
-                k = view.k_nearest
-                # the k nearest links of every trial
-                d_view = np.concatenate(
-                    [
-                        d[a:b] if b - a <= k else np.partition(d[a:b], k - 1)[:k]
-                        for a, b in (spans[i] for i in used)
-                    ]
-                )
-            elif len(used) == len(rows):
-                d_view = d
-            else:
-                d_view = _joined([d[slice(*spans[i])] for i in used])
+            view_d = d
+            if view.k_nearest is not None or len(used) < len(rows):
+                # every used trial's links, its k nearest partitioned in place
+                a = 0
+                for i in used:
+                    lo, hi = spans[i]
+                    power_row[a : a + hi - lo] = d[lo:hi]
+                    if links[v][i] < hi - lo:
+                        power_row[a : a + hi - lo].partition(links[v][i] - 1)
+                    a += links[v][i]
+                view_d = power_row[:a]
+            power = power_row[: view_d.size]
+            floor_m = max(view.model.reference_distance_m, rat.min_link_distance_m)
+            np.maximum(view_d, floor_m, out=power)
             shadow_db = None
             if specs[v]:
                 shadow_db = _joined([draws[specs[v]][i][: links[v][i]] for i in used])
-            floor_m = max(view.model.reference_distance_m, rat.min_link_distance_m)
-            power = received_power(
-                rat.transmit_power_w, view.model, np.maximum(d_view, floor_m), shadow_db
-            )
-            del d_view, shadow_db
+            received_power(rat.transmit_power_w, view.model, power, shadow_db, out=power)
+            del shadow_db
             a = 0
             for i in used:
                 b = a + links[v][i]
@@ -455,9 +488,8 @@ def _trial_powers(
                 if strongest:
                     maxima[rows[i], v] = power[a:b].max()
                 a = b
-            del power
 
-    def run_block(gen, block: range) -> None:
+    def run_block(gen, workspace, block: range) -> None:
         keys = [trial_key(r) for r in block]
         probes, deployment_keys, shadow_rows, shadow_keys = {}, [], [], []
         for r, (j, t, _), state in zip(
@@ -480,16 +512,16 @@ def _trial_powers(
             if not xs.size:
                 continue
             if chunk and points + xs.size > _CHUNK_POINTS:
-                run_chunk(gen, chunk, probes, shadow_states)
+                run_chunk(gen, workspace, chunk, probes, shadow_states)
                 points = 0
             chunk.append((r, t, xs, ys))
             points += xs.size
             del xs, ys
             if points >= _CHUNK_POINTS:
-                run_chunk(gen, chunk, probes, shadow_states)
+                run_chunk(gen, workspace, chunk, probes, shadow_states)
                 points = 0
         if chunk:
-            run_chunk(gen, chunk, probes, shadow_states)
+            run_chunk(gen, workspace, chunk, probes, shadow_states)
 
     blocks = [
         range(start, min(start + _TRIAL_BLOCK, trials))
@@ -498,8 +530,9 @@ def _trial_powers(
 
     def run_worker(w: int) -> None:
         gen = np.random.default_rng(0)  # re-pointed to each substream's state
+        workspace = _LinkWorkspace()
         for block in blocks[w::workers]:
-            run_block(gen, block)
+            run_block(gen, workspace, block)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

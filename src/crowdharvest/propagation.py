@@ -163,25 +163,48 @@ def winner_extrapolated(model: PathlossModel) -> bool:
     return not (lo <= model.carrier_frequency_hz <= hi)
 
 
-def pathloss_db(model: PathlossModel, d_m: float | np.ndarray) -> float | np.ndarray:
-    """Loss in dB at distance ``d_m``; continuous and non-decreasing in d."""
+def pathloss_db(
+    model: PathlossModel, d_m: float | np.ndarray, *, out: np.ndarray | None = None
+) -> float | np.ndarray:
+    """Loss in dB at distance ``d_m``; continuous and non-decreasing in d.
+
+    With ``out`` the loss is written into ``out`` and nothing of the size of
+    ``d_m`` is allocated; ``out`` may be ``d_m`` itself.
+    """
     d = np.asarray(d_m, dtype=float)
     if np.any(d < model.reference_distance_m):
         raise DistanceOutOfRangeError(
             f"distance below reference distance {model.reference_distance_m} m"
         )
-    near = model.reference_loss_db + 10.0 * model.exponent * np.log10(
-        d / model.reference_distance_m
-    )
-    if not model.is_dual_slope:
-        return float(near) if near.ndim == 0 else near
-    bp = model.breakpoint_m
-    loss_at_bp = model.reference_loss_db + 10.0 * model.exponent * math.log10(
-        bp / model.reference_distance_m
-    )
-    far = loss_at_bp + 10.0 * model.nlos_exponent * np.log10(np.maximum(d, bp) / bp)
-    out = np.where(d <= bp, near, far)
+    if out is None:
+        out = np.empty_like(d)
+    # each element sees only its own branch, so out may alias d
+    near = d <= model.breakpoint_m if model.is_dual_slope else True
+    _log_slope(d, model.reference_distance_m, model.reference_loss_db, model.exponent, out, near)
+    if model.is_dual_slope:
+        bp = model.breakpoint_m
+        loss_at_bp = model.reference_loss_db + 10.0 * model.exponent * math.log10(
+            bp / model.reference_distance_m
+        )
+        far = ~near
+        np.maximum(d, bp, out=out, where=far)
+        _log_slope(out, bp, loss_at_bp, model.nlos_exponent, out, far)
     return float(out) if out.ndim == 0 else out
+
+
+def _log_slope(
+    d: np.ndarray,
+    ref_m: float,
+    ref_loss_db: float,
+    exponent: float,
+    out: np.ndarray,
+    where: bool | np.ndarray,
+) -> None:
+    """``out = ref_loss_db + 10 exponent log10(d / ref_m)`` where ``where`` holds."""
+    np.divide(d, ref_m, out=out, where=where)
+    np.log10(out, out=out, where=where)
+    np.multiply(10.0 * exponent, out, out=out, where=where)
+    np.add(ref_loss_db, out, out=out, where=where)
 
 
 def received_power(
@@ -189,18 +212,23 @@ def received_power(
     model: PathlossModel,
     d_m: float | np.ndarray,
     shadowing_db: float | np.ndarray | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Received power (W) over links of length ``d_m``: P_tx * 10^(-(loss + shadowing)/10).
 
     ``shadowing_db`` adds one draw per link. This is the one definition of
     link power; the crowd-harvest kernel calls it on floored distances.
+    With ``out`` the power is written into ``out`` and nothing of the size
+    of ``d_m`` is allocated; ``out`` may be ``d_m`` itself.
     """
     if p_tx_w < 0:
         raise InvalidParameterError("transmit power must be non-negative")
-    loss_db = pathloss_db(model, d_m)
+    loss_db = pathloss_db(model, d_m, out=out)
     if shadowing_db is not None:
-        loss_db = loss_db + shadowing_db
-    return p_tx_w * np.power(10.0, -loss_db / 10.0)
+        loss_db = np.add(loss_db, shadowing_db, out=out)
+    exponent = np.divide(np.negative(loss_db, out=out), 10.0, out=out)
+    return np.multiply(p_tx_w, np.power(10.0, exponent, out=out), out=out)
 
 
 def draw_shadowing_db(

@@ -678,11 +678,6 @@ def brute_force_oracle(
         b_r = np.minimum(problem.relay_capacity_j, b_r + problem.relay_arrivals_j[k])[:, None]
         spend_s = np.where(src, frac * b_s, 0.0)
         rx_ok = src & (spend_s > 0) & (b_r >= problem.rx_energy_cost_j)
-        received = np.where(
-            rx_ok,
-            np.log2(1.0 + (spend_s / dt) * problem.source_gains[k] / problem.noise_power_w),
-            0.0,
-        )
         spend_r = np.where(rel, frac * b_r, 0.0)
         capacity_bits = np.where(
             spend_r > 0,
@@ -690,16 +685,24 @@ def brute_force_oracle(
             0.0,
         )
         delivered = np.minimum(buf[:, None], capacity_bits)
+        del capacity_bits
         rx = np.where(rx_ok, problem.rx_energy_cost_j, 0.0)
         bits = (bits[:, None] + delivered).ravel()
         energy = (energy[:, None] + ((spend_s + spend_r) + rx)).ravel()
+        slots.append((spend_s.ravel(), spend_r.ravel(), delivered.ravel()))
+        if k == k_slots - 1:
+            break  # nothing reads the batteries and buffer after the last slot
+        received = np.where(
+            rx_ok,
+            np.log2(1.0 + (spend_s / dt) * problem.source_gains[k] / problem.noise_power_w),
+            0.0,
+        )
         b_s = (b_s - spend_s).ravel()
         b_r = ((b_r - spend_r) - rx).ravel()
         if problem.delay_constrained:
             buf = received.ravel()
         else:
             buf = ((buf[:, None] - delivered) + received).ravel()
-        slots.append((spend_s.ravel(), spend_r.ravel(), delivered.ravel()))
     # a slot-k prefix is shared by n^(K-1-k) consecutive final rows
     shared = [n_actions ** (k_slots - 1 - k) for k in range(k_slots)]
     idle = [np.repeat(~((spend_s > 0) | (spend_r > 0)), n)

@@ -330,3 +330,37 @@ def test_sampling_is_reproducible(seed):
     a = geometry.sample_ppp(1.0, REGION, seed)
     b = geometry.sample_ppp(1.0, REGION, seed)
     assert np.array_equal(a.xs, b.xs)
+
+
+@pytest.mark.parametrize("per_point", [False, True])
+@pytest.mark.parametrize(
+    "region",
+    [geometry.Region(2000.0, 1500.0), geometry.Region(2000.0, 1500.0, "guard", 200.0)],
+    ids=["toroidal", "guard"],
+)
+def test_distances_out_match_the_allocating_call_bit_for_bit(region, per_point):
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(0.0, region.width_m, 3000)
+    ys = rng.uniform(0.0, region.height_m, 3000)
+    if per_point:
+        probe = (rng.uniform(0.0, region.width_m, 3000), rng.uniform(0.0, region.height_m, 3000))
+    else:
+        probe = region.sample_probe(rng)
+    dx, dy = np.abs(xs - probe[0]), np.abs(ys - probe[1])
+    if region.boundary == "toroidal":
+        dx, dy = np.minimum(dx, region.width_m - dx), np.minimum(dy, region.height_m - dy)
+    coords = xs.copy(), ys.copy()
+    expected = geometry.distances_to_probe(region, probe, xs, ys)
+    # the allocating call leaves its inputs alone; the out= call uses them as scratch
+    assert np.array_equal(expected, np.hypot(dx, dy))
+    assert np.array_equal(xs, coords[0]) and np.array_equal(ys, coords[1])
+    out = np.full(xs.size, np.nan)
+    got = geometry.distances_to_probe(region, probe, *coords, out=out)
+    assert got is out and np.array_equal(out, expected)
+
+
+def test_distances_out_may_not_alias_the_coordinates():
+    xs, ys = np.arange(4.0), np.arange(4.0)
+    for out in (xs, ys[1:]):
+        with pytest.raises(InvalidParameterError, match="share memory"):
+            geometry.distances_to_probe(REGION, (0.0, 0.0), xs, ys, out=out)

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from crowdharvest import geometry, harvest
 from crowdharvest.errors import FitFailureError, InvalidParameterError
-from crowdharvest.propagation import ShadowingSpec, free_space_model, winner_urban_nlos_model
+from crowdharvest.propagation import (
+    ShadowingSpec,
+    dual_slope_model,
+    free_space_model,
+    winner_urban_nlos_model,
+)
 from crowdharvest.rng import substream
 
 REGION = geometry.Region(7745.966692414834, 7745.966692414834)
@@ -108,6 +113,28 @@ class TestAggregatePower:
         a = harvest.aggregate_power((0.0, 0.0), dep, MACRO, LOS)
         b = harvest.aggregate_power((0.0, 0.0), at_floor, MACRO, LOS)
         assert a.total_power_w == pytest.approx(b.total_power_w)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"k_nearest": -1}, "k_nearest"),
+            ({"k_nearest": 0}, "k_nearest"),
+            ({"utilization": -0.5}, "utilization"),
+            ({"utilization": 1.5}, "utilization"),
+            ({"utilization": float("nan")}, "utilization"),
+            ({"utilization": float("inf")}, "utilization"),
+            ({"utilization": np.array([0.5, -0.1, 0.5])}, "utilization"),
+        ],
+    )
+    def test_invalid_inputs_rejected_before_any_distance(self, monkeypatch, kwargs, message):
+        dep = make_deployment([100.0, 400.0, 900.0], [0.0, 0.0, 0.0])
+
+        def no_distances(*args, **kw):
+            raise AssertionError("distances computed before the input check")
+
+        monkeypatch.setattr(harvest, "distances_to_probe", no_distances)
+        with pytest.raises(InvalidParameterError, match=message):
+            harvest.aggregate_power((0.0, 0.0), dep, MACRO, LOS, **kwargs)
 
     def test_sensitivity_floor_zeroes_weak_links(self):
         dep = make_deployment([100.0, 3000.0], [0.0, 0.0])
@@ -267,6 +294,61 @@ def test_crowd_sweep_matches_per_curve_reference(case, workers):
     assert curves == tuple(per_curve_sweep(rat, grid, view, 29, region) for view in views)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_link_workspace_grows_mid_sweep_and_serves_smaller_chunks(monkeypatch, workers):
+    # Wi-Fi on 3 km^2: about 900, 2070 and 450 points per deployment, so the
+    # middle grid point straddles _CHUNK_POINTS and the last one is smaller
+    region = geometry.Region(2000.0, 1500.0)
+    grid, seed = [300.0, 690.0, 150.0], 31
+    nlos = winner_urban_nlos_model(WIFI.carrier_frequency_hz)
+    views = [
+        harvest.SweepView(free_space_model(WIFI.carrier_frequency_hz), 10, scenario="full"),
+        harvest.SweepView(nlos, 10, ShadowingSpec(8.0), 20, "k_shadowed"),
+        harvest.SweepView(nlos, 8, ShadowingSpec(8.0), scenario="shadowed"),
+        harvest.SweepView(
+            dual_slope_model(WIFI.carrier_frequency_hz, breakpoint_m=300.0), 10, scenario="dual"
+        ),
+    ]
+    widths = []  # (columns asked for, columns held) per chunk
+    rows = harvest._LinkWorkspace.rows
+
+    def recording_rows(self, n):
+        out = rows(self, n)
+        widths.append((n, self._buffer.shape[1]))
+        return out
+
+    monkeypatch.setattr(harvest._LinkWorkspace, "rows", recording_rows)
+    curves = harvest.crowd_sweep(WIFI, grid, views, seed, region=region, workers=workers)
+    monkeypatch.undo()
+    held = [h for _, h in widths]
+    assert max(n for n, _ in widths) > harvest._CHUNK_POINTS
+    assert len(set(held)) > 2  # the buffer grew more than once
+    assert any(n < h for n, h in widths[held.index(max(held)):])
+    assert curves == tuple(per_curve_sweep(WIFI, grid, view, seed, region) for view in views)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults with getrusage")
+def test_repeated_large_sweeps_take_few_page_faults():
+    # about 32k points per deployment: one stage's array is 256 KB, which
+    # malloc hands back to the OS when it is freed, so a kernel that
+    # allocated an array per stage would fault its pages in again every trial
+    import resource
+
+    region = geometry.Region(4000.0, 4000.0)
+    nlos = winner_urban_nlos_model(WIFI.carrier_frequency_hz)
+    views = [
+        harvest.SweepView(free_space_model(WIFI.carrier_frequency_hz), 30),
+        harvest.SweepView(nlos, 30, ShadowingSpec(8.0)),
+        harvest.SweepView(nlos, 30, None, 20),
+    ]
+    harvest.crowd_sweep(WIFI, [2000.0], views, 3, region=region)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    harvest.crowd_sweep(WIFI, [2000.0], views, 4, region=region)
+    per_trial = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30
+    # an array per stage takes about 530 faults per trial, the workspace about 20
+    assert per_trial < 100
+
+
 @pytest.mark.parametrize("k", [0, -3])
 def test_sweep_view_rejects_k_nearest_below_one(k):
     with pytest.raises(InvalidParameterError, match="k_nearest"):
@@ -287,9 +369,9 @@ def test_views_compute_only_the_links_they_read(monkeypatch):
     shadow_sizes = []
     received_power, draw_shadowing_db = harvest.received_power, harvest.draw_shadowing_db
 
-    def counting_power(p_tx_w, model, d, shadow_db=None):
+    def counting_power(p_tx_w, model, d, shadow_db=None, *, out=None):
         received["short" if model is LOS else "long_k"] += d.size
-        return received_power(p_tx_w, model, d, shadow_db)
+        return received_power(p_tx_w, model, d, shadow_db, out=out)
 
     def counting_shadowing(spec, size, rng):
         shadow_sizes.append(size)

@@ -125,3 +125,57 @@ def test_pathloss_monotone_in_distance(d1, d2, dual):
         model = prop.free_space_model(2.1e9)
     lo, hi = sorted((d1, d2))
     assert prop.pathloss_db(model, lo) <= prop.pathloss_db(model, hi) + 1e-12
+
+
+def reference_pathloss_db(model, d):
+    # the loss as one allocating expression per branch, picked with np.where
+    near = model.reference_loss_db + 10.0 * model.exponent * np.log10(
+        d / model.reference_distance_m
+    )
+    if not model.is_dual_slope:
+        return near
+    bp = model.breakpoint_m
+    loss_at_bp = model.reference_loss_db + 10.0 * model.exponent * math.log10(
+        bp / model.reference_distance_m
+    )
+    far = loss_at_bp + 10.0 * model.nlos_exponent * np.log10(np.maximum(d, bp) / bp)
+    return np.where(d <= bp, near, far)
+
+
+OUT_MODELS = {
+    "free-space": prop.free_space_model(2.4e9),
+    "winner": prop.winner_urban_nlos_model(2.4e9, reference_distance_m=2.0),
+    "dual-slope": prop.dual_slope_model(2.4e9, 2.0, 4.3, breakpoint_m=300.0),
+}
+
+
+@pytest.mark.parametrize("shadowed", [False, True])
+@pytest.mark.parametrize("alias", [False, True])
+@pytest.mark.parametrize("name", sorted(OUT_MODELS))
+def test_out_matches_the_allocating_calls_bit_for_bit(name, alias, shadowed):
+    model = OUT_MODELS[name]
+    rng = substream(17, "out", name)
+    # distances on both sides of the breakpoint, the reference distance and the breakpoint
+    d = np.concatenate([[model.reference_distance_m, 300.0], rng.uniform(2.0, 5000.0, 4000)])
+    shadow = prop.draw_shadowing_db(prop.ShadowingSpec(8.0), d.size, rng) if shadowed else None
+    loss = prop.pathloss_db(model, d)
+    power = prop.received_power(0.1, model, d, shadow)
+    assert np.array_equal(loss, reference_pathloss_db(model, d))
+    expected = 0.1 * np.power(10.0, -(loss if shadow is None else loss + shadow) / 10.0)
+    assert np.array_equal(power, expected)
+
+    out = d.copy() if alias else np.full(d.size, np.nan)
+    source = out if alias else d
+    got = prop.pathloss_db(model, source, out=out)
+    assert got is out and np.array_equal(out, loss)
+    out = d.copy() if alias else np.full(d.size, np.nan)
+    source = out if alias else d
+    got = prop.received_power(0.1, model, source, shadow, out=out)
+    assert got is out and np.array_equal(out, power)
+
+
+def test_scalar_distances_still_give_scalars():
+    model = OUT_MODELS["dual-slope"]
+    for d in (1.0, 300.0, 1234.5):
+        loss = prop.pathloss_db(model, d)
+        assert isinstance(loss, float) and loss == float(reference_pathloss_db(model, np.array(d)))
