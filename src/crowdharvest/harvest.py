@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._documents import write_csv
-from .errors import FitFailureError, InvalidParameterError
+from .errors import FitFailureError, InvalidParameterError, SimulationError
 from .geometry import (
     Deployment,
     Region,
@@ -48,7 +48,7 @@ from .geometry import (
     distances_to_probe,
 )
 from .propagation import PathlossModel, ShadowingSpec, draw_shadowing_db, received_power
-from .rng import substream, substream_states
+from .rng import _mulhi, _raw_outputs, state_dict, substream, substream_columns
 
 __all__ = [
     "RatProfile",
@@ -220,6 +220,12 @@ def convolve_load_pdfs(pdfs: list[EmpiricalPdf], grid_step: float) -> EmpiricalP
 # Power aggregation.
 
 
+def _require_count(name: str, value) -> None:
+    """Raise unless ``value`` is an integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidParameterError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HarvestReport:
     """Received power at one probe from every transmitter of a deployment."""
@@ -258,14 +264,19 @@ def aggregate_power(
     ``k_nearest`` is given only that many nearest transmitters
     contribute. Deterministic for a fixed seed: shadowing is drawn from
     the ``(seed, "shadowing")`` substream, spawned only when it is on.
-    ``k_nearest`` must be at least 1 and every utilisation must lie in
-    [0, 1]; both are checked before any distance is computed.
+    ``k_nearest`` must be an integer of at least 1, every utilisation must
+    lie in [0, 1] and the sensitivity floor must not be negative or NaN;
+    all are checked before any distance is computed.
     """
-    if k_nearest is not None and k_nearest < 1:
-        raise InvalidParameterError("k_nearest must be at least 1")
+    if k_nearest is not None:
+        _require_count("k_nearest", k_nearest)
     load = np.asarray(utilization, dtype=float)
     if not np.all((load >= 0.0) & (load <= 1.0)):
         raise InvalidParameterError("utilization must lie in [0, 1]")
+    if sensitivity_floor_w is not None and not sensitivity_floor_w >= 0.0:
+        raise InvalidParameterError(
+            f"sensitivity_floor_w must be non-negative, got {sensitivity_floor_w!r}"
+        )
     if deployment.count == 0:
         return HarvestReport(0.0, 0.0, np.zeros(0), 0.0)
     d = distances_to_probe(deployment.region, probe, deployment.xs, deployment.ys)
@@ -314,7 +325,8 @@ class SweepView:
     """One curve of a crowd sweep: how the shared trial deployments are received.
 
     The view uses the first ``trials`` trials of every grid point; with
-    ``k_nearest`` only that many nearest transmitters contribute.
+    ``k_nearest``, an integer of at least 1, only that many nearest
+    transmitters contribute.
     """
 
     model: PathlossModel
@@ -326,8 +338,8 @@ class SweepView:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise InvalidParameterError("need at least one trial")
-        if self.k_nearest is not None and self.k_nearest < 1:
-            raise InvalidParameterError("k_nearest must be at least 1")
+        if self.k_nearest is not None:
+            _require_count("k_nearest", self.k_nearest)
 
 
 def _sweep_point(density: float, totals: np.ndarray, bandwidth_hz: float) -> SweepPoint:
@@ -348,6 +360,7 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
 
 
 _TRIAL_BLOCK = 128  # trials whose substream states are derived together
+_SEED_BOUND = 2**63 - 1  # a trial's seeds are integers(0, _SEED_BOUND)
 _CHUNK_POINTS = 2**11  # points whose distances and powers are computed together
 
 
@@ -369,13 +382,59 @@ class _LinkWorkspace:
         return self._buffer[0, :n], self._buffer[1, :n]
 
 
+def _lemire_rejected(low: np.ndarray) -> np.ndarray:
+    """Where numpy redraws ``integers(0, _SEED_BOUND)``, given the low words of raw * bound.
+
+    Lemire's method rejects a low word below ``2**64 mod bound``, which is 2
+    here: probability 2**-62.
+    """
+    return low < (2**64 - _SEED_BOUND) % _SEED_BOUND
+
+
+def _trial_draws(
+    gen: np.random.Generator, region: Region, states
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Deployment seed, probe x, probe y and shadowing seed of every trial state.
+
+    A trial's generator draws ``integers(0, 2**63 - 1)``, then
+    ``region.sample_probe``, then ``integers(0, 2**63 - 1)``, one raw output
+    each; these are computed from the states' first four raw outputs as
+    numpy computes them. A seed is the high word of ``raw * bound``
+    (Lemire), a uniform is ``x0 + (x1 - x0) * ((raw >> 11) * 2**-53)``. A
+    row whose low word numpy would reject, and the first row, which checks
+    the formulas against numpy, are drawn by ``gen`` re-pointed to their
+    state; a mismatch raises :class:`SimulationError`.
+    """
+    raw = _raw_outputs(states, 4)
+    bound = np.uint64(_SEED_BOUND)
+    seeds = _mulhi(raw[:, [0, 3]], bound)
+    x0, x1, y0, y1 = region.probe_bounds()
+    unit = (raw[:, 1:3] >> 11) * 2.0**-53
+    xs, ys = x0 + (x1 - x0) * unit[:, 0], y0 + (y1 - y0) * unit[:, 1]
+    redraw = _lemire_rejected(raw[:, [0, 3]] * bound).any(axis=1)
+    for i in [0, *np.flatnonzero(redraw).tolist()]:
+        gen.bit_generator.state = state_dict(*(c[i] for c in states))
+        drawn = (
+            int(gen.integers(0, _SEED_BOUND)),
+            *region.sample_probe(gen),
+            int(gen.integers(0, _SEED_BOUND)),
+        )
+        if not redraw[i] and drawn != (int(seeds[i, 0]), xs[i], ys[i], int(seeds[i, 1])):
+            raise SimulationError(
+                "trial seeds and probe computed from raw outputs differ from the generator's; "
+                "numpy's integers or uniform has changed"
+            )
+        seeds[i], xs[i], ys[i] = drawn[::3], drawn[1], drawn[2]
+    return seeds[:, 0], xs, ys, seeds[:, 1]
+
+
 def _trial_powers(
     rat: RatProfile,
     region: Region,
     seed: int,
     densities: Sequence[float],
     trials: int,
-    trial_key: Callable[[int], tuple[int, int, tuple[int | str, ...]]],
+    trial_key: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, tuple]],
     views: Sequence[SweepView],
     workers: int = 1,
     *,
@@ -383,8 +442,10 @@ def _trial_powers(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Total (and, with ``strongest``, strongest) received power per view and trial.
 
-    Trial r, with ``trial_key(r) = (j, t, path)``, draws a deployment seed,
-    a uniform probe and a shadowing seed from ``substream(seed, *path)``.
+    ``trial_key(rows)`` maps a uint64 column of trial indices to the
+    columns ``(j, t, path)``; each element of ``path`` is a scalar or a
+    column. Trial r draws a deployment seed, a uniform probe and a
+    shadowing seed from ``substream(seed, *path[r])``.
     Its deployment is what ``sample_process(rat.spatial_process,
     densities[j], region, deployment seed)`` samples, and a shadowed view
     draws from ``substream(shadowing seed, "shadowing")`` as
@@ -392,10 +453,12 @@ def _trial_powers(
     ``t < v.trials``. Both arrays are (trial, view); an empty deployment,
     or a trial the view does not read, reads 0.
 
-    Trials run in blocks of ``_TRIAL_BLOCK``: each block derives its trial,
-    deployment and shadowing generator states with one
-    :func:`substream_states` call each and re-points one generator per
-    worker. Distances and powers are computed on at most ``_CHUNK_POINTS``
+    Trials run in blocks of ``_TRIAL_BLOCK``: each block derives its trial
+    states with one :func:`substream_columns` call, computes their seeds
+    and probes from raw outputs (:func:`_trial_draws`), derives the
+    deployment and shadowing states with one call each, and re-points one
+    generator per worker to draw the deployments and the shadowing.
+    Distances and powers are computed on at most ``_CHUNK_POINTS``
     points at a time (or one larger deployment), while every trial's sum,
     maximum and ``k_nearest`` partition is taken on that trial's own slice,
     so values are bit-identical to the per-trial computation. A trial's
@@ -413,8 +476,7 @@ def _trial_powers(
     the operations of the allocating calls in their order, so the values
     are the same bits.
     """
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
-        raise InvalidParameterError(f"workers must be an integer of at least 1, got {workers!r}")
+    _require_count("workers", workers)
     samplers = [_process_points(rat.spatial_process, density) for density in densities]
     specs = [v.shadowing if v.shadowing is not None and v.shadowing.active else None for v in views]
     shadow_trials = max((v.trials for v, spec in zip(views, specs) if spec), default=0)
@@ -454,7 +516,7 @@ def _trial_powers(
             draws[spec] = parts = []
             for r, m in zip(rows, lengths):
                 if m:
-                    gen.bit_generator.state = shadow_states[r]
+                    gen.bit_generator.state = state_dict(*shadow_states[r])
                     parts.append(draw_shadowing_db(spec, m, gen))
                 else:
                     parts.append(None)
@@ -489,25 +551,26 @@ def _trial_powers(
                     maxima[rows[i], v] = power[a:b].max()
                 a = b
 
+    label = samplers[0].label  # one spatial process, so one sampler label
+
     def run_block(gen, workspace, block: range) -> None:
-        keys = [trial_key(r) for r in block]
-        probes, deployment_keys, shadow_rows, shadow_keys = {}, [], [], []
-        for r, (j, t, _), state in zip(
-            block, keys, substream_states([(seed, *path) for _, _, path in keys])
-        ):
-            gen.bit_generator.state = state
-            deployment_keys.append((int(gen.integers(0, 2**63 - 1)), samplers[j].label))
-            probes[r] = region.sample_probe(gen)
-            shadow_seed = int(gen.integers(0, 2**63 - 1))
-            if t < shadow_trials:  # some shadowed view reads this trial
-                shadow_rows.append(r)
-                shadow_keys.append((shadow_seed, "shadowing"))
-        shadow_states = dict(zip(shadow_rows, substream_states(shadow_keys)))
+        rows = np.arange(block.start, block.stop, dtype=np.uint64)
+        js, ts, path = trial_key(rows)
+        deployment_seeds, probe_x, probe_y, shadow_seeds = _trial_draws(
+            gen, region, substream_columns(seed, *path)
+        )
+        probes = dict(zip(block, zip(probe_x.tolist(), probe_y.tolist())))
+        shadowed = ts < shadow_trials  # some shadowed view reads these trials
+        shadow_states = dict(zip(
+            rows[shadowed].tolist(),
+            zip(*(c.tolist() for c in substream_columns(shadow_seeds[shadowed], "shadowing"))),
+        ))
+        deployment_states = zip(*(c.tolist() for c in substream_columns(deployment_seeds, label)))
         # a chunk holds at most _CHUNK_POINTS points or one larger deployment,
         # which is computed alone and before the next deployment is drawn
         chunk, points = [], 0
-        for r, (j, t, _), state in zip(block, keys, substream_states(deployment_keys)):
-            gen.bit_generator.state = state
+        for r, j, t, state in zip(block, js.tolist(), ts.tolist(), deployment_states):
+            gen.bit_generator.state = state_dict(*state)
             xs, ys = samplers[j].draw(gen, region)
             if not xs.size:
                 continue
@@ -569,13 +632,18 @@ def crowd_sweep(
     if not views:
         raise InvalidParameterError("need at least one view")
     trials = max(view.trials for view in views)
+
+    def sweep_key(rows):
+        j, t = divmod(rows, trials)
+        return j, t, ("sweep", j, t)
+
     totals, _ = _trial_powers(
         rat,
         region,
         seed,
         grid,
         grid.size * trials,
-        lambda r: (r // trials, r % trials, ("sweep", r // trials, r % trials)),
+        sweep_key,
         views,
         workers,
     )
@@ -667,7 +735,7 @@ def nearest_share_study(
         seed,
         [density_per_km2],
         draws,
-        lambda t: (0, t, ("share", t)),
+        lambda rows: (np.zeros_like(rows), rows, ("share", rows)),
         [view],
         workers,
         strongest=True,

@@ -17,10 +17,14 @@ integers with SHA-256, which is stable across platforms and runs
 (unlike the builtin ``hash``).
 
 Batch routines that need thousands of substreams use
-:func:`substream_states`, which derives the PCG64 states of many keys at
-once and lets one generator be re-pointed from key to key by assigning
-``bit_generator.state``. :func:`substream` stays the definition: every
-batch checks its first key against it.
+:func:`substream_columns`, which derives the PCG64 states of many keys at
+once: each of ``seed, *path`` is a scalar or a uint64 column, and the
+SeedSequence mixing and the 128-bit PCG64 seeding step run on numpy
+columns. ``_raw_outputs`` continues the streams in the same way, giving
+the first raw 64-bit outputs of every state without a generator, and
+:func:`state_dict` turns one state into a ``bit_generator.state`` that
+re-points a generator to it. :func:`substream` stays the definition:
+every batch checks its first key against it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from .errors import SimulationError
 
-__all__ = ["substream", "substream_states", "path_key"]
+__all__ = ["substream", "substream_columns", "state_dict", "path_key"]
 
 # numpy.random.SeedSequence constants (pool of 4 uint32 words) and the
 # PCG64 default multiplier.
@@ -44,8 +48,11 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+
+# A batch of PCG64 states: (state high, state low, inc high, inc low) uint64 columns.
+StateColumns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def path_key(element: int | str) -> int:
@@ -76,20 +83,49 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _entropy(seed: int, path: Sequence[int | str], memo: dict) -> list[int]:
-    """SeedSequence's assembled entropy: seed words zero-padded to the pool
-    size, then the spawn-key words. (SeedSequence pads only when there is a
-    spawn key; padding an unspawned seed is a no-op, since missing pool
-    words are hashed as zeros.) ``memo`` caches the words of path
-    elements, which repeat across a batch."""
-    words = _words(int(seed))
-    words += [0] * (_POOL_SIZE - len(words))
-    for element in path:
-        element_words = memo.get(element)
-        if element_words is None:
-            element_words = memo[element] = _words(path_key(element))
-        words += element_words
-    return words
+def _entropy_blocks(columns: Sequence) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+    """SeedSequence's assembled entropy of every row, one block per word layout.
+
+    ``columns`` is ``(seed, *path)``; each is a scalar or a uint64 array of
+    one common length m. The entropy is the seed's words zero-padded to the
+    pool size, then the spawn-key words. (SeedSequence pads only when there
+    is a spawn key; padding an unspawned seed is a no-op, since missing pool
+    words are hashed as zeros.) A seed column is below 2**64, so it is
+    always the words ``[lo, hi, 0, 0]``; an array path element is one word
+    below 2**32 and two otherwise, so rows are grouped by which of those
+    high words they keep. Returns m and, per layout, the rows and their
+    (rows, words) uint32 entropy.
+    """
+    m = next((c.size for c in columns if isinstance(c, np.ndarray)), 1)
+    words: list = []  # uint64 arrays and ints, one per candidate word
+    optional: list[int] = []  # the high words of array path elements
+    for pos, element in enumerate(columns):
+        if isinstance(element, np.ndarray):
+            if element.dtype != np.uint64 or element.shape != (m,):
+                raise ValueError("substream key columns must be uint64 arrays of one length")
+            words += [element & _MASK32, element >> 32]
+            if pos:
+                optional.append(len(words) - 1)
+            else:
+                words += [0, 0]
+        elif pos:
+            words += _words(path_key(element))
+        else:
+            seed_words = _words(int(element))
+            words += seed_words + [0] * (_POOL_SIZE - len(seed_words))
+    table = np.empty((m, len(words)), dtype=np.uint32)
+    for k, word in enumerate(words):
+        table[:, k] = word
+    layout = np.zeros(m, dtype=np.int64)
+    for bit, k in enumerate(optional):
+        layout |= (table[:, k] != 0).astype(np.int64) << bit
+    blocks = []
+    for code in set(layout.tolist()):  # (np.unique would import numpy.ma)
+        dropped = {k for bit, k in enumerate(optional) if not code >> bit & 1}
+        keep = [k for k in range(len(words)) if k not in dropped]
+        rows = np.flatnonzero(layout == code)
+        blocks.append((rows, table[np.ix_(rows, keep)]))
+    return m, blocks
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -116,8 +152,25 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _pool_states(entropy: np.ndarray) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) for each row of an (m, L >= 4) uint32 entropy block.
+def _mulhi(a: np.ndarray, b) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b (uint64), on 32-bit limbs."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    mid = (a_lo * b_lo >> 32) + (lh & _MASK32) + (hl & _MASK32)
+    return a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
+
+
+def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One PCG64 step, state * multiplier + inc (mod 2**128), on (hi, lo) columns."""
+    m_hi, m_lo = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64)
+    prod_hi = _mulhi(lo, m_lo) + lo * m_hi + hi * m_lo
+    out_lo = lo * m_lo + inc_lo
+    return prod_hi + inc_hi + (out_lo < inc_lo), out_lo
+
+
+def _pool_states(entropy: np.ndarray) -> StateColumns:
+    """PCG64 state columns for the rows of an (m, L >= 4) uint32 entropy block.
 
     SeedSequence's hashmix calls advance one running constant, so a call's
     constants depend only on its position; each loop of ``mix_entropy``
@@ -147,50 +200,58 @@ def _pool_states(entropy: np.ndarray) -> list[tuple[int, int]]:
     # little-endian into (seed high, seed low, inc high, inc low).
     consts = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], consts[:-1], consts[1:])
-    w64 = (words[1::2].astype(np.uint64) << np.uint64(32) | words[0::2]).tolist()
-    out = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*w64):
-        # pcg64_set_seed: state 0, inc = 2 * initseq + 1, step, add initstate, step
-        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        out.append((state, inc))
+    s_hi, s_lo, i_hi, i_lo = words[1::2].astype(np.uint64) << 32 | words[0::2]
+    # pcg64_set_seed: state 0, inc = 2 * initseq + 1, step, add initstate, step
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    lo = inc_lo + s_lo
+    return (*_step(inc_hi + s_hi + (lo < inc_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _raw_outputs(states: StateColumns, n: int) -> np.ndarray:
+    """The first ``n`` raw outputs (``random_raw``) of every state, as (m, n) uint64.
+
+    PCG64 steps its state and returns the XSL-RR output of the new state:
+    the xor of its halves rotated right by its top 6 bits.
+    """
+    hi, lo, inc_hi, inc_lo = states
+    out = np.empty((hi.size, n), dtype=np.uint64)
+    for k in range(n):
+        hi, lo = _step(hi, lo, inc_hi, inc_lo)
+        x, r = hi ^ lo, hi >> 58
+        out[:, k] = x >> r | x << (64 - r & 63)
     return out
 
 
-def substream_states(keys: Sequence[tuple[int | str, ...]]) -> list[dict]:
-    """PCG64 states of ``substream(*key)`` for every ``(seed, *path)`` key.
+def state_dict(state_hi, state_lo, inc_hi, inc_lo) -> dict:
+    """``bit_generator.state`` of the PCG64 state given by its 64-bit halves."""
+    state, inc = int(state_hi) << 64 | int(state_lo), int(inc_hi) << 64 | int(inc_lo)
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
-    SeedSequence's mixing runs on uint32 numpy columns, one block per
-    entropy length, and the 128-bit seeding step on Python ints. Assign a
-    state to a generator's ``bit_generator.state`` to make it draw exactly
-    what ``substream(*key)`` draws. The first key is checked against
-    :func:`substream`; a mismatch (a numpy release that seeds differently)
-    raises :class:`SimulationError`.
+
+def substream_columns(seed, *path) -> StateColumns:
+    """PCG64 states of ``substream(seed, *path)`` for every row of key columns.
+
+    Each of ``seed, *path`` is a scalar (an int seed, an int or str path
+    element) or a uint64 array; the arrays share one length m, which is the
+    number of rows. Returns the
+    ``(state high, state low, inc high, inc low)`` uint64 columns; pass a
+    row to :func:`state_dict` to re-point a generator to it. The first row
+    is checked against :func:`substream`; a mismatch (a numpy release that
+    seeds differently) raises :class:`SimulationError`.
     """
-    if not keys:
-        return []
-    memo: dict = {}
-    entropies = [_entropy(key[0], key[1:], memo) for key in keys]
-    groups: dict[int, list[int]] = {}
-    for i, words in enumerate(entropies):
-        groups.setdefault(len(words), []).append(i)
-    pcg: list[tuple[int, int] | None] = [None] * len(keys)
-    for rows in groups.values():
-        block = np.array([entropies[i] for i in rows], dtype=np.uint32)
-        for i, pair in zip(rows, _pool_states(block)):
-            pcg[i] = pair
-    states = [
-        {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        for state, inc in pcg
-    ]
-    if states[0] != substream(*keys[0]).bit_generator.state:
-        raise SimulationError(
-            f"batched substream state for key {keys[0]!r} differs from substream(); "
-            "numpy's SeedSequence or PCG64 seeding has changed"
-        )
-    return states
+    columns = (seed, *path)
+    m, blocks = _entropy_blocks(columns)
+    out = tuple(np.empty(m, dtype=np.uint64) for _ in range(4))
+    for rows, entropy in blocks:
+        for column, part in zip(out, _pool_states(entropy)):
+            column[rows] = part
+    if m:
+        key = [int(c[0]) if isinstance(c, np.ndarray) else c for c in columns]
+        if state_dict(*(c[0] for c in out)) != substream(*key).bit_generator.state:
+            raise SimulationError(
+                f"batched substream state for key {tuple(key)!r} differs from substream(); "
+                "numpy's SeedSequence or PCG64 seeding has changed"
+            )
+    return out
+

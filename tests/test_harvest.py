@@ -124,6 +124,11 @@ class TestAggregatePower:
             ({"utilization": float("nan")}, "utilization"),
             ({"utilization": float("inf")}, "utilization"),
             ({"utilization": np.array([0.5, -0.1, 0.5])}, "utilization"),
+            # a NaN floor used to fail every link and return 0 W
+            ({"sensitivity_floor_w": float("nan")}, "sensitivity_floor_w"),
+            ({"sensitivity_floor_w": -1e-12}, "sensitivity_floor_w"),
+            ({"k_nearest": 2.5}, "k_nearest"),
+            ({"k_nearest": True}, "k_nearest"),
         ],
     )
     def test_invalid_inputs_rejected_before_any_distance(self, monkeypatch, kwargs, message):
@@ -355,6 +360,20 @@ def test_sweep_view_rejects_k_nearest_below_one(k):
         harvest.SweepView(LOS, 5, k_nearest=k)
 
 
+@pytest.mark.parametrize("k", [2.5, True, "3", np.float64(2.0)])
+def test_non_integer_k_nearest_rejected_before_any_trial(monkeypatch, k):
+    # 2.5 used to fail inside the kernel's partition, and True meant 1
+    monkeypatch.setattr(harvest, "substream_columns", no_trials)
+    with pytest.raises(InvalidParameterError, match="k_nearest"):
+        harvest.SweepView(LOS, 5, k_nearest=k)
+    with pytest.raises(InvalidParameterError, match="k_nearest"):
+        harvest.upper_bound_sweep(MACRO, [1.0, 2.0], LOS, 5, 3, region=REGION, k_nearest=k)
+
+
+def test_integer_k_nearest_of_any_integer_type_accepted():
+    assert harvest.SweepView(LOS, 5, k_nearest=np.int64(3)).k_nearest == 3
+
+
 def test_views_compute_only_the_links_they_read(monkeypatch):
     # a short full-crowd view next to a long shadowed k-nearest view: the
     # short view's trials past its count and the links beyond the k nearest
@@ -481,23 +500,35 @@ def test_nearest_share_study_workers_do_not_change_results():
 @pytest.mark.parametrize("entry", ["crowd_sweep", "upper_bound_sweep", "nearest_share_study"])
 def test_invalid_workers_rejected_before_any_trial(monkeypatch, entry, workers):
     # workers=-1 used to compute only the first block of trials, and 0 raised a bare ValueError
-    def no_trials(keys):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(harvest, "substream_states", no_trials)
-    calls = {
-        "crowd_sweep": lambda: harvest.crowd_sweep(
-            MACRO, [1.0, 2.0], [harvest.SweepView(LOS, 400)], 3, region=REGION, workers=workers
-        ),
-        "upper_bound_sweep": lambda: harvest.upper_bound_sweep(
-            MACRO, [1.0, 2.0], LOS, 400, 3, region=REGION, workers=workers
-        ),
-        "nearest_share_study": lambda: harvest.nearest_share_study(
-            MACRO, 5.0, NLOS, 400, 3, region=REGION, workers=workers
-        ),
-    }
+    monkeypatch.setattr(harvest, "substream_columns", no_trials)
     with pytest.raises(InvalidParameterError, match="workers"):
-        calls[entry]()
+        ENTRIES[entry](workers)
+
+
+def no_trials(*columns):
+    raise AssertionError("a trial ran")
+
+
+# each entry point with a given worker count; its trials start with a substream_columns call
+ENTRIES = {
+    "crowd_sweep": lambda workers: harvest.crowd_sweep(
+        MACRO, [1.0, 2.0], [harvest.SweepView(LOS, 400)], 3, region=REGION, workers=workers
+    ),
+    "upper_bound_sweep": lambda workers: harvest.upper_bound_sweep(
+        MACRO, [1.0, 2.0], LOS, 400, 3, region=REGION, workers=workers
+    ),
+    "nearest_share_study": lambda workers: harvest.nearest_share_study(
+        MACRO, 5.0, NLOS, 400, 3, region=REGION, workers=workers
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_trial_sentinel_fires_for_valid_workers(monkeypatch, entry):
+    # the sentinel above is the kernel's first derivation call, so a valid call reaches it
+    monkeypatch.setattr(harvest, "substream_columns", no_trials)
+    with pytest.raises(AssertionError, match="a trial ran"):
+        ENTRIES[entry](1)
 
 
 class TestScalingExponent:
