@@ -39,6 +39,7 @@ from .errors import (
     InvalidParameterError,
     ProblemTooLargeError,
 )
+from .harvest import _require_count
 from .rng import substream
 from .swipt import (
     LinkState,
@@ -239,8 +240,7 @@ class ScheduleProblem:
 
     def __post_init__(self) -> None:
         k = self.slot_count
-        if k < 1:
-            raise InvalidParameterError("need at least one slot")
+        _require_count("slot_count", k)
         # every check is written so that NaN fails it
         for name in ("source_arrivals_j", "relay_arrivals_j", "source_gains", "relay_gains"):
             values = getattr(self, name)
@@ -311,11 +311,25 @@ def _rate_bits(spend_j: float, gain: float, problem: ScheduleProblem) -> float:
 def validate_schedule(problem: ScheduleProblem, schedule: Schedule, tol: float = 1e-9) -> None:
     """Independent causality audit; raises InvalidParameterError on violation.
 
-    Recomputes the battery and buffer trajectories from the raw powers
-    and checks energy causality, capacity bounds, half-duplex exclusivity,
-    information causality, and the claimed per-slot delivered bits.
+    Checks that the schedule has one entry per slot and that its objective
+    is the sum of its delivered bits or the count of its relay slots, as
+    its kind says. Recomputes the battery and buffer trajectories from the
+    raw powers and checks energy causality, capacity bounds, half-duplex
+    exclusivity, information causality, and the claimed per-slot delivered
+    bits.
     """
     k_slots = problem.slot_count
+    per_slot = (schedule.source_powers_w, schedule.relay_powers_w, schedule.source_indicators,
+                schedule.relay_indicators, schedule.bits_per_slot)
+    if any(len(values) != k_slots for values in per_slot):
+        raise InvalidParameterError(f"a schedule of this problem has {k_slots} slots")
+    claimed = {"delivered_bits": sum(schedule.bits_per_slot),
+               "relay_slots": sum(map(bool, schedule.relay_indicators))}
+    if not abs(schedule.objective_value - claimed.get(schedule.objective_kind, math.nan)) <= tol:
+        raise InvalidParameterError(
+            f"objective {schedule.objective_value!r} is not the schedule's "
+            f"{schedule.objective_kind}"
+        )
     b_s, b_r = problem.initial_source_j, problem.initial_relay_j
     buffer_bits = 0.0
     for k in range(k_slots):
@@ -370,71 +384,42 @@ def validate_schedule(problem: ScheduleProblem, schedule: Schedule, tol: float =
 _BLOCK_ROWS = 1 << 20
 
 
-def _check_levels(power_levels: int) -> None:
-    if (
-        isinstance(power_levels, bool)
-        or not isinstance(power_levels, (int, np.integer))
-        or power_levels < 1
-    ):
-        raise InvalidParameterError(f"power levels must be an integer >= 1, got {power_levels!r}")
-
-
-class _Step(NamedTuple):
-    """One slot from each state (rows) under each action id (columns)."""
-
-    b_s: np.ndarray  # next state, not rounded
-    b_r: np.ndarray
-    buf: np.ndarray
-    delivered: np.ndarray
-    energy: np.ndarray
-    spend: np.ndarray
-    active: np.ndarray
-    expanded: np.ndarray  # the actions the DP explores
-
-
-def _step(
+def _transition(
     problem: ScheduleProblem,
     k: int,
     b_s: np.ndarray,
     b_r: np.ndarray,
     buf: np.ndarray,
+    action: np.ndarray,
     power_levels: int,
-) -> _Step:
-    """Slot ``k`` of the two-hop transition, for every state and action.
+) -> tuple[np.ndarray, ...]:
+    """Slot ``k`` of the two-hop transition, one element per (state, action) cell.
 
-    The DP and ``_replay`` share this transition; the oracle and the
-    validator derive it independently. An action that spends nothing
-    leaves the slot idle. The DP expands only the idle action, source
-    actions on a non-empty source battery, and relay actions on a
-    non-empty relay battery with buffered bits: the others repeat the
-    idle outcome or waste relay energy.
+    Returns the next source battery, relay battery and buffer (not
+    rounded), the delivered bits, the spent energy (the transmit spend
+    plus the receive cost) and the transmit spend. The DP and ``_replay``
+    share this transition; the oracle and the validator derive it
+    independently. An action that spends nothing leaves the slot idle.
     """
-    fractions = np.arange(1, power_levels + 1) / power_levels
-    frac = np.concatenate(([0.0], fractions, fractions))
-    src = np.zeros(frac.size, dtype=bool)
-    src[1 : power_levels + 1] = True
-    rel = np.zeros_like(src)
-    rel[power_levels + 1 :] = True
-    bsh = np.minimum(problem.source_capacity_j, b_s + problem.source_arrivals_j[k])[:, None]
-    brh = np.minimum(problem.relay_capacity_j, b_r + problem.relay_arrivals_j[k])[:, None]
-    buf = buf[:, None]
+    src = (action >= 1) & (action <= power_levels)
+    rel = action > power_levels
+    frac = (action - power_levels * rel) / power_levels
+    bsh = np.minimum(problem.source_capacity_j, b_s + problem.source_arrivals_j[k])
+    brh = np.minimum(problem.relay_capacity_j, b_r + problem.relay_arrivals_j[k])
     spend = frac * np.where(src, bsh, brh)
-    active = spend > 0
     gain = np.where(src, problem.source_gains[k], problem.relay_gains[k])
     rate = np.log2(1.0 + (spend / problem.slot_duration_s) * gain / problem.noise_power_w)
-    rx_ok = src & active & (brh >= problem.rx_energy_cost_j)
+    rx_ok = src & (spend > 0) & (brh >= problem.rx_energy_cost_j)
     rx = np.where(rx_ok, problem.rx_energy_cost_j, 0.0)
     received = np.where(rx_ok, rate, 0.0)
     delivered = np.where(rel, np.minimum(buf, rate), 0.0)
-    return _Step(
-        b_s=bsh - np.where(src, spend, 0.0),
-        b_r=brh - np.where(rel, spend, rx),
-        buf=received if problem.delay_constrained else buf - delivered + received,
-        delivered=delivered,
-        energy=spend + rx,
-        spend=spend,
-        active=active,
-        expanded=~(src | rel) | (src & (bsh > 0)) | (rel & (brh > 0) & (buf > 0)),
+    return (
+        bsh - np.where(src, spend, 0.0),
+        brh - np.where(rel, spend, rx),
+        received if problem.delay_constrained else buf - delivered + received,
+        delivered,
+        spend + rx,
+        spend,
     )
 
 
@@ -471,11 +456,6 @@ def _path_keys(layer: _Layer, *primary: np.ndarray) -> tuple[np.ndarray, ...]:
                       layer.activity, layer.actions)
 
 
-def _path_order(layer: _Layer, *primary: np.ndarray) -> np.ndarray:
-    """Row order by the ``primary`` keys (most significant first), then by path order."""
-    return np.lexsort(_path_keys(layer, *primary)[::-1])
-
-
 def _first_lexmin(*keys: np.ndarray) -> int:
     """The row ``np.lexsort(keys[::-1])[0]`` names, without a sort.
 
@@ -499,18 +479,33 @@ def _changed(column: np.ndarray) -> np.ndarray:
 def _survivors(layer: _Layer, pareto: bool) -> tuple[_Layer, int]:
     """Best path per state, or with ``pareto`` the Pareto set over (bits up,
     relay slots down) per state; rows come back sorted by state. Also
-    returns the number of states."""
+    returns the number of states.
+
+    Rows are sorted by state (and relay count) only. Each group's first
+    path in path order is then picked as ``_first_lexmin`` picks one row:
+    keep the rows that hold their group's minimum of each path key in
+    turn. Action ranks are unique per row, so one row per group is left.
+    """
     group = (layer.b_s, layer.b_r, layer.buf) + ((layer.relay_slots,) if pareto else ())
-    layer = layer.take(_path_order(layer, *group))
-    new_state = np.ones(layer.bits.size, dtype=bool)
-    new_state[1:] = _changed(layer.b_s) | _changed(layer.b_r) | _changed(layer.buf)
-    first = new_state.copy()
+    rows = np.lexsort(group[::-1])
+    new_state = np.ones(rows.size, dtype=bool)
+    new_state[1:] = (_changed(layer.b_s[rows]) | _changed(layer.b_r[rows])
+                     | _changed(layer.buf[rows]))
+    new_group = new_state.copy()
     if pareto:
-        first[1:] |= _changed(layer.relay_slots)
+        new_group[1:] |= _changed(layer.relay_slots[rows])
+    group_id = np.cumsum(new_group) - 1
+    for key in _path_keys(layer):
+        if rows.size == group_id[-1] + 1:
+            break
+        values = key[rows]
+        starts = np.flatnonzero(np.concatenate(([True], _changed(group_id))))
+        keep = values == np.minimum.reduceat(values, starts)[group_id]
+        rows, group_id = rows[keep], group_id[keep]
     n_states = int(new_state.sum())
-    layer = layer.take(first)
+    layer = layer.take(rows)
     if pareto:  # keep a relay count only if it buys more bits than every smaller one
-        state = np.cumsum(new_state[first]) - 1
+        state = (np.cumsum(new_state) - 1)[new_group]
         best = np.full(n_states, -np.inf)
         keep = np.zeros(layer.bits.size, dtype=bool)
         for count in np.unique(layer.relay_slots):
@@ -520,6 +515,39 @@ def _survivors(layer: _Layer, pareto: bool) -> tuple[_Layer, int]:
             best[state[rows]] = layer.bits[rows]
         layer = layer.take(keep)
     return layer, n_states
+
+
+def _children(
+    problem: ScheduleProblem, k: int, prev: _Layer, rows: slice, power_levels: int
+) -> _Layer:
+    """The paths the ``rows`` of ``prev`` extend to at slot ``k``, one per expanded cell.
+
+    The DP expands only the idle action, source actions on a non-empty
+    source battery, and relay actions on a non-empty relay battery with
+    buffered bits: the others repeat the idle outcome or waste relay
+    energy. A harvested battery is non-empty exactly when the battery
+    plus its arrival is positive.
+    """
+    source = prev.b_s[rows] + problem.source_arrivals_j[k] > 0
+    relay = (prev.b_r[rows] + problem.relay_arrivals_j[k] > 0) & (prev.buf[rows] > 0)
+    per_kind = np.stack([np.ones_like(source), source, relay], axis=1)
+    parent, action = np.nonzero(np.repeat(per_kind, [1, power_levels, power_levels], axis=1))
+    parent += rows.start
+    b_s, b_r, buf, delivered, energy, _ = _transition(
+        problem, k, prev.b_s[parent], prev.b_r[parent], prev.buf[parent], action, power_levels
+    )
+    return _Layer(  # rounded and summed in place, so a block holds one copy of each column
+        b_s=np.round(b_s, 12, out=b_s),
+        b_r=np.round(b_r, 12, out=b_r),
+        buf=np.round(buf, 12, out=buf),
+        bits=np.add(prev.bits[parent], delivered, out=delivered),
+        energy=np.add(prev.energy[parent], energy, out=energy),
+        relay_slots=prev.relay_slots[parent] + (action > power_levels),
+        activity=prev.activity[parent] * 2 + (action == 0),
+        actions=prev.actions[parent] * (2 * power_levels + 1) + action,
+        parent=parent,
+        action=action,
+    )
 
 
 def _dense_rank(keys: np.ndarray) -> np.ndarray:
@@ -550,23 +578,7 @@ def _run_dp(
         prev = layers[-1]
         layer = None
         for lo in range(0, prev.bits.size, per_block):
-            rows = np.arange(lo, min(lo + per_block, prev.bits.size))
-            step = _step(problem, k, prev.b_s[rows], prev.b_r[rows], prev.buf[rows], power_levels)
-            local, action = np.nonzero(step.expanded)
-            parent = rows[local]
-            cell = (local, action)
-            block = _Layer(
-                b_s=np.round(step.b_s[cell], 12),
-                b_r=np.round(step.b_r[cell], 12),
-                buf=np.round(step.buf[cell], 12),
-                bits=prev.bits[parent] + step.delivered[cell],
-                energy=prev.energy[parent] + step.energy[cell],
-                relay_slots=prev.relay_slots[parent] + (action > power_levels),
-                activity=prev.activity[parent] * 2 + (action == 0),
-                actions=prev.actions[parent] * n_actions + action,
-                parent=parent,
-                action=action,
-            )
+            block = _children(problem, k, prev, slice(lo, lo + per_block), power_levels)
             if layer is not None:
                 block = _Layer(*map(np.concatenate, zip(layer, block)))
             layer, n_states = _survivors(block, pareto)
@@ -602,17 +614,18 @@ def _replay(problem: ScheduleProblem, action_ids: list[int], power_levels: int,
     buf = np.zeros(1)
     p_s, p_r, d_s, d_r, bits = [], [], [], [], []
     for k, a in enumerate(action_ids):
-        step = _step(problem, k, b_s, b_r, buf, power_levels)
-        active = bool(step.active[0, a])
-        power = float(step.spend[0, a]) / problem.slot_duration_s
+        b_s, b_r, buf, delivered, _, spend = _transition(
+            problem, k, b_s, b_r, buf, np.array([a]), power_levels
+        )
+        active = bool(spend[0] > 0)
+        power = float(spend[0]) / problem.slot_duration_s
         source = active and a <= power_levels
         relay = active and a > power_levels
         p_s.append(power if source else 0.0)
         p_r.append(power if relay else 0.0)
         d_s.append(int(source))
         d_r.append(int(relay))
-        bits.append(float(step.delivered[0, a]))
-        b_s, b_r, buf = step.b_s[:, a], step.b_r[:, a], step.buf[:, a]
+        bits.append(float(delivered[0]))
     objective = sum(bits) if objective_kind == "delivered_bits" else float(sum(d_r))
     return Schedule(
         tuple(p_s), tuple(p_r), tuple(d_s), tuple(d_r), tuple(bits),
@@ -630,7 +643,8 @@ def offline_optimal(
     matches the exhaustive oracle on any instance both can solve. The
     state-space guard rejects oversized problems.
     """
-    _check_levels(power_levels)
+    _require_count("power_levels", power_levels)
+    _require_count("state_bound", state_bound)
     layers = _run_dp(problem, power_levels, state_bound, pareto=False)
     best = _first_lexmin(*_path_keys(layers[-1]))
     return _replay(problem, _action_ids(layers, best), power_levels)
@@ -653,7 +667,8 @@ def brute_force_oracle(
     The schedule is read from each slot's arrays at the best row's prefix,
     row ``best // n^(K-1-k)`` after slot ``k``.
     """
-    _check_levels(power_levels)
+    _require_count("power_levels", power_levels)
+    _require_count("max_schedules", max_schedules)
     k_slots = problem.slot_count
     n_actions = 2 * power_levels + 1
     n_seq = n_actions ** k_slots
@@ -731,7 +746,8 @@ def min_relay_time(
     Infeasible demands raise :class:`InfeasibleDemandError` carrying the
     maximum achievable bits for the instance.
     """
-    _check_levels(power_levels)
+    _require_count("power_levels", power_levels)
+    _require_count("state_bound", state_bound)
     if not math.isfinite(demand_bits) or demand_bits < 0:
         raise InvalidParameterError(f"demand must be finite and non-negative, got {demand_bits}")
     layers = _run_dp(problem, power_levels, state_bound, pareto=True)

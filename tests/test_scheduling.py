@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,6 +167,30 @@ def test_problem_rejects_nan_infinite_or_negative_fields(field):
             sched.ScheduleProblem(**{**VALID_PROBLEM, field: value})
 
 
+def problem_of(slot_count, slots):
+    """VALID_PROBLEM with ``slot_count`` and per-slot fields ``slots`` long."""
+    per_slot = ("source_arrivals_j", "relay_arrivals_j", "source_gains", "relay_gains")
+    return sched.ScheduleProblem(**{
+        **VALID_PROBLEM, "slot_count": slot_count,
+        **{name: (VALID_PROBLEM[name][0],) * slots for name in per_slot},
+    })
+
+
+@pytest.mark.parametrize("slot_count, slots", [
+    (2.0, 2), (1.0, 1), (np.float64(2.0), 2), (True, 1), (np.bool_(True), 1), ("2", 2), (0, 0),
+], ids=["float", "float-one", "numpy-float", "bool", "numpy-bool", "string", "zero"])
+def test_problem_slot_count_must_be_an_integer(slot_count, slots):
+    # the per-slot fields match the count, so only the count's type can fail
+    with pytest.raises(InvalidParameterError, match="slot_count"):
+        problem_of(slot_count, slots)
+
+
+def test_problem_accepts_a_numpy_integer_slot_count():
+    p = problem_of(np.int64(2), 2)
+    assert sched.offline_optimal(p, 4) == sched.offline_optimal(problem_of(2, 2), 4)
+    assert sched.brute_force_oracle(p, 2) == sched.brute_force_oracle(problem_of(2, 2), 2)
+
+
 class TestOfflineOptimal:
     def test_zero_arrivals_zero_objective(self):
         p = sched.ScheduleProblem(
@@ -285,6 +310,33 @@ class TestOfflineOptimal:
         with pytest.raises(InvalidParameterError):
             solve(p)
 
+    @pytest.mark.parametrize("bound", [math.nan, 0, -1, 2.5, True],
+                             ids=["nan", "zero", "negative", "float", "bool"])
+    @pytest.mark.parametrize("solver", ["offline_optimal", "min_relay_time", "brute_force_oracle"])
+    def test_invalid_bound_rejected_before_any_work(self, monkeypatch, solver, bound):
+        # a NaN bound compared false with every size, so it switched the guard off
+        p = sched.ScheduleProblem(2, 1.0, (1.0, 1.0), (1.0, 1.0), (1e-3,) * 2, (1e-3,) * 2, 1e-9)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the DP ran before the bound was checked")
+
+        monkeypatch.setattr(sched, "_run_dp", no_work)
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            if solver == "offline_optimal":
+                sched.offline_optimal(p, 2, state_bound=bound)
+            elif solver == "min_relay_time":
+                sched.min_relay_time(p, 0.0, 2, state_bound=bound)
+            else:
+                sched.brute_force_oracle(p, 2, max_schedules=bound)
+
+    def test_numpy_integer_bounds_accepted(self):
+        p = random_problem(5)
+        assert sched.offline_optimal(p, 4, state_bound=np.int64(10**6)) == sched.offline_optimal(p, 4)
+        assert (sched.min_relay_time(p, 1.0, np.int32(4), state_bound=np.int64(10**6))
+                == sched.min_relay_time(p, 1.0, 4))
+        assert (sched.brute_force_oracle(p, 4, max_schedules=np.uint32(10**6))
+                == sched.brute_force_oracle(p, 4))
+
     def test_oracle_guard(self):
         p = sched.ScheduleProblem(
             8, 1.0, (1.0,) * 8, (1.0,) * 8, (1e-3,) * 8, (1e-3,) * 8, 1e-9
@@ -314,6 +366,40 @@ class TestOfflineOptimal:
         )
         with pytest.raises(InvalidParameterError):
             sched.validate_schedule(p, fake_bits)
+
+    def test_validator_rejects_a_schedule_of_another_length(self):
+        p = sched.ScheduleProblem(2, 1.0, (1.0, 0.0), (1.0, 0.0), (1e-3,) * 2, (1e-3,) * 2, 1e-9)
+        phantom_slot = sched.Schedule(  # a third slot relays 100 bits the problem never had
+            source_powers_w=(1.0, 0.0, 0.0),
+            relay_powers_w=(0.0, 0.0, 1.0),
+            source_indicators=(1, 0, 0),
+            relay_indicators=(0, 0, 1),
+            bits_per_slot=(0.0, 0.0, 100.0),
+            objective_value=100.0,
+        )
+        one_slot = sched.Schedule((0.0,), (0.0,), (0,), (0,), (0.0,), 0.0)
+        short_bits = replace(sched.offline_optimal(p, 2), bits_per_slot=(0.0,))
+        for schedule in (phantom_slot, one_slot, short_bits):
+            with pytest.raises(InvalidParameterError, match="has 2 slots"):
+                sched.validate_schedule(p, schedule)
+
+    def test_validator_checks_the_objective_against_its_kind(self):
+        p = random_problem(13)
+        optimal = sched.offline_optimal(p, 6)
+        quickest = sched.min_relay_time(p, 0.5 * optimal.objective_value, 6)
+        assert optimal.objective_value > 0 and quickest.objective_value > 0
+        sched.validate_schedule(p, optimal)
+        sched.validate_schedule(p, quickest)
+        for bad in (
+            replace(optimal, objective_value=optimal.objective_value + 1.0),
+            replace(optimal, objective_value=math.nan),
+            replace(optimal, objective_kind="relay_slots"),
+            replace(optimal, objective_kind="bits"),
+            replace(quickest, objective_value=quickest.objective_value - 1.0),
+            replace(quickest, objective_kind="delivered_bits"),
+        ):
+            with pytest.raises(InvalidParameterError, match="objective"):
+                sched.validate_schedule(p, bad)
 
 
 def min_time_oracle(problem, demand, levels):
@@ -536,22 +622,131 @@ FIVE_SLOT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("index", range(len(FIVE_SLOT_CASES)))
-def test_dp_matches_oracle_at_five_slots(index):
-    levels, (source_capacity, relay_capacity), rx_cost, delay = FIVE_SLOT_CASES[index]
+def five_slot_problem(index, **fields):
+    """The draws of the ``index``-th 5-slot instance, with ``fields``."""
     rng = substream(index, "five-slot")
-    p = sched.ScheduleProblem(
+    return sched.ScheduleProblem(
         5, 1.0, tuple(rng.uniform(0.0, 2.0, 5)), tuple(rng.uniform(0.0, 2.0, 5)),
         tuple(rng.uniform(0.2e-3, 2e-3, 5)), tuple(rng.uniform(0.2e-3, 2e-3, 5)), 1e-9,
-        source_capacity_j=source_capacity, relay_capacity_j=relay_capacity,
-        rx_energy_cost_j=rx_cost, delay_constrained=delay,
+        **fields,
     )
+
+
+def five_slot_case(index):
+    _, (source_capacity, relay_capacity), rx_cost, delay = FIVE_SLOT_CASES[index]
+    return five_slot_problem(index, source_capacity_j=source_capacity,
+                             relay_capacity_j=relay_capacity, rx_energy_cost_j=rx_cost,
+                             delay_constrained=delay)
+
+
+@pytest.mark.parametrize("index", range(len(FIVE_SLOT_CASES)))
+def test_dp_matches_oracle_at_five_slots(index):
+    p = five_slot_case(index)
+    levels = FIVE_SLOT_CASES[index][0]
     optimal = sched.offline_optimal(p, levels)
     oracle = sched.brute_force_oracle(p, levels)
     assert oracle.objective_value > 0
     assert optimal.objective_value == pytest.approx(oracle.objective_value, rel=1e-9)
     sched.validate_schedule(p, optimal)
     sched.validate_schedule(p, oracle)
+
+
+def reference_survivors(layer, pareto):
+    """The survivor step ``_survivors`` replaced: every candidate row sorted by
+    state and path order with one lexsort, then the first row of each group."""
+    group = (layer.b_s, layer.b_r, layer.buf) + ((layer.relay_slots,) if pareto else ())
+    layer = layer.take(np.lexsort(sched._path_keys(layer, *group)[::-1]))
+    new_state = np.ones(layer.bits.size, dtype=bool)
+    new_state[1:] = (
+        sched._changed(layer.b_s) | sched._changed(layer.b_r) | sched._changed(layer.buf)
+    )
+    first = new_state.copy()
+    if pareto:
+        first[1:] |= sched._changed(layer.relay_slots)
+    n_states = int(new_state.sum())
+    layer = layer.take(first)
+    if pareto:
+        state = np.cumsum(new_state[first]) - 1
+        best = np.full(n_states, -np.inf)
+        keep = np.zeros(layer.bits.size, dtype=bool)
+        for count in np.unique(layer.relay_slots):
+            rows = np.flatnonzero(layer.relay_slots == count)
+            rows = rows[best[state[rows]] < layer.bits[rows] - 1e-12]
+            keep[rows] = True
+            best[state[rows]] = layer.bits[rows]
+        layer = layer.take(keep)
+    return layer, n_states
+
+
+def assert_layers_equal(layers, expected):
+    assert len(layers) == len(expected)
+    for layer, other in zip(layers, expected):
+        for name, column, other_column in zip(sched._Layer._fields, layer, other):
+            assert column.dtype == other_column.dtype, name
+            assert np.array_equal(column, other_column), name
+
+
+def solve_both(problem, levels):
+    optimal = sched.offline_optimal(problem, levels)
+    return optimal, sched.min_relay_time(problem, 0.5 * optimal.objective_value, levels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(schedule_problems(), st.integers(2, 4), st.booleans())
+def test_dp_layers_equal_reference_survivors(problem, levels, pareto):
+    layers = sched._run_dp(problem, levels, 10**9, pareto)
+    with mock.patch.object(sched, "_survivors", reference_survivors):
+        expected = sched._run_dp(problem, levels, 10**9, pareto)
+    assert_layers_equal(layers, expected)
+
+
+@pytest.mark.parametrize("index", range(len(FIVE_SLOT_CASES)))
+def test_dp_layers_equal_reference_survivors_at_five_slots(index):
+    p = five_slot_case(index)
+    levels = FIVE_SLOT_CASES[index][0]
+    for pareto in (False, True):
+        layers = sched._run_dp(p, levels, 10**9, pareto)
+        with mock.patch.object(sched, "_survivors", reference_survivors):
+            assert_layers_equal(layers, sched._run_dp(p, levels, 10**9, pareto))
+
+
+def tiny_blocks(levels):
+    """Blocks of two parents each, so every layer past the second merges many blocks."""
+    return mock.patch.object(sched, "_BLOCK_ROWS", 2 * (2 * levels + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule_problems(), st.integers(2, 4), st.booleans())
+def test_multi_block_layers_equal_one_block(problem, levels, pareto):
+    layers = sched._run_dp(problem, levels, 10**9, pareto)
+    schedules = solve_both(problem, levels)
+    with tiny_blocks(levels):
+        assert_layers_equal(sched._run_dp(problem, levels, 10**9, pareto), layers)
+        assert solve_both(problem, levels) == schedules
+
+
+@pytest.mark.parametrize("pareto", [False, True], ids=["offline_optimal", "min_relay_time"])
+def test_multi_block_rejects_at_the_same_slot(pareto):
+    levels = 3
+    p = five_slot_problem(1, source_capacity_j=2.0, rx_energy_cost_j=0.1)
+
+    def solve(bound):
+        if pareto:
+            return sched.min_relay_time(p, 0.0, levels, state_bound=bound)
+        return sched.offline_optimal(p, levels, state_bound=bound)
+
+    stored = [x.bits.size for x in sched._run_dp(p, levels, 10**9, pareto)[1:]]
+    assert stored[1] > 2  # from slot 2 on, a slot expands several two-parent blocks
+    for bound in sorted({n - 1 for n in stored}):
+        with pytest.raises(ProblemTooLargeError) as one_block:
+            solve(bound)
+        with tiny_blocks(levels), pytest.raises(ProblemTooLargeError) as many_blocks:
+            solve(bound)
+        slot = str(one_block.value).rsplit(" ", 1)[1]
+        assert str(many_blocks.value).endswith(f"at slot {slot}")
+    expected = solve(10**9)
+    with tiny_blocks(levels):
+        assert solve(max(stored)) == expected
 
 
 class TestWaterFilling:
