@@ -24,7 +24,7 @@ import numpy as np
 from ._documents import read_csv, write_csv
 from .errors import InvalidParameterError
 from .rng import substream
-from .scheduling import DeterministicArrivals, EnergyArrivalProcess, simulate_arrivals
+from .scheduling import DeterministicArrivals, EnergyArrivalProcess, mean_arrival, simulate_arrivals
 
 __all__ = [
     "NodeState",
@@ -286,17 +286,15 @@ def batch_policy(
         raise InvalidParameterError("overflow guard must be non-negative")
     events = np.asarray(event_slots, dtype=bool)
     horizon = events.size
+    deterministic = isinstance(node.arrival_process, DeterministicArrivals)
+    # a chain without a single mean raises before the trace is drawn
+    expected = 0.0 if deterministic else mean_arrival(node.arrival_process)
     arrivals = simulate_arrivals(node.arrival_process, horizon, seed)
-    from .scheduling import mean_arrival
 
-    if isinstance(node.arrival_process, DeterministicArrivals):
-        def projected_arrival(k: int) -> float:
-            return float(arrivals[k + 1]) if k + 1 < horizon else 0.0
-    else:
-        expected = mean_arrival(node.arrival_process)
-
-        def projected_arrival(k: int) -> float:
+    def projected_arrival(k: int) -> float:
+        if not deterministic:
             return expected
+        return float(arrivals[k + 1]) if k + 1 < horizon else 0.0
 
     reserve = sensing_cost_j if sensing_cost_j is not None else 0.05 * node.capacity_j
     battery = node.battery_j

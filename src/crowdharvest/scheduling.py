@@ -135,17 +135,6 @@ class MarkovArrivals:
     def matrix(self) -> np.ndarray:
         return np.asarray(self.transitions, dtype=float)
 
-    def stationary(self) -> np.ndarray:
-        p = self.matrix
-        n = p.shape[0]
-        a = np.vstack([p.T - np.eye(n), np.ones(n)])
-        b = np.concatenate([np.zeros(n), [1.0]])
-        pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-        if np.any(pi < -1e-9):
-            raise DegenerateModelError("energy chain has no valid stationary law")
-        pi = np.clip(pi, 0.0, None)
-        return pi / pi.sum()
-
 
 @dataclass(frozen=True)
 class DeterministicArrivals:
@@ -207,12 +196,13 @@ def _markov_path(process: MarkovArrivals, k: int, rng: np.random.Generator) -> l
 
 
 def mean_arrival(process: EnergyArrivalProcess) -> float:
+    """Long-run mean arrival per slot; a Markov chain that is not unichain raises."""
     if isinstance(process, BernoulliArrivals):
         return process.p * process.energy_j
     if isinstance(process, TriStateArrivals):
         return process.energy_j
     if isinstance(process, MarkovArrivals):
-        return float(process.stationary() @ np.asarray(process.states_j))
+        return _evaluate_average_reward(process.matrix, np.asarray(process.states_j, float))[0]
     if isinstance(process, DeterministicArrivals):
         return float(np.mean(process.trace_j)) if process.trace_j else 0.0
     raise InvalidParameterError(f"unknown arrival process {process!r}")
@@ -395,11 +385,11 @@ def _transition(
 ) -> tuple[np.ndarray, ...]:
     """Slot ``k`` of the two-hop transition, one element per (state, action) cell.
 
-    Returns the next source battery, relay battery and buffer (not
-    rounded), the delivered bits, the spent energy (the transmit spend
-    plus the receive cost) and the transmit spend. The DP and ``_replay``
-    share this transition; the oracle and the validator derive it
-    independently. An action that spends nothing leaves the slot idle.
+    Returns the next source battery, relay battery and buffer, the
+    delivered bits, the spent energy (the transmit spend plus the receive
+    cost) and the transmit spend. The DP and ``_replay`` share this
+    transition; the oracle and the validator derive it independently. An
+    action that spends nothing leaves the slot idle.
     """
     src = (action >= 1) & (action <= power_levels)
     rel = action > power_levels
@@ -435,9 +425,9 @@ class _Layer(NamedTuple):
     those pairs as ``rank * alphabet + symbol``.
     """
 
-    b_s: np.ndarray  # source battery, rounded to 12 decimals
-    b_r: np.ndarray  # relay battery, rounded
-    buf: np.ndarray  # buffered bits, rounded
+    b_s: np.ndarray  # source battery, exactly as the transition computes it
+    b_r: np.ndarray  # relay battery
+    buf: np.ndarray  # buffered bits
     bits: np.ndarray
     energy: np.ndarray
     relay_slots: np.ndarray
@@ -526,7 +516,7 @@ def _children(
     source battery, and relay actions on a non-empty relay battery with
     buffered bits: the others repeat the idle outcome or waste relay
     energy. A harvested battery is non-empty exactly when the battery
-    plus its arrival is positive.
+    plus its arrival is positive. States stay exact, as ``_replay`` recomputes them.
     """
     source = prev.b_s[rows] + problem.source_arrivals_j[k] > 0
     relay = (prev.b_r[rows] + problem.relay_arrivals_j[k] > 0) & (prev.buf[rows] > 0)
@@ -536,10 +526,8 @@ def _children(
     b_s, b_r, buf, delivered, energy, _ = _transition(
         problem, k, prev.b_s[parent], prev.b_r[parent], prev.buf[parent], action, power_levels
     )
-    return _Layer(  # rounded and summed in place, so a block holds one copy of each column
-        b_s=np.round(b_s, 12, out=b_s),
-        b_r=np.round(b_r, 12, out=b_r),
-        buf=np.round(buf, 12, out=buf),
+    return _Layer(  # summed in place, so a block holds one copy of each column
+        b_s, b_r, buf,
         bits=np.add(prev.bits[parent], delivered, out=delivered),
         energy=np.add(prev.energy[parent], energy, out=energy),
         relay_slots=prev.relay_slots[parent] + (action > power_levels),
@@ -562,13 +550,14 @@ def _run_dp(
     Returns the layer before the first slot and the layer after each slot.
     Per state it keeps the best path, or with ``pareto`` the Pareto set
     over (delivered bits up, relay slots down) that minimum-relay-time
-    queries need. States are keyed by their values rounded to 12 decimals.
+    queries need. States are keyed by their exact float values; only the
+    path order rounds bits and energy.
     Parents are expanded in blocks of at most ``_BLOCK_ROWS`` candidate
     rows, each merged into the layer's survivors, and the problem is
     rejected as soon as a layer holds more than ``state_bound`` states;
     with ``pareto`` also when a finished layer stores more values.
     """
-    start = np.round([problem.initial_source_j, problem.initial_relay_j, 0.0], 12)
+    start = np.array([problem.initial_source_j, problem.initial_relay_j, 0.0], dtype=float)
     zero, root = np.zeros(1, dtype=np.int64), np.full(1, -1)
     layers = [_Layer(start[:1], start[1:2], start[2:], np.zeros(1), np.zeros(1),
                      zero, zero, zero, root, root)]
@@ -880,14 +869,15 @@ class BatteryMdp:
     reward_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.reward_scale <= 0:
-            raise InvalidParameterError("reward scale must be positive")
+        # every check is written so that NaN fails it
+        _require_count("battery_buckets", self.battery_buckets)
         if self.battery_buckets < 2:
             raise InvalidParameterError("need at least two battery buckets")
-        if self.bucket_j <= 0:
-            raise InvalidParameterError("battery quantum must be positive")
-        if self.snr_per_joule <= 0:
-            raise InvalidParameterError("snr per joule must be positive")
+        for name in ("bucket_j", "snr_per_joule", "reward_scale"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidParameterError(f"{name} must be positive and finite")
+        if not all(0 <= s < math.inf for s in self.spend_levels_j):
+            raise InvalidParameterError("spend levels must be non-negative and finite")
         for v in self.spend_levels_j + self.arrivals.states_j:
             units = v / self.bucket_j
             if abs(units - round(units)) > 1e-9:
@@ -905,34 +895,16 @@ class BatteryMdp:
     def n_states(self) -> int:
         return self.battery_buckets * len(self.arrivals.states_j)
 
-    def state_index(self, battery_bucket: int, energy_state: int) -> int:
-        return battery_bucket * len(self.arrivals.states_j) + energy_state
-
-    def feasible_actions(self, battery_bucket: int) -> list[int]:
-        b_j = battery_bucket * self.bucket_j
-        return [i for i, s in enumerate(self.spend_levels_j) if s <= b_j + 1e-12]
-
     def reward(self, action: int) -> float:
         return self.reward_scale * math.log2(
             1.0 + self.spend_levels_j[action] * self.snr_per_joule
         )
 
-    def transition_row(self, battery_bucket: int, energy_state: int, action: int) -> np.ndarray:
-        """Distribution over next states for one feasible (state, action) pair."""
-        if action not in self.feasible_actions(battery_bucket):
-            raise InvalidParameterError(
-                f"action {action} is infeasible in battery bucket {battery_bucket}"
-            )
-        n_e = len(self.arrivals.states_j)
-        row = np.zeros(self.n_states)
-        spend_units = round(self.spend_levels_j[action] / self.bucket_j)
-        left = battery_bucket - spend_units
-        p = self.arrivals.matrix[energy_state]
-        for e_next in range(n_e):
-            arrive_units = round(self.arrivals.states_j[e_next] / self.bucket_j)
-            b_next = min(self.battery_buckets - 1, left + arrive_units)
-            row[self.state_index(b_next, e_next)] += p[e_next]
-        return row
+
+def _feasible_spends(mdp: BatteryMdp) -> np.ndarray:
+    """(spend level, battery bucket) mask of the spends each bucket covers."""
+    held_j = np.arange(mdp.battery_buckets) * mdp.bucket_j
+    return np.asarray(mdp.spend_levels_j)[:, None] <= held_j + 1e-12
 
 
 @dataclass(frozen=True)
@@ -942,22 +914,19 @@ class Policy:
     mdp: BatteryMdp
     actions: np.ndarray  # shape (buckets, n_energy_states) of spend level indices
     gain: float
-    bias: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         mdp = self.mdp
         shape = (mdp.battery_buckets, len(mdp.arrivals.states_j))
-        levels = np.asarray(mdp.spend_levels_j)
         actions = np.asarray(self.actions)
         if (
             actions.shape != shape
             or not np.issubdtype(actions.dtype, np.integer)
             or actions.min() < 0
-            or actions.max() >= levels.size
+            or actions.max() >= len(mdp.spend_levels_j)
         ):
             raise InvalidParameterError(f"policy table must be {shape} spend-level indices")
-        held_j = np.arange(mdp.battery_buckets)[:, None] * mdp.bucket_j
-        if np.any(levels[actions] > held_j + 1e-12):  # the rule of feasible_actions
+        if not _feasible_spends(mdp)[actions, np.arange(mdp.battery_buckets)[:, None]].all():
             raise InvalidParameterError("policy spends more than its battery bucket holds")
 
     def action_at(self, battery_bucket: int, energy_state: int) -> int:
@@ -1013,7 +982,7 @@ class _MdpArrays:
             nxt=b_next * n_e + np.arange(n_e),
             prob=np.tile(mdp.arrivals.matrix, (mdp.battery_buckets, 1)),
             rewards=np.array([mdp.reward(a) for a in range(len(mdp.spend_levels_j))]),
-            feasible=np.asarray(mdp.spend_levels_j)[:, None] <= buckets * mdp.bucket_j + 1e-12,
+            feasible=np.repeat(_feasible_spends(mdp), n_e, axis=1),
         )
 
     def expected(self, v: np.ndarray) -> np.ndarray:
@@ -1031,7 +1000,10 @@ def _policy_tables(arrays: _MdpArrays, actions: np.ndarray) -> tuple[np.ndarray,
 
 
 def _evaluate_average_reward(p: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
-    """Solve h + g*1 = r + P h with h[0] = 0; raises on multichain models."""
+    """Gain and bias of the chain ``p`` with rewards ``r``: h + g*1 = r + P h, h[0] = 0.
+
+    A chain that is not unichain has no single gain and raises.
+    """
     n = p.shape[0]
     a = np.zeros((n + 1, n + 1))
     a[:n, :n] = np.eye(n) - p
@@ -1042,7 +1014,7 @@ def _evaluate_average_reward(p: np.ndarray, r: np.ndarray) -> tuple[float, np.nd
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise DegenerateModelError(
-            "average-reward evaluation failed: the closed-loop chain is not unichain"
+            "average-reward evaluation failed: the chain is not unichain"
         ) from exc
     if not np.all(np.isfinite(x)):
         raise DegenerateModelError("average-reward evaluation produced non-finite values")
@@ -1070,7 +1042,7 @@ def mdp_policy_iteration(mdp: BatteryMdp, max_iterations: int = 1000) -> Policy:
             best_a = np.where(better, a, best_a)
         new_actions = best_a.reshape(shape)
         if np.array_equal(new_actions, actions):
-            return Policy(mdp, actions, gain, bias)
+            return Policy(mdp, actions, gain)
         actions = new_actions
     raise DegenerateModelError("policy iteration did not stabilise")
 
@@ -1104,40 +1076,23 @@ def threshold_policy(
 
     The spend defaults to one battery quantum; it is truncated to the
     largest feasible level when the battery holds less than the target.
-    The returned policy carries its exact long-run gain.
+    The returned policy carries its exact long-run gain; a multichain
+    closed loop raises :class:`DegenerateModelError`.
     """
-    if theta_j < 0:
-        raise InvalidParameterError("threshold must be non-negative")
+    if not 0 <= theta_j < math.inf:
+        raise InvalidParameterError("threshold must be non-negative and finite")
     target = mdp.bucket_j if spend_j is None else spend_j
-    n_e = len(mdp.arrivals.states_j)
-    levels = mdp.spend_levels_j
-    actions = np.full((mdp.battery_buckets, n_e), levels.index(0.0), dtype=np.int64)
-    for b in range(mdp.battery_buckets):
-        b_j = b * mdp.bucket_j
-        if b_j + 1e-12 < theta_j or b_j <= 0:
-            continue
-        feasible = [i for i, s in enumerate(levels) if 0 < s <= min(target, b_j) + 1e-12]
-        if feasible:
-            actions[b, :] = max(feasible, key=lambda i: levels[i])
+    if not 0 < target < math.inf:
+        raise InvalidParameterError("spend must be positive and finite")
+    levels = np.asarray(mdp.spend_levels_j)
+    held_j = np.arange(mdp.battery_buckets) * mdp.bucket_j
+    allowed = _feasible_spends(mdp) & ((levels > 0) & (levels <= target + 1e-12))[:, None]
+    largest = np.where(allowed, levels[:, None], -1.0).argmax(axis=0)
+    transmit = allowed.any(axis=0) & (held_j + 1e-12 >= theta_j) & (held_j > 0)
+    chosen = np.where(transmit, largest, mdp.spend_levels_j.index(0.0))
+    actions = np.repeat(chosen[:, None], len(mdp.arrivals.states_j), axis=1)
     p, r = _policy_tables(_MdpArrays.build(mdp), actions)
-    try:
-        gain, bias = _evaluate_average_reward(p, r)
-    except DegenerateModelError:
-        # never-transmitting policies on periodic chains: evaluate by stationarity
-        gain, bias = _stationary_gain(p, r), None
-    return Policy(mdp, actions, gain, bias)
-
-
-def _stationary_gain(p: np.ndarray, r: np.ndarray) -> float:
-    n = p.shape[0]
-    a = np.vstack([p.T - np.eye(n), np.ones(n)])
-    b = np.concatenate([np.zeros(n), [1.0]])
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    total = pi.sum()
-    if total <= 0:
-        raise DegenerateModelError("no stationary distribution")
-    return float((pi / total) @ r)
+    return Policy(mdp, actions, _evaluate_average_reward(p, r)[0])
 
 
 def evaluate_policy(
@@ -1147,15 +1102,17 @@ def evaluate_policy(
     seed: int = 0,
     exact: bool = False,
 ) -> float:
-    """Average reward per slot, by simulation or by exact stationary solve.
+    """Average reward per slot, by simulation or by the exact average-reward solve.
 
-    The exact mode solves the closed-loop stationary equations and is
-    available when the arrival process is the policy's own Markov chain.
-    Simulation quantises the running battery to the policy's buckets
-    (rounding down) before each lookup.
+    The exact mode, available when the arrival process is the policy's
+    own Markov chain, solves the closed loop's average-reward equations as
+    policy iteration does; a multichain loop raises. Simulation quantises
+    the running battery to the policy's buckets (rounding down) before
+    each lookup.
     It follows the simulated state path of a Markov chain, so energy
     states that share an arrival energy keep their own actions.
     """
+    _require_count("horizon", horizon)
     mdp = policy.mdp
     if process is None:
         process = mdp.arrivals
@@ -1163,9 +1120,7 @@ def evaluate_policy(
         if process is not mdp.arrivals and process != mdp.arrivals:
             raise InvalidParameterError("exact evaluation requires the policy's own chain")
         p, r = _policy_tables(_MdpArrays.build(mdp), policy.actions)
-        return _stationary_gain(p, r)
-    if horizon < 1:
-        raise InvalidParameterError("horizon must be at least 1")
+        return _evaluate_average_reward(p, r)[0]
     if isinstance(process, MarkovArrivals):
         # the stream simulate_arrivals draws from, so the trace is the same
         path = _markov_path(process, horizon, substream(seed, "arrivals"))

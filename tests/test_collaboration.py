@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdharvest import collaboration as collab
-from crowdharvest.errors import IngestionError, InvalidParameterError
-from crowdharvest.scheduling import BernoulliArrivals, DeterministicArrivals
+from crowdharvest.errors import DegenerateModelError, IngestionError, InvalidParameterError
+from crowdharvest.scheduling import BernoulliArrivals, DeterministicArrivals, MarkovArrivals
 
 PARAMS = collab.CollabParams(xi=0.5, decode_snr_threshold=8.0, noise_power_w=1.0)
 
@@ -188,6 +188,13 @@ class TestBatchPolicy:
         for d in decisions:
             if events[d.slot]:
                 assert d.decision == "sense"
+
+    def test_chain_without_a_mean_raises_before_the_trace_is_drawn(self, monkeypatch):
+        chain = MarkovArrivals((0.0, 1.0), ((1.0, 0.0), (0.0, 1.0)))
+        node = collab.NodeState(0.0, 10.0, chain, 1.0)
+        monkeypatch.setattr(collab, "simulate_arrivals", lambda *a: pytest.fail("trace drawn"))
+        with pytest.raises(DegenerateModelError):
+            collab.batch_policy(node, [False] * 5, 1.0)
 
     def test_guard_must_be_below_capacity(self):
         node = self.make_node([1.0] * 5)

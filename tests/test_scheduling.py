@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -69,6 +69,16 @@ SHARED_ENERGY_MDP = sched.BatteryMdp(
     snr_per_joule=2.0,
 )
 
+# Two energy states that never change: every closed loop on it has at least
+# two closed classes, so no single long-run gain exists.
+IDENTITY_CHAIN_MDP = sched.BatteryMdp(
+    arrivals=sched.MarkovArrivals((0.0, 1.0), ((1.0, 0.0), (0.0, 1.0))),
+    battery_buckets=4,
+    bucket_j=1.0,
+    spend_levels_j=(0.0, 1.0),
+    snr_per_joule=2.0,
+)
+
 # Desk-model results and Markov trace digests recorded from the earlier
 # per-row implementation; the array solvers must reproduce them bit for bit.
 PINNED = json.loads(Path(__file__).with_name("desk_mdp_pinned.json").read_text())
@@ -92,7 +102,8 @@ class TestArrivals:
         chain = sched.MarkovArrivals((0.0, 1.0), ((0.9, 0.1), (0.4, 0.6)))
         trace = sched.simulate_arrivals(chain, 1_000_000, 3)
         freq_state1 = np.mean(trace == 1.0)
-        assert freq_state1 == pytest.approx(chain.stationary()[1], abs=0.01)
+        # with energies (0, 1) the mean arrival is the state-1 frequency
+        assert freq_state1 == pytest.approx(sched.mean_arrival(chain), abs=0.01)
 
     @pytest.mark.parametrize("key", sorted(PINNED["markov_trace_sha256"]))
     def test_markov_trace_pinned(self, key):
@@ -106,6 +117,12 @@ class TestArrivals:
         proc = sched.DeterministicArrivals((1.0, 2.0, 3.0))
         assert list(sched.simulate_arrivals(proc, 2, 0)) == [1.0, 2.0]
         assert list(sched.simulate_arrivals(proc, 5, 0)) == [1.0, 2.0, 3.0, 0.0, 0.0]
+
+    def test_mean_arrival_of_a_multichain_chain_raises(self):
+        # a least-squares stationary law used to report 0.5, while the
+        # simulation starts in state 0 and draws only zeros
+        with pytest.raises(DegenerateModelError):
+            sched.mean_arrival(IDENTITY_CHAIN_MDP.arrivals)
 
     def test_transition_rows_validated(self):
         with pytest.raises(InvalidParameterError):
@@ -508,8 +525,23 @@ def schedule_problems(draw):
     )
 
 
+# Rounding DP states to 12 decimals once turned a relay battery of
+# 0.09999999999999998 J into the 0.1 J receive cost, and at 4 levels the DP
+# credited a reception that its own replay refused (19.90 bits, oracle 39.56).
+ROUNDED_RX_PROBLEM = sched.ScheduleProblem(
+    slot_count=4, slot_duration_s=1.0, source_arrivals_j=(1.0, 0.0, 0.0, 0.0),
+    relay_arrivals_j=(0.0, 0.0, 0.0, 1.0), source_gains=(0.001953125,) * 4,
+    relay_gains=(0.001953125, 0.001953125, 0.0013860533789770552, 0.001953125),
+    noise_power_w=1e-9, source_capacity_j=1.0, relay_capacity_j=1.0, rx_energy_cost_j=0.1,
+    initial_relay_j=0.5,
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(schedule_problems(), st.integers(2, 4), st.floats(0.0, 1.0))
+@example(ROUNDED_RX_PROBLEM, 2, 0.5)
+@example(ROUNDED_RX_PROBLEM, 3, 0.5)
+@example(ROUNDED_RX_PROBLEM, 4, 0.5)
 def test_dp_matches_exhaustive_oracles(problem, levels, demand_share):
     optimal = sched.offline_optimal(problem, levels)
     oracle = sched.brute_force_oracle(problem, levels)
@@ -894,15 +926,14 @@ class TestMdp:
         assert scaled.gain == pytest.approx(7.5 * base.gain, rel=1e-9)
 
     def test_degenerate_chain_raises(self):
-        mdp = sched.BatteryMdp(
-            arrivals=sched.MarkovArrivals((0.0, 1.0), ((1.0, 0.0), (0.0, 1.0))),
-            battery_buckets=4,
-            bucket_j=1.0,
-            spend_levels_j=(0.0, 1.0),
-            snr_per_joule=2.0,
-        )
         with pytest.raises(DegenerateModelError):
-            sched.mdp_policy_iteration(mdp)
+            sched.mdp_policy_iteration(IDENTITY_CHAIN_MDP)
+
+    def test_multichain_threshold_policy_raises(self):
+        # a least-squares stationary law used to report 1.1887 (0.75 log2 3),
+        # the gain of no start state; the simulation from energy state 0 reads 0
+        with pytest.raises(DegenerateModelError):
+            sched.threshold_policy(IDENTITY_CHAIN_MDP, 1.0)
 
     def test_threshold_endpoints(self):
         never = sched.threshold_policy(DESK_MDP, DESK_MDP.capacity_j + 5.0)
@@ -936,6 +967,26 @@ class TestMdp:
 
 
 class TestMdpArrays:
+    """``_MdpArrays`` against a per-state reference of the battery MDP."""
+
+    @staticmethod
+    def feasible_actions(mdp, battery_bucket):
+        b_j = battery_bucket * mdp.bucket_j
+        return [i for i, s in enumerate(mdp.spend_levels_j) if s <= b_j + 1e-12]
+
+    @staticmethod
+    def transition_row(mdp, battery_bucket, energy_state, action):
+        """Distribution over next states for one feasible (state, action) pair."""
+        n_e = len(mdp.arrivals.states_j)
+        row = np.zeros(mdp.n_states)
+        left = battery_bucket - round(mdp.spend_levels_j[action] / mdp.bucket_j)
+        p = mdp.arrivals.matrix[energy_state]
+        for e_next in range(n_e):
+            arrive_units = round(mdp.arrivals.states_j[e_next] / mdp.bucket_j)
+            b_next = min(mdp.battery_buckets - 1, left + arrive_units)
+            row[b_next * n_e + e_next] += p[e_next]
+        return row
+
     @pytest.mark.parametrize(
         "mdp",
         [desk_mdp(16), desk_mdp(128, top_spend_j=8), SHARED_ENERGY_MDP],
@@ -945,14 +996,14 @@ class TestMdpArrays:
         arrays = sched._MdpArrays.build(mdp)
         n_e = len(mdp.arrivals.states_j)
         for b in range(mdp.battery_buckets):
-            feasible = mdp.feasible_actions(b)
+            feasible = self.feasible_actions(mdp, b)
             for e in range(n_e):
-                s = mdp.state_index(b, e)
+                s = b * n_e + e
                 assert np.flatnonzero(arrays.feasible[:, s]).tolist() == feasible
                 for a in feasible:
                     row = np.zeros(mdp.n_states)
                     np.add.at(row, arrays.nxt[a, s], arrays.prob[s])
-                    assert np.array_equal(row, mdp.transition_row(b, e, a))
+                    assert np.array_equal(row, self.transition_row(mdp, b, e, a))
         assert arrays.rewards.tolist() == [
             mdp.reward(a) for a in range(len(mdp.spend_levels_j))
         ]
@@ -988,11 +1039,6 @@ class TestPolicyFeasibility:
         with pytest.raises(InvalidParameterError):
             sched.Policy(DESK_MDP, actions, gain=0.0)
 
-    def test_transition_row_rejects_infeasible_action(self):
-        with pytest.raises(InvalidParameterError):
-            DESK_MDP.transition_row(1, 0, 4)  # used to wrap round to states 26 and 31
-        assert DESK_MDP.transition_row(4, 0, 4).sum() == pytest.approx(1.0)
-
     def test_threshold_policy_idles_on_the_zero_level(self):
         mdp = replace(DESK_MDP, spend_levels_j=(1.0, 2.0, 0.0))
         policy = sched.threshold_policy(mdp, 3.0, spend_j=2.0)
@@ -1000,10 +1046,56 @@ class TestPolicyFeasibility:
         assert np.all(policy.actions[3:] == 1)
 
 
+NEVER_TRANSMIT = sched.Policy(DESK_MDP, np.zeros((16, 2), dtype=np.int64), gain=0.0)
+MDP_REJECTIONS = {
+    "buckets-fraction": lambda: replace(DESK_MDP, battery_buckets=2.5),
+    "buckets-bool": lambda: replace(DESK_MDP, battery_buckets=True),
+    "buckets-one": lambda: replace(DESK_MDP, battery_buckets=1),
+    "quantum-nan": lambda: replace(DESK_MDP, bucket_j=math.nan),
+    "quantum-inf": lambda: replace(DESK_MDP, bucket_j=math.inf),
+    "quantum-zero": lambda: replace(DESK_MDP, bucket_j=0.0),
+    "snr-nan": lambda: replace(DESK_MDP, snr_per_joule=math.nan),
+    "snr-inf": lambda: replace(DESK_MDP, snr_per_joule=math.inf),
+    "scale-nan": lambda: replace(DESK_MDP, reward_scale=math.nan),
+    "scale-inf": lambda: replace(DESK_MDP, reward_scale=math.inf),
+    "scale-negative": lambda: replace(DESK_MDP, reward_scale=-1.0),
+    "spend-negative": lambda: replace(DESK_MDP, spend_levels_j=(0.0, -1.0)),
+    "spend-nan": lambda: replace(DESK_MDP, spend_levels_j=(0.0, math.nan)),
+    "spend-inf": lambda: replace(DESK_MDP, spend_levels_j=(0.0, math.inf)),
+    "theta-nan": lambda: sched.threshold_policy(DESK_MDP, math.nan),
+    "theta-inf": lambda: sched.threshold_policy(DESK_MDP, math.inf),
+    "target-nan": lambda: sched.threshold_policy(DESK_MDP, 2.0, spend_j=math.nan),
+    "target-inf": lambda: sched.threshold_policy(DESK_MDP, 2.0, spend_j=math.inf),
+    "target-negative": lambda: sched.threshold_policy(DESK_MDP, 2.0, spend_j=-1.0),
+    "target-zero": lambda: sched.threshold_policy(DESK_MDP, 2.0, spend_j=0.0),
+    "horizon-fraction": lambda: sched.evaluate_policy(NEVER_TRANSMIT, horizon=2.5),
+    "horizon-zero": lambda: sched.evaluate_policy(NEVER_TRANSMIT, horizon=0),
+    "horizon-bool": lambda: sched.evaluate_policy(NEVER_TRANSMIT, horizon=True),
+}
+
+
+@pytest.mark.parametrize("call", list(MDP_REJECTIONS.values()), ids=list(MDP_REJECTIONS))
+def test_mdp_inputs_rejected_up_front(call):
+    # most of these used to construct and then fail in a solver, raise a bare
+    # TypeError or ValueError, or act as another input (a NaN threshold as 0)
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
 class TestEvaluatePolicy:
     def test_never_transmit_zero(self):
         never = sched.threshold_policy(DESK_MDP, DESK_MDP.capacity_j + 5.0)
         assert sched.evaluate_policy(never, horizon=5_000, seed=1) == 0.0
+
+    def test_exact_multichain_evaluation_raises(self):
+        policy = sched.Policy(IDENTITY_CHAIN_MDP, np.array([[0, 0]] + [[1, 1]] * 3), gain=0.0)
+        with pytest.raises(DegenerateModelError):
+            sched.evaluate_policy(policy, exact=True)
+
+    @pytest.mark.parametrize("buckets", [16, 32, 64])
+    def test_exact_evaluation_returns_the_policy_iteration_gain(self, buckets):
+        policy = sched.mdp_policy_iteration(desk_mdp(buckets))
+        assert sched.evaluate_policy(policy, exact=True) == policy.gain
 
     def test_exact_matches_monte_carlo(self):
         policy = sched.mdp_policy_iteration(DESK_MDP)
