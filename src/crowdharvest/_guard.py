@@ -1,0 +1,39 @@
+"""The argument range rules, each written once.
+
+Each helper takes the values as keyword arguments, raises
+:class:`InvalidParameterError` naming the first one out of range and its
+value, and fails NaN. Ranges that none of them fits are checked inline.
+"""
+
+import math
+import numbers
+
+from .errors import InvalidParameterError
+
+
+def positive(**values: float) -> None:
+    """Each value is finite and above 0."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
+
+
+def non_negative(**values: float) -> None:
+    """Each value is finite and at least 0."""
+    for name, value in values.items():
+        if not 0 <= value < math.inf:
+            raise InvalidParameterError(f"{name} must be non-negative and finite, got {value!r}")
+
+
+def unit(**values: float) -> None:
+    """Each value lies in [0, 1]."""
+    for name, value in values.items():
+        if not 0 <= value <= 1:
+            raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def count(*, minimum: int = 1, **values: int) -> None:
+    """Each value is an integer (not a bool) of at least ``minimum``."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+            raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")

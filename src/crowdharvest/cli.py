@@ -8,6 +8,7 @@ pathloss. Global flags: --config, --seed, --out, --trials. Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -193,8 +194,8 @@ def _desk_problem(cfg: scenario.ScenarioConfig) -> scheduling.ScheduleProblem:
         source_gains=tuple([sched.source_gain] * k),
         relay_gains=tuple([sched.relay_gain] * k),
         noise_power_w=sched.noise_power_w,
-        source_capacity_j=sched.source_capacity_j or float("inf"),
-        relay_capacity_j=sched.relay_capacity_j or float("inf"),
+        source_capacity_j=math.inf if sched.source_capacity_j is None else sched.source_capacity_j,
+        relay_capacity_j=math.inf if sched.relay_capacity_j is None else sched.relay_capacity_j,
         rx_energy_cost_j=sched.rx_energy_cost_j,
     )
 

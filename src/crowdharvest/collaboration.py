@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 # scipy is imported inside the function that calls it: loading it costs every command ~0.3 s.
 
+from . import _guard
 from ._documents import read_csv, write_csv
 from .errors import InvalidParameterError
 from .rng import substream
@@ -58,8 +59,7 @@ class NodeState:
     def __post_init__(self) -> None:
         if not 0.0 <= self.battery_j <= self.capacity_j:
             raise InvalidParameterError("battery must lie in [0, capacity]")
-        if self.channel_gain_to_sink < 0:
-            raise InvalidParameterError("channel gain must be non-negative")
+        _guard.non_negative(channel_gain_to_sink=self.channel_gain_to_sink)
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,7 @@ class QosSpec:
     horizon: int
 
     def __post_init__(self) -> None:
-        if self.max_inter_delivery < 1:
-            raise InvalidParameterError("deadline must be at least one slot")
-        if self.horizon < 1:
-            raise InvalidParameterError("horizon must be at least one slot")
+        _guard.count(max_inter_delivery=self.max_inter_delivery, horizon=self.horizon)
 
 
 @dataclass(frozen=True)
@@ -98,14 +95,9 @@ class CollabParams:
     decision_rule: str = "max_battery"  # or "round_robin"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.xi <= 1.0:
-            raise InvalidParameterError("frame split must lie in [0, 1]")
-        if self.decode_snr_threshold <= 0:
-            raise InvalidParameterError("decode threshold must be positive")
-        if self.noise_power_w <= 0:
-            raise InvalidParameterError("noise power must be positive")
-        if not 0.0 <= self.combining_efficiency <= 1.0:
-            raise InvalidParameterError("combining efficiency must lie in [0, 1]")
+        _guard.unit(xi=self.xi, combining_efficiency=self.combining_efficiency)
+        _guard.positive(decode_snr_threshold=self.decode_snr_threshold,
+                        noise_power_w=self.noise_power_w, frame_duration_s=self.frame_duration_s)
         if self.decision_rule not in ("max_battery", "round_robin"):
             raise InvalidParameterError(f"unknown decision rule {self.decision_rule!r}")
 
@@ -132,11 +124,8 @@ def jt_snr(
     (sqrt(Pa ga) + sqrt(Pb gb))^2 / noise; an amplitude efficiency below 1
     scales the cross term, and 0 degrades to plain power addition.
     """
-    if noise_w <= 0:
-        raise InvalidParameterError("noise power must be positive")
-    for v in (power_a_w, power_b_w, gain_a, gain_b):
-        if v < 0:
-            raise InvalidParameterError("powers and gains must be non-negative")
+    _guard.positive(noise_w=noise_w)
+    _guard.non_negative(power_a_w=power_a_w, power_b_w=power_b_w, gain_a=gain_a, gain_b=gain_b)
     sa = power_a_w * gain_a
     sb = power_b_w * gain_b
     return (sa + sb + 2.0 * combining_efficiency * math.sqrt(sa * sb)) / noise_w
@@ -280,10 +269,10 @@ def batch_policy(
     reserve as one batch when the projection would overflow past the
     guard. Returns the decisions and the total energy lost to overflow.
     """
-    if overflow_guard_j >= node.capacity_j:
-        raise InvalidParameterError("overflow guard must be below the capacity")
-    if overflow_guard_j < 0:
-        raise InvalidParameterError("overflow guard must be non-negative")
+    if not 0 <= overflow_guard_j < node.capacity_j:
+        raise InvalidParameterError("overflow guard must lie in [0, capacity)")
+    if sensing_cost_j is not None:
+        _guard.non_negative(sensing_cost_j=sensing_cost_j)
     events = np.asarray(event_slots, dtype=bool)
     horizon = events.size
     deterministic = isinstance(node.arrival_process, DeterministicArrivals)
@@ -321,8 +310,8 @@ def traffic_correlation_kernel(
     distance_m: float, correlation_distance_m: float = 80.0
 ) -> float:
     """Exponential spatial correlation of traffic (and so of harvest rates)."""
-    if distance_m < 0 or correlation_distance_m <= 0:
-        raise InvalidParameterError("distances must be non-negative, kernel scale positive")
+    _guard.non_negative(distance_m=distance_m)
+    _guard.positive(correlation_distance_m=correlation_distance_m)
     return math.exp(-distance_m / correlation_distance_m)
 
 
@@ -340,8 +329,7 @@ def correlated_bernoulli_traces(
     spacing, so co-located nodes harvest identically and nodes beyond
     about 100 m are nearly independent.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError("arrival probability must lie in [0, 1]")
+    _guard.unit(p=p)
     from scipy.special import ndtr
 
     rho = traffic_correlation_kernel(distance_m, correlation_distance_m)

@@ -11,13 +11,12 @@ an optional guard margin for probe placement.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 # scipy is imported inside the functions that call it: loading it costs every command ~0.3 s.
 
+from . import _guard
 from ._documents import dataclass_from_dict, dumps, loads, read_csv, write_csv
 from .errors import (
     FitFailureError,
@@ -62,8 +61,7 @@ class Region:
     guard_margin_m: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.width_m > 0 and self.height_m > 0):
-            raise InvalidParameterError("region dimensions must be positive")
+        _guard.positive(width_m=self.width_m, height_m=self.height_m)
         if self.boundary not in ("toroidal", "guard"):
             raise InvalidParameterError(f"unknown boundary mode {self.boundary!r}")
         if self.boundary == "guard":
@@ -112,12 +110,8 @@ class ClusteredProcess:
     kind: str = field(default="clustered", init=False)
 
     def __post_init__(self) -> None:
-        if self.parent_density_per_km2 <= 0:
-            raise InvalidParameterError("parent density must be positive")
-        if self.mean_offspring <= 0:
-            raise InvalidParameterError("mean offspring must be positive")
-        if self.spread_m <= 0:
-            raise InvalidParameterError("offspring spread must be positive")
+        _guard.positive(parent_density_per_km2=self.parent_density_per_km2,
+                        mean_offspring=self.mean_offspring, spread_m=self.spread_m)
 
     @property
     def density_per_km2(self) -> float:
@@ -143,8 +137,7 @@ class Deployment:
         ys = np.asarray(self.ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise InvalidParameterError("xs and ys must be 1-D arrays of equal length")
-        if self.density_per_km2 < 0:
-            raise InvalidParameterError("density must be non-negative")
+        _guard.non_negative(density_per_km2=self.density_per_km2)
         if xs.size and not np.all(self.region.contains(xs, ys)):
             raise InvalidParameterError("deployment points must lie inside the region")
         xs.flags.writeable = False
@@ -157,37 +150,50 @@ class Deployment:
         return int(self.xs.size)
 
 
-def _ppp_points(
-    rng: np.random.Generator, density_per_km2: float, region: Region
-) -> tuple[np.ndarray, np.ndarray]:
-    """Point draw of :func:`sample_ppp` from its substream."""
-    if density_per_km2 < 0:
-        raise InvalidParameterError("density must be non-negative")
-    mean_count = density_per_km2 * region.area_km2
-    n = int(rng.poisson(mean_count))
-    xs = rng.uniform(0.0, region.width_m, n)
-    ys = rng.uniform(0.0, region.height_m, n)
-    return xs, ys
+def _at_density(
+    process: SpatialProcess, density_per_km2: float
+) -> tuple[SpatialProcess, float]:
+    """``process`` rescaled as :func:`sample_process` does, and the density it samples at.
+
+    The target density is checked here, once per sweep, and not on every draw.
+    """
+    _guard.non_negative(density_per_km2=density_per_km2)
+    if isinstance(process, PoissonProcess):
+        return process, density_per_km2
+    scale = density_per_km2 / process.density_per_km2
+    spec = ClusteredProcess(
+        parent_density_per_km2=process.parent_density_per_km2 * scale,
+        mean_offspring=process.mean_offspring,
+        spread_m=process.spread_m,
+    )
+    return spec, spec.density_per_km2
 
 
-def _clustered_points(
-    rng: np.random.Generator, spec: ClusteredProcess, region: Region
+def _draw_points(
+    rng: np.random.Generator, process: SpatialProcess, density_per_km2: float, region: Region
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Point draw of :func:`sample_clustered` from its substream."""
+    """Point draw of a process and density from :func:`_at_density`.
+
+    ``rng`` is the deployment seed's substream labelled with the process's
+    ``kind``.
+    """
+    if isinstance(process, PoissonProcess):
+        n = int(rng.poisson(density_per_km2 * region.area_km2))
+        return rng.uniform(0.0, region.width_m, n), rng.uniform(0.0, region.height_m, n)
     if region.boundary == "toroidal":
         pad = 0.0
     else:
-        pad = 4.0 * spec.spread_m
+        pad = 4.0 * process.spread_m
     w = region.width_m + 2 * pad
     h = region.height_m + 2 * pad
-    lam_parent = spec.parent_density_per_km2 / M2_PER_KM2
+    lam_parent = process.parent_density_per_km2 / M2_PER_KM2
     n_parents = int(rng.poisson(lam_parent * w * h))
     pxs = rng.uniform(-pad, region.width_m + pad, n_parents)
     pys = rng.uniform(-pad, region.height_m + pad, n_parents)
-    n_children = rng.poisson(spec.mean_offspring, n_parents)
+    n_children = rng.poisson(process.mean_offspring, n_parents)
     total = int(n_children.sum())
-    xs = np.repeat(pxs, n_children) + rng.normal(0.0, spec.spread_m, total)
-    ys = np.repeat(pys, n_children) + rng.normal(0.0, spec.spread_m, total)
+    xs = np.repeat(pxs, n_children) + rng.normal(0.0, process.spread_m, total)
+    ys = np.repeat(pys, n_children) + rng.normal(0.0, process.spread_m, total)
     if region.boundary == "toroidal":
         xs = np.mod(xs, region.width_m)
         ys = np.mod(ys, region.height_m)
@@ -215,42 +221,6 @@ def sample_clustered(spec: ClusteredProcess, region: Region, seed: int) -> Deplo
     return sample_process(spec, spec.density_per_km2, region, seed)
 
 
-class _Sampler(NamedTuple):
-    """How a spatial process is sampled at one density.
-
-    A deployment seed's points are ``draw(substream(seed, label), region)``;
-    the deployment records ``process`` and ``density_per_km2``.
-    """
-
-    label: str
-    process: SpatialProcess
-    density_per_km2: float
-    draw: Callable[[np.random.Generator, Region], tuple[np.ndarray, np.ndarray]]
-
-
-def _process_points(process: SpatialProcess, density_per_km2: float) -> _Sampler:
-    """The sampler of ``process`` at a target density (see :func:`sample_process`)."""
-    if isinstance(process, PoissonProcess):
-        return _Sampler(
-            "ppp",
-            process,
-            density_per_km2,
-            lambda rng, region: _ppp_points(rng, density_per_km2, region),
-        )
-    scale = density_per_km2 / process.density_per_km2
-    spec = ClusteredProcess(
-        parent_density_per_km2=process.parent_density_per_km2 * scale,
-        mean_offspring=process.mean_offspring,
-        spread_m=process.spread_m,
-    )
-    return _Sampler(
-        "clustered",
-        spec,
-        spec.density_per_km2,
-        lambda rng, region: _clustered_points(rng, spec, region),
-    )
-
-
 def sample_process(
     process: SpatialProcess, density_per_km2: float, region: Region, seed: int
 ) -> Deployment:
@@ -259,15 +229,14 @@ def sample_process(
     Clustered processes are rescaled through the parent density so the
     per-cluster structure (mean offspring, spread) is preserved.
     """
-    sampler = _process_points(process, density_per_km2)
-    xs, ys = sampler.draw(substream(seed, sampler.label), region)
-    return Deployment(xs, ys, sampler.density_per_km2, region, sampler.process, seed)
+    process, density_per_km2 = _at_density(process, density_per_km2)
+    xs, ys = _draw_points(substream(seed, process.kind), process, density_per_km2, region)
+    return Deployment(xs, ys, density_per_km2, region, process, seed)
 
 
 def rayleigh_scale_for_density(density_per_m2: float) -> float:
     """Scale of the Rayleigh nearest-distance law for a PPP of this density."""
-    if density_per_m2 <= 0:
-        raise InvalidParameterError("density must be positive")
+    _guard.positive(density_per_m2=density_per_m2)
     return 1.0 / math.sqrt(2.0 * math.pi * density_per_m2)
 
 
@@ -280,14 +249,12 @@ def nth_nearest_distance_pdf(
     which is the generalised-Gamma law whose n=1 case is Rayleigh with
     scale 1/sqrt(2 pi L).
     """
-    if n < 1 or int(n) != n:
-        raise InvalidParameterError("neighbour order n must be a positive integer")
-    if density_per_m2 <= 0:
-        raise InvalidParameterError("density must be positive")
+    _guard.count(n=n)
+    _guard.positive(density_per_m2=density_per_m2)
     from scipy.special import gammaln
 
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0):
+    if not np.all(r_arr >= 0):
         raise InvalidParameterError("distances must be non-negative")
     lam_pi = math.pi * density_per_m2
     with np.errstate(divide="ignore"):
@@ -310,10 +277,8 @@ def nth_nearest_distance_cdf(
     r: float | np.ndarray, n: int, density_per_m2: float
 ) -> float | np.ndarray:
     """CDF companion of :func:`nth_nearest_distance_pdf` (regularised Gamma)."""
-    if n < 1 or int(n) != n:
-        raise InvalidParameterError("neighbour order n must be a positive integer")
-    if density_per_m2 <= 0:
-        raise InvalidParameterError("density must be positive")
+    _guard.count(n=n)
+    _guard.positive(density_per_m2=density_per_m2)
     from scipy.special import gammainc
 
     r_arr = np.asarray(r, dtype=float)
@@ -353,8 +318,7 @@ def nearest_distances(
     deployment: Deployment, probe: tuple[float, float], count: int
 ) -> np.ndarray:
     """Ascending distances from the probe to the ``count`` nearest transmitters."""
-    if count < 1:
-        raise InvalidParameterError("count must be at least 1")
+    _guard.count(count=count)
     if count > deployment.count:
         raise InsufficientPointsError(
             f"requested {count} nearest transmitters, deployment has {deployment.count}"
@@ -380,10 +344,8 @@ def nearest_distance_batch(
     as ``inf`` so callers can drop or count them. Fully vectorised, single
     stream, bit-reproducible for a fixed seed.
     """
-    if density_per_km2 <= 0:
-        raise InvalidParameterError("density must be positive")
-    if order < 1:
-        raise InvalidParameterError("neighbour order must be at least 1")
+    _guard.positive(density_per_km2=density_per_km2)
+    _guard.count(order=order)
     rng = substream(seed, "nearest-batch")
     lam = density_per_km2 * region.area_km2
     counts = rng.poisson(lam, trials)

@@ -31,20 +31,21 @@ operations, bit-identical to one :func:`aggregate_power` call per trial.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _guard
 from ._documents import write_csv
 from .errors import FitFailureError, InvalidParameterError, SimulationError
 from .geometry import (
     Deployment,
     Region,
     SpatialProcess,
-    _process_points,
+    _at_density,
+    _draw_points,
     distances_to_probe,
 )
 from .propagation import PathlossModel, ShadowingSpec, draw_shadowing_db, received_power
@@ -86,17 +87,14 @@ class RatProfile:
     table_density_per_km2: float | None = None  # peak-power table density; None = range top
 
     def __post_init__(self) -> None:
-        if self.bandwidth_hz <= 0:
-            raise InvalidParameterError("bandwidth must be positive")
-        if self.transmit_power_w <= 0:
-            raise InvalidParameterError("transmit power must be positive")
+        _guard.positive(bandwidth_hz=self.bandwidth_hz, transmit_power_w=self.transmit_power_w,
+                        carrier_frequency_hz=self.carrier_frequency_hz,
+                        min_link_distance_m=self.min_link_distance_m)
         lo, hi = self.density_range_per_km2
-        if not (0 < lo <= hi):
-            raise InvalidParameterError("density range must be ordered and positive")
-        if self.min_link_distance_m <= 0:
-            raise InvalidParameterError("minimum link distance must be positive")
-        if self.table_density_per_km2 is not None and not self.table_density_per_km2 > 0:
-            raise InvalidParameterError("table density must be positive")
+        if not 0 < lo <= hi < math.inf:
+            raise InvalidParameterError("density range must be ordered, positive and finite")
+        if self.table_density_per_km2 is not None:
+            _guard.positive(table_density_per_km2=self.table_density_per_km2)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +112,7 @@ class TwoState:
     kind: str = field(default="two_state", init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.on_prob <= 1.0:
-            raise InvalidParameterError("on probability must lie in [0, 1]")
+        _guard.unit(on_prob=self.on_prob)
 
 
 @dataclass(frozen=True)
@@ -131,12 +128,12 @@ class EmpiricalPdf:
         dens = np.asarray(self.densities, dtype=float)
         if loads.ndim != 1 or loads.shape != dens.shape or loads.size < 2:
             raise InvalidParameterError("empirical pdf needs matching 1-D grids")
-        if np.any(np.diff(loads) <= 0):
+        if not np.all(np.diff(loads) > 0):
             raise InvalidParameterError("pdf grid must be strictly increasing")
-        if np.any(dens < 0):
+        if not np.all(dens >= 0):
             raise InvalidParameterError("pdf values must be non-negative")
         total = float(np.trapezoid(dens, loads))
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:
             raise InvalidParameterError(f"pdf must integrate to 1, got {total:.8f}")
         loads.flags.writeable = False
         dens.flags.writeable = False
@@ -220,12 +217,6 @@ def convolve_load_pdfs(pdfs: list[EmpiricalPdf], grid_step: float) -> EmpiricalP
 # Power aggregation.
 
 
-def _require_count(name: str, value) -> None:
-    """Raise unless ``value`` is an integer (not a bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise InvalidParameterError(f"{name} must be an integer of at least 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class HarvestReport:
     """Received power at one probe from every transmitter of a deployment."""
@@ -265,18 +256,16 @@ def aggregate_power(
     contribute. Deterministic for a fixed seed: shadowing is drawn from
     the ``(seed, "shadowing")`` substream, spawned only when it is on.
     ``k_nearest`` must be an integer of at least 1, every utilisation must
-    lie in [0, 1] and the sensitivity floor must not be negative or NaN;
+    lie in [0, 1] and the sensitivity floor must be finite and not negative;
     all are checked before any distance is computed.
     """
     if k_nearest is not None:
-        _require_count("k_nearest", k_nearest)
+        _guard.count(k_nearest=k_nearest)
     load = np.asarray(utilization, dtype=float)
     if not np.all((load >= 0.0) & (load <= 1.0)):
         raise InvalidParameterError("utilization must lie in [0, 1]")
-    if sensitivity_floor_w is not None and not sensitivity_floor_w >= 0.0:
-        raise InvalidParameterError(
-            f"sensitivity_floor_w must be non-negative, got {sensitivity_floor_w!r}"
-        )
+    if sensitivity_floor_w is not None:
+        _guard.non_negative(sensitivity_floor_w=sensitivity_floor_w)
     if deployment.count == 0:
         return HarvestReport(0.0, 0.0, np.zeros(0), 0.0)
     d = distances_to_probe(deployment.region, probe, deployment.xs, deployment.ys)
@@ -336,10 +325,9 @@ class SweepView:
     scenario: str = ""
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise InvalidParameterError("need at least one trial")
+        _guard.count(trials=self.trials)
         if self.k_nearest is not None:
-            _require_count("k_nearest", self.k_nearest)
+            _guard.count(k_nearest=self.k_nearest)
 
 
 def _sweep_point(density: float, totals: np.ndarray, bandwidth_hz: float) -> SweepPoint:
@@ -476,8 +464,8 @@ def _trial_powers(
     the operations of the allocating calls in their order, so the values
     are the same bits.
     """
-    _require_count("workers", workers)
-    samplers = [_process_points(rat.spatial_process, density) for density in densities]
+    _guard.count(workers=workers)
+    processes = [_at_density(rat.spatial_process, density) for density in densities]
     specs = [v.shadowing if v.shadowing is not None and v.shadowing.active else None for v in views]
     shadow_trials = max((v.trials for v, spec in zip(views, specs) if spec), default=0)
     totals = np.zeros((trials, len(views)))
@@ -551,7 +539,7 @@ def _trial_powers(
                     maxima[rows[i], v] = power[a:b].max()
                 a = b
 
-    label = samplers[0].label  # one spatial process, so one sampler label
+    kind = rat.spatial_process.kind  # the deployment substream label, as in sample_process
 
     def run_block(gen, workspace, block: range) -> None:
         rows = np.arange(block.start, block.stop, dtype=np.uint64)
@@ -565,13 +553,13 @@ def _trial_powers(
             rows[shadowed].tolist(),
             zip(*(c.tolist() for c in substream_columns(shadow_seeds[shadowed], "shadowing"))),
         ))
-        deployment_states = zip(*(c.tolist() for c in substream_columns(deployment_seeds, label)))
+        deployment_states = zip(*(c.tolist() for c in substream_columns(deployment_seeds, kind)))
         # a chunk holds at most _CHUNK_POINTS points or one larger deployment,
         # which is computed alone and before the next deployment is drawn
         chunk, points = [], 0
         for r, j, t, state in zip(block, js.tolist(), ts.tolist(), deployment_states):
             gen.bit_generator.state = state_dict(*state)
-            xs, ys = samplers[j].draw(gen, region)
+            xs, ys = _draw_points(gen, *processes[j], region)
             if not xs.size:
                 continue
             if chunk and points + xs.size > _CHUNK_POINTS:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _guard
 from .errors import DistanceOutOfRangeError, InvalidParameterError
 
 __all__ = [
@@ -55,20 +56,20 @@ class PathlossModel:
     breakpoint_m: float | None = None
 
     def __post_init__(self) -> None:
-        if self.reference_distance_m <= 0:
-            raise InvalidParameterError("reference distance must be positive")
-        if self.exponent < 2:
-            raise InvalidParameterError("pathloss exponent must be at least 2")
-        if self.carrier_frequency_hz <= 0:
-            raise InvalidParameterError("carrier frequency must be positive")
+        _guard.positive(reference_distance_m=self.reference_distance_m,
+                        carrier_frequency_hz=self.carrier_frequency_hz)
+        if not 2 <= self.exponent < math.inf:
+            raise InvalidParameterError(f"exponent must be at least 2, got {self.exponent!r}")
+        if not math.isfinite(self.reference_loss_db):
+            raise InvalidParameterError(f"reference loss {self.reference_loss_db} dB is not finite")
         if (self.nlos_exponent is None) != (self.breakpoint_m is None):
             raise InvalidParameterError(
                 "dual-slope models need both nlos_exponent and breakpoint_m"
             )
         if self.nlos_exponent is not None:
-            if self.nlos_exponent < self.exponent:
+            if not self.exponent <= self.nlos_exponent < math.inf:
                 raise InvalidParameterError("far slope must be at least the near slope")
-            if self.breakpoint_m <= self.reference_distance_m:
+            if not self.reference_distance_m < self.breakpoint_m < math.inf:
                 raise InvalidParameterError("breakpoint must exceed the reference distance")
 
     @property
@@ -84,8 +85,7 @@ class ShadowingSpec:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.sigma_db < 0:
-            raise InvalidParameterError("shadowing sigma must be non-negative")
+        _guard.non_negative(sigma_db=self.sigma_db)
 
     @property
     def active(self) -> bool:
@@ -95,8 +95,7 @@ class ShadowingSpec:
 
 def friis_reference_loss_db(frequency_hz: float, distance_m: float = 1.0) -> float:
     """Free-space loss at a reference distance, 20 log10(4 pi d f / c)."""
-    if frequency_hz <= 0 or distance_m <= 0:
-        raise InvalidParameterError("frequency and distance must be positive")
+    _guard.positive(frequency_hz=frequency_hz, distance_m=distance_m)
     return 20.0 * math.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
 
 
@@ -123,6 +122,7 @@ def winner_urban_nlos_model(
     carriers; outside that band the same form is applied with the
     frequency correction and callers should flag the extrapolation.
     """
+    _guard.positive(frequency_hz=frequency_hz, reference_distance_m=reference_distance_m)
     ref_loss = (
         intercept_db
         + frequency_coeff_db * math.log10(frequency_hz / 5e9)
@@ -222,8 +222,7 @@ def received_power(
     With ``out`` the power is written into ``out`` and nothing of the size
     of ``d_m`` is allocated; ``out`` may be ``d_m`` itself.
     """
-    if p_tx_w < 0:
-        raise InvalidParameterError("transmit power must be non-negative")
+    _guard.non_negative(p_tx_w=p_tx_w)
     loss_db = pathloss_db(model, d_m, out=out)
     if shadowing_db is not None:
         loss_db = np.add(loss_db, shadowing_db, out=out)

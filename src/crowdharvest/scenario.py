@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import _guard
 from ._documents import dataclass_from_dict, dumps, read_text, write_csv
 from .errors import ConfigError, FitFailureError, IngestionError, InvalidParameterError
 from .geometry import ClusteredProcess, Deployment, PoissonProcess, Region, _points_from_csv
@@ -105,6 +106,14 @@ class SwiptDefaults:
     efficiency: float = 0.5
     relay_mode: str = "df"
 
+    def __post_init__(self) -> None:
+        _guard.positive(frame_duration_s=self.frame_duration_s)
+        self.link()
+        if not 0 < self.efficiency <= 1:
+            raise InvalidParameterError(f"efficiency must lie in (0, 1], got {self.efficiency!r}")
+        if self.relay_mode not in ("af", "df"):
+            raise InvalidParameterError(f"relay_mode must be 'af' or 'df', got {self.relay_mode!r}")
+
     def link(self) -> LinkState:
         return LinkState(
             source_relay_gain=self.source_relay_gain,
@@ -132,6 +141,17 @@ class SchedulingDefaults:
     relay_capacity_j: float | None = None
     rx_energy_cost_j: float = 0.0
 
+    def __post_init__(self) -> None:
+        _guard.count(slot_count=self.slot_count, power_levels=self.power_levels)
+        _guard.count(minimum=2, battery_buckets=self.battery_buckets)
+        _guard.positive(slot_duration_s=self.slot_duration_s, noise_power_w=self.noise_power_w)
+        _guard.non_negative(source_gain=self.source_gain, relay_gain=self.relay_gain,
+                            rx_energy_cost_j=self.rx_energy_cost_j)
+        for name in ("source_capacity_j", "relay_capacity_j"):
+            capacity = getattr(self, name)  # None and inf are unbounded
+            if capacity is not None and not capacity > 0:
+                raise InvalidParameterError(f"{name} must be null or positive, got {capacity!r}")
+
 
 @dataclass(frozen=True)
 class CollabDefaults:
@@ -147,6 +167,15 @@ class CollabDefaults:
     arrival_energy_j: float = 2.0
     node_distance_m: float = 120.0
 
+    def __post_init__(self) -> None:
+        _guard.unit(xi=self.xi, arrival_prob=self.arrival_prob)
+        _guard.count(deadline_slots=self.deadline_slots, horizon_slots=self.horizon_slots)
+        _guard.positive(decode_snr_threshold=self.decode_snr_threshold,
+                        noise_power_w=self.noise_power_w, frame_duration_s=self.frame_duration_s,
+                        node_capacity_j=self.node_capacity_j,
+                        arrival_energy_j=self.arrival_energy_j)
+        _guard.non_negative(node_gain=self.node_gain, node_distance_m=self.node_distance_m)
+
 
 @dataclass(frozen=True)
 class CaseStudyDefaults:
@@ -156,6 +185,12 @@ class CaseStudyDefaults:
     scaling_k_nearest: int = 20
     nearest_share_draws: int = 4000
     nearest_share_rat: str = "macro"
+
+    def __post_init__(self) -> None:
+        _guard.count(minimum=4, grid_points=self.grid_points)  # scaling fits need 4
+        _guard.count(trials=self.trials, scaling_trials=self.scaling_trials,
+                     scaling_k_nearest=self.scaling_k_nearest,
+                     nearest_share_draws=self.nearest_share_draws)
 
 
 @dataclass(frozen=True)
@@ -339,25 +374,17 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             for name, cls in _SECTIONS.items()
         },
     )
-    _validate_config(config)
+    # the rules that span sections
+    share_rat = config.case_study.nearest_share_rat
+    if share_rat not in {rat.name for rat in rats}:
+        raise ConfigError(f"invalid section case_study: unknown nearest_share_rat {share_rat!r}")
+    for i, rat in enumerate(rats):
+        for name in ("los", "nlos"):
+            try:
+                config.channel(rat, name)
+            except InvalidParameterError as exc:
+                raise ConfigError(f"invalid section pathloss.{name} for rats[{i}]: {exc}") from exc
     return config
-
-
-def _validate_config(config: ScenarioConfig) -> None:
-    try:
-        config.swipt.link()
-        if not 0 < config.swipt.efficiency <= 1:
-            raise ConfigError("swipt.efficiency must lie in (0, 1]")
-        if config.swipt.relay_mode not in ("af", "df"):
-            raise ConfigError("swipt.relay_mode must be 'af' or 'df'")
-        if not 0 <= config.collab.xi <= 1:
-            raise ConfigError("collab.xi must lie in [0, 1]")
-        if config.case_study.grid_points < 4:
-            raise ConfigError("case_study.grid_points must be at least 4 for scaling fits")
-        if config.case_study.scaling_k_nearest < 1:
-            raise ConfigError("case_study.scaling_k_nearest must be at least 1")
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

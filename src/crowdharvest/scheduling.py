@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _guard
 from ._documents import dataclass_from_dict, dumps, loads, write_csv
 from .errors import (
     DegenerateModelError,
@@ -39,13 +40,11 @@ from .errors import (
     InvalidParameterError,
     ProblemTooLargeError,
 )
-from .harvest import _require_count
 from .rng import substream
 from .swipt import (
     LinkState,
     RelayMode,
     _check_eta,
-    _check_frame_duration,
     _rate,
     end_to_end_snr,
     optimize_split,
@@ -91,10 +90,8 @@ class BernoulliArrivals:
     kind: str = field(default="bernoulli", init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise InvalidParameterError("arrival probability must lie in [0, 1]")
-        if not 0 < self.energy_j < math.inf:
-            raise InvalidParameterError("arrival energy must be positive and finite")
+        _guard.unit(p=self.p)
+        _guard.positive(energy_j=self.energy_j)
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,7 @@ class TriStateArrivals:
     kind: str = field(default="tri_state", init=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.energy_j < math.inf:
-            raise InvalidParameterError("arrival energy must be positive and finite")
+        _guard.positive(energy_j=self.energy_j)
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,7 @@ class MarkovArrivals:
         if len(self.transitions) != n or any(len(row) != n for row in self.transitions):
             raise InvalidParameterError("transition matrix must be square")
         for row in self.transitions:
-            if not all(p >= 0 for p in row):  # NaN fails too
+            if not all(p >= 0 for p in row):
                 raise InvalidParameterError("transition probabilities must be non-negative")
             if abs(sum(row) - 1.0) > 1e-9:
                 raise InvalidParameterError("transition matrix rows must sum to 1")
@@ -158,8 +154,7 @@ _PATH_CHUNK = 4096
 
 def simulate_arrivals(process: EnergyArrivalProcess, k: int, seed: int) -> np.ndarray:
     """Length-k arrival trace; deterministic traces are truncated or zero-padded."""
-    if k < 0:
-        raise InvalidParameterError("slot count must be non-negative")
+    _guard.count(minimum=0, k=k)
     rng = substream(seed, "arrivals")
     if isinstance(process, BernoulliArrivals):
         return np.where(rng.random(k) < process.p, process.energy_j, 0.0)
@@ -230,22 +225,18 @@ class ScheduleProblem:
 
     def __post_init__(self) -> None:
         k = self.slot_count
-        _require_count("slot_count", k)
-        # every check is written so that NaN fails it
+        _guard.count(slot_count=k)
         for name in ("source_arrivals_j", "relay_arrivals_j", "source_gains", "relay_gains"):
             values = getattr(self, name)
             if len(values) != k:
                 raise InvalidParameterError(f"{name} must have length {k}")
             if not all(0 <= v < math.inf for v in values):
                 raise InvalidParameterError(f"{name} must be non-negative and finite")
-        for name in ("slot_duration_s", "noise_power_w"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InvalidParameterError(f"{name} must be positive and finite")
+        _guard.positive(slot_duration_s=self.slot_duration_s, noise_power_w=self.noise_power_w)
         if not (self.source_capacity_j > 0 and self.relay_capacity_j > 0):
             raise InvalidParameterError("battery capacities must be positive (or inf)")
-        for name in ("rx_energy_cost_j", "initial_source_j", "initial_relay_j"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise InvalidParameterError(f"{name} must be non-negative and finite")
+        _guard.non_negative(**{name: getattr(self, name) for name in (
+            "rx_energy_cost_j", "initial_source_j", "initial_relay_j")})
 
     # An unbounded battery capacity is written as null.
     _CAPACITIES = ("source_capacity_j", "relay_capacity_j")
@@ -632,15 +623,14 @@ def offline_optimal(
     matches the exhaustive oracle on any instance both can solve. The
     state-space guard rejects oversized problems.
     """
-    _require_count("power_levels", power_levels)
-    _require_count("state_bound", state_bound)
+    _guard.count(power_levels=power_levels, state_bound=state_bound)
     layers = _run_dp(problem, power_levels, state_bound, pareto=False)
     best = _first_lexmin(*_path_keys(layers[-1]))
     return _replay(problem, _action_ids(layers, best), power_levels)
 
 
 def brute_force_oracle(
-    problem: ScheduleProblem, power_levels: int = 8, max_schedules: int = 10_000_000
+    problem: ScheduleProblem, power_levels: int = 8, max_schedules: int = 2_000_000
 ) -> Schedule:
     """Exhaustive enumeration of every quantised schedule, by prefix expansion.
 
@@ -655,9 +645,11 @@ def brute_force_oracle(
     the lowest row, which orders the action ids: the DP's tie-breaking.
     The schedule is read from each slot's arrays at the best row's prefix,
     row ``best // n^(K-1-k)`` after slot ``k``.
+
+    A call peaks at about 80 bytes per sequence, so the default bound of
+    2M sequences (5 slots at 8 levels is 1.42M) admits about 160 MB.
     """
-    _require_count("power_levels", power_levels)
-    _require_count("max_schedules", max_schedules)
+    _guard.count(power_levels=power_levels, max_schedules=max_schedules)
     k_slots = problem.slot_count
     n_actions = 2 * power_levels + 1
     n_seq = n_actions ** k_slots
@@ -735,10 +727,8 @@ def min_relay_time(
     Infeasible demands raise :class:`InfeasibleDemandError` carrying the
     maximum achievable bits for the instance.
     """
-    _require_count("power_levels", power_levels)
-    _require_count("state_bound", state_bound)
-    if not math.isfinite(demand_bits) or demand_bits < 0:
-        raise InvalidParameterError(f"demand must be finite and non-negative, got {demand_bits}")
+    _guard.count(power_levels=power_levels, state_bound=state_bound)
+    _guard.non_negative(demand_bits=demand_bits)
     layers = _run_dp(problem, power_levels, state_bound, pareto=True)
     last = layers[-1]
     max_bits = float(last.bits.max())
@@ -802,12 +792,11 @@ def directional_water_fill(
     g = np.asarray(gains, dtype=float)
     if e.ndim != 1 or e.shape != g.shape or e.size == 0:
         raise InvalidParameterError("arrivals and gains must be matched 1-D arrays")
-    if np.any(e < 0) or np.any(g <= 0):
-        raise InvalidParameterError("arrivals must be >= 0 and gains > 0")
-    if noise_w <= 0 or slot_duration_s <= 0:
-        raise InvalidParameterError("noise and slot duration must be positive")
-    if capacity_j <= 0:
-        raise InvalidParameterError("capacity must be positive")
+    if not (np.all((e >= 0) & (e < math.inf)) and np.all(g > 0)):
+        raise InvalidParameterError("arrivals must be finite and >= 0, and gains > 0")
+    _guard.positive(noise_w=noise_w, slot_duration_s=slot_duration_s)
+    if not capacity_j > 0:
+        raise InvalidParameterError("capacity must be positive (or inf)")
     if np.any(e > capacity_j):
         raise InvalidParameterError(
             "an arrival exceeds the battery capacity; unavoidable overflow is out of scope"
@@ -869,13 +858,9 @@ class BatteryMdp:
     reward_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        # every check is written so that NaN fails it
-        _require_count("battery_buckets", self.battery_buckets)
-        if self.battery_buckets < 2:
-            raise InvalidParameterError("need at least two battery buckets")
-        for name in ("bucket_j", "snr_per_joule", "reward_scale"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InvalidParameterError(f"{name} must be positive and finite")
+        _guard.count(minimum=2, battery_buckets=self.battery_buckets)
+        _guard.positive(bucket_j=self.bucket_j, snr_per_joule=self.snr_per_joule,
+                        reward_scale=self.reward_scale)
         if not all(0 <= s < math.inf for s in self.spend_levels_j):
             raise InvalidParameterError("spend levels must be non-negative and finite")
         for v in self.spend_levels_j + self.arrivals.states_j:
@@ -1079,11 +1064,9 @@ def threshold_policy(
     The returned policy carries its exact long-run gain; a multichain
     closed loop raises :class:`DegenerateModelError`.
     """
-    if not 0 <= theta_j < math.inf:
-        raise InvalidParameterError("threshold must be non-negative and finite")
+    _guard.non_negative(theta_j=theta_j)
     target = mdp.bucket_j if spend_j is None else spend_j
-    if not 0 < target < math.inf:
-        raise InvalidParameterError("spend must be positive and finite")
+    _guard.positive(spend_j=target)
     levels = np.asarray(mdp.spend_levels_j)
     held_j = np.arange(mdp.battery_buckets) * mdp.bucket_j
     allowed = _feasible_spends(mdp) & ((levels > 0) & (levels <= target + 1e-12))[:, None]
@@ -1112,7 +1095,7 @@ def evaluate_policy(
     It follows the simulated state path of a Markov chain, so energy
     states that share an arrival energy keep their own actions.
     """
-    _require_count("horizon", horizon)
+    _guard.count(horizon=horizon)
     mdp = policy.mdp
     if process is None:
         process = mdp.arrivals
@@ -1181,12 +1164,11 @@ def combined_mode_controller(
     fallback slots idle, which is the pure non-SWIPT baseline.
     """
     _check_eta(eta)
-    _check_frame_duration(slot_duration_s)
-    if activation_threshold_j < 0:
-        raise InvalidParameterError("activation threshold must be non-negative")
+    _guard.positive(slot_duration_s=slot_duration_s)
+    _guard.non_negative(activation_threshold_j=activation_threshold_j)
     trace = np.asarray(ambient_trace_j, dtype=float)
-    if np.any(trace < 0):
-        raise InvalidParameterError("ambient energies must be non-negative")
+    if not np.all((trace >= 0) & (trace < math.inf)):
+        raise InvalidParameterError("ambient energies must be non-negative and finite")
     swipt_rate = 0.0
     if swipt_enabled:
         _, swipt_rate = optimize_split(

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _guard
 from .errors import InvalidParameterError
 
 __all__ = [
@@ -62,23 +62,15 @@ class SwiptConfig:
     frame_duration_s: float = 1.0
     alpha: float = 0.0
     rho: float = 0.0
-    alpha1: float = 0.0
     alpha2: float = 0.0
-    rho1: float = 0.0
     rho2: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_frame_duration(self.frame_duration_s)
-        for name in ("alpha", "rho"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InvalidParameterError(f"{name} must lie in [0, 1]")
-        for pair in (("alpha1", "alpha2"), ("rho1", "rho2")):
-            a, b = (getattr(self, n) for n in pair)
-            if not (a >= 0 and b >= 0 and a + b <= 1.0 + 1e-12):  # NaN fails too
-                raise InvalidParameterError(
-                    f"{pair[0]} and {pair[1]} must be non-negative with sum at most 1"
-                )
+        _guard.positive(frame_duration_s=self.frame_duration_s)
+        _guard.unit(alpha=self.alpha, rho=self.rho, alpha2=self.alpha2, rho2=self.rho2)
+        for a, b in (("alpha", "alpha2"), ("rho", "rho2")):
+            if not getattr(self, a) + getattr(self, b) <= 1.0 + 1e-12:
+                raise InvalidParameterError(f"{a} + {b} must be at most 1")
 
 
 @dataclass(frozen=True)
@@ -93,19 +85,11 @@ class LinkState:
     ambient_power_at_source_w: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "source_relay_gain",
-            "relay_destination_gain",
-            "noise_power_w",
-            "source_power_w",
-            "ambient_power_at_relay_w",
-            "ambient_power_at_source_w",
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise InvalidParameterError(f"{name} must be finite and non-negative")
-        if self.noise_power_w <= 0:
-            raise InvalidParameterError("noise power must be positive")
+        _guard.positive(noise_power_w=self.noise_power_w)
+        _guard.non_negative(**{name: getattr(self, name) for name in (
+            "source_relay_gain", "relay_destination_gain", "source_power_w",
+            "ambient_power_at_relay_w", "ambient_power_at_source_w",
+        )})
 
     def with_fading(self, h_draw: float, g_draw: float) -> "LinkState":
         return replace(
@@ -118,11 +102,6 @@ class LinkState:
 def _check_eta(eta: float) -> None:
     if not 0.0 < eta <= 1.0:
         raise InvalidParameterError("eta must lie in (0, 1]")
-
-
-def _check_frame_duration(frame_duration_s: float) -> None:
-    if not (math.isfinite(frame_duration_s) and frame_duration_s > 0):
-        raise InvalidParameterError("frame duration must be finite and positive")
 
 
 def end_to_end_snr(gamma1: float, gamma2: float, mode: RelayMode) -> float:
@@ -262,11 +241,11 @@ def hybrid_ts_frame(
 ) -> HybridFrame:
     """TS with a second harvesting slot for ambient RF power at the relay.
 
-    With ``alpha2 = 0`` the throughput is ``ts_throughput`` at ``alpha1``.
+    With ``alpha2 = 0`` the throughput is ``ts_throughput``'s.
     """
     t = cfg.frame_duration_s
-    throughput = _ts_rate(link, eta, mode, t, cfg.alpha2)(cfg.alpha1)
-    info = 1.0 - cfg.alpha1 - cfg.alpha2
+    throughput = _ts_rate(link, eta, mode, t, cfg.alpha2)(cfg.alpha)
+    info = 1.0 - cfg.alpha - cfg.alpha2
     banked = eta * link.ambient_power_at_source_w * info * t / 2.0 if info > 0.0 else 0.0
     return HybridFrame(throughput, banked)
 
@@ -279,13 +258,13 @@ def hybrid_ps_frame(
 ) -> HybridFrame:
     """PS with a second power split for ambient RF harvesting at the relay.
 
-    With ``rho2 = 0`` the throughput is ``ps_throughput`` at ``rho1``.
+    With ``rho2 = 0`` the throughput is ``ps_throughput``'s.
     """
     t = cfg.frame_duration_s
     throughput = _ps_rate(
         link, eta, mode, t, cfg.rho2, post_noise_splitting, conversion_noise_w
-    )(cfg.rho1)
-    info = 1.0 - cfg.rho1 - cfg.rho2
+    )(cfg.rho)
+    info = 1.0 - cfg.rho - cfg.rho2
     banked = eta * link.ambient_power_at_source_w * (t / 2.0) if info > 0.0 else 0.0
     return HybridFrame(throughput, banked)
 
@@ -298,7 +277,7 @@ def _search_rate(
         raise InvalidParameterError(f"unknown protocol {protocol!r}, expected 'ts' or 'ps'")
     if not isinstance(mode, RelayMode):
         raise InvalidParameterError(f"mode must be a RelayMode, got {mode!r}")
-    _check_frame_duration(frame_duration_s)
+    _guard.positive(frame_duration_s=frame_duration_s)
     return _RATES[protocol](link, eta, mode, frame_duration_s)
 
 
@@ -322,11 +301,8 @@ def optimize_split(
     multimodality the unimodal assumption misses. Every argument is
     checked before the first evaluation.
     """
-    if (isinstance(coarse_points, bool) or not isinstance(coarse_points, numbers.Integral)
-            or coarse_points < 2):
-        raise InvalidParameterError("coarse_points must be an integer of at least 2")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidParameterError("tolerance must be finite and positive")
+    _guard.count(minimum=2, coarse_points=coarse_points)
+    _guard.positive(tol=tol)
     rate = _search_rate(protocol, link, eta, mode, frame_duration_s)
     grid = np.linspace(0.0, 1.0, coarse_points).tolist()
     values = [rate(s) for s in grid]

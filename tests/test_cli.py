@@ -1,6 +1,7 @@
 import csv
 import importlib
 import io
+import math
 import os
 import pkgutil
 import subprocess
@@ -12,8 +13,9 @@ import pytest
 import yaml
 
 import crowdharvest
-from crowdharvest import scenario
+from crowdharvest import scenario, scheduling
 from crowdharvest.cli import main
+from crowdharvest.errors import ConfigError
 
 
 def run(args, capsys):
@@ -151,6 +153,55 @@ def test_config_error_exit_code(tmp_path, capsys, command, edit):
     code, _, err = run([*command, "--config", str(bad), "--out", str(tmp_path)], capsys)
     assert code == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize("command,edit,match", [
+    (["casestudy"], lambda doc: doc["pathloss"]["nlos"].update(exponent=math.nan),
+     r"pathloss\.nlos.*exponent"),
+    (["casestudy"], lambda doc: doc["pathloss"]["los"].update(shadowing_sigma_db=math.nan),
+     r"pathloss\.los.*sigma_db"),
+    (["casestudy"], lambda doc: doc["rats"][0].update(bandwidth_hz=math.nan),
+     r"rats\[0\].*bandwidth_hz"),
+    (["casestudy"], lambda doc: doc["rats"][0].update(transmit_power_w=math.inf),
+     r"rats\[0\].*transmit_power_w"),
+    (["casestudy"], lambda doc: doc["case_study"].update(nearest_share_rat="macr0"),
+     r"case_study.*nearest_share_rat"),
+    (["casestudy"], lambda doc: doc["case_study"].update(trials=0), r"case_study.*trials"),
+    (["schedule", "solve"], lambda doc: doc["scheduling"].update(source_capacity_j=0.0),
+     r"scheduling.*source_capacity_j"),
+    (["schedule", "solve"], lambda doc: doc["scheduling"].update(source_capacity_j=-1.0),
+     r"scheduling.*source_capacity_j"),
+], ids=["nan-exponent", "nan-sigma", "nan-bandwidth", "inf-power", "share-rat-typo",
+        "zero-trials", "zero-capacity", "negative-capacity"])
+def test_bad_config_value_rejected_at_load(tmp_path, capsys, monkeypatch, command, edit, match):
+    def reached(*args, **kwargs):
+        raise AssertionError("the run started before the config was rejected")
+
+    monkeypatch.setattr(scenario, "crowd_sweep", reached)
+    monkeypatch.setattr(scheduling, "offline_optimal", reached)
+    doc = scenario.config_to_dict(scenario.default_config())
+    edit(doc)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError, match=match):
+        scenario.load_config(bad)
+    code, _, err = run([*command, "--config", str(bad), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "config error" in err
+
+
+@pytest.mark.parametrize("capacity,bits", [
+    (None, "40.6762"), (0.5, "37.8631"), (math.inf, "40.6762"),
+])
+def test_configured_source_capacity(tmp_path, capsys, capacity, bits):
+    doc = scenario.config_to_dict(scenario.default_config())
+    doc["scheduling"]["source_capacity_j"] = capacity
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    code, out, _ = run(["schedule", "solve", "--config", str(config), "--out", str(tmp_path)],
+                       capsys)
+    assert code == 0
+    assert f"offline optimum: {bits} bits" in out
 
 
 def test_non_finite_trace_exit_code(tmp_path, capsys):

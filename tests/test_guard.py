@@ -1,0 +1,118 @@
+"""Every argument range is checked before any work, and NaN is out of every range."""
+
+import math
+from dataclasses import replace
+from functools import partial
+
+import numpy as np
+import pytest
+
+from crowdharvest import _guard
+from crowdharvest.collaboration import (
+    CollabParams,
+    NodeState,
+    QosSpec,
+    batch_policy,
+    jt_snr,
+    traffic_correlation_kernel,
+)
+from crowdharvest.errors import InvalidParameterError
+from crowdharvest.geometry import (
+    ClusteredProcess,
+    Deployment,
+    PoissonProcess,
+    Region,
+    nearest_distance_batch,
+    rayleigh_scale_for_density,
+    sample_ppp,
+)
+from crowdharvest.harvest import RatProfile, SweepView
+from crowdharvest.propagation import (
+    ShadowingSpec,
+    free_space_model,
+    friis_reference_loss_db,
+    received_power,
+    winner_urban_nlos_model,
+)
+from crowdharvest.scheduling import (
+    BernoulliArrivals,
+    combined_mode_controller,
+    directional_water_fill,
+)
+from crowdharvest.swipt import LinkState
+
+NAN, INF = math.nan, math.inf
+MACRO = RatProfile("macro", 20e6, 40.0, (0.5, 5.0), PoissonProcess(), 2.1e9, 50.0)
+REGION = Region(2000.0, 2000.0)
+LOS = free_space_model(2.1e9)
+CLUSTERED = ClusteredProcess(20.0, 10.0, 50.0)
+NODE = NodeState(0.0, 10.0, BernoulliArrivals(0.3, 2.0), 1.0)
+PARAMS = CollabParams(0.5, 8.0, 1.0)
+DESK = LinkState(1e-3, 1e-3, 1e-9, 1.0)
+
+# Each of these was accepted before (most returned or stored NaN or inf), or
+# failed only inside numpy with a bare ValueError.
+REJECTED = {
+    "RatProfile bandwidth_hz nan": lambda: replace(MACRO, bandwidth_hz=NAN),
+    "RatProfile transmit_power_w nan": lambda: replace(MACRO, transmit_power_w=NAN),
+    "RatProfile carrier_frequency_hz nan": lambda: replace(MACRO, carrier_frequency_hz=NAN),
+    "RatProfile min_link_distance_m nan": lambda: replace(MACRO, min_link_distance_m=NAN),
+    "RatProfile density range top inf": lambda: replace(MACRO, density_range_per_km2=(0.5, INF)),
+    "Region width inf": lambda: Region(INF, 2000.0),
+    "ClusteredProcess parent density nan": lambda: replace(CLUSTERED, parent_density_per_km2=NAN),
+    "ClusteredProcess spread nan": lambda: replace(CLUSTERED, spread_m=NAN),
+    "Deployment density nan": lambda: Deployment(
+        np.zeros(0), np.zeros(0), NAN, REGION, PoissonProcess()),
+    "PathlossModel reference distance nan": lambda: replace(LOS, reference_distance_m=NAN),
+    "PathlossModel exponent nan": lambda: replace(LOS, exponent=NAN),
+    "PathlossModel carrier nan": lambda: replace(LOS, carrier_frequency_hz=NAN),
+    "PathlossModel reference loss nan": lambda: replace(LOS, reference_loss_db=NAN),
+    "ShadowingSpec sigma nan": lambda: ShadowingSpec(NAN),
+    "friis_reference_loss_db nan": lambda: friis_reference_loss_db(NAN),
+    "received_power nan": lambda: received_power(NAN, LOS, 10.0),
+    "rayleigh_scale_for_density nan": lambda: rayleigh_scale_for_density(NAN),
+    "jt_snr nan": lambda: jt_snr(NAN, 1.0, 1.0, 1.0, 1.0),
+    "traffic_correlation_kernel nan": lambda: traffic_correlation_kernel(NAN),
+    "winner_urban_nlos_model frequency -1": lambda: winner_urban_nlos_model(-1.0),
+    "batch_policy sensing cost -1": lambda: batch_policy(NODE, [True] * 6, 1.0, sensing_cost_j=-1),
+    "NodeState gain nan": lambda: replace(NODE, channel_gain_to_sink=NAN),
+    "CollabParams threshold nan": lambda: replace(PARAMS, decode_snr_threshold=NAN),
+    "CollabParams noise nan": lambda: replace(PARAMS, noise_power_w=NAN),
+    "CollabParams frame duration nan": lambda: replace(PARAMS, frame_duration_s=NAN),
+    "QosSpec horizon 2.5": lambda: QosSpec(4, 2.5),
+    "directional_water_fill noise nan": lambda: directional_water_fill(
+        np.ones(3), np.ones(3), NAN),
+    "combined_mode_controller threshold nan": lambda: combined_mode_controller(
+        np.ones(3), DESK, NAN),
+    "SweepView trials 2.5": lambda: SweepView(LOS, 2.5),
+    "sample_ppp density nan": lambda: sample_ppp(NAN, REGION, 0),
+    "nearest_distance_batch density nan": lambda: nearest_distance_batch(NAN, REGION, 10, 0),
+}
+
+
+@pytest.mark.parametrize("call", REJECTED.values(), ids=REJECTED.keys())
+def test_out_of_range_argument_rejected(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+@pytest.mark.parametrize("check", [_guard.positive, _guard.non_negative, _guard.unit,
+                                   _guard.count])
+def test_every_rule_names_the_argument_and_fails_nan(check):
+    with pytest.raises(InvalidParameterError, match="spread_m.*nan"):
+        check(spread_m=NAN)
+
+
+@pytest.mark.parametrize("check,bad,good", [
+    (_guard.positive, [0.0, -1.0, INF], [1e-300, 5.0]),
+    (_guard.non_negative, [-1e-300, INF], [0.0, 5.0]),
+    (_guard.unit, [-1e-9, 1.0 + 1e-9, INF], [0.0, 0.5, 1.0]),
+    (_guard.count, [0, 2.0, True, 2.5], [1, np.int64(7)]),
+    (partial(_guard.count, minimum=2), [1], [2]),
+])
+def test_rule_bounds(check, bad, good):
+    for value in bad:
+        with pytest.raises(InvalidParameterError):
+            check(x=value)
+    for value in good:
+        check(x=value)

@@ -74,7 +74,8 @@ class TestConfig:
         (lambda doc: doc["rats"][1]["spatial_process"].update(kind="thomas"), r"rats\[1\].*thomas"),
         (lambda doc: doc["rats"][0].pop("spatial_process"), r"rats\[0\].*spatial_process"),
         (lambda doc: doc["rats"][0].update(density_range_per_km2=[1.0]), r"rats\[0\].*density"),
-        (lambda doc: doc["rats"][3].update(table_density_per_km2=0.0), r"rats\[3\].*table density"),
+        (lambda doc: doc["rats"][3].update(table_density_per_km2=0.0),
+         r"rats\[3\].*table_density_per_km2"),
         (lambda doc: doc["region"].update(guard_margin=1.0), r"region.*guard_margin"),
         (lambda doc: doc["pathloss"]["nlos"].update(anchor="okumura"), r"pathloss\.nlos.*okumura"),
         (lambda doc: doc.update(pathloss=None), "pathloss"),

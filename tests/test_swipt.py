@@ -53,19 +53,19 @@ class TestEndpoints:
         assert swipt.ps_throughput(swipt.SwiptConfig(rho=rho), DESK) == 0.0
 
     def test_hybrid_full_split_zero(self):
-        ts = swipt.hybrid_ts_frame(swipt.SwiptConfig(alpha1=0.6, alpha2=0.4), DESK)
-        ps = swipt.hybrid_ps_frame(swipt.SwiptConfig(rho1=0.3, rho2=0.7), DESK)
+        ts = swipt.hybrid_ts_frame(swipt.SwiptConfig(alpha=0.6, alpha2=0.4), DESK)
+        ps = swipt.hybrid_ps_frame(swipt.SwiptConfig(rho=0.3, rho2=0.7), DESK)
         assert ts.throughput_bps_hz == 0.0 and ps.throughput_bps_hz == 0.0
 
     def test_invalid_splits_rejected(self):
         with pytest.raises(InvalidParameterError):
             swipt.SwiptConfig(alpha=1.2)
         with pytest.raises(InvalidParameterError):
-            swipt.SwiptConfig(alpha1=0.7, alpha2=0.5)
+            swipt.SwiptConfig(alpha=0.7, alpha2=0.5)
         with pytest.raises(InvalidParameterError):
-            swipt.SwiptConfig(rho1=-0.1)
+            swipt.SwiptConfig(rho=-0.1)
         # NaN fails every ordered comparison, so a check like a < 0 lets it through
-        for name in ("alpha1", "alpha2", "rho1", "rho2"):
+        for name in ("alpha", "alpha2", "rho", "rho2"):
             with pytest.raises(InvalidParameterError):
                 swipt.SwiptConfig(**{name: math.nan})
 
@@ -212,8 +212,8 @@ class TestOrderings:
 @pytest.mark.parametrize("rate,cfg", [
     (swipt.ts_throughput, swipt.SwiptConfig(alpha=0.3)),
     (swipt.ps_throughput, swipt.SwiptConfig(rho=0.3)),
-    (swipt.hybrid_ts_frame, swipt.SwiptConfig(alpha1=0.3)),
-    (swipt.hybrid_ps_frame, swipt.SwiptConfig(rho1=0.3)),
+    (swipt.hybrid_ts_frame, swipt.SwiptConfig(alpha=0.3)),
+    (swipt.hybrid_ps_frame, swipt.SwiptConfig(rho=0.3)),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_rate_functions_reject_efficiency_outside_unit_interval(rate, cfg, eta):
     with pytest.raises(InvalidParameterError):
@@ -232,7 +232,7 @@ class TestHybrid:
             rng = substream(i, "hybrid-split")
             eta, t, alpha = rng.uniform(0.05, 1.0), rng.uniform(0.2, 3.0), rng.uniform()
             plain = swipt.ts_throughput(swipt.SwiptConfig(t, alpha=alpha), link, eta, mode)
-            hybrid = swipt.hybrid_ts_frame(swipt.SwiptConfig(t, alpha1=alpha), link, eta, mode)
+            hybrid = swipt.hybrid_ts_frame(swipt.SwiptConfig(t, alpha=alpha), link, eta, mode)
             assert hybrid.throughput_bps_hz == plain
 
     @pytest.mark.parametrize("post_noise", [False, True], ids=["pre-noise", "post-noise"])
@@ -244,7 +244,7 @@ class TestHybrid:
             eta, t, rho = rng.uniform(0.05, 1.0), rng.uniform(0.2, 3.0), rng.uniform()
             noise = (post_noise, rng.uniform(0.0, 1e-8) if post_noise else 0.0)
             plain = swipt.ps_throughput(swipt.SwiptConfig(t, rho=rho), link, eta, mode, *noise)
-            hybrid = swipt.hybrid_ps_frame(swipt.SwiptConfig(t, rho1=rho), link, eta, mode, *noise)
+            hybrid = swipt.hybrid_ps_frame(swipt.SwiptConfig(t, rho=rho), link, eta, mode, *noise)
             assert hybrid.throughput_bps_hz == plain
 
     def test_large_ambient_drives_alpha1_to_zero(self):
@@ -258,7 +258,7 @@ class TestHybrid:
                 if a1 + a2 > 1.0:
                     continue
                 v = swipt.hybrid_ts_frame(
-                    swipt.SwiptConfig(alpha1=a1, alpha2=a2), link
+                    swipt.SwiptConfig(alpha=a1, alpha2=a2), link
                 ).throughput_bps_hz
                 if v > best:
                     best, best_cfg = v, (a1, a2)
@@ -273,7 +273,7 @@ class TestHybrid:
             swipt.ps_throughput(swipt.SwiptConfig(rho=r), link) for r in grid
         )
         hybrid = max(
-            swipt.hybrid_ps_frame(swipt.SwiptConfig(rho1=r1, rho2=r2), link).throughput_bps_hz
+            swipt.hybrid_ps_frame(swipt.SwiptConfig(rho=r1, rho2=r2), link).throughput_bps_hz
             for r1 in grid
             for r2 in grid
             if r1 + r2 <= 1.0
@@ -284,7 +284,7 @@ class TestHybrid:
         from dataclasses import replace
 
         link = replace(DESK, ambient_power_at_source_w=2.0)
-        cfg = swipt.SwiptConfig(alpha1=0.2, alpha2=0.2)
+        cfg = swipt.SwiptConfig(alpha=0.2, alpha2=0.2)
         frame = swipt.hybrid_ts_frame(cfg, link, eta=0.5)
         # eta * ambient * forwarding subframe = 0.5 * 2.0 * (0.6 / 2)
         assert frame.source_banked_j == pytest.approx(0.3)
@@ -320,7 +320,7 @@ FIELDS = [
 def test_throughput_monotone_in_link_quality(name):
     from dataclasses import replace
 
-    cfg_ts = swipt.SwiptConfig(alpha1=0.3, alpha2=0.2)
+    cfg_ts = swipt.SwiptConfig(alpha=0.3, alpha2=0.2)
     base = swipt.LinkState(1e-3, 1e-3, 1e-9, 1.0, ambient_power_at_relay_w=1e-4)
     lo = swipt.hybrid_ts_frame(cfg_ts, base).throughput_bps_hz
     hi = swipt.hybrid_ts_frame(
