@@ -127,60 +127,74 @@ _FIELD_CASTS = {
 }
 
 
-def _tagged(classes: tuple[type, ...], value):
+def _named(path: str, read: Callable, value):
+    """``read(value)``, with any error it raises naming the key ``path``."""
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:  # InvalidParameterError is a ValueError
+        raise InvalidParameterError(f"{path}: {exc}") from exc
+
+
+def _tagged(classes: tuple[type, ...], value, path: str):
     """One of ``classes``, chosen by the ``kind`` that ``asdict`` writes."""
     kinds = {cls.kind: cls for cls in classes}
     kind = value.get("kind") if isinstance(value, dict) else None
     if kind not in kinds:
-        raise InvalidParameterError(f"unknown kind {kind!r}, expected one of {sorted(kinds)}")
-    return dataclass_from_dict(kinds[kind], {k: v for k, v in value.items() if k != "kind"})
+        raise InvalidParameterError(
+            f"{path}: unknown kind {kind!r}, expected one of {sorted(kinds)}"
+        )
+    return dataclass_from_dict(kinds[kind], {k: v for k, v in value.items() if k != "kind"}, path)
 
 
 def _cast(annotation: str, owner: type) -> Callable:
-    """How a field of ``owner`` annotated ``annotation`` is read.
+    """How a field of ``owner`` annotated ``annotation`` is read from a value at a key path.
 
     Besides the annotations in ``_FIELD_CASTS``: ``X | None``,
     ``tuple[X, ...]``, a dataclass named in ``owner``'s module, and a
     union of dataclasses told apart by their ``kind`` field.
     """
     if annotation in _FIELD_CASTS:
-        return _FIELD_CASTS[annotation]
+        read = _FIELD_CASTS[annotation]
+        return lambda value, path: _named(path, read, value)
     if annotation.endswith(" | None"):
         cast = _cast(annotation[: -len(" | None")], owner)
-        return lambda value: None if value is None else cast(value)
+        return lambda value, path: None if value is None else cast(value, path)
     if annotation.startswith("tuple[") and annotation.endswith(", ...]"):
         cast = _cast(annotation[len("tuple[") : -len(", ...]")], owner)
-        return lambda value: tuple(map(cast, _list(value)))
+        return lambda value, path: tuple(
+            cast(item, f"{path}[{i}]") for i, item in enumerate(_named(path, _list, value))
+        )
     target = vars(sys.modules[owner.__module__])[annotation]
     if isinstance(target, types.UnionType):
-        return lambda value: _tagged(get_args(target), value)
-    return lambda value: dataclass_from_dict(target, value)
+        return lambda value, path: _tagged(get_args(target), value, path)
+    return lambda value, path: dataclass_from_dict(target, value, path)
 
 
-def dataclass_from_dict(cls, d: dict):
+def dataclass_from_dict(cls, d: dict, path: str = ""):
     """The dataclass ``cls`` read strictly from ``d``, the form ``dataclasses.asdict`` writes.
 
     This is the one reader of JSON documents, serialised processes and
-    regions, and scenario config sections. An unknown key, a missing field
-    that has no default, or a value that does not read as its field's
-    annotation raises :class:`InvalidParameterError` naming the key.
+    regions, and scenario configs. An unknown key, a missing field that
+    has no default, a value that does not read as its field's annotation,
+    or a value that ``cls`` rejects raises :class:`InvalidParameterError`
+    naming the key path from the document's root (``rats[0].spatial_process``);
+    ``path`` is the path of ``d`` itself, empty at the root.
     """
+    where = f"{path}: " if path else ""
     if not isinstance(d, dict):
-        raise InvalidParameterError(f"expected a mapping, got {d!r}")
+        raise InvalidParameterError(f"{where}expected a mapping, got {d!r}")
     init_fields = {f.name: f for f in fields(cls) if f.init}
     unknown = sorted(set(d) - set(init_fields))
     if unknown:
-        raise InvalidParameterError(f"unknown key(s) {unknown}")
+        raise InvalidParameterError(f"{where}unknown key(s) {unknown}")
     missing = [
         name for name, f in init_fields.items()
         if name not in d and f.default is MISSING and f.default_factory is MISSING
     ]
     if missing:
-        raise InvalidParameterError(f"missing key(s) {missing}")
-    kwargs = {}
-    for name, value in d.items():
-        try:
-            kwargs[name] = _cast(init_fields[name].type, cls)(value)
-        except (TypeError, ValueError) as exc:  # InvalidParameterError is a ValueError
-            raise InvalidParameterError(f"invalid value for {name}: {exc}") from exc
-    return cls(**kwargs)
+        raise InvalidParameterError(f"{where}missing key(s) {missing}")
+    kwargs = {
+        name: _cast(init_fields[name].type, cls)(value, f"{path}.{name}" if path else name)
+        for name, value in d.items()
+    }
+    return _named(path, lambda kw: cls(**kw), kwargs) if path else cls(**kwargs)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import collaboration, geometry, harvest, scenario, scheduling, swipt
+from . import _guard, collaboration, geometry, harvest, scenario, scheduling, swipt
 from ._documents import read_text, write_csv
 from .errors import ConfigError, InfeasibleDemandError, SimulationError
 from .propagation import pathloss_db
@@ -27,6 +27,16 @@ def _load_config(args: argparse.Namespace) -> scenario.ScenarioConfig:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
+
+
+def _trials(text: str) -> int:
+    """A ``--trials`` value: an integer of at least 1, checked when the arguments parse."""
+    try:
+        value = int(text)
+        _guard.count(trials=value)
+    except ValueError as exc:  # InvalidParameterError is a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return value
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -80,7 +90,7 @@ def cmd_harvest(args: argparse.Namespace) -> int:
     rat = cfg.rat(args.rat)
     model, shadowing = cfg.channel(rat, args.scenario)
     density = args.density if args.density is not None else rat.density_range_per_km2[1]
-    draws = args.trials or 1000
+    draws = 1000 if args.trials is None else args.trials
     share, mean_fraction = harvest.nearest_share_study(
         rat, density, model, draws, cfg.seed,
         region=cfg.region, shadowing=shadowing,
@@ -108,7 +118,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if grid is None:
             lo, hi = rat.density_range_per_km2
             grid = np.geomspace(lo, hi, cfg.case_study.grid_points)
-        trials = args.trials or cfg.case_study.trials
+        trials = cfg.case_study.trials if args.trials is None else args.trials
         curve = harvest.upper_bound_sweep(
             rat, grid, model, trials, cfg.seed,
             region=cfg.region, shadowing=shadowing, scenario=args.scenario,
@@ -248,7 +258,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     if args.action == "evaluate":
         mdp = _desk_mdp(cfg)
         policy = scheduling.mdp_policy_iteration(mdp)
-        horizon = args.trials or 100_000
+        horizon = 100_000 if args.trials is None else args.trials
         mc = scheduling.evaluate_policy(policy, horizon=horizon, seed=cfg.seed)
         exact = scheduling.evaluate_policy(policy, exact=True)
         print(f"policy gain: exact {exact:.8g}, monte-carlo {mc:.8g} ({horizon} slots)")
@@ -302,7 +312,7 @@ def cmd_collab(args: argparse.Namespace) -> int:
 
 def cmd_casestudy(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    if args.trials:
+    if args.trials is not None:
         cfg = replace(cfg, case_study=replace(cfg.case_study, trials=args.trials))
     report = scenario.run_case_study(cfg, workers=args.workers)
     out = _out_dir(args)
@@ -330,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="scenario YAML (defaults to the bundled scenario)")
     common.add_argument("--seed", type=int, help="override the scenario seed")
     common.add_argument("--out", help="output directory (default ./out)")
-    common.add_argument("--trials", type=int, help="override trial counts")
+    common.add_argument("--trials", type=_trials, help="draws (harvest), trials per density "
+                        "(sweep, casestudy) or Monte-Carlo slots (schedule evaluate)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("deploy", parents=[common], help="sample or ingest a deployment")

@@ -346,6 +346,7 @@ def nearest_distance_batch(
     """
     _guard.positive(density_per_km2=density_per_km2)
     _guard.count(order=order)
+    _guard.count(minimum=0, trials=trials)
     rng = substream(seed, "nearest-batch")
     lam = density_per_km2 * region.area_km2
     counts = rng.poisson(lam, trials)

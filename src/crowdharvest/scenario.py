@@ -91,7 +91,7 @@ class PathlossScenarioConfig:
 
     def __post_init__(self) -> None:
         if self.anchor not in ("friis", "winner"):
-            raise ConfigError(f"unknown pathloss anchor {self.anchor!r}")
+            raise InvalidParameterError(f"unknown pathloss anchor {self.anchor!r}")
 
 
 @dataclass(frozen=True)
@@ -205,6 +205,20 @@ class ScenarioConfig:
     collab: CollabDefaults
     case_study: CaseStudyDefaults
 
+    def __post_init__(self) -> None:
+        """The rules that span sections."""
+        if not self.rats:
+            raise InvalidParameterError("rats must be a non-empty list of RAT profiles")
+        share_rat = self.case_study.nearest_share_rat
+        if share_rat not in [rat.name for rat in self.rats]:
+            raise InvalidParameterError(f"case_study.nearest_share_rat {share_rat!r} names no RAT")
+        for i, rat in enumerate(self.rats):
+            for name in ("los", "nlos"):
+                try:
+                    self.channel(rat, name)
+                except InvalidParameterError as exc:
+                    raise InvalidParameterError(f"pathloss.{name} for rats[{i}]: {exc}") from exc
+
     def rat(self, name: str) -> RatProfile:
         for rat in self.rats:
             if rat.name == name:
@@ -311,80 +325,40 @@ def build_rat_profile(rat: RatProfile) -> RatProfile:
 # YAML serialisation with strict validation.
 
 
-def _require_keys(d: dict, allowed: set[str], path: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path} must be a mapping")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) at {path}: {sorted(unknown)}")
+@dataclass(frozen=True)
+class _Pathloss:
+    los: PathlossScenarioConfig
+    nlos: PathlossScenarioConfig
 
 
-def _dataclass_from_cfg(cls, d: dict, path: str):
-    """One config section, parsed strictly; any error names the section's path."""
-    try:
-        return dataclass_from_dict(cls, d)
-    except (InvalidParameterError, ConfigError) as exc:
-        raise ConfigError(f"invalid section {path}: {exc}") from exc
+@dataclass(frozen=True)
+class _ScenarioDoc:
+    """The layout of a scenario document; a missing defaults section takes its defaults."""
 
-
-# The top-level sections that each hold one dataclass, in document order.
-_SECTIONS = {
-    "swipt": SwiptDefaults,
-    "scheduling": SchedulingDefaults,
-    "collab": CollabDefaults,
-    "case_study": CaseStudyDefaults,
-}
+    seed: int  # required: no implicit entropy
+    region: Region
+    rats: tuple[RatProfile, ...]
+    pathloss: _Pathloss
+    swipt: SwiptDefaults = SwiptDefaults()
+    scheduling: SchedulingDefaults = SchedulingDefaults()
+    collab: CollabDefaults = CollabDefaults()
+    case_study: CaseStudyDefaults = CaseStudyDefaults()
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    sections = asdict(config)
-    return {
-        "seed": config.seed,
-        "region": sections["region"],
-        "rats": list(sections["rats"]),
-        "pathloss": {"los": sections["los"], "nlos": sections["nlos"]},
-        **{name: sections[name] for name in _SECTIONS},
-    }
+    pathloss = _Pathloss(config.los, config.nlos)
+    return asdict(_ScenarioDoc(config.seed, config.region, config.rats, pathloss, config.swipt,
+                               config.scheduling, config.collab, config.case_study))
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    _require_keys(doc, {"seed", "region", "rats", "pathloss", *_SECTIONS}, "<root>")
-    if "seed" not in doc:
-        raise ConfigError("missing required key seed (no implicit entropy)")
-    if isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int):
-        raise ConfigError(f"seed must be an integer, got {doc['seed']!r}")
-    rats_d = doc.get("rats", [])
-    if not isinstance(rats_d, list) or not rats_d:
-        raise ConfigError("rats must be a non-empty list of RAT profiles")
-    rats = tuple(_dataclass_from_cfg(RatProfile, rd, f"rats[{i}]") for i, rd in enumerate(rats_d))
-    pathloss_d = doc.get("pathloss", {})
-    _require_keys(pathloss_d, {"los", "nlos"}, "pathloss")
-    config = ScenarioConfig(
-        seed=doc["seed"],
-        region=_dataclass_from_cfg(Region, doc.get("region", {}), "region"),
-        rats=rats,
-        **{
-            name: _dataclass_from_cfg(
-                PathlossScenarioConfig, pathloss_d.get(name, {}), f"pathloss.{name}"
-            )
-            for name in ("los", "nlos")
-        },
-        **{
-            name: _dataclass_from_cfg(cls, doc.get(name, {}), name)
-            for name, cls in _SECTIONS.items()
-        },
-    )
-    # the rules that span sections
-    share_rat = config.case_study.nearest_share_rat
-    if share_rat not in {rat.name for rat in rats}:
-        raise ConfigError(f"invalid section case_study: unknown nearest_share_rat {share_rat!r}")
-    for i, rat in enumerate(rats):
-        for name in ("los", "nlos"):
-            try:
-                config.channel(rat, name)
-            except InvalidParameterError as exc:
-                raise ConfigError(f"invalid section pathloss.{name} for rats[{i}]: {exc}") from exc
-    return config
+    """The config a scenario document describes; any error names its key path."""
+    try:
+        d = dataclass_from_dict(_ScenarioDoc, doc)
+        return ScenarioConfig(d.seed, d.region, d.rats, d.pathloss.los, d.pathloss.nlos,
+                              d.swipt, d.scheduling, d.collab, d.case_study)
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -410,9 +384,7 @@ def config_hash(config: ScenarioConfig) -> str:
 # Location ingestion.
 
 
-def ingest_locations_csv(
-    path: str | Path, region: Region, rat_name: str | None = None
-) -> tuple[Deployment, list[str]]:
+def ingest_locations_csv(path: str | Path, region: Region) -> tuple[Deployment, list[str]]:
     """Load transmitter locations from an ``x_m,y_m`` file.
 
     Returns the deployment (density computed as count over area) plus a

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import crowdharvest
-from crowdharvest import scenario, scheduling
+from crowdharvest import harvest, scenario, scheduling
 from crowdharvest.cli import main
 from crowdharvest.errors import ConfigError
 
@@ -188,6 +188,24 @@ def test_bad_config_value_rejected_at_load(tmp_path, capsys, monkeypatch, comman
     code, _, err = run([*command, "--config", str(bad), "--out", str(tmp_path)], capsys)
     assert code == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "2.5"])
+@pytest.mark.parametrize("command", [
+    ["harvest"], ["sweep", "--target", "harvest"], ["schedule", "evaluate"], ["casestudy"],
+], ids=["harvest", "sweep", "schedule-evaluate", "casestudy"])
+def test_bad_trials_rejected_at_parse_time(tmp_path, capsys, monkeypatch, command, trials):
+    def reached(*args, **kwargs):
+        raise AssertionError("the run started before --trials was rejected")
+
+    monkeypatch.setattr(harvest, "nearest_share_study", reached)
+    monkeypatch.setattr(harvest, "upper_bound_sweep", reached)
+    monkeypatch.setattr(scheduling, "mdp_policy_iteration", reached)
+    monkeypatch.setattr(scenario, "run_case_study", reached)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--trials", trials, "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "--trials" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("capacity,bits", [

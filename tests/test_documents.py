@@ -169,6 +169,20 @@ def test_strict_json_readers_reject_bad_documents(reader, defect):
         from_json(text)
 
 
+@pytest.mark.parametrize("reader,edit,path", [
+    ("policy", lambda d: d["mdp"].update(bucket_j=None), "mdp.bucket_j"),
+    ("policy", lambda d: d["mdp"].update(spend_levels_j=[0.0, "x"]), "mdp.spend_levels_j[1]"),
+    ("deployment", lambda d: d["region"].update(width_m=None), "region.width_m"),
+])
+def test_errors_name_the_full_key_path(reader, edit, path):
+    from_json, text = READERS[reader]
+    doc = json.loads(text)
+    edit(doc)
+    with pytest.raises(InvalidParameterError) as info:
+        from_json(json.dumps(doc))
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_policy_arrival_chain_keys_are_strict():
     doc = json.loads(POLICY_JSON)
     doc["mdp"]["arrivals"] = {"states_j": [0.0, 1.0]}

@@ -71,6 +71,9 @@ class TestSamplePpp:
         ks = geometry.ks_statistic(samples, lambda x: rayleigh_cdf(x, 5e-6))
         assert ks < 0.02
 
+    def test_nearest_distance_batch_of_no_trials_is_empty(self):
+        assert geometry.nearest_distance_batch(5.0, REGION, 0, 11).shape == (0,)
+
 
 class TestSampleClustered:
     SPEC = geometry.ClusteredProcess(20.0, 10.0, 50.0)

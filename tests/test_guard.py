@@ -87,6 +87,9 @@ REJECTED = {
     "SweepView trials 2.5": lambda: SweepView(LOS, 2.5),
     "sample_ppp density nan": lambda: sample_ppp(NAN, REGION, 0),
     "nearest_distance_batch density nan": lambda: nearest_distance_batch(NAN, REGION, 10, 0),
+    "nearest_distance_batch trials 2.5": lambda: nearest_distance_batch(1.0, REGION, 2.5, 0),
+    "nearest_distance_batch trials True": lambda: nearest_distance_batch(1.0, REGION, True, 0),
+    "nearest_distance_batch trials -1": lambda: nearest_distance_batch(1.0, REGION, -1, 0),
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crowdharvest import geometry, scenario
-from crowdharvest.errors import ConfigError, IngestionError
+from crowdharvest.errors import ConfigError, IngestionError, InvalidParameterError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,6 +87,30 @@ class TestConfig:
         edit(doc)
         with pytest.raises(ConfigError, match=match):
             scenario.config_from_dict(doc)
+
+    @pytest.mark.parametrize("edit,path", [
+        (lambda doc: doc["rats"][1]["spatial_process"].pop("spread_m"), "rats[1].spatial_process"),
+        (lambda doc: doc["rats"][0].update(density_range_per_km2=[1.0]),
+         "rats[0].density_range_per_km2"),
+        (lambda doc: doc["scheduling"].update(slot_count="abc"), "scheduling.slot_count"),
+    ])
+    def test_error_names_the_full_key_path(self, config, edit, path):
+        doc = scenario.config_to_dict(config)
+        edit(doc)
+        with pytest.raises(ConfigError) as info:
+            scenario.config_from_dict(doc)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda cfg: replace(cfg, rats=()), "rats"),
+        (lambda cfg: replace(cfg, case_study=replace(cfg.case_study, nearest_share_rat="x")),
+         "nearest_share_rat"),
+        (lambda cfg: replace(cfg, nlos=replace(cfg.nlos, exponent=math.nan)), r"pathloss\.nlos"),
+        (lambda cfg: replace(cfg, los=replace(cfg.los, anchor="okumura")), "okumura"),
+    ], ids=["no-rats", "share-rat-typo", "nan-exponent", "unknown-anchor"])
+    def test_cross_section_rules_hold_when_built(self, config, edit, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            edit(config)
 
     def test_scaling_k_nearest_below_one_rejected(self, config):
         doc = scenario.config_to_dict(config)
