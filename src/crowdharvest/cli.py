@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: deploy, harvest, sweep, swipt, schedule, collab, casestudy,
-pathloss. Global flags: --config, --seed, --out, --trials. Exit codes:
+pathloss. Global flags: --config, --seed, --out; harvest, sweep, schedule
+and casestudy also take --trials. Exit codes:
 0 success, 2 configuration error, 3 infeasible problem, 4 runtime error.
 """
 
@@ -340,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="scenario YAML (defaults to the bundled scenario)")
     common.add_argument("--seed", type=int, help="override the scenario seed")
     common.add_argument("--out", help="output directory (default ./out)")
-    common.add_argument("--trials", type=_trials, help="draws (harvest), trials per density "
+    trials = argparse.ArgumentParser(add_help=False)  # for the commands that read it
+    trials.add_argument("--trials", type=_trials, help="draws (harvest), trials per density "
                         "(sweep, casestudy) or Monte-Carlo slots (schedule evaluate)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -358,13 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=64)
     p.set_defaults(func=cmd_pathloss)
 
-    p = sub.add_parser("harvest", parents=[common], help="aggregate power at random probes")
+    p = sub.add_parser("harvest", parents=[common, trials],
+                       help="aggregate power at random probes")
     p.add_argument("--rat", default="macro")
     p.add_argument("--scenario", choices=["los", "nlos"], default="nlos")
     p.add_argument("--density", type=float)
     p.set_defaults(func=cmd_harvest)
 
-    p = sub.add_parser("sweep", parents=[common], help="parameter sweeps with CSV output")
+    p = sub.add_parser("sweep", parents=[common, trials], help="parameter sweeps with CSV output")
     p.add_argument(
         "--target",
         choices=["harvest", "swipt_split", "schedule_theta", "collab_xi"],
@@ -381,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=101)
     p.set_defaults(func=cmd_swipt)
 
-    p = sub.add_parser("schedule", parents=[common], help="offline schedules and MDP policies")
+    p = sub.add_parser("schedule", parents=[common, trials],
+                       help="offline schedules and MDP policies")
     p.add_argument("action", choices=["solve", "mdp", "evaluate"])
     p.add_argument("--problem", help="schedule problem JSON")
     p.add_argument("--min-time", type=float, help="demand (bits) for minimum relay time")
@@ -394,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run with joint transmission disabled")
     p.set_defaults(func=cmd_collab)
 
-    p = sub.add_parser("casestudy", parents=[common], help="full multi-RAT case study")
+    p = sub.add_parser("casestudy", parents=[common, trials], help="full multi-RAT case study")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_casestudy)
     return parser

@@ -19,7 +19,7 @@ validator:
   right after reception or they are dropped.
 
 Deterministic tie-breaking everywhere: higher delivered bits, then
-lower spent energy, then earlier activity.
+lower spent energy, then earlier activity, then the lower action-id tuple.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -191,7 +191,12 @@ def _markov_path(process: MarkovArrivals, k: int, rng: np.random.Generator) -> l
 
 
 def mean_arrival(process: EnergyArrivalProcess) -> float:
-    """Long-run mean arrival per slot; a Markov chain that is not unichain raises."""
+    """Long-run mean arrival per slot.
+
+    A Markov chain with several closed classes has no single mean; it
+    raises only when the average-reward solve is singular (see
+    ``_evaluate_average_reward``).
+    """
     if isinstance(process, BernoulliArrivals):
         return process.p * process.energy_j
     if isinstance(process, TriStateArrivals):
@@ -405,15 +410,14 @@ def _transition(
 
 
 class _Layer(NamedTuple):
-    """The paths the DP stores after a slot, one row each.
+    """The paths the DP stores after a slot, one row each, in action-tuple order.
 
     Paths are ordered by delivered bits (up, rounded to 12 decimals), spent
     energy (down, rounded), then their activity tuple (active 0 before idle
-    1) and their action-id tuple. All paths of a layer have the same
-    length, so the dense rank of a tuple over the layer stands for the
-    tuple, and a child's tuple sorts as (rank of its parent's, its own
-    symbol). While a layer is built, ``activity`` and ``actions`` hold
-    those pairs as ``rank * alphabet + symbol``.
+    1) and their action-id tuple. A child's activity tuple sorts as (dense
+    rank of its parent's over the layer, its own symbol), held as ``rank * 2
+    + symbol`` while a layer is built. Children come out in (parent row,
+    action id) order, so the row index stands for the action-id tuple.
     """
 
     b_s: np.ndarray  # source battery, exactly as the transition computes it
@@ -423,7 +427,6 @@ class _Layer(NamedTuple):
     energy: np.ndarray
     relay_slots: np.ndarray
     activity: np.ndarray  # rank of the activity tuple
-    actions: np.ndarray  # rank of the action-id tuple
     parent: np.ndarray  # row of the extended path in the previous layer
     action: np.ndarray  # action id of this slot
 
@@ -433,8 +436,7 @@ class _Layer(NamedTuple):
 
 def _path_keys(layer: _Layer, *primary: np.ndarray) -> tuple[np.ndarray, ...]:
     """The ``primary`` keys, then the path-order keys, most significant first."""
-    return primary + (-np.round(layer.bits, 12), np.round(layer.energy, 12),
-                      layer.activity, layer.actions)
+    return primary + (-np.round(layer.bits, 12), np.round(layer.energy, 12), layer.activity)
 
 
 def _first_lexmin(*keys: np.ndarray) -> int:
@@ -459,13 +461,13 @@ def _changed(column: np.ndarray) -> np.ndarray:
 
 def _survivors(layer: _Layer, pareto: bool) -> tuple[_Layer, int]:
     """Best path per state, or with ``pareto`` the Pareto set over (bits up,
-    relay slots down) per state; rows come back sorted by state. Also
+    relay slots down) per state; rows keep their order in ``layer``. Also
     returns the number of states.
 
-    Rows are sorted by state (and relay count) only. Each group's first
-    path in path order is then picked as ``_first_lexmin`` picks one row:
-    keep the rows that hold their group's minimum of each path key in
-    turn. Action ranks are unique per row, so one row per group is left.
+    Rows are sorted stably by state (and relay count) only. Each group's
+    first path in path order is then picked as ``_first_lexmin`` picks one
+    row: keep the rows that hold their group's minimum of each path key in
+    turn, then the first left, which has the lowest action-id tuple.
     """
     group = (layer.b_s, layer.b_r, layer.buf) + ((layer.relay_slots,) if pareto else ())
     rows = np.lexsort(group[::-1])
@@ -483,25 +485,26 @@ def _survivors(layer: _Layer, pareto: bool) -> tuple[_Layer, int]:
         starts = np.flatnonzero(np.concatenate(([True], _changed(group_id))))
         keep = values == np.minimum.reduceat(values, starts)[group_id]
         rows, group_id = rows[keep], group_id[keep]
+    rows = rows[np.concatenate(([True], _changed(group_id)))]
     n_states = int(new_state.sum())
-    layer = layer.take(rows)
     if pareto:  # keep a relay count only if it buys more bits than every smaller one
         state = (np.cumsum(new_state) - 1)[new_group]
+        bits, relay_slots = layer.bits[rows], layer.relay_slots[rows]
         best = np.full(n_states, -np.inf)
-        keep = np.zeros(layer.bits.size, dtype=bool)
-        for count in np.unique(layer.relay_slots):
-            rows = np.flatnonzero(layer.relay_slots == count)
-            rows = rows[best[state[rows]] < layer.bits[rows] - 1e-12]
-            keep[rows] = True
-            best[state[rows]] = layer.bits[rows]
-        layer = layer.take(keep)
-    return layer, n_states
+        keep = np.zeros(rows.size, dtype=bool)
+        for count in np.unique(relay_slots):
+            at = np.flatnonzero(relay_slots == count)
+            at = at[best[state[at]] < bits[at] - 1e-12]
+            keep[at] = True
+            best[state[at]] = bits[at]
+        rows = rows[keep]
+    return layer.take(np.sort(rows)), n_states
 
 
 def _children(
     problem: ScheduleProblem, k: int, prev: _Layer, rows: slice, power_levels: int
 ) -> _Layer:
-    """The paths the ``rows`` of ``prev`` extend to at slot ``k``, one per expanded cell.
+    """The children of the ``rows`` of ``prev`` at slot ``k``, in (parent row, action id) order.
 
     The DP expands only the idle action, source actions on a non-empty
     source battery, and relay actions on a non-empty relay battery with
@@ -523,7 +526,6 @@ def _children(
         energy=np.add(prev.energy[parent], energy, out=energy),
         relay_slots=prev.relay_slots[parent] + (action > power_levels),
         activity=prev.activity[parent] * 2 + (action == 0),
-        actions=prev.actions[parent] * (2 * power_levels + 1) + action,
         parent=parent,
         action=action,
     )
@@ -543,15 +545,16 @@ def _run_dp(
     over (delivered bits up, relay slots down) that minimum-relay-time
     queries need. States are keyed by their exact float values; only the
     path order rounds bits and energy.
-    Parents are expanded in blocks of at most ``_BLOCK_ROWS`` candidate
-    rows, each merged into the layer's survivors, and the problem is
-    rejected as soon as a layer holds more than ``state_bound`` states;
-    with ``pareto`` also when a finished layer stores more values.
+    Parents are expanded in blocks of at most ``_BLOCK_ROWS`` candidate rows,
+    each merged into the layer's survivors (a later block holds later parents,
+    so the merge keeps action-tuple order), and the problem is rejected as
+    soon as a layer holds more than ``state_bound`` states; with ``pareto``
+    also when a finished layer stores more values.
     """
     start = np.array([problem.initial_source_j, problem.initial_relay_j, 0.0], dtype=float)
     zero, root = np.zeros(1, dtype=np.int64), np.full(1, -1)
     layers = [_Layer(start[:1], start[1:2], start[2:], np.zeros(1), np.zeros(1),
-                     zero, zero, zero, root, root)]
+                     zero, zero, root, root)]
     n_actions = 2 * power_levels + 1
     per_block = max(1, _BLOCK_ROWS // n_actions)
     for k in range(problem.slot_count):
@@ -572,9 +575,7 @@ def _run_dp(
                 f"state space exceeded the bound ({layer.bits.size} values > {state_bound})"
                 f" at slot {k}"
             )
-        layers.append(
-            layer._replace(activity=_dense_rank(layer.activity), actions=_dense_rank(layer.actions))
-        )
+        layers.append(layer._replace(activity=_dense_rank(layer.activity)))
     return layers
 
 
@@ -917,25 +918,46 @@ class Policy:
     def action_at(self, battery_bucket: int, energy_state: int) -> int:
         return int(self.actions[battery_bucket, energy_state])
 
-    # policy.json writes the MDP's arrival chain as its fields with an "arrival_" prefix.
     def to_json(self) -> str:
-        mdp = asdict(self.mdp)
-        chain = mdp.pop("arrivals")
-        mdp.update(arrival_states_j=chain["states_j"], arrival_transitions=chain["transitions"])
-        return dumps({"mdp": mdp, "actions": self.actions.tolist(), "gain": self.gain})
+        chain = self.mdp.arrivals
+        mdp = _MdpDoc(chain.states_j, chain.transitions, *astuple(self.mdp)[1:])
+        return dumps(asdict(_PolicyDoc(mdp, self.actions.tolist(), self.gain)))
 
     @staticmethod
     def from_json(text: str) -> "Policy":
-        """Parse :meth:`to_json`; a missing, unknown or mistyped key raises."""
-        doc = loads(text)
-        mdp = doc.get("mdp") if isinstance(doc, dict) else None
-        if isinstance(mdp, dict):  # a stray "arrivals" key lands in the chain and is rejected
-            doc = {**doc, "mdp": {
-                **{k: v for k, v in mdp.items() if not k.startswith("arrival")},
-                "arrivals": {k.removeprefix("arrival_"): v
-                             for k, v in mdp.items() if k.startswith("arrival")},
-            }}
-        return dataclass_from_dict(Policy, doc)
+        """Parse :meth:`to_json`; a missing, unknown or mistyped key raises, naming its path."""
+        doc = dataclass_from_dict(_PolicyDoc, loads(text))
+        return Policy(doc.mdp.battery(), doc.actions, doc.gain)
+
+
+@dataclass(frozen=True)
+class _MdpDoc:
+    """The ``mdp`` of a policy document: the :class:`BatteryMdp` fields in
+    order, its arrival chain's two with an ``arrival_`` prefix."""
+
+    arrival_states_j: tuple[float, ...]
+    arrival_transitions: tuple[tuple[float, ...], ...]
+    battery_buckets: int
+    bucket_j: float
+    spend_levels_j: tuple[float, ...]
+    snr_per_joule: float
+    reward_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        self.battery()  # the chain and the MDP check themselves here, so their errors name "mdp"
+
+    def battery(self) -> BatteryMdp:
+        values = astuple(self)
+        return BatteryMdp(MarkovArrivals(*values[:2]), *values[2:])
+
+
+@dataclass(frozen=True)
+class _PolicyDoc:
+    """The layout of a policy document."""
+
+    mdp: _MdpDoc
+    actions: np.ndarray
+    gain: float
 
 
 @dataclass(frozen=True)
@@ -987,7 +1009,10 @@ def _policy_tables(arrays: _MdpArrays, actions: np.ndarray) -> tuple[np.ndarray,
 def _evaluate_average_reward(p: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray]:
     """Gain and bias of the chain ``p`` with rewards ``r``: h + g*1 = r + P h, h[0] = 0.
 
-    A chain that is not unichain has no single gain and raises.
+    A chain with several closed classes has no single gain, but the solve
+    raises :class:`DegenerateModelError` only when the bordered system is
+    singular to LU (an exact zero pivot); otherwise it returns a number,
+    which need not be the gain of any class.
     """
     n = p.shape[0]
     a = np.zeros((n + 1, n + 1))
@@ -1061,8 +1086,10 @@ def threshold_policy(
 
     The spend defaults to one battery quantum; it is truncated to the
     largest feasible level when the battery holds less than the target.
-    The returned policy carries its exact long-run gain; a multichain
-    closed loop raises :class:`DegenerateModelError`.
+    The returned policy carries its exact long-run gain. A closed loop
+    with several closed classes raises :class:`DegenerateModelError` only
+    when the average-reward solve is singular, and otherwise carries what
+    the solve returns (see ``_evaluate_average_reward``).
     """
     _guard.non_negative(theta_j=theta_j)
     target = mdp.bucket_j if spend_j is None else spend_j
@@ -1089,11 +1116,12 @@ def evaluate_policy(
 
     The exact mode, available when the arrival process is the policy's
     own Markov chain, solves the closed loop's average-reward equations as
-    policy iteration does; a multichain loop raises. Simulation quantises
-    the running battery to the policy's buckets (rounding down) before
-    each lookup.
-    It follows the simulated state path of a Markov chain, so energy
-    states that share an arrival energy keep their own actions.
+    policy iteration does; a loop with several closed classes raises only
+    when that solve is singular (see ``_evaluate_average_reward``).
+    Simulation quantises the running battery to the policy's buckets
+    (rounding down) before each lookup. It follows the simulated state
+    path of a Markov chain, so energy states that share an arrival energy
+    keep their own actions.
     """
     _guard.count(horizon=horizon)
     mdp = policy.mdp

@@ -208,6 +208,17 @@ def test_bad_trials_rejected_at_parse_time(tmp_path, capsys, monkeypatch, comman
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["deploy"], ["pathloss"], ["swipt"], ["collab", "--demo"],
+], ids=["deploy", "pathloss", "swipt", "collab"])
+def test_trials_rejected_by_commands_that_do_not_read_it(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--trials", "7", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --trials 7" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("capacity,bits", [
     (None, "40.6762"), (0.5, "37.8631"), (math.inf, "40.6762"),
 ])

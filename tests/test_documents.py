@@ -194,6 +194,22 @@ def test_policy_arrival_chain_keys_are_strict():
         sched.Policy.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda mdp: mdp.update(arrival_transitions=[[0.8, 0.2], None]),
+     "mdp.arrival_transitions[1]: expected a list, got None"),
+    (lambda mdp: mdp.update(arrival_kind="markov"), "mdp: unknown key(s) ['arrival_kind']"),
+    (lambda mdp: mdp.pop("arrival_states_j"), "mdp: missing key(s) ['arrival_states_j']"),
+    (lambda mdp: mdp.update(arrival_transitions=[[0.8, 0.3], [0.4, 0.6]]),
+     "mdp: transition matrix rows must sum to 1"),
+], ids=["null-row", "unknown-arrival-key", "missing-arrival-key", "bad-chain"])
+def test_policy_errors_name_the_arrival_keys_of_the_document(edit, message):
+    doc = json.loads(POLICY_JSON)
+    edit(doc["mdp"])
+    with pytest.raises(InvalidParameterError) as info:
+        sched.Policy.from_json(json.dumps(doc))
+    assert str(info.value) == message
+
+
 def test_csv_writer_and_reader_round_trip():
     text = write_csv(["a", "b"], [("1", "x"), (2, "y,z")])
     assert text == 'a,b\n1,x\n2,"y,z"\n'

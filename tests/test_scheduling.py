@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -685,29 +686,30 @@ def test_dp_matches_oracle_at_five_slots(index):
 
 def reference_survivors(layer, pareto):
     """The survivor step ``_survivors`` replaced: every candidate row sorted by
-    state and path order with one lexsort, then the first row of each group."""
+    state and path order, with the row index as the last key, in one lexsort;
+    then the first row of each group, returned in candidate order."""
     group = (layer.b_s, layer.b_r, layer.buf) + ((layer.relay_slots,) if pareto else ())
-    layer = layer.take(np.lexsort(sched._path_keys(layer, *group)[::-1]))
-    new_state = np.ones(layer.bits.size, dtype=bool)
-    new_state[1:] = (
-        sched._changed(layer.b_s) | sched._changed(layer.b_r) | sched._changed(layer.buf)
-    )
+    keys = sched._path_keys(layer, *group) + (np.arange(layer.bits.size),)
+    rows = np.lexsort(keys[::-1])
+    new_state = np.ones(rows.size, dtype=bool)
+    new_state[1:] = (sched._changed(layer.b_s[rows]) | sched._changed(layer.b_r[rows])
+                     | sched._changed(layer.buf[rows]))
     first = new_state.copy()
     if pareto:
-        first[1:] |= sched._changed(layer.relay_slots)
+        first[1:] |= sched._changed(layer.relay_slots[rows])
     n_states = int(new_state.sum())
-    layer = layer.take(first)
+    rows = rows[first]
     if pareto:
         state = np.cumsum(new_state[first]) - 1
         best = np.full(n_states, -np.inf)
-        keep = np.zeros(layer.bits.size, dtype=bool)
-        for count in np.unique(layer.relay_slots):
-            rows = np.flatnonzero(layer.relay_slots == count)
-            rows = rows[best[state[rows]] < layer.bits[rows] - 1e-12]
-            keep[rows] = True
-            best[state[rows]] = layer.bits[rows]
-        layer = layer.take(keep)
-    return layer, n_states
+        keep = np.zeros(rows.size, dtype=bool)
+        for count in np.unique(layer.relay_slots[rows]):
+            at = np.flatnonzero(layer.relay_slots[rows] == count)
+            at = at[best[state[at]] < layer.bits[rows][at] - 1e-12]
+            keep[at] = True
+            best[state[at]] = layer.bits[rows][at]
+        rows = rows[keep]
+    return layer.take(np.sort(rows)), n_states
 
 
 def assert_layers_equal(layers, expected):
@@ -779,6 +781,48 @@ def test_multi_block_rejects_at_the_same_slot(pareto):
     expected = solve(10**9)
     with tiny_blocks(levels):
         assert solve(max(stored)) == expected
+
+
+def action_tuples(layers):
+    """Each stored row's action-id tuple, rebuilt through ``parent`` and ``action``."""
+    tuples = [[()]]
+    for layer in layers[1:]:
+        tuples.append([tuples[-1][parent] + (int(action),)
+                       for parent, action in zip(layer.parent, layer.action)])
+    return tuples[1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule_problems(), st.integers(2, 4), st.booleans(), st.booleans())
+def test_dp_layers_are_in_action_tuple_order(problem, levels, pareto, small_blocks):
+    with tiny_blocks(levels) if small_blocks else contextlib.nullcontext():
+        layers = sched._run_dp(problem, levels, 10**9, pareto)
+    for tuples in action_tuples(layers):
+        assert all(a < b for a, b in zip(tuples, tuples[1:]))
+
+
+# Two schedules of this instance tie on delivered bits, spent energy (3.5 J)
+# and activity at 2 levels: source slots of 1 J and 0.5 J then one 2 J
+# relay slot, or a 2 J source slot then relay slots of 1 J and 0.5 J. The
+# lower action-id tuple, [1, 1, 4] before [2, 3, 3], decides the pick.
+ACTION_TIE_PROBLEM = sched.ScheduleProblem(
+    slot_count=3, slot_duration_s=1.0, source_arrivals_j=(1.0, 0.0, 0.0),
+    relay_arrivals_j=(0.0, 1.0, 0.0), source_gains=(0.001,) * 3,
+    relay_gains=(0.0, 0.001, 0.001), noise_power_w=1e-9, source_capacity_j=2.0,
+    relay_capacity_j=2.0, initial_source_j=2.0, initial_relay_j=1.0,
+)
+
+
+def test_action_tuple_breaks_a_final_tie_as_the_oracle_does():
+    levels = 2
+    layers = sched._run_dp(ACTION_TIE_PROBLEM, levels, 10**9, False)
+    keys = sched._path_keys(layers[-1])
+    best = sched._first_lexmin(*keys)
+    tied = np.flatnonzero(np.all([key == key[best] for key in keys], axis=0))
+    assert [sched._action_ids(layers, int(row)) for row in tied] == [[1, 1, 4], [2, 3, 3]]
+    optimal = sched.offline_optimal(ACTION_TIE_PROBLEM, levels)
+    assert optimal == sched.brute_force_oracle(ACTION_TIE_PROBLEM, levels)
+    assert optimal.relay_indicators == (0, 0, 1)
 
 
 class TestWaterFilling:
@@ -934,6 +978,19 @@ class TestMdp:
         # the gain of no start state; the simulation from energy state 0 reads 0
         with pytest.raises(DegenerateModelError):
             sched.threshold_policy(IDENTITY_CHAIN_MDP, 1.0)
+
+    # Arrivals of 0 or 2 J and a 4 J spend keep the battery's parity, so on
+    # desk-64 every threshold of this grid but 0, 2.9 and 63 J leaves two
+    # closed classes of equal gain: a 4 J spend (log2(1 + 4 * 2) bits) per
+    # 4 slots of 1 J mean arrival. The solve raises at 5.7, 20.0 and 31.5 J.
+    @pytest.mark.xfail(strict=True, raises=DegenerateModelError,
+                       reason="the average-reward solve does not see closed classes")
+    def test_two_class_threshold_grid_gets_the_common_gain(self):
+        mdp = desk_mdp(64)
+        thresholds = np.linspace(0.0, 63.0, 23)[2:-1]
+        assert len(thresholds) == 20
+        gains = [sched.threshold_policy(mdp, theta, spend_j=4.0).gain for theta in thresholds]
+        assert gains == pytest.approx([math.log2(9.0) / 4] * 20, rel=1e-12)
 
     def test_threshold_endpoints(self):
         never = sched.threshold_policy(DESK_MDP, DESK_MDP.capacity_j + 5.0)
