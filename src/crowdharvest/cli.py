@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _guard, collaboration, geometry, harvest, scenario, scheduling, swipt
 from ._documents import read_text, write_csv
-from .errors import ConfigError, InfeasibleDemandError, SimulationError
+from .errors import ConfigError, FitFailureError, InfeasibleDemandError, SimulationError
 from .propagation import pathloss_db
 from .rng import substream
 
@@ -30,11 +30,11 @@ def _load_config(args: argparse.Namespace) -> scenario.ScenarioConfig:
     return cfg
 
 
-def _trials(text: str) -> int:
-    """A ``--trials`` value: an integer of at least 1, checked when the arguments parse."""
+def _count(text: str) -> int:
+    """A count flag's value: an integer of at least 1, checked when the arguments parse."""
     try:
         value = int(text)
-        _guard.count(trials=value)
+        _guard.count(value=value)
     except ValueError as exc:  # InvalidParameterError is a ValueError
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return value
@@ -125,8 +125,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             region=cfg.region, shadowing=shadowing, scenario=args.scenario,
         )
         _write(out / f"sweep_harvest_{args.rat}_{args.scenario}.csv", harvest.sweep_to_csv(curve))
-        slope = harvest.scaling_exponent(curve) if grid.size >= 4 else float("nan")
-        print(f"harvest sweep: {grid.size} densities, fitted slope {slope:.3f}")
+        try:
+            slope = f"{harvest.scaling_exponent(curve):.3f}"
+        except FitFailureError as exc:  # recorded as run_case_study records it
+            slope = f"nan ({exc})"
+        print(f"harvest sweep: {grid.size} densities, fitted slope {slope}")
         return 0
     if args.target == "swipt_split":
         if grid is None:
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override the scenario seed")
     common.add_argument("--out", help="output directory (default ./out)")
     trials = argparse.ArgumentParser(add_help=False)  # for the commands that read it
-    trials.add_argument("--trials", type=_trials, help="draws (harvest), trials per density "
+    trials.add_argument("--trials", type=_count, help="draws (harvest), trials per density "
                         "(sweep, casestudy) or Monte-Carlo slots (schedule evaluate)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=["los", "nlos"], default="nlos")
     p.add_argument("--d-min", type=float, default=1.0)
     p.add_argument("--d-max", type=float, default=5000.0)
-    p.add_argument("--points", type=int, default=64)
+    p.add_argument("--points", type=_count, default=64)
     p.set_defaults(func=cmd_pathloss)
 
     p = sub.add_parser("harvest", parents=[common, trials],
@@ -381,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("swipt", parents=[common], help="optimise a SWIPT link")
     p.add_argument("--protocol", choices=["ts", "ps"], default="ts")
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--points", type=_count, default=101)
     p.set_defaults(func=cmd_swipt)
 
     p = sub.add_parser("schedule", parents=[common, trials],
@@ -399,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_collab)
 
     p = sub.add_parser("casestudy", parents=[common, trials], help="full multi-RAT case study")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_count, default=1)
     p.set_defaults(func=cmd_casestudy)
     return parser
 

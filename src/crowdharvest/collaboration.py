@@ -25,7 +25,7 @@ from . import _guard
 from ._documents import read_csv, write_csv
 from .errors import InvalidParameterError
 from .rng import substream
-from .scheduling import DeterministicArrivals, EnergyArrivalProcess, mean_arrival, simulate_arrivals
+from .scheduling import DeterministicArrivals, EnergyArrivalProcess, simulate_arrivals
 
 __all__ = [
     "NodeState",
@@ -36,8 +36,6 @@ __all__ = [
     "jt_snr",
     "collab_schedule",
     "optimize_frame_split",
-    "BatchDecision",
-    "batch_policy",
     "traffic_correlation_kernel",
     "correlated_bernoulli_traces",
     "rescue_demo",
@@ -84,7 +82,7 @@ class CollabFrame:
 
 @dataclass(frozen=True)
 class CollabParams:
-    """Frame structure and decision rule for the collaborative scheduler."""
+    """Frame structure of the collaborative scheduler."""
 
     xi: float  # share of the frame given to the conventional subframe
     decode_snr_threshold: float
@@ -92,14 +90,11 @@ class CollabParams:
     frame_duration_s: float = 1.0
     jt_enabled: bool = True
     combining_efficiency: float = 1.0  # amplitude efficiency of beamforming
-    decision_rule: str = "max_battery"  # or "round_robin"
 
     def __post_init__(self) -> None:
         _guard.unit(xi=self.xi, combining_efficiency=self.combining_efficiency)
         _guard.positive(decode_snr_threshold=self.decode_snr_threshold,
                         noise_power_w=self.noise_power_w, frame_duration_s=self.frame_duration_s)
-        if self.decision_rule not in ("max_battery", "round_robin"):
-            raise InvalidParameterError(f"unknown decision rule {self.decision_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -148,13 +143,13 @@ def collab_schedule(
     """Simulate the two-node collaboration over the QoS horizon.
 
     Per frame: harvest arrivals (capped at capacity); in subframe 1 the
-    decision rule schedules one node, which delivers by spending exactly
-    the threshold-meeting energy when it can afford it; if the frame is
-    still empty and the deadline would otherwise break, both nodes
-    attempt a joint transmission, scaling their offered energy down to
-    the minimum that meets the threshold. A violation is counted every
-    time the gap since the last delivery reaches D, after which the
-    window restarts.
+    node with the fuller battery (A on a tie) is scheduled, and it
+    delivers by spending exactly the threshold-meeting energy when it
+    can afford it; if the frame is still empty and the deadline would
+    otherwise break, both nodes attempt a joint transmission, scaling
+    their offered energy down to the minimum that meets the threshold. A
+    violation is counted every time the gap since the last delivery
+    reaches D, after which the window restarts.
     """
     node_a, node_b = nodes
     arrivals = (
@@ -181,10 +176,7 @@ def collab_schedule(
         scheduled = "none"
         jt_active = False
 
-        if params.decision_rule == "round_robin":
-            pick = k % 2
-        else:
-            pick = 0 if batteries[0] >= batteries[1] else 1
+        pick = 0 if batteries[0] >= batteries[1] else 1
         need = _single_required_energy(gains[pick], params)
         if batteries[pick] >= need:
             batteries[pick] -= need
@@ -224,86 +216,23 @@ def optimize_frame_split(
     params: CollabParams,
     grid: np.ndarray,
     seed: int = 0,
-    violation_penalty: float | None = None,
 ) -> tuple[float, float]:
-    """Pick the frame split maximising deliveries minus violation penalty.
+    """Pick the frame split maximising deliveries minus ``horizon`` times violations.
 
     Every grid point is simulated with common random numbers (the same
-    seed, hence the same arrival draws); the penalty defaults to the
-    horizon so any violation outweighs throughput. Ties go to the
-    smaller split.
+    seed, hence the same arrival draws); a violation costs the horizon,
+    so any violation outweighs throughput. Ties go to the smaller split.
     """
     grid_arr = np.asarray(grid, dtype=float)
     if grid_arr.size == 0:
         raise InvalidParameterError("frame-split grid must be non-empty")
-    penalty = float(qos.horizon) if violation_penalty is None else violation_penalty
     best_xi, best_obj = None, -math.inf
     for xi in grid_arr:
         result = collab_schedule(nodes, qos, replace(params, xi=float(xi)), seed)
-        objective = result.delivered_count - penalty * result.violations
+        objective = result.delivered_count - float(qos.horizon) * result.violations
         if objective > best_obj + 1e-12:
             best_xi, best_obj = float(xi), objective
     return best_xi, best_obj
-
-
-@dataclass(frozen=True)
-class BatchDecision:
-    slot: int
-    decision: str  # "sense", "transmit_batch", or "idle"
-    battery_after_j: float
-
-
-def batch_policy(
-    node: NodeState,
-    event_slots: list[bool] | np.ndarray,
-    overflow_guard_j: float,
-    seed: int = 0,
-    sensing_cost_j: float | None = None,
-) -> tuple[list[BatchDecision], float]:
-    """Overflow-avoiding batch transmission with a sensing reserve.
-
-    Sensing events take precedence and spend the sensing cost whenever
-    the battery covers it. Otherwise the node projects its battery after
-    the next arrival (the actual value for deterministic traces, the
-    process mean otherwise) and dumps everything above the sensing
-    reserve as one batch when the projection would overflow past the
-    guard. Returns the decisions and the total energy lost to overflow.
-    """
-    if not 0 <= overflow_guard_j < node.capacity_j:
-        raise InvalidParameterError("overflow guard must lie in [0, capacity)")
-    if sensing_cost_j is not None:
-        _guard.non_negative(sensing_cost_j=sensing_cost_j)
-    events = np.asarray(event_slots, dtype=bool)
-    horizon = events.size
-    deterministic = isinstance(node.arrival_process, DeterministicArrivals)
-    # a chain without a single mean raises before the trace is drawn
-    expected = 0.0 if deterministic else mean_arrival(node.arrival_process)
-    arrivals = simulate_arrivals(node.arrival_process, horizon, seed)
-
-    def projected_arrival(k: int) -> float:
-        if not deterministic:
-            return expected
-        return float(arrivals[k + 1]) if k + 1 < horizon else 0.0
-
-    reserve = sensing_cost_j if sensing_cost_j is not None else 0.05 * node.capacity_j
-    battery = node.battery_j
-    overflow_lost = 0.0
-    decisions: list[BatchDecision] = []
-    for k in range(horizon):
-        headroom = node.capacity_j - battery
-        overflow_lost += max(0.0, float(arrivals[k]) - headroom)
-        battery = min(node.capacity_j, battery + float(arrivals[k]))
-        if events[k] and battery >= reserve and reserve > 0:
-            battery -= reserve
-            decisions.append(BatchDecision(k, "sense", battery))
-            continue
-        projected = battery + projected_arrival(k)
-        if projected > node.capacity_j - overflow_guard_j and battery > reserve:
-            battery = min(battery, reserve)
-            decisions.append(BatchDecision(k, "transmit_batch", battery))
-        else:
-            decisions.append(BatchDecision(k, "idle", battery))
-    return decisions, overflow_lost
 
 
 def traffic_correlation_kernel(

@@ -19,10 +19,6 @@ class DistanceOutOfRangeError(InvalidParameterError):
     """A link distance below the model's reference distance was requested."""
 
 
-class InsufficientPointsError(SimulationError):
-    """More neighbours were requested than a deployment contains."""
-
-
 class FitFailureError(SimulationError):
     """A distribution fit could not be performed on the given samples."""
 

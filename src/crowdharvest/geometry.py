@@ -18,11 +18,7 @@ import numpy as np
 
 from . import _guard
 from ._documents import dataclass_from_dict, dumps, loads, read_csv, write_csv
-from .errors import (
-    FitFailureError,
-    InsufficientPointsError,
-    InvalidParameterError,
-)
+from .errors import InvalidParameterError
 from .rng import substream
 
 __all__ = [
@@ -30,7 +26,6 @@ __all__ = [
     "PoissonProcess",
     "ClusteredProcess",
     "Deployment",
-    "DistanceFit",
     "sample_ppp",
     "sample_clustered",
     "sample_process",
@@ -38,9 +33,7 @@ __all__ = [
     "nth_nearest_distance_cdf",
     "rayleigh_scale_for_density",
     "distances_to_probe",
-    "nearest_distances",
     "nearest_distance_batch",
-    "fit_nearest_distance",
     "ks_statistic",
     "deployment_to_csv",
     "deployment_from_csv",
@@ -314,21 +307,6 @@ def distances_to_probe(
     return np.hypot(dx, dy, out=out)
 
 
-def nearest_distances(
-    deployment: Deployment, probe: tuple[float, float], count: int
-) -> np.ndarray:
-    """Ascending distances from the probe to the ``count`` nearest transmitters."""
-    _guard.count(count=count)
-    if count > deployment.count:
-        raise InsufficientPointsError(
-            f"requested {count} nearest transmitters, deployment has {deployment.count}"
-        )
-    d = distances_to_probe(deployment.region, probe, deployment.xs, deployment.ys)
-    if count < d.size:
-        d = np.partition(d, count - 1)[:count]
-    return np.sort(d)
-
-
 def nearest_distance_batch(
     density_per_km2: float,
     region: Region,
@@ -386,89 +364,6 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     d_plus = np.max(grid - f)
     d_minus = np.max(f - (grid - 1.0 / n))
     return float(max(d_plus, d_minus, 0.0))
-
-
-@dataclass(frozen=True)
-class DistanceFit:
-    """Maximum-likelihood fit of a nearest-distance sample."""
-
-    family: str  # "rayleigh" or "gamma"
-    scale: float
-    shape: float | None
-    ks_statistic: float
-
-    def cdf(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.family == "rayleigh":
-            return 1.0 - np.exp(-np.square(r) / (2.0 * self.scale**2))
-        from scipy.special import gammainc
-
-        return gammainc(self.shape, np.maximum(r, 0.0) / self.scale)
-
-    def pdf(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.family == "rayleigh":
-            return (r / self.scale**2) * np.exp(-np.square(r) / (2.0 * self.scale**2))
-        from scipy.special import gammaln
-
-        k, th = self.shape, self.scale
-        with np.errstate(divide="ignore"):
-            log_r = np.where(r > 0, np.log(r), -np.inf)
-        log_f = (k - 1) * log_r - r / th - gammaln(k) - k * math.log(th)
-        return np.where(r > 0, np.exp(log_f), 0.0)
-
-
-def _fit_gamma_shape(mean: float, mean_log: float, init: float) -> float:
-    """Newton iteration on ln(k) - psi(k) = ln(mean) - mean(ln x)."""
-    target = math.log(mean) - mean_log
-    if target <= 0:
-        raise FitFailureError("gamma fit failed: non-positive log-moment gap")
-    from scipy.special import digamma, polygamma
-
-    k = max(init, 1e-6)
-    for _ in range(200):
-        g = math.log(k) - digamma(k) - target
-        if abs(g) < 1e-9:  # tolerance on the profile log-likelihood gradient
-            return k
-        dg = 1.0 / k - polygamma(1, k)
-        step = g / dg
-        k_new = k - step
-        if k_new <= 0:
-            k_new = k / 2.0
-        k = k_new
-    raise FitFailureError("gamma fit failed: shape iteration did not converge")
-
-
-def fit_nearest_distance(samples: np.ndarray, family: str) -> DistanceFit:
-    """Fit a Rayleigh or Gamma law by maximum likelihood and score it with KS.
-
-    The KS statistic is computed against the fitted cdf; no p-value is
-    reported because fitted-parameter KS p-values are biased.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.size < 100:
-        raise FitFailureError(f"need at least 100 samples, got {x.size}")
-    if np.any(x < 0) or not np.all(np.isfinite(x)):
-        raise FitFailureError("samples must be finite and non-negative")
-    if np.var(x) == 0:
-        raise FitFailureError("degenerate sample: zero variance")
-    if family == "rayleigh":
-        scale = math.sqrt(float(np.mean(np.square(x))) / 2.0)
-        if scale <= 0:
-            raise FitFailureError("rayleigh fit failed: zero scale")
-        fit = DistanceFit("rayleigh", scale, None, 0.0)
-    elif family == "gamma":
-        if np.any(x <= 0):
-            raise FitFailureError("gamma fit requires strictly positive samples")
-        mean = float(np.mean(x))
-        var = float(np.var(x))
-        k0 = mean * mean / var  # method-of-moments start
-        k = _fit_gamma_shape(mean, float(np.mean(np.log(x))), k0)
-        fit = DistanceFit("gamma", mean / k, k, 0.0)
-    else:
-        raise InvalidParameterError(f"unknown fit family {family!r}")
-    ks = ks_statistic(x, fit.cdf)
-    return DistanceFit(fit.family, fit.scale, fit.shape, ks)
 
 
 # ---------------------------------------------------------------------------

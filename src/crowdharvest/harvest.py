@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,15 +53,11 @@ from .rng import _mulhi, _raw_outputs, state_dict, substream, substream_columns
 
 __all__ = [
     "RatProfile",
-    "FullBuffer",
-    "TwoState",
     "EmpiricalPdf",
-    "TrafficLoadModel",
     "HarvestReport",
     "SweepPoint",
     "SweepCurve",
     "SweepView",
-    "sample_utilization",
     "convolve_load_pdfs",
     "aggregate_power",
     "crowd_sweep",
@@ -98,21 +94,7 @@ class RatProfile:
 
 
 # ---------------------------------------------------------------------------
-# Traffic load models (spectrum utilisation in [0, 1]).
-
-
-@dataclass(frozen=True)
-class FullBuffer:
-    kind: str = field(default="full_buffer", init=False)
-
-
-@dataclass(frozen=True)
-class TwoState:
-    on_prob: float
-    kind: str = field(default="two_state", init=False)
-
-    def __post_init__(self) -> None:
-        _guard.unit(on_prob=self.on_prob)
+# Traffic-load densities (spectrum utilisation in [0, 1]) and their convolution.
 
 
 @dataclass(frozen=True)
@@ -121,7 +103,6 @@ class EmpiricalPdf:
 
     loads: np.ndarray
     densities: np.ndarray
-    kind: str = field(default="empirical", init=False)
 
     def __post_init__(self) -> None:
         loads = np.asarray(self.loads, dtype=float)
@@ -145,34 +126,6 @@ class EmpiricalPdf:
         n = int(round(1.0 / grid_step))
         grid = np.linspace(0.0, 1.0, n + 1)
         return EmpiricalPdf(grid, np.ones(n + 1))
-
-
-TrafficLoadModel = FullBuffer | TwoState | EmpiricalPdf
-
-
-def sample_utilization(
-    model: TrafficLoadModel, rng: np.random.Generator, size: int | None = None
-) -> float | np.ndarray:
-    """Draw spectrum-utilisation values in [0, 1] from a traffic model."""
-    n = 1 if size is None else size
-    if isinstance(model, FullBuffer):
-        out = np.ones(n)
-    elif isinstance(model, TwoState):
-        out = (rng.random(n) < model.on_prob).astype(float)
-    elif isinstance(model, EmpiricalPdf):
-        if model.loads[0] < -1e-12 or model.loads[-1] > 1.0 + 1e-12:
-            raise InvalidParameterError("traffic loads must be confined to [0, 1]")
-        cdf = np.concatenate(
-            [[0.0], np.cumsum((model.densities[1:] + model.densities[:-1]) / 2.0
-                              * np.diff(model.loads))]
-        )
-        cdf /= cdf[-1]
-        out = np.interp(rng.random(n), cdf, model.loads)
-    else:
-        raise InvalidParameterError(f"unknown traffic model {model!r}")
-    if size is None:
-        return float(out[0])
-    return out
 
 
 def convolve_load_pdfs(pdfs: list[EmpiricalPdf], grid_step: float) -> EmpiricalPdf:

@@ -4,10 +4,8 @@ Two model families cover the study scenarios:
 
 * free-space single slope (exponent 2) anchored to the Friis loss at a
   1 m reference distance, used for line-of-sight upper bounds;
-* a WINNER-style urban form ``loss = A log10(d) + B + C log10(f/5 GHz)``
-  used single-slope (A=43 gives exponent 4.3, urban non-line-of-sight)
-  or as the far branch of a dual-slope model with a continuity offset at
-  the breakpoint.
+* a WINNER-style urban single slope ``loss = A log10(d) + B + C log10(f/5 GHz)``
+  (A=43 gives exponent 4.3, urban non-line-of-sight).
 
 The WINNER family is specified for 2-6 GHz carriers; applying it
 outside that range (TV broadcast) is an extrapolation and is flagged so
@@ -33,7 +31,6 @@ __all__ = [
     "friis_reference_loss_db",
     "free_space_model",
     "winner_urban_nlos_model",
-    "dual_slope_model",
     "pathloss_db",
     "received_power",
     "draw_shadowing_db",
@@ -46,14 +43,12 @@ WINNER_RANGE_HZ = (2e9, 6e9)
 
 @dataclass(frozen=True)
 class PathlossModel:
-    """Distance-loss law with an optional second slope beyond a breakpoint."""
+    """Single-slope distance-loss law anchored at a reference distance."""
 
     exponent: float
     reference_distance_m: float
     reference_loss_db: float
     carrier_frequency_hz: float
-    nlos_exponent: float | None = None
-    breakpoint_m: float | None = None
 
     def __post_init__(self) -> None:
         _guard.positive(reference_distance_m=self.reference_distance_m,
@@ -62,19 +57,6 @@ class PathlossModel:
             raise InvalidParameterError(f"exponent must be at least 2, got {self.exponent!r}")
         if not math.isfinite(self.reference_loss_db):
             raise InvalidParameterError(f"reference loss {self.reference_loss_db} dB is not finite")
-        if (self.nlos_exponent is None) != (self.breakpoint_m is None):
-            raise InvalidParameterError(
-                "dual-slope models need both nlos_exponent and breakpoint_m"
-            )
-        if self.nlos_exponent is not None:
-            if not self.exponent <= self.nlos_exponent < math.inf:
-                raise InvalidParameterError("far slope must be at least the near slope")
-            if not self.reference_distance_m < self.breakpoint_m < math.inf:
-                raise InvalidParameterError("breakpoint must exceed the reference distance")
-
-    @property
-    def is_dual_slope(self) -> bool:
-        return self.nlos_exponent is not None
 
 
 @dataclass(frozen=True)
@@ -136,27 +118,6 @@ def winner_urban_nlos_model(
     )
 
 
-def dual_slope_model(
-    frequency_hz: float,
-    los_exponent: float = 2.0,
-    nlos_exponent: float = 4.3,
-    breakpoint_m: float = 300.0,
-    reference_distance_m: float = 1.0,
-    reference_loss_db: float | None = None,
-) -> PathlossModel:
-    """Near slope up to the breakpoint, far slope beyond, continuous join."""
-    if reference_loss_db is None:
-        reference_loss_db = friis_reference_loss_db(frequency_hz, reference_distance_m)
-    return PathlossModel(
-        exponent=los_exponent,
-        reference_distance_m=reference_distance_m,
-        reference_loss_db=reference_loss_db,
-        carrier_frequency_hz=frequency_hz,
-        nlos_exponent=nlos_exponent,
-        breakpoint_m=breakpoint_m,
-    )
-
-
 def winner_extrapolated(model: PathlossModel) -> bool:
     """True when the carrier lies outside the WINNER 2-6 GHz validity band."""
     lo, hi = WINNER_RANGE_HZ
@@ -178,33 +139,12 @@ def pathloss_db(
         )
     if out is None:
         out = np.empty_like(d)
-    # each element sees only its own branch, so out may alias d
-    near = d <= model.breakpoint_m if model.is_dual_slope else True
-    _log_slope(d, model.reference_distance_m, model.reference_loss_db, model.exponent, out, near)
-    if model.is_dual_slope:
-        bp = model.breakpoint_m
-        loss_at_bp = model.reference_loss_db + 10.0 * model.exponent * math.log10(
-            bp / model.reference_distance_m
-        )
-        far = ~near
-        np.maximum(d, bp, out=out, where=far)
-        _log_slope(out, bp, loss_at_bp, model.nlos_exponent, out, far)
+    # out = ref_loss + 10 exponent log10(d / ref), one element-wise step at a time
+    np.divide(d, model.reference_distance_m, out=out)
+    np.log10(out, out=out)
+    np.multiply(10.0 * model.exponent, out, out=out)
+    np.add(model.reference_loss_db, out, out=out)
     return float(out) if out.ndim == 0 else out
-
-
-def _log_slope(
-    d: np.ndarray,
-    ref_m: float,
-    ref_loss_db: float,
-    exponent: float,
-    out: np.ndarray,
-    where: bool | np.ndarray,
-) -> None:
-    """``out = ref_loss_db + 10 exponent log10(d / ref_m)`` where ``where`` holds."""
-    np.divide(d, ref_m, out=out, where=where)
-    np.log10(out, out=out, where=where)
-    np.multiply(10.0 * exponent, out, out=out, where=where)
-    np.add(ref_loss_db, out, out=out, where=where)
 
 
 def received_power(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +52,6 @@ from .swipt import (
 
 __all__ = [
     "BernoulliArrivals",
-    "TriStateArrivals",
     "MarkovArrivals",
     "DeterministicArrivals",
     "EnergyArrivalProcess",
@@ -87,21 +86,9 @@ class BernoulliArrivals:
 
     p: float
     energy_j: float
-    kind: str = field(default="bernoulli", init=False)
 
     def __post_init__(self) -> None:
         _guard.unit(p=self.p)
-        _guard.positive(energy_j=self.energy_j)
-
-
-@dataclass(frozen=True)
-class TriStateArrivals:
-    """0, E, or 2E with probability 1/3 each."""
-
-    energy_j: float
-    kind: str = field(default="tri_state", init=False)
-
-    def __post_init__(self) -> None:
         _guard.positive(energy_j=self.energy_j)
 
 
@@ -111,7 +98,6 @@ class MarkovArrivals:
 
     states_j: tuple[float, ...]
     transitions: tuple[tuple[float, ...], ...]
-    kind: str = field(default="markov", init=False)
 
     def __post_init__(self) -> None:
         n = len(self.states_j)
@@ -137,16 +123,13 @@ class DeterministicArrivals:
     """Arrival amounts known in advance."""
 
     trace_j: tuple[float, ...]
-    kind: str = field(default="deterministic", init=False)
 
     def __post_init__(self) -> None:
         if not all(0 <= e < math.inf for e in self.trace_j):
             raise InvalidParameterError("trace entries must be non-negative and finite")
 
 
-EnergyArrivalProcess = (
-    BernoulliArrivals | TriStateArrivals | MarkovArrivals | DeterministicArrivals
-)
+EnergyArrivalProcess = BernoulliArrivals | MarkovArrivals | DeterministicArrivals
 
 
 _PATH_CHUNK = 4096
@@ -158,8 +141,6 @@ def simulate_arrivals(process: EnergyArrivalProcess, k: int, seed: int) -> np.nd
     rng = substream(seed, "arrivals")
     if isinstance(process, BernoulliArrivals):
         return np.where(rng.random(k) < process.p, process.energy_j, 0.0)
-    if isinstance(process, TriStateArrivals):
-        return rng.integers(0, 3, k).astype(float) * process.energy_j
     if isinstance(process, MarkovArrivals):
         path = np.asarray(_markov_path(process, k, rng), dtype=np.intp)
         return np.asarray(process.states_j, dtype=float)[path]
@@ -188,24 +169,6 @@ def _markov_path(process: MarkovArrivals, k: int, rng: np.random.Generator) -> l
             path.append(state)
             state = min(bisect.bisect_right(cum[state], u), last)
     return path
-
-
-def mean_arrival(process: EnergyArrivalProcess) -> float:
-    """Long-run mean arrival per slot.
-
-    A Markov chain with several closed classes has no single mean; it
-    raises only when the average-reward solve is singular (see
-    ``_evaluate_average_reward``).
-    """
-    if isinstance(process, BernoulliArrivals):
-        return process.p * process.energy_j
-    if isinstance(process, TriStateArrivals):
-        return process.energy_j
-    if isinstance(process, MarkovArrivals):
-        return _evaluate_average_reward(process.matrix, np.asarray(process.states_j, float))[0]
-    if isinstance(process, DeterministicArrivals):
-        return float(np.mean(process.trace_j)) if process.trace_j else 0.0
-    raise InvalidParameterError(f"unknown arrival process {process!r}")
 
 
 # ---------------------------------------------------------------------------

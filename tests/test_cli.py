@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import crowdharvest
-from crowdharvest import harvest, scenario, scheduling
+from crowdharvest import cli, harvest, scenario, scheduling, swipt
 from crowdharvest.cli import main
 from crowdharvest.errors import ConfigError
 
@@ -190,22 +190,28 @@ def test_bad_config_value_rejected_at_load(tmp_path, capsys, monkeypatch, comman
     assert "config error" in err
 
 
-@pytest.mark.parametrize("trials", ["0", "-3", "2.5"])
+@pytest.mark.parametrize("value", ["0", "-3", "2.5"])
 @pytest.mark.parametrize("command", [
-    ["harvest"], ["sweep", "--target", "harvest"], ["schedule", "evaluate"], ["casestudy"],
-], ids=["harvest", "sweep", "schedule-evaluate", "casestudy"])
-def test_bad_trials_rejected_at_parse_time(tmp_path, capsys, monkeypatch, command, trials):
+    ["harvest", "--trials"], ["sweep", "--target", "harvest", "--trials"],
+    ["schedule", "evaluate", "--trials"], ["casestudy", "--trials"],
+    ["pathloss", "--points"], ["swipt", "--points"], ["casestudy", "--workers"],
+], ids=["harvest", "sweep", "schedule-evaluate", "casestudy", "pathloss-points",
+        "swipt-points", "casestudy-workers"])
+def test_bad_counts_rejected_at_parse_time(tmp_path, capsys, monkeypatch, command, value):
     def reached(*args, **kwargs):
-        raise AssertionError("the run started before --trials was rejected")
+        raise AssertionError(f"the run started before {command[-1]} was rejected")
 
     monkeypatch.setattr(harvest, "nearest_share_study", reached)
     monkeypatch.setattr(harvest, "upper_bound_sweep", reached)
     monkeypatch.setattr(scheduling, "mdp_policy_iteration", reached)
     monkeypatch.setattr(scenario, "run_case_study", reached)
+    monkeypatch.setattr(cli, "pathloss_db", reached)
+    monkeypatch.setattr(swipt, "optimize_split", reached)
     with pytest.raises(SystemExit) as exit_info:
-        main([*command, "--trials", trials, "--out", str(tmp_path)])
+        main([*command, value, "--out", str(tmp_path)])
     assert exit_info.value.code == 2
-    assert "--trials" in capsys.readouterr().err
+    assert command[-1] in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", [
@@ -282,13 +288,6 @@ def test_bad_problem_document_exit_code(tmp_path, capsys, text):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_invalid_workers_exit_code(tmp_path, capsys, workers):
-    code, _, err = run(["casestudy", "--workers", workers, "--out", str(tmp_path)], capsys)
-    assert code == 4
-    assert "workers" in err and "Traceback" not in err
-
-
 def test_harvest_summary(capsys, tmp_path):
     code, out, _ = run(
         ["harvest", "--rat", "macro", "--density", "2.0", "--trials", "50",
@@ -313,8 +312,24 @@ def test_sweep_harvest_pinned_schema(tmp_path, capsys):
     assert len(text.splitlines()) == 6
 
 
+@pytest.mark.parametrize("grid,reason", [
+    ("1,2,3", "scaling fit needs at least 4 grid points"),
+    ("1,2,3,4", "scaling fit needs a grid spanning at least one decade"),
+])
+def test_sweep_harvest_failed_fit_prints_nan_and_its_reason(tmp_path, capsys, grid, reason):
+    code, out, err = run(
+        ["sweep", "--target", "harvest", "--grid", grid, "--trials", "5", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    assert f"fitted slope nan ({reason})" in out
+    lines = (tmp_path / "sweep_harvest_macro_los.csv").read_text().splitlines()
+    assert lines[0] == "lambda_per_km2,mean_power_w,mean_density_w_per_hz,stddev_w"
+    assert [line.split(",")[0] for line in lines[1:]] == grid.split(",")
+
+
 def test_importing_any_module_loads_no_scipy(tmp_path):
-    # Only the nearest-distance laws and fits and the copula traces call scipy;
+    # Only the n-th-nearest distance laws and the copula traces call scipy;
     # a fresh interpreter (this one has scipy loaded) checks that nothing else does.
     probe = textwrap.dedent("""
         import importlib, pkgutil, sys

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdharvest import collaboration as collab
-from crowdharvest.errors import DegenerateModelError, IngestionError, InvalidParameterError
-from crowdharvest.scheduling import BernoulliArrivals, DeterministicArrivals, MarkovArrivals
+from crowdharvest.errors import IngestionError, InvalidParameterError
+from crowdharvest.scheduling import BernoulliArrivals, DeterministicArrivals
 
 PARAMS = collab.CollabParams(xi=0.5, decode_snr_threshold=8.0, noise_power_w=1.0)
 
@@ -145,61 +145,6 @@ class TestOptimizeFrameSplit:
         grid = [0.1, 0.9]
         xi, _ = collab.optimize_frame_split(nodes, collab.QosSpec(2, 40), hard, grid, 2)
         assert xi == 0.1
-
-
-class TestBatchPolicy:
-    def make_node(self, trace, capacity=10.0):
-        return collab.NodeState(0.0, capacity, DeterministicArrivals(tuple(trace)), 1.0)
-
-    def test_no_arrivals_never_transmits(self):
-        node = self.make_node([0.0] * 30)
-        decisions, lost = collab.batch_policy(node, [False] * 30, 1.0, sensing_cost_j=0.5)
-        assert all(d.decision != "transmit_batch" for d in decisions)
-        assert lost == 0.0
-
-    def test_constant_fill_produces_periodic_batches(self):
-        # 1 J per slot into a 10 J battery, guard 1 J, reserve 0.5 J:
-        # batches fire roughly every (10 - 1 - 0.5) slots
-        node = self.make_node([1.0] * 60)
-        decisions, _ = collab.batch_policy(node, [False] * 60, 1.0, sensing_cost_j=0.5)
-        slots = [d.slot for d in decisions if d.decision == "transmit_batch"]
-        assert len(slots) >= 5
-        periods = np.diff(slots)
-        assert np.all(periods >= 7) and np.all(periods <= 10)
-
-    def test_policy_reduces_overflow(self):
-        rng_traces = [
-            np.abs(np.random.default_rng(seed).normal(1.2, 1.0, 50)) for seed in range(100)
-        ]
-        for trace in rng_traces:
-            node = self.make_node(trace, capacity=8.0)
-            _, with_policy = collab.batch_policy(node, [False] * 50, 1.0, sensing_cost_j=0.4)
-            # baseline: never transmit, same arrivals
-            battery, lost = 0.0, 0.0
-            for e in trace:
-                lost += max(0.0, e - (8.0 - battery))
-                battery = min(8.0, battery + e)
-            assert with_policy <= lost + 1e-9
-
-    def test_sensing_takes_precedence(self):
-        node = self.make_node([5.0] * 10)
-        events = [False, True] * 5
-        decisions, _ = collab.batch_policy(node, events, 1.0, sensing_cost_j=1.0)
-        for d in decisions:
-            if events[d.slot]:
-                assert d.decision == "sense"
-
-    def test_chain_without_a_mean_raises_before_the_trace_is_drawn(self, monkeypatch):
-        chain = MarkovArrivals((0.0, 1.0), ((1.0, 0.0), (0.0, 1.0)))
-        node = collab.NodeState(0.0, 10.0, chain, 1.0)
-        monkeypatch.setattr(collab, "simulate_arrivals", lambda *a: pytest.fail("trace drawn"))
-        with pytest.raises(DegenerateModelError):
-            collab.batch_policy(node, [False] * 5, 1.0)
-
-    def test_guard_must_be_below_capacity(self):
-        node = self.make_node([1.0] * 5)
-        with pytest.raises(InvalidParameterError):
-            collab.batch_policy(node, [False] * 5, 10.0)
 
 
 class TestCorrelationKernel:

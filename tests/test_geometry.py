@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from crowdharvest import geometry
-from crowdharvest.errors import (
-    FitFailureError,
-    IngestionError,
-    InsufficientPointsError,
-    InvalidParameterError,
-)
+from crowdharvest.errors import IngestionError, InvalidParameterError
 
 REGION = geometry.Region(7745.966692414834, 7745.966692414834)  # 60 km^2
 
@@ -103,24 +98,13 @@ class TestSampleClustered:
             for seed in range(4_000):
                 dep = geometry.sample_clustered(spec, REGION, seed)
                 if dep.count:
-                    samples.append(geometry.nearest_distances(dep, probe, 1)[0])
+                    d = geometry.distances_to_probe(REGION, probe, dep.xs, dep.ys)
+                    samples.append(d.min())
             return geometry.ks_statistic(np.array(samples), lambda x: rayleigh_cdf(x, 200e-6))
 
         wide, tight = ks_for(3_000.0), ks_for(50.0)
         assert wide < 0.03
         assert tight > 5.0 * wide
-
-    def test_realistic_clusters_prefer_gamma(self):
-        rng_samples = []
-        for seed in range(3_000):
-            dep = geometry.sample_clustered(self.SPEC, REGION, seed)
-            rng_samples.append(
-                geometry.nearest_distances(dep, (REGION.width_m / 2, REGION.height_m / 2), 1)[0]
-            )
-        samples = np.array(rng_samples)
-        gamma_fit = geometry.fit_nearest_distance(samples, "gamma")
-        rayleigh_fit = geometry.fit_nearest_distance(samples, "rayleigh")
-        assert gamma_fit.ks_statistic < rayleigh_fit.ks_statistic
 
 
 class TestNthNearestPdf:
@@ -160,35 +144,31 @@ class TestNearestDistances:
         dep = geometry.Deployment(
             np.array([30.0]), np.array([40.0]), 1.0, REGION, geometry.PoissonProcess()
         )
-        assert geometry.nearest_distances(dep, (0.0, 0.0), 1)[0] == pytest.approx(50.0)
+        d = geometry.distances_to_probe(REGION, (0.0, 0.0), dep.xs, dep.ys)
+        assert d.min() == pytest.approx(50.0)
 
     def test_probe_on_transmitter(self):
         dep = geometry.Deployment(
             np.array([10.0, 500.0]), np.array([10.0, 500.0]), 1.0, REGION,
             geometry.PoissonProcess(),
         )
-        assert geometry.nearest_distances(dep, (10.0, 10.0), 2)[0] == 0.0
-
-    def test_count_exceeding_points(self):
-        dep = geometry.Deployment(
-            np.array([1.0]), np.array([1.0]), 1.0, REGION, geometry.PoissonProcess()
-        )
-        with pytest.raises(InsufficientPointsError):
-            geometry.nearest_distances(dep, (0.0, 0.0), 2)
+        assert geometry.distances_to_probe(REGION, (10.0, 10.0), dep.xs, dep.ys).min() == 0.0
 
     def test_toroidal_wrap(self):
         dep = geometry.Deployment(
             np.array([REGION.width_m - 1.0]), np.array([0.0]), 1.0, REGION,
             geometry.PoissonProcess(),
         )
-        assert geometry.nearest_distances(dep, (1.0, 0.0), 1)[0] == pytest.approx(2.0)
+        d = geometry.distances_to_probe(REGION, (1.0, 0.0), dep.xs, dep.ys)
+        assert d.min() == pytest.approx(2.0)
 
     def test_guard_region_uses_euclidean(self):
         region = geometry.Region(1000.0, 1000.0, "guard", 10.0)
         dep = geometry.Deployment(
             np.array([999.0]), np.array([0.0]), 1.0, region, geometry.PoissonProcess()
         )
-        assert geometry.nearest_distances(dep, (1.0, 0.0), 1)[0] == pytest.approx(998.0)
+        d = geometry.distances_to_probe(region, (1.0, 0.0), dep.xs, dep.ys)
+        assert d.min() == pytest.approx(998.0)
 
     def test_empirical_law_matches_analytic_for_higher_orders(self):
         for n in (2, 3):
@@ -214,44 +194,6 @@ def test_superposition_of_ppps_is_ppp():
             samples.append(d.min())
     ks = geometry.ks_statistic(np.array(samples), lambda x: rayleigh_cdf(x, 5e-6))
     assert ks < 0.02
-
-
-class TestFit:
-    def test_rayleigh_mle_recovers_scale(self):
-        rng = np.random.default_rng(1)
-        fit = geometry.fit_nearest_distance(rng.rayleigh(200.0, 100_000), "rayleigh")
-        assert fit.scale == pytest.approx(200.0, rel=0.02)
-        assert 0.0 <= fit.ks_statistic <= 1.0
-
-    def test_gamma_mle_recovers_shape(self):
-        rng = np.random.default_rng(2)
-        fit = geometry.fit_nearest_distance(rng.gamma(2.0, 100.0, 100_000), "gamma")
-        assert fit.shape == pytest.approx(2.0, rel=0.05)
-        assert fit.scale == pytest.approx(100.0, rel=0.05)
-
-    def test_constant_samples_fail(self):
-        with pytest.raises(FitFailureError):
-            geometry.fit_nearest_distance(np.full(200, 3.0), "rayleigh")
-        with pytest.raises(FitFailureError):
-            geometry.fit_nearest_distance(np.zeros(200), "gamma")
-
-    def test_too_few_samples(self):
-        with pytest.raises(FitFailureError):
-            geometry.fit_nearest_distance(np.arange(50, dtype=float), "rayleigh")
-
-    def test_unknown_family(self):
-        with pytest.raises(InvalidParameterError):
-            geometry.fit_nearest_distance(np.arange(100, dtype=float) + 1, "weibull")
-
-    @pytest.mark.parametrize("family", ["rayleigh", "gamma"])
-    def test_fitted_pdf_integrates_to_fitted_cdf(self, family):
-        samples = np.random.default_rng(4).gamma(2.0, 100.0, 10_000)
-        fit = geometry.fit_nearest_distance(samples, family)
-        total, _ = quad(fit.pdf, 0, np.inf)
-        assert total == pytest.approx(1.0, abs=1e-6)
-        for a, b in ((0.0, 50.0), (50.0, 300.0), (300.0, 2000.0)):
-            value, _ = quad(fit.pdf, a, b)
-            assert value == pytest.approx(fit.cdf(b) - fit.cdf(a), abs=1e-8)
 
 
 class TestSerialisation:
@@ -308,23 +250,6 @@ class TestSerialisation:
         edit(doc[part])
         with pytest.raises(InvalidParameterError):
             geometry.deployment_from_json(json.dumps(doc))
-
-
-@given(
-    x=st.floats(0, 7745.0),
-    y=st.floats(0, 7745.0),
-    seed=st.integers(0, 2**31),
-)
-@settings(max_examples=25, deadline=None)
-def test_nearest_distances_sorted_and_non_negative(x, y, seed):
-    dep = geometry.sample_ppp(2.0, REGION, seed)
-    if dep.count == 0:
-        return
-    k = min(5, dep.count)
-    d = geometry.nearest_distances(dep, (x, y), k)
-    assert len(d) == k
-    assert np.all(d >= 0)
-    assert np.all(np.diff(d) >= 0)
 
 
 @given(st.integers(0, 2**31))

@@ -12,7 +12,6 @@ from crowdharvest.collaboration import (
     CollabParams,
     NodeState,
     QosSpec,
-    batch_policy,
     jt_snr,
     traffic_correlation_kernel,
 )
@@ -74,7 +73,6 @@ REJECTED = {
     "jt_snr nan": lambda: jt_snr(NAN, 1.0, 1.0, 1.0, 1.0),
     "traffic_correlation_kernel nan": lambda: traffic_correlation_kernel(NAN),
     "winner_urban_nlos_model frequency -1": lambda: winner_urban_nlos_model(-1.0),
-    "batch_policy sensing cost -1": lambda: batch_policy(NODE, [True] * 6, 1.0, sensing_cost_j=-1),
     "NodeState gain nan": lambda: replace(NODE, channel_gain_to_sink=NAN),
     "CollabParams threshold nan": lambda: replace(PARAMS, decode_snr_threshold=NAN),
     "CollabParams noise nan": lambda: replace(PARAMS, noise_power_w=NAN),

@@ -2,14 +2,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from crowdharvest import geometry, harvest
 from crowdharvest.errors import FitFailureError, InvalidParameterError
 from crowdharvest.propagation import (
     ShadowingSpec,
-    dual_slope_model,
     free_space_model,
     winner_urban_nlos_model,
 )
@@ -310,9 +307,7 @@ def test_link_workspace_grows_mid_sweep_and_serves_smaller_chunks(monkeypatch, w
         harvest.SweepView(free_space_model(WIFI.carrier_frequency_hz), 10, scenario="full"),
         harvest.SweepView(nlos, 10, ShadowingSpec(8.0), 20, "k_shadowed"),
         harvest.SweepView(nlos, 8, ShadowingSpec(8.0), scenario="shadowed"),
-        harvest.SweepView(
-            dual_slope_model(WIFI.carrier_frequency_hz, breakpoint_m=300.0), 10, scenario="dual"
-        ),
+        harvest.SweepView(nlos, 10, scenario="unshadowed"),
     ]
     widths = []  # (columns asked for, columns held) per chunk
     rows = harvest._LinkWorkspace.rows
@@ -566,30 +561,10 @@ class TestScalingExponent:
 
 
 class TestTrafficModels:
-    def test_full_buffer(self):
-        assert harvest.sample_utilization(harvest.FullBuffer(), substream(1, "u")) == 1.0
-
-    def test_two_state_off(self):
-        assert harvest.sample_utilization(harvest.TwoState(0.0), substream(1, "u")) == 0.0
-
-    def test_two_state_probability(self):
-        rng = substream(2, "u")
-        draws = harvest.sample_utilization(harvest.TwoState(0.3), rng, size=100_000)
-        assert np.mean(draws) == pytest.approx(0.3, abs=0.01)
-
-    def test_uniform_empirical_mean(self):
-        rng = substream(3, "u")
-        draws = harvest.sample_utilization(harvest.EmpiricalPdf.uniform(), rng, size=100_000)
-        assert np.mean(draws) == pytest.approx(0.5, abs=0.01)
-
     def test_pdf_must_integrate_to_one(self):
         grid = np.linspace(0, 1, 11)
         with pytest.raises(InvalidParameterError):
             harvest.EmpiricalPdf(grid, np.full(11, 2.0))
-
-    def test_on_prob_bounds(self):
-        with pytest.raises(InvalidParameterError):
-            harvest.TwoState(1.5)
 
 
 class TestConvolution:
@@ -643,10 +618,3 @@ def test_nearest_share_study_reports_both_statistics():
         MACRO, 5.0, NLOS, 400, 3, region=REGION, shadowing=ShadowingSpec(8.0)
     )
     assert 0.0 < mean_fraction < share <= 1.0
-
-
-@given(st.floats(0.0, 1.0), st.integers(0, 2**31))
-@settings(max_examples=50, deadline=None)
-def test_two_state_draws_are_binary(p, seed):
-    value = harvest.sample_utilization(harvest.TwoState(p), substream(seed, "x"))
-    assert value in (0.0, 1.0)

@@ -21,15 +21,6 @@ class TestPathloss:
         model = prop.free_space_model(2.1e9)
         assert prop.pathloss_db(model, 1.0) == pytest.approx(model.reference_loss_db)
 
-    def test_dual_slope_continuous_at_breakpoint(self):
-        model = prop.dual_slope_model(2.1e9, 2.0, 4.3, breakpoint_m=300.0)
-        below = prop.pathloss_db(model, 300.0 - 1e-9)
-        above = prop.pathloss_db(model, 300.0 + 1e-9)
-        assert abs(above - below) < 1e-6
-        near = prop.pathloss_db(model, 299.999999999)
-        far = prop.pathloss_db(model, 300.000000001)
-        assert abs(near - far) < 1e-6
-
     def test_below_reference_rejected(self):
         model = prop.free_space_model(2.1e9)
         with pytest.raises(DistanceOutOfRangeError):
@@ -38,10 +29,6 @@ class TestPathloss:
     def test_invalid_models(self):
         with pytest.raises(InvalidParameterError):
             prop.PathlossModel(1.5, 1.0, 30.0, 2.1e9)  # exponent < 2
-        with pytest.raises(InvalidParameterError):
-            prop.PathlossModel(2.0, 1.0, 30.0, 2.1e9, nlos_exponent=1.9, breakpoint_m=100.0)
-        with pytest.raises(InvalidParameterError):
-            prop.PathlossModel(2.0, 10.0, 30.0, 2.1e9, nlos_exponent=4.0, breakpoint_m=5.0)
 
     def test_free_space_matches_friis_aperture(self):
         # 150 kW isotropic at 20 km, 600 MHz: about 0.6 uW received
@@ -115,12 +102,12 @@ def test_shadowing_disabled_is_zero():
 @given(
     d1=st.floats(1.0, 9_999.0),
     d2=st.floats(1.0, 9_999.0),
-    dual=st.booleans(),
+    winner=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_pathloss_monotone_in_distance(d1, d2, dual):
-    if dual:
-        model = prop.dual_slope_model(2.1e9, 2.0, 4.3, breakpoint_m=250.0)
+def test_pathloss_monotone_in_distance(d1, d2, winner):
+    if winner:
+        model = prop.winner_urban_nlos_model(2.1e9)
     else:
         model = prop.free_space_model(2.1e9)
     lo, hi = sorted((d1, d2))
@@ -128,24 +115,15 @@ def test_pathloss_monotone_in_distance(d1, d2, dual):
 
 
 def reference_pathloss_db(model, d):
-    # the loss as one allocating expression per branch, picked with np.where
-    near = model.reference_loss_db + 10.0 * model.exponent * np.log10(
+    # the loss as one allocating expression
+    return model.reference_loss_db + 10.0 * model.exponent * np.log10(
         d / model.reference_distance_m
     )
-    if not model.is_dual_slope:
-        return near
-    bp = model.breakpoint_m
-    loss_at_bp = model.reference_loss_db + 10.0 * model.exponent * math.log10(
-        bp / model.reference_distance_m
-    )
-    far = loss_at_bp + 10.0 * model.nlos_exponent * np.log10(np.maximum(d, bp) / bp)
-    return np.where(d <= bp, near, far)
 
 
 OUT_MODELS = {
     "free-space": prop.free_space_model(2.4e9),
     "winner": prop.winner_urban_nlos_model(2.4e9, reference_distance_m=2.0),
-    "dual-slope": prop.dual_slope_model(2.4e9, 2.0, 4.3, breakpoint_m=300.0),
 }
 
 
@@ -155,7 +133,7 @@ OUT_MODELS = {
 def test_out_matches_the_allocating_calls_bit_for_bit(name, alias, shadowed):
     model = OUT_MODELS[name]
     rng = substream(17, "out", name)
-    # distances on both sides of the breakpoint, the reference distance and the breakpoint
+    # the reference distance, a round distance and random ones
     d = np.concatenate([[model.reference_distance_m, 300.0], rng.uniform(2.0, 5000.0, 4000)])
     shadow = prop.draw_shadowing_db(prop.ShadowingSpec(8.0), d.size, rng) if shadowed else None
     loss = prop.pathloss_db(model, d)
@@ -175,7 +153,7 @@ def test_out_matches_the_allocating_calls_bit_for_bit(name, alias, shadowed):
 
 
 def test_scalar_distances_still_give_scalars():
-    model = OUT_MODELS["dual-slope"]
+    model = OUT_MODELS["free-space"]
     for d in (1.0, 300.0, 1234.5):
         loss = prop.pathloss_db(model, d)
         assert isinstance(loss, float) and loss == float(reference_pathloss_db(model, np.array(d)))

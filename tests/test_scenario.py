@@ -190,7 +190,8 @@ class TestIngest:
         dep, _ = scenario.ingest_locations_csv(path, config.region)
         probe = (0.0, 0.0)
         direct = np.sort(geometry.distances_to_probe(config.region, probe, xs, ys))
-        assert np.allclose(geometry.nearest_distances(dep, probe, 3), direct)
+        ingested = np.sort(geometry.distances_to_probe(dep.region, probe, dep.xs, dep.ys))
+        assert np.allclose(ingested, direct)
 
 
 @pytest.fixture(scope="module")

@@ -94,17 +94,12 @@ class TestArrivals:
         trace = sched.simulate_arrivals(sched.BernoulliArrivals(0.0, 3.0), 100, 1)
         assert np.all(trace == 0.0)
 
-    def test_tri_state_mean(self):
-        trace = sched.simulate_arrivals(sched.TriStateArrivals(2.0), 1_000_000, 2)
-        assert set(np.unique(trace)) <= {0.0, 2.0, 4.0}
-        assert np.mean(trace) == pytest.approx(2.0, rel=0.01)
-
     def test_markov_stationary_frequencies(self):
         chain = sched.MarkovArrivals((0.0, 1.0), ((0.9, 0.1), (0.4, 0.6)))
         trace = sched.simulate_arrivals(chain, 1_000_000, 3)
         freq_state1 = np.mean(trace == 1.0)
-        # with energies (0, 1) the mean arrival is the state-1 frequency
-        assert freq_state1 == pytest.approx(sched.mean_arrival(chain), abs=0.01)
+        # the chain's stationary share of state 1 is 0.1 / (0.1 + 0.4)
+        assert freq_state1 == pytest.approx(0.2, abs=0.01)
 
     @pytest.mark.parametrize("key", sorted(PINNED["markov_trace_sha256"]))
     def test_markov_trace_pinned(self, key):
@@ -119,12 +114,6 @@ class TestArrivals:
         assert list(sched.simulate_arrivals(proc, 2, 0)) == [1.0, 2.0]
         assert list(sched.simulate_arrivals(proc, 5, 0)) == [1.0, 2.0, 3.0, 0.0, 0.0]
 
-    def test_mean_arrival_of_a_multichain_chain_raises(self):
-        # a least-squares stationary law used to report 0.5, while the
-        # simulation starts in state 0 and draws only zeros
-        with pytest.raises(DegenerateModelError):
-            sched.mean_arrival(IDENTITY_CHAIN_MDP.arrivals)
-
     def test_transition_rows_validated(self):
         with pytest.raises(InvalidParameterError):
             sched.MarkovArrivals((0.0, 1.0), ((0.5, 0.4), (0.5, 0.5)))
@@ -136,8 +125,6 @@ class TestArrivals:
     lambda: sched.BernoulliArrivals(0.5, math.nan),
     lambda: sched.BernoulliArrivals(0.5, math.inf),
     lambda: sched.BernoulliArrivals(math.nan, 1.0),
-    lambda: sched.TriStateArrivals(math.inf),
-    lambda: sched.TriStateArrivals(math.nan),
     lambda: sched.MarkovArrivals((0.0, math.nan), ((0.5, 0.5), (0.5, 0.5))),
     lambda: sched.MarkovArrivals((0.0, math.inf), ((0.5, 0.5), (0.5, 0.5))),
     lambda: sched.MarkovArrivals((0.0, 1.0), ((math.nan, 1.0), (0.5, 0.5))),
@@ -145,7 +132,7 @@ class TestArrivals:
     lambda: sched.MarkovArrivals((0.0, 1.0), ((math.inf, 1.0), (0.5, 0.5))),
 ], ids=[
     "trace-nan", "trace-inf", "bernoulli-energy-nan", "bernoulli-energy-inf",
-    "bernoulli-p-nan", "tri-state-inf", "tri-state-nan", "markov-state-nan",
+    "bernoulli-p-nan", "markov-state-nan",
     "markov-state-inf", "markov-row-nan", "markov-row-all-nan", "markov-row-inf",
 ])
 def test_non_finite_arrival_model_rejected(make):
