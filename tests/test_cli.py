@@ -190,16 +190,11 @@ def test_bad_config_value_rejected_at_load(tmp_path, capsys, monkeypatch, comman
     assert "config error" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "2.5"])
-@pytest.mark.parametrize("command", [
-    ["harvest", "--trials"], ["sweep", "--target", "harvest", "--trials"],
-    ["schedule", "evaluate", "--trials"], ["casestudy", "--trials"],
-    ["pathloss", "--points"], ["swipt", "--points"], ["casestudy", "--workers"],
-], ids=["harvest", "sweep", "schedule-evaluate", "casestudy", "pathloss-points",
-        "swipt-points", "casestudy-workers"])
-def test_bad_counts_rejected_at_parse_time(tmp_path, capsys, monkeypatch, command, value):
+def assert_rejected_at_parse_time(tmp_path, capsys, monkeypatch, args):
+    flag = args[-2]
+
     def reached(*args, **kwargs):
-        raise AssertionError(f"the run started before {command[-1]} was rejected")
+        raise AssertionError(f"the run started before {flag} was rejected")
 
     monkeypatch.setattr(harvest, "nearest_share_study", reached)
     monkeypatch.setattr(harvest, "upper_bound_sweep", reached)
@@ -208,10 +203,26 @@ def test_bad_counts_rejected_at_parse_time(tmp_path, capsys, monkeypatch, comman
     monkeypatch.setattr(cli, "pathloss_db", reached)
     monkeypatch.setattr(swipt, "optimize_split", reached)
     with pytest.raises(SystemExit) as exit_info:
-        main([*command, value, "--out", str(tmp_path)])
+        main([*args, "--out", str(tmp_path)])
     assert exit_info.value.code == 2
-    assert command[-1] in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "2.5", "abc"])
+@pytest.mark.parametrize("command", [
+    ["harvest"], ["sweep", "--target", "harvest"], ["schedule", "evaluate"], ["casestudy"],
+], ids=["harvest", "sweep", "schedule-evaluate", "casestudy"])
+def test_bad_trials_rejected_at_parse_time(tmp_path, capsys, monkeypatch, command, trials):
+    assert_rejected_at_parse_time(tmp_path, capsys, monkeypatch, [*command, "--trials", trials])
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "2.5", "abc"])
+@pytest.mark.parametrize("command", [
+    ["pathloss", "--points"], ["swipt", "--points"], ["casestudy", "--workers"],
+], ids=["pathloss-points", "swipt-points", "casestudy-workers"])
+def test_bad_counts_rejected_at_parse_time(tmp_path, capsys, monkeypatch, command, value):
+    assert_rejected_at_parse_time(tmp_path, capsys, monkeypatch, [*command, value])
 
 
 @pytest.mark.parametrize("command", [
@@ -286,6 +297,16 @@ def test_bad_problem_document_exit_code(tmp_path, capsys, text):
     assert code == 4
     assert "offline optimum" not in out
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_invalid_workers_exit_code(tmp_path, capsys, workers):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["casestudy", "--workers", workers, "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --workers: value must be an integer >= 1, got {workers}" in err
+    assert "Traceback" not in err
 
 
 def test_harvest_summary(capsys, tmp_path):

@@ -252,6 +252,29 @@ class TestSerialisation:
             geometry.deployment_from_json(json.dumps(doc))
 
 
+@given(
+    x=st.floats(0, 7745.0),
+    y=st.floats(0, 7745.0),
+    shift_x=st.floats(0, 7745.0),
+    shift_y=st.floats(0, 7745.0),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=25, deadline=None)
+def test_distances_to_probe_non_negative_and_translation_invariant(x, y, shift_x, shift_y, seed):
+    dep = geometry.sample_ppp(2.0, REGION, seed)
+    d = geometry.distances_to_probe(REGION, (x, y), dep.xs, dep.ys)
+    assert d.shape == (dep.count,)
+    assert np.all(d >= 0)
+    assert np.all(d <= np.hypot(REGION.width_m / 2, REGION.height_m / 2) + 1e-9)
+    # the torus looks the same from every point: moving probe and points together
+    w, h = REGION.width_m, REGION.height_m
+    moved = geometry.distances_to_probe(
+        REGION, ((x + shift_x) % w, (y + shift_y) % h), (dep.xs + shift_x) % w,
+        (dep.ys + shift_y) % h,
+    )
+    assert np.allclose(moved, d, rtol=0.0, atol=1e-6)
+
+
 @given(st.integers(0, 2**31))
 @settings(max_examples=20, deadline=None)
 def test_sampling_is_reproducible(seed):

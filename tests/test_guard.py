@@ -12,6 +12,7 @@ from crowdharvest.collaboration import (
     CollabParams,
     NodeState,
     QosSpec,
+    correlated_bernoulli_traces,
     jt_snr,
     traffic_correlation_kernel,
 )
@@ -22,10 +23,11 @@ from crowdharvest.geometry import (
     PoissonProcess,
     Region,
     nearest_distance_batch,
+    nth_nearest_distance_cdf,
     rayleigh_scale_for_density,
     sample_ppp,
 )
-from crowdharvest.harvest import RatProfile, SweepView
+from crowdharvest.harvest import RatProfile, SweepView, aggregate_power, upper_bound_sweep
 from crowdharvest.propagation import (
     ShadowingSpec,
     free_space_model,
@@ -34,9 +36,12 @@ from crowdharvest.propagation import (
     winner_urban_nlos_model,
 )
 from crowdharvest.scheduling import (
+    BatteryMdp,
     BernoulliArrivals,
+    MarkovArrivals,
     combined_mode_controller,
     directional_water_fill,
+    simulate_arrivals,
 )
 from crowdharvest.swipt import LinkState
 
@@ -48,6 +53,7 @@ CLUSTERED = ClusteredProcess(20.0, 10.0, 50.0)
 NODE = NodeState(0.0, 10.0, BernoulliArrivals(0.3, 2.0), 1.0)
 PARAMS = CollabParams(0.5, 8.0, 1.0)
 DESK = LinkState(1e-3, 1e-3, 1e-9, 1.0)
+CHAIN = MarkovArrivals((0.0, 1.0), ((0.5, 0.5), (0.5, 0.5)))
 
 # Each of these was accepted before (most returned or stored NaN or inf), or
 # failed only inside numpy with a bare ValueError.
@@ -88,6 +94,24 @@ REJECTED = {
     "nearest_distance_batch trials 2.5": lambda: nearest_distance_batch(1.0, REGION, 2.5, 0),
     "nearest_distance_batch trials True": lambda: nearest_distance_batch(1.0, REGION, True, 0),
     "nearest_distance_batch trials -1": lambda: nearest_distance_batch(1.0, REGION, -1, 0),
+    "nth_nearest_distance_cdf density nan": lambda: nth_nearest_distance_cdf(1.0, 1, NAN),
+    "LinkState noise nan": lambda: replace(DESK, noise_power_w=NAN),
+    "LinkState ambient power at relay -1": lambda: replace(DESK, ambient_power_at_relay_w=-1.0),
+    "BernoulliArrivals p 1.5": lambda: BernoulliArrivals(1.5, 1.0),
+    "simulate_arrivals k -1": lambda: simulate_arrivals(BernoulliArrivals(0.3, 2.0), -1, 0),
+    "BatteryMdp bucket nan": lambda: BatteryMdp(CHAIN, 4, NAN, (0.0, 1.0), 1.0),
+    "directional_water_fill slot duration nan": lambda: directional_water_fill(
+        np.ones(3), np.ones(3), 1.0, slot_duration_s=NAN),
+    "traffic_correlation_kernel correlation distance 0": lambda: traffic_correlation_kernel(
+        1.0, 0.0),
+    "correlated_bernoulli_traces p 1.5": lambda: correlated_bernoulli_traces(
+        1.5, 1.0, 10.0, 100, 0),
+    "aggregate_power k_nearest 0": lambda: aggregate_power(
+        (0.0, 0.0), sample_ppp(1.0, REGION, 0), MACRO, LOS, k_nearest=0),
+    "aggregate_power sensitivity floor nan": lambda: aggregate_power(
+        (0.0, 0.0), sample_ppp(1.0, REGION, 0), MACRO, LOS, sensitivity_floor_w=NAN),
+    "upper_bound_sweep workers 0": lambda: upper_bound_sweep(
+        MACRO, [1.0], LOS, 10, 0, region=REGION, workers=0),
 }
 
 

@@ -561,6 +561,11 @@ class TestScalingExponent:
 
 
 class TestTrafficModels:
+    def test_uniform_empirical_mean(self):
+        pdf = harvest.EmpiricalPdf.uniform()
+        mean = np.trapezoid(pdf.loads * pdf.densities, pdf.loads)
+        assert mean == pytest.approx(0.5, abs=0.01)
+
     def test_pdf_must_integrate_to_one(self):
         grid = np.linspace(0, 1, 11)
         with pytest.raises(InvalidParameterError):

@@ -124,6 +124,7 @@ def reference_pathloss_db(model, d):
 OUT_MODELS = {
     "free-space": prop.free_space_model(2.4e9),
     "winner": prop.winner_urban_nlos_model(2.4e9, reference_distance_m=2.0),
+    "exponent-3.3": prop.PathlossModel(3.3, 1.0, 40.0, 2.4e9),
 }
 
 

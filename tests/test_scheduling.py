@@ -125,6 +125,7 @@ class TestArrivals:
     lambda: sched.BernoulliArrivals(0.5, math.nan),
     lambda: sched.BernoulliArrivals(0.5, math.inf),
     lambda: sched.BernoulliArrivals(math.nan, 1.0),
+    lambda: sched.BernoulliArrivals(math.inf, 1.0),
     lambda: sched.MarkovArrivals((0.0, math.nan), ((0.5, 0.5), (0.5, 0.5))),
     lambda: sched.MarkovArrivals((0.0, math.inf), ((0.5, 0.5), (0.5, 0.5))),
     lambda: sched.MarkovArrivals((0.0, 1.0), ((math.nan, 1.0), (0.5, 0.5))),
@@ -132,7 +133,7 @@ class TestArrivals:
     lambda: sched.MarkovArrivals((0.0, 1.0), ((math.inf, 1.0), (0.5, 0.5))),
 ], ids=[
     "trace-nan", "trace-inf", "bernoulli-energy-nan", "bernoulli-energy-inf",
-    "bernoulli-p-nan", "markov-state-nan",
+    "bernoulli-p-nan", "bernoulli-p-inf", "markov-state-nan",
     "markov-state-inf", "markov-row-nan", "markov-row-all-nan", "markov-row-inf",
 ])
 def test_non_finite_arrival_model_rejected(make):
