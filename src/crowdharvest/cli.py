@@ -40,6 +40,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _grid(text: str) -> np.ndarray:
+    """The ``--grid`` value: comma-separated numbers, checked when the arguments parse."""
+    try:
+        return np.asarray([float(x) for x in text.split(",")])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out) if args.out else Path("out")
     out.mkdir(parents=True, exist_ok=True)
@@ -112,7 +120,7 @@ def cmd_harvest(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    grid = np.asarray([float(x) for x in args.grid.split(",")]) if args.grid else None
+    grid = args.grid
     if args.target == "harvest":
         rat = cfg.rat(args.rat)
         model, shadowing = cfg.channel(rat, args.scenario)
@@ -155,15 +163,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         nodes, qos, params = _collab_setup(cfg)
         if grid is None:
             grid = np.linspace(0.0, 1.0, 21)
-        rows = []
-        for xi in grid:
-            result = collaboration.collab_schedule(
-                nodes, qos, replace(params, xi=float(xi)), cfg.seed
-            )
-            objective = result.delivered_count - qos.horizon * result.violations
-            rows.append((f"{xi:.6g}", f"{objective:.10g}"))
-        _write(out / "sweep_collab_xi.csv", write_csv(["xi", "objective"], rows))
-        xi_star, obj = collaboration.optimize_frame_split(nodes, qos, params, grid, cfg.seed)
+        rows = collaboration._split_objectives(nodes, qos, params, grid, cfg.seed)
+        _write(out / "sweep_collab_xi.csv", write_csv(
+            ["xi", "objective"], ((f"{xi:.6g}", f"{obj:.10g}") for xi, obj in rows)
+        ))
+        xi_star, obj = max(rows, key=lambda r: r[1])  # the first best split
         print(f"frame-split sweep: best xi {xi_star:.4g}, objective {obj:.6g}")
         return 0
     raise ConfigError(f"unknown sweep target {args.target!r}")
@@ -379,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rat", default="macro")
     p.add_argument("--scenario", choices=["los", "nlos"], default="los")
     p.add_argument("--protocol", choices=["ts", "ps"], default="ts")
-    p.add_argument("--grid", help="comma-separated grid values")
+    p.add_argument("--grid", type=_grid, help="comma-separated grid values")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("swipt", parents=[common], help="optimise a SWIPT link")

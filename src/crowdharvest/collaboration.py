@@ -89,10 +89,9 @@ class CollabParams:
     noise_power_w: float
     frame_duration_s: float = 1.0
     jt_enabled: bool = True
-    combining_efficiency: float = 1.0  # amplitude efficiency of beamforming
 
     def __post_init__(self) -> None:
-        _guard.unit(xi=self.xi, combining_efficiency=self.combining_efficiency)
+        _guard.unit(xi=self.xi)
         _guard.positive(decode_snr_threshold=self.decode_snr_threshold,
                         noise_power_w=self.noise_power_w, frame_duration_s=self.frame_duration_s)
 
@@ -111,19 +110,17 @@ def jt_snr(
     gain_a: float,
     gain_b: float,
     noise_w: float,
-    combining_efficiency: float = 1.0,
 ) -> float:
     """SNR of a coherent joint transmission from two nodes.
 
     Ideal distributed beamforming adds amplitudes, so the combined SNR is
-    (sqrt(Pa ga) + sqrt(Pb gb))^2 / noise; an amplitude efficiency below 1
-    scales the cross term, and 0 degrades to plain power addition.
+    (sqrt(Pa ga) + sqrt(Pb gb))^2 / noise.
     """
     _guard.positive(noise_w=noise_w)
     _guard.non_negative(power_a_w=power_a_w, power_b_w=power_b_w, gain_a=gain_a, gain_b=gain_b)
     sa = power_a_w * gain_a
     sb = power_b_w * gain_b
-    return (sa + sb + 2.0 * combining_efficiency * math.sqrt(sa * sb)) / noise_w
+    return (sa + sb + 2.0 * math.sqrt(sa * sb)) / noise_w
 
 
 def _single_required_energy(gain: float, params: CollabParams) -> float:
@@ -185,10 +182,7 @@ def collab_schedule(
 
         if not delivered and params.jt_enabled and gap >= qos.max_inter_delivery and sub2 > 0:
             powers = [batteries[0] / sub2, batteries[1] / sub2]
-            full_snr = jt_snr(
-                powers[0], powers[1], gains[0], gains[1],
-                params.noise_power_w, params.combining_efficiency,
-            )
+            full_snr = jt_snr(powers[0], powers[1], gains[0], gains[1], params.noise_power_w)
             if full_snr >= params.decode_snr_threshold and full_snr > 0:
                 scale = params.decode_snr_threshold / full_snr
                 batteries[0] -= scale * batteries[0]
@@ -210,6 +204,29 @@ def collab_schedule(
     )
 
 
+def _split_objectives(
+    nodes: tuple[NodeState, NodeState],
+    qos: QosSpec,
+    params: CollabParams,
+    grid: np.ndarray,
+    seed: int,
+) -> list[tuple[float, float]]:
+    """(xi, deliveries minus ``horizon`` times violations) at every grid split.
+
+    Every grid point is simulated with common random numbers (the same
+    seed, hence the same arrival draws); a violation costs the horizon,
+    so any violation outweighs throughput.
+    """
+    grid_arr = np.asarray(grid, dtype=float)
+    if grid_arr.size == 0:
+        raise InvalidParameterError("frame-split grid must be non-empty")
+    rows = []
+    for xi in grid_arr.tolist():
+        result = collab_schedule(nodes, qos, replace(params, xi=xi), seed)
+        rows.append((xi, result.delivered_count - float(qos.horizon) * result.violations))
+    return rows
+
+
 def optimize_frame_split(
     nodes: tuple[NodeState, NodeState],
     qos: QosSpec,
@@ -219,20 +236,10 @@ def optimize_frame_split(
 ) -> tuple[float, float]:
     """Pick the frame split maximising deliveries minus ``horizon`` times violations.
 
-    Every grid point is simulated with common random numbers (the same
-    seed, hence the same arrival draws); a violation costs the horizon,
-    so any violation outweighs throughput. Ties go to the smaller split.
+    The objective is that of :func:`_split_objectives`; ties go to the
+    first split of the grid.
     """
-    grid_arr = np.asarray(grid, dtype=float)
-    if grid_arr.size == 0:
-        raise InvalidParameterError("frame-split grid must be non-empty")
-    best_xi, best_obj = None, -math.inf
-    for xi in grid_arr:
-        result = collab_schedule(nodes, qos, replace(params, xi=float(xi)), seed)
-        objective = result.delivered_count - float(qos.horizon) * result.violations
-        if objective > best_obj + 1e-12:
-            best_xi, best_obj = float(xi), objective
-    return best_xi, best_obj
+    return max(_split_objectives(nodes, qos, params, grid, seed), key=lambda row: row[1])
 
 
 def traffic_correlation_kernel(
@@ -271,9 +278,7 @@ def correlated_bernoulli_traces(
     return trace_a, trace_b
 
 
-def rescue_demo(
-    deadline: int = 4, horizon: int = 12
-) -> tuple[tuple[NodeState, NodeState], QosSpec, CollabParams]:
+def rescue_demo() -> tuple[tuple[NodeState, NodeState], QosSpec, CollabParams]:
     """Deterministic two-node scenario where only joint transmission saves QoS.
 
     Node A is energised early, node B mid-horizon; at the third deadline
@@ -295,7 +300,7 @@ def rescue_demo(
     trace_b = [0, 0, 0, 0, 4.0, 0, 0, 0, 2.0, 0, 0, 0]
     node_a = NodeState(0.0, 10.0, DeterministicArrivals(tuple(trace_a)), 1.0)
     node_b = NodeState(0.0, 10.0, DeterministicArrivals(tuple(trace_b)), 1.0)
-    return (node_a, node_b), QosSpec(deadline, horizon), params
+    return (node_a, node_b), QosSpec(4, 12), params
 
 
 TRACE_CSV_HEADER = ["slot", "arrival_a_j", "arrival_b_j", "event"]

@@ -16,7 +16,7 @@ class InvalidParameterError(SimulationError, ValueError):
 
 
 class DistanceOutOfRangeError(InvalidParameterError):
-    """A link distance below the model's reference distance was requested."""
+    """A link distance that is not at least the model's reference distance (NaN included)."""
 
 
 class FitFailureError(SimulationError):

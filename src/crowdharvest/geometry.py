@@ -36,7 +36,6 @@ __all__ = [
     "nearest_distance_batch",
     "ks_statistic",
     "deployment_to_csv",
-    "deployment_from_csv",
     "deployment_to_json",
     "deployment_from_json",
 ]
@@ -383,16 +382,6 @@ def _points_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
     points = read_csv(text, CSV_HEADER, lambda row: (float(row[0]), float(row[1])))
     xs, ys = np.asarray(points, dtype=float).reshape(-1, 2).T.copy()
     return xs, ys
-
-
-def deployment_from_csv(
-    text: str, region: Region, density_per_km2: float | None = None
-) -> Deployment:
-    """Parse an ``x_m,y_m`` document into a deployment on the given region."""
-    xs, ys = _points_from_csv(text)
-    if density_per_km2 is None:
-        density_per_km2 = xs.size / region.area_km2
-    return Deployment(xs, ys, density_per_km2, region, PoissonProcess())
 
 
 @dataclass(frozen=True)

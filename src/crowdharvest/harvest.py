@@ -1,13 +1,13 @@
 """Crowd-harvested RF power aggregation across urban deployments.
 
 The central quantity is the total received power at a probe location
-from every transmitter of a radio access technology (RAT), optionally
-weighted by per-transmitter spectrum utilisation. Received power from a
-planar point process is heavy-tailed (the nearest transmitter can be
-arbitrarily close), so sweeps report the trial mean, its standard
-deviation, and the trial median; the median is the statistic used for
-peak-power tables and density-scaling fits because trial means of
-heavy-tailed sums do not stabilise at practical trial counts.
+from every transmitter of a radio access technology (RAT). Received
+power from a planar point process is heavy-tailed (the nearest
+transmitter can be arbitrarily close), so sweeps report the trial mean,
+its standard deviation, and the trial median; the median is the
+statistic used for peak-power tables and density-scaling fits because
+trial means of heavy-tailed sums do not stabilise at practical trial
+counts.
 
 Scaling fits additionally hold the number of contributing transmitters
 fixed (``k_nearest``): the power-law in density applies to the power
@@ -190,11 +190,9 @@ def aggregate_power(
     deployment: Deployment,
     rat: RatProfile,
     model: PathlossModel,
-    utilization: float | np.ndarray = 1.0,
     *,
     shadowing: ShadowingSpec | None = None,
     seed: int = 0,
-    sensitivity_floor_w: float | None = None,
     k_nearest: int | None = None,
 ) -> HarvestReport:
     """Total and per-transmitter received power at a probe point.
@@ -208,17 +206,11 @@ def aggregate_power(
     ``k_nearest`` is given only that many nearest transmitters
     contribute. Deterministic for a fixed seed: shadowing is drawn from
     the ``(seed, "shadowing")`` substream, spawned only when it is on.
-    ``k_nearest`` must be an integer of at least 1, every utilisation must
-    lie in [0, 1] and the sensitivity floor must be finite and not negative;
-    all are checked before any distance is computed.
+    ``k_nearest`` must be an integer of at least 1, checked before any
+    distance is computed.
     """
     if k_nearest is not None:
         _guard.count(k_nearest=k_nearest)
-    load = np.asarray(utilization, dtype=float)
-    if not np.all((load >= 0.0) & (load <= 1.0)):
-        raise InvalidParameterError("utilization must lie in [0, 1]")
-    if sensitivity_floor_w is not None:
-        _guard.non_negative(sensitivity_floor_w=sensitivity_floor_w)
     if deployment.count == 0:
         return HarvestReport(0.0, 0.0, np.zeros(0), 0.0)
     d = distances_to_probe(deployment.region, probe, deployment.xs, deployment.ys)
@@ -229,9 +221,6 @@ def aggregate_power(
         shadow_db = draw_shadowing_db(shadowing, d.size, substream(seed, "shadowing"))
     floor_m = max(model.reference_distance_m, rat.min_link_distance_m)
     per_tx = received_power(rat.transmit_power_w, model, np.maximum(d, floor_m), shadow_db)
-    per_tx = per_tx * np.broadcast_to(load, per_tx.shape)
-    if sensitivity_floor_w is not None:
-        per_tx = np.where(per_tx >= sensitivity_floor_w, per_tx, 0.0)
     total = float(per_tx.sum())
     fraction = float(per_tx.max() / total) if total > 0 else 0.0
     return HarvestReport(total, total / rat.bandwidth_hz, per_tx, fraction)
@@ -257,9 +246,6 @@ class SweepCurve:
     @property
     def densities(self) -> np.ndarray:
         return np.array([p.density_per_km2 for p in self.points])
-
-    def values(self, statistic: str = "median_power_w") -> np.ndarray:
-        return np.array([getattr(p, statistic) for p in self.points])
 
 
 @dataclass(frozen=True)
@@ -628,15 +614,15 @@ def upper_bound_sweep(
     return crowd_sweep(rat, density_grid, [view], seed, region=region, workers=workers)[0]
 
 
-def scaling_exponent(curve: SweepCurve, statistic: str = "median_power_w") -> float:
-    """Least-squares slope of log power versus log density.
+def scaling_exponent(curve: SweepCurve) -> float:
+    """Least-squares slope of log median power versus log density.
 
     Requires at least 4 grid points spanning at least one decade of
     density. On a synthetic exact power law the fit recovers the
     exponent to machine precision.
     """
     lam = curve.densities
-    val = curve.values(statistic)
+    val = np.array([p.median_power_w for p in curve.points])
     if lam.size < 4:
         raise FitFailureError("scaling fit needs at least 4 grid points")
     if math.log10(lam.max() / lam.min()) < 1.0 - 1e-9:

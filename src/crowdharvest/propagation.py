@@ -133,9 +133,9 @@ def pathloss_db(
     ``d_m`` is allocated; ``out`` may be ``d_m`` itself.
     """
     d = np.asarray(d_m, dtype=float)
-    if np.any(d < model.reference_distance_m):
+    if not np.all(d >= model.reference_distance_m):  # NaN fails too
         raise DistanceOutOfRangeError(
-            f"distance below reference distance {model.reference_distance_m} m"
+            f"distance must be at least the reference distance {model.reference_distance_m} m"
         )
     if out is None:
         out = np.empty_like(d)

@@ -232,10 +232,10 @@ class ScenarioConfig:
         return model, ShadowingSpec(scen.shadowing_sigma_db, scen.shadowing_sigma_db > 0)
 
 
-def default_config(seed: int = 20260808) -> ScenarioConfig:
+def default_config() -> ScenarioConfig:
     side = math.sqrt(60e6)  # 60 km^2 study window
     return ScenarioConfig(
-        seed=seed,
+        seed=20260808,
         region=Region(width_m=side, height_m=side),
         rats=(
             RatProfile(

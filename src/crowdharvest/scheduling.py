@@ -25,7 +25,6 @@ lower spent energy, then earlier activity, then the lower action-id tuple.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import asdict, astuple, dataclass
 from typing import NamedTuple
@@ -1070,48 +1069,37 @@ def threshold_policy(
 
 def evaluate_policy(
     policy: Policy,
-    process: EnergyArrivalProcess | None = None,
     horizon: int = 100_000,
     seed: int = 0,
     exact: bool = False,
 ) -> float:
-    """Average reward per slot, by simulation or by the exact average-reward solve.
+    """Average reward per slot on the policy's own chain, simulated or exact.
 
-    The exact mode, available when the arrival process is the policy's
-    own Markov chain, solves the closed loop's average-reward equations as
+    The exact mode solves the closed loop's average-reward equations as
     policy iteration does; a loop with several closed classes raises only
     when that solve is singular (see ``_evaluate_average_reward``).
     Simulation quantises the running battery to the policy's buckets
     (rounding down) before each lookup. It follows the simulated state
-    path of a Markov chain, so energy states that share an arrival energy
+    path of the chain, so energy states that share an arrival energy
     keep their own actions.
     """
     _guard.count(horizon=horizon)
     mdp = policy.mdp
-    if process is None:
-        process = mdp.arrivals
     if exact:
-        if process is not mdp.arrivals and process != mdp.arrivals:
-            raise InvalidParameterError("exact evaluation requires the policy's own chain")
         p, r = _policy_tables(_MdpArrays.build(mdp), policy.actions)
         return _evaluate_average_reward(p, r)[0]
-    if isinstance(process, MarkovArrivals):
-        # the stream simulate_arrivals draws from, so the trace is the same
-        path = _markov_path(process, horizon, substream(seed, "arrivals"))
-        energies = [float(e) for e in process.states_j]
-        slots = zip(map(energies.__getitem__, path), path)
-    else:
-        slots = zip(simulate_arrivals(process, horizon, seed).tolist(), itertools.repeat(0))
+    # the stream simulate_arrivals draws from, so the trace is the same
+    path = _markov_path(mdp.arrivals, horizon, substream(seed, "arrivals"))
+    energies = [float(e) for e in mdp.arrivals.states_j]
     actions = policy.actions.tolist()
     levels = mdp.spend_levels_j
     rewards = [mdp.reward(a) for a in range(len(levels))]
     capacity, top, quantum = mdp.capacity_j, mdp.battery_buckets - 1, mdp.bucket_j
-    last_e = policy.actions.shape[1] - 1
     battery = 0.0
     total = 0.0
-    for arrival, e in slots:
-        battery = min(capacity, battery + arrival)
-        a = actions[min(top, int(battery / quantum + 1e-12))][min(e, last_e)]
+    for e in path:
+        battery = min(capacity, battery + energies[e])
+        a = actions[min(top, int(battery / quantum + 1e-12))][e]
         spend = levels[a]
         if spend <= battery:
             total += rewards[a]

@@ -17,10 +17,9 @@ budget.
 
 Conventions, all explicit configuration: harvested power is scaled by a
 conversion efficiency ``eta``; PS splitting acts on the signal before
-receiver noise is added (antenna-noise-dominant receiver), switchable
-to post-noise splitting with a conversion-noise term; decode-and-forward
-composes hop SNRs with a minimum, amplify-and-forward with the cascade
-g1*g2/(g1+g2+1).
+receiver noise is added (antenna-noise-dominant receiver);
+decode-and-forward composes hop SNRs with a minimum, amplify-and-forward
+with the cascade g1*g2/(g1+g2+1).
 """
 
 from __future__ import annotations
@@ -154,7 +153,6 @@ def _ts_rate(
 
 def _ps_rate(
     link: LinkState, eta: float, mode: RelayMode, t: float, rho2: float = 0.0,
-    post_noise_splitting: bool = False, conversion_noise_w: float = 0.0,
 ) -> Callable[[float], float]:
     """The PS throughput of ``link`` as a function of ``rho``.
 
@@ -176,12 +174,7 @@ def _ps_rate(
             return 0.0
         harvested = eta * rho * received * half_frame + ambient
         relay_power = harvested / half_frame
-        info_signal = info * received
-        if post_noise_splitting:
-            info_noise = info * n + conversion_noise_w
-        else:
-            info_noise = n
-        gamma1 = info_signal / info_noise
+        gamma1 = info * received / n
         gamma2 = relay_power * g / n
         return _rate(0.5, end_to_end_snr(gamma1, gamma2, mode))
 
@@ -207,8 +200,6 @@ def ts_throughput(
 def ps_throughput(
     cfg: SwiptConfig, link: LinkState, eta: float = 0.5,
     mode: RelayMode = RelayMode.DECODE_FORWARD,
-    post_noise_splitting: bool = False,
-    conversion_noise_w: float = 0.0,
 ) -> float:
     """Throughput (bits/s/Hz) of power-split relaying.
 
@@ -217,9 +208,7 @@ def ps_throughput(
     the relay forwards with the harvested energy. Zero at both
     endpoints of ``rho``.
     """
-    return _ps_rate(
-        link, eta, mode, cfg.frame_duration_s, 0.0, post_noise_splitting, conversion_noise_w
-    )(cfg.rho)
+    return _ps_rate(link, eta, mode, cfg.frame_duration_s)(cfg.rho)
 
 
 @dataclass(frozen=True)
@@ -253,17 +242,13 @@ def hybrid_ts_frame(
 def hybrid_ps_frame(
     cfg: SwiptConfig, link: LinkState, eta: float = 0.5,
     mode: RelayMode = RelayMode.DECODE_FORWARD,
-    post_noise_splitting: bool = False,
-    conversion_noise_w: float = 0.0,
 ) -> HybridFrame:
     """PS with a second power split for ambient RF harvesting at the relay.
 
     With ``rho2 = 0`` the throughput is ``ps_throughput``'s.
     """
     t = cfg.frame_duration_s
-    throughput = _ps_rate(
-        link, eta, mode, t, cfg.rho2, post_noise_splitting, conversion_noise_w
-    )(cfg.rho)
+    throughput = _ps_rate(link, eta, mode, t, cfg.rho2)(cfg.rho)
     info = 1.0 - cfg.rho - cfg.rho2
     banked = eta * link.ambient_power_at_source_w * (t / 2.0) if info > 0.0 else 0.0
     return HybridFrame(throughput, banked)

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import crowdharvest
-from crowdharvest import cli, harvest, scenario, scheduling, swipt
+from crowdharvest import cli, collaboration, harvest, scenario, scheduling, swipt
 from crowdharvest.cli import main
 from crowdharvest.errors import ConfigError
 
@@ -202,6 +202,7 @@ def assert_rejected_at_parse_time(tmp_path, capsys, monkeypatch, args):
     monkeypatch.setattr(scenario, "run_case_study", reached)
     monkeypatch.setattr(cli, "pathloss_db", reached)
     monkeypatch.setattr(swipt, "optimize_split", reached)
+    monkeypatch.setattr(swipt, "split_sweep", reached)
     with pytest.raises(SystemExit) as exit_info:
         main([*args, "--out", str(tmp_path)])
     assert exit_info.value.code == 2
@@ -223,6 +224,39 @@ def test_bad_trials_rejected_at_parse_time(tmp_path, capsys, monkeypatch, comman
 ], ids=["pathloss-points", "swipt-points", "casestudy-workers"])
 def test_bad_counts_rejected_at_parse_time(tmp_path, capsys, monkeypatch, command, value):
     assert_rejected_at_parse_time(tmp_path, capsys, monkeypatch, [*command, value])
+
+
+@pytest.mark.parametrize("target,grid", [("harvest", "a,b"), ("swipt_split", "0.1,,0.2")])
+def test_bad_grid_rejected_at_parse_time(tmp_path, capsys, monkeypatch, target, grid):
+    # a grid that does not parse used to end in a ValueError traceback and exit 1
+    assert_rejected_at_parse_time(
+        tmp_path, capsys, monkeypatch, ["sweep", "--target", target, "--grid", grid]
+    )
+
+
+def test_sweep_collab_xi_simulates_each_split_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    simulate = collaboration.collab_schedule
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].xi)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(collaboration, "collab_schedule", counted)
+    code, out, _ = run(["sweep", "--target", "collab_xi", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert len(calls) == 21 and len(set(calls)) == 21
+    rows = (tmp_path / "sweep_collab_xi.csv").read_text().splitlines()
+    assert rows[0] == "xi,objective" and len(rows) == 22
+    assert "frame-split sweep: best xi 0.05, objective 48" in out
+
+
+def test_nan_distance_exit_code(capsys):
+    # NaN passed the "below the reference distance" check and printed nan rows
+    code, out, err = run(["pathloss", "--d-max", "nan", "--points", "3"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "at least the reference distance" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [

@@ -34,9 +34,6 @@ class TestJtSnr:
         with pytest.raises(InvalidParameterError):
             collab.jt_snr(1.0, 1.0, 1.0, 1.0, 0.0)
 
-    def test_incoherent_combining(self):
-        assert collab.jt_snr(1.0, 1.0, 1.0, 1.0, 1.0, combining_efficiency=0.0) == pytest.approx(2.0)
-
     @given(
         pa=st.floats(0.0, 100.0),
         pb=st.floats(0.0, 100.0),

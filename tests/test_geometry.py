@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from crowdharvest import geometry
 from crowdharvest.errors import IngestionError, InvalidParameterError
+from crowdharvest.scenario import ingest_locations_csv
 
 REGION = geometry.Region(7745.966692414834, 7745.966692414834)  # 60 km^2
 
@@ -196,23 +197,31 @@ def test_superposition_of_ppps_is_ppp():
     assert ks < 0.02
 
 
+def ingest(tmp_path, text):
+    """Read ``text`` back through the ingester that ``deploy --from-csv`` uses."""
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    return ingest_locations_csv(path, REGION)
+
+
 class TestSerialisation:
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
         dep = geometry.sample_ppp(2.0, REGION, 5)
         text = geometry.deployment_to_csv(dep)
         assert text.splitlines()[0] == "x_m,y_m"
-        back = geometry.deployment_from_csv(text, REGION)
+        back, report = ingest(tmp_path, text)
+        assert report == []
         assert back.count == dep.count
         assert np.allclose(back.xs, dep.xs, atol=1e-6)
 
-    def test_csv_bad_header(self):
+    def test_csv_bad_header(self, tmp_path):
         with pytest.raises(IngestionError):
-            geometry.deployment_from_csv("a,b\n1,2\n", REGION)
+            ingest(tmp_path, "a,b\n1,2\n")
 
-    def test_csv_malformed_rows_reported(self):
+    def test_csv_malformed_rows_reported(self, tmp_path):
         text = "x_m,y_m\n1.0,2.0\nbroken,row,here\n3.0,nan_oops\n"
         with pytest.raises(IngestionError) as err:
-            geometry.deployment_from_csv(text, REGION)
+            ingest(tmp_path, text)
         assert err.value.bad_rows[0][0] == 3
 
     def test_json_round_trip(self):

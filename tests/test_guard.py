@@ -32,6 +32,7 @@ from crowdharvest.propagation import (
     ShadowingSpec,
     free_space_model,
     friis_reference_loss_db,
+    pathloss_db,
     received_power,
     winner_urban_nlos_model,
 )
@@ -72,6 +73,7 @@ REJECTED = {
     "PathlossModel exponent nan": lambda: replace(LOS, exponent=NAN),
     "PathlossModel carrier nan": lambda: replace(LOS, carrier_frequency_hz=NAN),
     "PathlossModel reference loss nan": lambda: replace(LOS, reference_loss_db=NAN),
+    "pathloss_db distance nan": lambda: pathloss_db(LOS, NAN),
     "ShadowingSpec sigma nan": lambda: ShadowingSpec(NAN),
     "friis_reference_loss_db nan": lambda: friis_reference_loss_db(NAN),
     "received_power nan": lambda: received_power(NAN, LOS, 10.0),
@@ -108,8 +110,6 @@ REJECTED = {
         1.5, 1.0, 10.0, 100, 0),
     "aggregate_power k_nearest 0": lambda: aggregate_power(
         (0.0, 0.0), sample_ppp(1.0, REGION, 0), MACRO, LOS, k_nearest=0),
-    "aggregate_power sensitivity floor nan": lambda: aggregate_power(
-        (0.0, 0.0), sample_ppp(1.0, REGION, 0), MACRO, LOS, sensitivity_floor_w=NAN),
     "upper_bound_sweep workers 0": lambda: upper_bound_sweep(
         MACRO, [1.0], LOS, 10, 0, region=REGION, workers=0),
 }

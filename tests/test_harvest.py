@@ -95,15 +95,6 @@ class TestAggregatePower:
         t_ab = harvest.aggregate_power(probe, both, MACRO, LOS).total_power_w
         assert t_ab == pytest.approx(t_a + t_b, rel=1e-12)
 
-    def test_full_buffer_dominates_weighted(self):
-        dep = geometry.sample_ppp(5.0, REGION, 9)
-        rng = substream(5, "util")
-        loads = rng.random(dep.count)
-        full = harvest.aggregate_power((50.0, 50.0), dep, MACRO, LOS, 1.0)
-        weighted = harvest.aggregate_power((50.0, 50.0), dep, MACRO, LOS, loads)
-        assert np.all(weighted.per_transmitter_w <= full.per_transmitter_w + 1e-18)
-        assert weighted.total_power_w <= full.total_power_w
-
     def test_distance_floor_applies(self):
         dep = make_deployment([1.0], [0.0])  # closer than the 50 m floor
         at_floor = make_deployment([50.0], [0.0])
@@ -116,14 +107,6 @@ class TestAggregatePower:
         [
             ({"k_nearest": -1}, "k_nearest"),
             ({"k_nearest": 0}, "k_nearest"),
-            ({"utilization": -0.5}, "utilization"),
-            ({"utilization": 1.5}, "utilization"),
-            ({"utilization": float("nan")}, "utilization"),
-            ({"utilization": float("inf")}, "utilization"),
-            ({"utilization": np.array([0.5, -0.1, 0.5])}, "utilization"),
-            # a NaN floor used to fail every link and return 0 W
-            ({"sensitivity_floor_w": float("nan")}, "sensitivity_floor_w"),
-            ({"sensitivity_floor_w": -1e-12}, "sensitivity_floor_w"),
             ({"k_nearest": 2.5}, "k_nearest"),
             ({"k_nearest": True}, "k_nearest"),
         ],
@@ -138,13 +121,6 @@ class TestAggregatePower:
         with pytest.raises(InvalidParameterError, match=message):
             harvest.aggregate_power((0.0, 0.0), dep, MACRO, LOS, **kwargs)
 
-    def test_sensitivity_floor_zeroes_weak_links(self):
-        dep = make_deployment([100.0, 3000.0], [0.0, 0.0])
-        report = harvest.aggregate_power(
-            (0.0, 0.0), dep, MACRO, LOS, sensitivity_floor_w=1e-9
-        )
-        assert np.count_nonzero(report.per_transmitter_w) == 1
-
 
 class TestSweep:
     def test_single_point_single_trial_matches_direct_call(self):
@@ -157,7 +133,7 @@ class TestSweep:
         )
         probe = REGION.sample_probe(rng)
         direct = harvest.aggregate_power(
-            probe, dep, MACRO, LOS, 1.0, seed=int(rng.integers(0, 2**63 - 1))
+            probe, dep, MACRO, LOS, seed=int(rng.integers(0, 2**63 - 1))
         )
         assert curve.points[0].mean_power_w == pytest.approx(direct.total_power_w, rel=1e-12)
 
@@ -177,7 +153,7 @@ class TestSweep:
     def test_curve_monotone_in_density(self):
         grid = np.geomspace(0.5, 5.0, 5)
         curve = harvest.upper_bound_sweep(MACRO, grid, LOS, 400, 17, region=REGION)
-        med = curve.values("median_power_w")
+        med = np.array([p.median_power_w for p in curve.points])
         assert np.all(np.diff(med) > 0)
 
     def test_workers_do_not_change_results(self):
@@ -214,7 +190,6 @@ def per_curve_sweep(rat, grid, view, seed, region):
                 dep,
                 rat,
                 view.model,
-                1.0,
                 shadowing=view.shadowing,
                 seed=int(rng.integers(0, 2**63 - 1)),
                 k_nearest=view.k_nearest,
@@ -446,7 +421,6 @@ def per_draw_share(rat, density, model, draws, seed, region, shadowing):
             deployment,
             rat,
             model,
-            1.0,
             shadowing=shadowing,
             seed=int(rng.integers(0, 2**63 - 1)),
         )

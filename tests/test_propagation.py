@@ -26,6 +26,14 @@ class TestPathloss:
         with pytest.raises(DistanceOutOfRangeError):
             prop.pathloss_db(model, 0.5)
 
+    @pytest.mark.parametrize("d_m", [math.nan, np.array([10.0, math.nan, 20.0])],
+                             ids=["scalar", "array"])
+    def test_nan_distance_rejected(self, d_m):
+        # NaN compares false both ways, so "d < ref" used to let it through
+        model = prop.free_space_model(2.1e9)
+        with pytest.raises(DistanceOutOfRangeError, match="at least the reference distance"):
+            prop.pathloss_db(model, d_m)
+
     def test_invalid_models(self):
         with pytest.raises(InvalidParameterError):
             prop.PathlossModel(1.5, 1.0, 30.0, 2.1e9)  # exponent < 2

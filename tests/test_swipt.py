@@ -235,16 +235,14 @@ class TestHybrid:
             hybrid = swipt.hybrid_ts_frame(swipt.SwiptConfig(t, alpha=alpha), link, eta, mode)
             assert hybrid.throughput_bps_hz == plain
 
-    @pytest.mark.parametrize("post_noise", [False, True], ids=["pre-noise", "post-noise"])
     @pytest.mark.parametrize("mode", [DF, AF], ids=["df", "af"])
-    def test_ps_reduction_exact(self, mode, post_noise):
+    def test_ps_reduction_exact(self, mode):
         for i in range(200):
             link = random_link(i, "hybrid")
             rng = substream(i, "hybrid-split")
             eta, t, rho = rng.uniform(0.05, 1.0), rng.uniform(0.2, 3.0), rng.uniform()
-            noise = (post_noise, rng.uniform(0.0, 1e-8) if post_noise else 0.0)
-            plain = swipt.ps_throughput(swipt.SwiptConfig(t, rho=rho), link, eta, mode, *noise)
-            hybrid = swipt.hybrid_ps_frame(swipt.SwiptConfig(t, rho=rho), link, eta, mode, *noise)
+            plain = swipt.ps_throughput(swipt.SwiptConfig(t, rho=rho), link, eta, mode)
+            hybrid = swipt.hybrid_ps_frame(swipt.SwiptConfig(t, rho=rho), link, eta, mode)
             assert hybrid.throughput_bps_hz == plain
 
     def test_large_ambient_drives_alpha1_to_zero(self):
@@ -290,22 +288,6 @@ class TestHybrid:
         assert frame.source_banked_j == pytest.approx(0.3)
         base = swipt.hybrid_ts_frame(cfg, replace(link, ambient_power_at_source_w=0.0))
         assert frame.throughput_bps_hz == base.throughput_bps_hz
-
-
-def test_post_noise_splitting_mode():
-    # splitting after noise adds a conversion-noise term to the decoder;
-    # with the first hop limiting, the throughput strictly drops
-    link = swipt.LinkState(1e-3, 10.0, 1e-9, 1.0)
-    cfg = swipt.SwiptConfig(rho=0.4)
-    pre = swipt.ps_throughput(cfg, link)
-    post = swipt.ps_throughput(
-        cfg, link, post_noise_splitting=True, conversion_noise_w=1e-9
-    )
-    assert 0.0 < post < pre
-    assert swipt.ps_throughput(
-        swipt.SwiptConfig(rho=1.0), link, post_noise_splitting=True,
-        conversion_noise_w=1e-9,
-    ) == 0.0
 
 
 FIELDS = [
@@ -380,17 +362,6 @@ def split_sweep_results(protocol, mode, setting):
     }
 
 
-def post_noise_results(mode):
-    return {
-        name: [
-            swipt.ps_throughput(swipt.SwiptConfig(rho=float(r)), link, mode=MODES[mode],
-                                post_noise_splitting=True, conversion_noise_w=1e-9)
-            for r in SWEEP_GRID
-        ]
-        for name, link in pinned_links(3, 3).items()
-    }
-
-
 def controller_result():
     trace = substream(11, "ambient").uniform(0.0, 1.5, 40)
     result = scheduling.combined_mode_controller(trace, pinned_links(2, 0)["fade/1"], 1.0)
@@ -408,7 +379,6 @@ def pinned_results():
             f"{p}/{m}/{s}": split_sweep_results(p, m, s)
             for p in ("ts", "ps") for m in MODES for s in SWEEP_SETTINGS
         },
-        "ps_post_noise": {m: post_noise_results(m) for m in MODES},
         "combined_mode_controller": controller_result(),
     }
 
@@ -421,10 +391,6 @@ class TestPinned:
     @pytest.mark.parametrize("key", sorted(PINNED["split_sweep"]))
     def test_split_sweep(self, key):
         assert split_sweep_results(*key.split("/")) == PINNED["split_sweep"][key]
-
-    @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_ps_post_noise(self, mode):
-        assert post_noise_results(mode) == PINNED["ps_post_noise"][mode]
 
     def test_combined_mode_controller(self):
         assert controller_result() == PINNED["combined_mode_controller"]

@@ -1,4 +1,5 @@
-"""List the functions in ``src/`` that no command, gate or benchmark workload enters.
+"""List the functions in ``src/`` that no command, gate or benchmark workload enters,
+and the parameters and dataclass fields that none of them sets.
 
 Run from anywhere, with no arguments:
 
@@ -17,18 +18,27 @@ In a temporary directory, under ``sys.setprofile`` and
 
 It then prints each function definition in ``src/crowdharvest`` that none
 of them entered, one ``file:line qualified.name`` per line, and a count.
-Two commands run into the documented failure exits, 3 (infeasible
-demand) and 4 (a malformed input file). The tool exits 1 if a command
-exits with another code or a gate or a workload op fails, since the list
-would then miss what the failed part reaches.
+After that it prints each defaulted parameter (``file:line
+qualified.name(parameter)``) and each dataclass field with a default
+(``file:line Class.field``) that every entered call left at its default
+value, and a count; the parameters of a function that was never entered
+are not listed, since the function already is. Two commands run into
+the documented failure exits, 3 (infeasible demand) and 4 (a malformed
+input file). The tool exits 1 if a command exits with another code or a
+gate or a workload op fails, since the lists would then miss what the
+failed part reaches.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import dataclasses
+import importlib
+import inspect
 import io
 import os
+import pkgutil
 import sys
 import tempfile
 import threading
@@ -107,6 +117,59 @@ def definitions() -> dict[tuple[str, int, str], tuple[str, int, str]]:
     return found
 
 
+def defaulted() -> dict:
+    """Every defaulted parameter of the package, keyed by the code object a call runs.
+
+    Each value lists ``(parameter, default, (file, line, label))``. A
+    dataclass field with a default is a defaulted parameter of the class's
+    generated ``__init__``; it is labelled ``Class.field`` at the class's
+    line. Any other parameter is labelled ``qualified.name(parameter)`` at
+    its function's first line.
+    """
+    import crowdharvest
+
+    found = {}
+
+    def add(func, owner=None):
+        params = [p for p in inspect.signature(func).parameters.values()
+                  if p.default is not inspect.Parameter.empty]
+        if not params:  # also the methods dataclasses generates without defaults
+            return
+        code = func.__code__
+        if owner is None:
+            path, line = code.co_filename, code.co_firstlineno
+            labels = [f"{func.__qualname__}({p.name})" for p in params]
+        else:
+            path, line = inspect.getsourcefile(owner), inspect.getsourcelines(owner)[1]
+            labels = [f"{owner.__qualname__}.{p.name}" for p in params]
+        rel = str(Path(path).relative_to(ROOT))
+        found[code] = [(p.name, p.default, (rel, line, label)) for p, label in zip(params, labels)]
+
+    for info in pkgutil.iter_modules(crowdharvest.__path__):
+        module = importlib.import_module(f"crowdharvest.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                add(obj)
+            elif inspect.isclass(obj):
+                for name, attr in vars(obj).items():
+                    func = getattr(attr, "__func__", attr)  # staticmethod, classmethod
+                    if inspect.isfunction(func):
+                        is_init = name == "__init__" and dataclasses.is_dataclass(obj)
+                        add(func, owner=obj if is_init else None)
+    return found
+
+
+def is_default(value, default) -> bool:
+    if value is default:
+        return True
+    try:
+        return bool(value == default)
+    except (TypeError, ValueError):  # an array, or a type that does not compare to it
+        return False
+
+
 def run_commands(failures: list[str]) -> None:
     from crowdharvest import cli, scenario
 
@@ -152,12 +215,26 @@ def run_workloads(failures: list[str]) -> None:
 
 def main() -> int:
     found = definitions()
+    parameters: dict = {}
+    unchecked: dict = {}  # code -> the parameters no call has set yet
     entered: set[tuple[str, int, str]] = set()
+    set_somewhere: set[tuple[object, str]] = set()  # only grows, so threads need no lock
 
     def profile(frame, event, arg):
         if event == "call":
             code = frame.f_code
             entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+            checks = unchecked.get(code)
+            if checks:
+                values = frame.f_locals
+                for name, default, _ in checks:
+                    if not is_default(values[name], default):
+                        set_somewhere.add((code, name))
+                left = [c for c in checks if (code, c[0]) not in set_somewhere]
+                if left:
+                    unchecked[code] = left
+                else:
+                    unchecked.pop(code, None)
 
     failures: list[str] = []
     start = os.getcwd()
@@ -166,6 +243,8 @@ def main() -> int:
         sys.setprofile(profile)
         threading.setprofile(profile)
         try:
+            parameters.update(defaulted())  # imports the package, so after setprofile
+            unchecked.update(parameters)
             run_commands(failures)
             run_gates(failures)
             run_workloads(failures)
@@ -177,6 +256,18 @@ def main() -> int:
     for path, line, name in missed:
         print(f"{path}:{line} {name}")
     print(f"{len(missed)} of {len(found)} function definitions in src/ were never entered")
+    kept = sorted(
+        where
+        for code, checks in parameters.items()
+        if (code.co_filename, code.co_firstlineno, code.co_name) in entered
+        for name, _, where in checks
+        if (code, name) not in set_somewhere
+    )
+    for path, line, label in kept:
+        print(f"{path}:{line} {label}")
+    total = sum(len(checks) for checks in parameters.values())
+    print(f"{len(kept)} of {total} defaulted parameters and dataclass fields in src/ "
+          "were left at their default by every entered call")
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
     return 1 if failures else 0
