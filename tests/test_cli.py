@@ -226,7 +226,10 @@ def test_bad_counts_rejected_at_parse_time(tmp_path, capsys, monkeypatch, comman
     assert_rejected_at_parse_time(tmp_path, capsys, monkeypatch, [*command, value])
 
 
-@pytest.mark.parametrize("target,grid", [("harvest", "a,b"), ("swipt_split", "0.1,,0.2")])
+@pytest.mark.parametrize("target,grid", [
+    ("harvest", "a,b"), ("swipt_split", "0.1,,0.2"), ("schedule_theta", ""),
+    ("collab_xi", "0.1;0.2"),
+])
 def test_bad_grid_rejected_at_parse_time(tmp_path, capsys, monkeypatch, target, grid):
     # a grid that does not parse used to end in a ValueError traceback and exit 1
     assert_rejected_at_parse_time(
@@ -248,6 +251,16 @@ def test_sweep_collab_xi_simulates_each_split_once(tmp_path, capsys, monkeypatch
     assert len(calls) == 21 and len(set(calls)) == 21
     rows = (tmp_path / "sweep_collab_xi.csv").read_text().splitlines()
     assert rows[0] == "xi,objective" and len(rows) == 22
+    assert "frame-split sweep: best xi 0.05, objective 48" in out
+
+
+def test_sweep_collab_xi_reads_the_given_grid(tmp_path, capsys):
+    code, out, _ = run(
+        ["sweep", "--target", "collab_xi", "--grid", "0.05,0.5", "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    rows = (tmp_path / "sweep_collab_xi.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["xi", "0.05", "0.5"]
     assert "frame-split sweep: best xi 0.05, objective 48" in out
 
 

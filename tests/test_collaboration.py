@@ -30,6 +30,10 @@ class TestJtSnr:
         joint = collab.jt_snr(1.0, 1.0, 1.0, 1.0, 1.0)
         assert joint == pytest.approx(4.0 * single)
 
+    def test_amplitudes_add(self):
+        # (sqrt(1 * 1) + sqrt(4 * 1))^2 / 1: coherent, not power, combining
+        assert collab.jt_snr(1.0, 4.0, 1.0, 1.0, 1.0) == pytest.approx(9.0, rel=1e-12)
+
     def test_zero_noise_rejected(self):
         with pytest.raises(InvalidParameterError):
             collab.jt_snr(1.0, 1.0, 1.0, 1.0, 0.0)

@@ -79,6 +79,7 @@ REJECTED = {
     "received_power nan": lambda: received_power(NAN, LOS, 10.0),
     "rayleigh_scale_for_density nan": lambda: rayleigh_scale_for_density(NAN),
     "jt_snr nan": lambda: jt_snr(NAN, 1.0, 1.0, 1.0, 1.0),
+    "jt_snr noise nan": lambda: jt_snr(1.0, 1.0, 1.0, 1.0, NAN),
     "traffic_correlation_kernel nan": lambda: traffic_correlation_kernel(NAN),
     "winner_urban_nlos_model frequency -1": lambda: winner_urban_nlos_model(-1.0),
     "NodeState gain nan": lambda: replace(NODE, channel_gain_to_sink=NAN),

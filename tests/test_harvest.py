@@ -109,6 +109,8 @@ class TestAggregatePower:
             ({"k_nearest": 0}, "k_nearest"),
             ({"k_nearest": 2.5}, "k_nearest"),
             ({"k_nearest": True}, "k_nearest"),
+            ({"k_nearest": float("nan")}, "k_nearest"),
+            ({"k_nearest": "3"}, "k_nearest"),
         ],
     )
     def test_invalid_inputs_rejected_before_any_distance(self, monkeypatch, kwargs, message):
@@ -120,6 +122,21 @@ class TestAggregatePower:
         monkeypatch.setattr(harvest, "distances_to_probe", no_distances)
         with pytest.raises(InvalidParameterError, match=message):
             harvest.aggregate_power((0.0, 0.0), dep, MACRO, LOS, **kwargs)
+
+    def test_link_power_follows_pathloss_law(self):
+        dep = make_deployment([100.0, 3000.0], [0.0, 0.0])
+        report = harvest.aggregate_power((0.0, 0.0), dep, MACRO, LOS)
+        near, far = report.per_transmitter_w
+        assert near / far == pytest.approx(30.0 ** LOS.exponent, rel=1e-9)
+
+    def test_k_nearest_keeps_only_the_nearest_links(self):
+        dep = make_deployment([900.0, 100.0, 400.0], [0.0, 0.0, 0.0])
+        full = harvest.aggregate_power((0.0, 0.0), dep, MACRO, LOS)
+        nearest = harvest.aggregate_power((0.0, 0.0), dep, MACRO, LOS, k_nearest=1)
+        assert nearest.total_power_w == full.per_transmitter_w.max()
+        assert nearest.nearest_fraction == 1.0
+        more = harvest.aggregate_power((0.0, 0.0), dep, MACRO, LOS, k_nearest=5)
+        assert more.total_power_w == full.total_power_w
 
 
 class TestSweep:

@@ -52,6 +52,15 @@ class TestEndpoints:
     def test_ps_zero_at_endpoints(self, rho):
         assert swipt.ps_throughput(swipt.SwiptConfig(rho=rho), DESK) == 0.0
 
+    @pytest.mark.parametrize("mode", [DF, AF], ids=["df", "af"])
+    def test_ps_closed_form(self, mode):
+        # rho = 0.4 of 1 mW received charges the relay for the second half-frame
+        gamma1 = 0.6 * 1e-3 / 1e-9
+        gamma2 = 0.5 * 0.4 * 1e-3 * 1e-3 / 1e-9
+        snr = min(gamma1, gamma2) if mode is DF else gamma1 * gamma2 / (gamma1 + gamma2 + 1.0)
+        rate = swipt.ps_throughput(swipt.SwiptConfig(rho=0.4), DESK, 0.5, mode)
+        assert rate == pytest.approx(0.5 * math.log2(1.0 + snr), rel=1e-12)
+
     def test_hybrid_full_split_zero(self):
         ts = swipt.hybrid_ts_frame(swipt.SwiptConfig(alpha=0.6, alpha2=0.4), DESK)
         ps = swipt.hybrid_ps_frame(swipt.SwiptConfig(rho=0.3, rho2=0.7), DESK)
