@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# scipy is imported inside the function that calls it: loading it costs every command ~0.3 s.
 
 from . import _guard
 from ._documents import read_csv, write_csv
@@ -266,15 +265,17 @@ def correlated_bernoulli_traces(
     about 100 m are nearly independent.
     """
     _guard.unit(p=p)
-    from scipy.special import ndtr
+    from statistics import NormalDist  # imported here: no command calls this, and it loads decimal
 
     rho = traffic_correlation_kernel(distance_m, correlation_distance_m)
     rng = substream(seed, "copula")
     z_a = rng.standard_normal(slots)
     z_mix = rng.standard_normal(slots)
     z_b = rho * z_a + math.sqrt(max(0.0, 1.0 - rho * rho)) * z_mix
-    trace_a = np.where(ndtr(z_a) < p, energy_j, 0.0)
-    trace_b = np.where(ndtr(z_b) < p, energy_j, 0.0)
+    # a draw arrives when its normal CDF is below p; inv_cdf rejects p = 0 and p = 1
+    threshold = -math.inf if p == 0 else math.inf if p == 1 else NormalDist().inv_cdf(p)
+    trace_a = np.where(z_a < threshold, energy_j, 0.0)
+    trace_b = np.where(z_b < threshold, energy_j, 0.0)
     return trace_a, trace_b
 
 

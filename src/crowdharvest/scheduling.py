@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import asdict, astuple, dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -493,35 +493,31 @@ def _children(
     )
 
 
-def _dense_rank(keys: np.ndarray) -> np.ndarray:
-    return np.unique(keys, return_inverse=True)[1]
-
-
-def _run_dp(
-    problem: ScheduleProblem, power_levels: int, state_bound: int, pareto: bool
-) -> list[_Layer]:
+def _run_dp(problem: ScheduleProblem, power_levels: int, state_bound: int, pareto: bool,
+            rank: Callable[[_Layer], tuple[np.ndarray, ...]]) -> list[_Layer]:
     """Forward DP over reachable (source battery, relay battery, buffer).
 
-    Returns the layer before the first slot and the layer after each slot.
-    Per state it keeps the best path, or with ``pareto`` the Pareto set
-    over (delivered bits up, relay slots down) that minimum-relay-time
-    queries need. States are keyed by their exact float values; only the
-    path order rounds bits and energy.
-    Parents are expanded in blocks of at most ``_BLOCK_ROWS`` candidate rows,
-    each merged into the layer's survivors (a later block holds later parents,
+    Returns the layer before the first slot, the layer after each slot but
+    the last, and a one-row layer: the last slot's path of least ``rank``
+    keys (the first in action-tuple order among ties), ranked block by block
+    and never stored. Per state a layer keeps the best path, or with
+    ``pareto`` the Pareto set over (delivered bits up, relay slots down)
+    that minimum-relay-time queries need. States are keyed by their exact
+    float values; only the path order rounds bits and energy. Parents are
+    expanded in blocks of at most ``_BLOCK_ROWS`` candidate rows, each
+    merged into the layer's survivors (a later block holds later parents,
     so the merge keeps action-tuple order), and the problem is rejected as
-    soon as a layer holds more than ``state_bound`` states; with ``pareto``
-    also when a finished layer stores more values.
+    soon as a stored layer holds more than ``state_bound`` states; with
+    ``pareto`` also when a finished layer stores more values.
     """
     start = np.array([problem.initial_source_j, problem.initial_relay_j, 0.0], dtype=float)
     zero, root = np.zeros(1, dtype=np.int64), np.full(1, -1)
     layers = [_Layer(start[:1], start[1:2], start[2:], np.zeros(1), np.zeros(1),
                      zero, zero, root, root)]
-    n_actions = 2 * power_levels + 1
-    per_block = max(1, _BLOCK_ROWS // n_actions)
-    for k in range(problem.slot_count):
-        prev = layers[-1]
-        layer = None
+    per_block = max(1, _BLOCK_ROWS // (2 * power_levels + 1))
+    last = problem.slot_count - 1
+    for k in range(last):
+        prev, layer = layers[-1], None
         for lo in range(0, prev.bits.size, per_block):
             block = _children(problem, k, prev, slice(lo, lo + per_block), power_levels)
             if layer is not None:
@@ -537,12 +533,18 @@ def _run_dp(
                 f"state space exceeded the bound ({layer.bits.size} values > {state_bound})"
                 f" at slot {k}"
             )
-        layers.append(layer._replace(activity=_dense_rank(layer.activity)))
-    return layers
+        layers.append(layer._replace(activity=np.unique(layer.activity, return_inverse=True)[1]))
+    prev, picks = layers[-1], []  # activity ranks over one stored layer compare across blocks
+    for lo in range(0, prev.bits.size, per_block):
+        block = _children(problem, last, prev, slice(lo, lo + per_block), power_levels)
+        picks.append(block.take([_first_lexmin(*rank(block))]))
+        del block  # so that two blocks are never alive at once
+    finalists = _Layer(*map(np.concatenate, zip(*picks)))  # one row per block, in block order
+    return layers + [finalists.take([_first_lexmin(*rank(finalists))])]
 
 
 def _action_ids(layers: list[_Layer], row: int) -> list[int]:
-    """Action ids of the path ending at ``row`` of the last layer."""
+    """Action ids of the path ending at ``row`` of the last layer (0 for the DP's pick)."""
     ids = []
     for layer in reversed(layers[1:]):
         ids.append(int(layer.action[row]))
@@ -576,20 +578,18 @@ def _replay(problem: ScheduleProblem, action_ids: list[int], power_levels: int,
     )
 
 
-def offline_optimal(
-    problem: ScheduleProblem, power_levels: int = 8, state_bound: int = 500_000
-) -> Schedule:
+def offline_optimal(problem: ScheduleProblem, power_levels: int = 8,
+                    state_bound: int = 500_000) -> Schedule:
     """Throughput-maximal schedule over quantised battery-fraction powers.
 
     Dynamic program over reachable (source battery, relay battery,
     buffered bits) states; exact state arithmetic, so the objective
     matches the exhaustive oracle on any instance both can solve. The
-    state-space guard rejects oversized problems.
+    state bound counts the states after every slot but the last.
     """
     _guard.count(power_levels=power_levels, state_bound=state_bound)
-    layers = _run_dp(problem, power_levels, state_bound, pareto=False)
-    best = _first_lexmin(*_path_keys(layers[-1]))
-    return _replay(problem, _action_ids(layers, best), power_levels)
+    layers = _run_dp(problem, power_levels, state_bound, False, _path_keys)
+    return _replay(problem, _action_ids(layers, 0), power_levels)
 
 
 def brute_force_oracle(
@@ -679,30 +679,30 @@ def brute_force_oracle(
     return Schedule(tuple(p_s), tuple(p_r), tuple(d_s), tuple(d_r), tuple(per_slot), sum(per_slot))
 
 
-def min_relay_time(
-    problem: ScheduleProblem,
-    demand_bits: float,
-    power_levels: int = 8,
-    state_bound: int = 500_000,
-) -> Schedule:
+def min_relay_time(problem: ScheduleProblem, demand_bits: float, power_levels: int = 8,
+                   state_bound: int = 500_000) -> Schedule:
     """Fewest active relay slots that still deliver the demanded bits.
 
     Infeasible demands raise :class:`InfeasibleDemandError` carrying the
-    maximum achievable bits for the instance.
+    maximum achievable bits for the instance. The state bound counts the
+    Pareto values after every slot but the last.
     """
     _guard.count(power_levels=power_levels, state_bound=state_bound)
     _guard.non_negative(demand_bits=demand_bits)
-    layers = _run_dp(problem, power_levels, state_bound, pareto=True)
-    last = layers[-1]
-    max_bits = float(last.bits.max())
-    feasible = last.bits >= demand_bits - 1e-9
-    if not feasible.any():
+
+    def rank(layer: _Layer) -> tuple[np.ndarray, ...]:
+        # infeasible paths rank by bits, not relay slots: with none feasible, the pick has the most
+        infeasible = layer.bits < demand_bits - 1e-9
+        return _path_keys(layer, infeasible, np.where(infeasible, -layer.bits, layer.relay_slots))
+
+    layers = _run_dp(problem, power_levels, state_bound, True, rank)
+    max_bits = float(layers[-1].bits[0])
+    if max_bits < demand_bits - 1e-9:
         raise InfeasibleDemandError(
             f"demand {demand_bits} bits infeasible; at most {max_bits} achievable",
             max_achievable_bits=max_bits,
         )
-    best = _first_lexmin(*_path_keys(last, ~feasible, last.relay_slots))
-    return _replay(problem, _action_ids(layers, best), power_levels, objective_kind="relay_slots")
+    return _replay(problem, _action_ids(layers, 0), power_levels, objective_kind="relay_slots")
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,16 @@ def test_bad_grid_rejected_at_parse_time(tmp_path, capsys, monkeypatch, target, 
     )
 
 
+@pytest.mark.parametrize("target,name", [("harvest", "density_per_km2"),
+                                         ("schedule_theta", "theta_j")])
+def test_nan_grid_error_shows_the_value_as_python_writes_it(tmp_path, capsys, target, name):
+    # the harvest grid reached the check as np.float64 and printed "np.float64(nan)"
+    code, _, err = run(["sweep", "--target", target, "--grid", "nan", "--out", str(tmp_path)],
+                       capsys)
+    assert code == 4
+    assert err.strip() == f"error: {name} must be non-negative and finite, got nan"
+
+
 def test_sweep_collab_xi_simulates_each_split_once(tmp_path, capsys, monkeypatch):
     calls = []
     simulate = collaboration.collab_schedule
@@ -397,8 +407,8 @@ def test_sweep_harvest_failed_fit_prints_nan_and_its_reason(tmp_path, capsys, gr
 
 
 def test_importing_any_module_loads_no_scipy(tmp_path):
-    # Only the n-th-nearest distance laws and the copula traces call scipy;
-    # a fresh interpreter (this one has scipy loaded) checks that nothing else does.
+    # scipy is a test dependency only; a fresh interpreter (this one has scipy loaded)
+    # checks that neither the imports nor the distance laws and copula traces load it.
     probe = textwrap.dedent("""
         import importlib, pkgutil, sys
         import crowdharvest
@@ -406,9 +416,12 @@ def test_importing_any_module_loads_no_scipy(tmp_path):
         assert "cli" in names, names
         for name in names:
             importlib.import_module(f"crowdharvest.{name}")
-        from crowdharvest import cli, scenario
+        from crowdharvest import cli, collaboration, geometry, scenario
         cli.build_parser()
         scenario.default_config()
+        geometry.nth_nearest_distance_pdf(100.0, 2, 1e-5)
+        geometry.nth_nearest_distance_cdf(100.0, 2, 1e-5)
+        collaboration.correlated_bernoulli_traces(0.4, 1.0, 10.0, 10, 0)
         print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     """)
     env = {**os.environ, "PYTHONPATH": str(Path(crowdharvest.__file__).resolve().parents[1])}

@@ -169,6 +169,12 @@ class TestCorrelationKernel:
         assert abs(c2) < 0.05
 
 
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_correlated_traces_at_the_endpoints(self, p):
+        a, b = collab.correlated_bernoulli_traces(p, 2.0, 60.0, 5_000, 3)
+        assert np.all(a == 2.0 * p) and np.all(b == 2.0 * p)
+
+
 class TestCsv:
     def test_trace_round_trip(self):
         a = np.array([1.0, 0.0, 2.5])

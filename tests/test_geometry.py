@@ -134,6 +134,17 @@ class TestNthNearestPdf:
         with pytest.raises(InvalidParameterError):
             geometry.nth_nearest_distance_pdf(1.0, 1, 0.0)
 
+    def test_cdf_matches_the_regularised_gamma(self):
+        from scipy.special import gammainc
+
+        density = 5e-6
+        r = np.concatenate(([0.0], np.geomspace(1.0, 5000.0, 80), [np.inf]))
+        for n in range(1, 8):
+            expected = gammainc(n, math.pi * density * np.square(r))
+            ours = geometry.nth_nearest_distance_cdf(r, n, density)
+            assert np.max(np.abs(ours - expected)) < 1e-13
+        assert geometry.nth_nearest_distance_cdf(np.inf, 3, density) == 1.0
+
     def test_cdf_is_pdf_integral(self):
         density, n = 2e-5, 2
         value, _ = quad(lambda r: geometry.nth_nearest_distance_pdf(r, n, density), 0, 300.0)

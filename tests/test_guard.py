@@ -142,3 +142,20 @@ def test_rule_bounds(check, bad, good):
             check(x=value)
     for value in good:
         check(x=value)
+
+
+@pytest.mark.parametrize("check,value,shown", [
+    (_guard.positive, np.float64(-1.5), "-1.5"),
+    (_guard.positive, np.int64(0), "0"),
+    (_guard.non_negative, np.float64(NAN), "nan"),
+    (_guard.non_negative, np.int64(-3), "-3"),
+    (_guard.unit, np.float64(1.5), "1.5"),
+    (_guard.unit, np.int64(2), "2"),
+    (_guard.count, np.float64(2.0), "2.0"),
+    (_guard.count, np.int64(0), "0"),
+    (_guard.count, np.bool_(True), "True"),
+])
+def test_numpy_scalar_is_shown_as_its_python_number(check, value, shown):
+    with pytest.raises(InvalidParameterError) as err:
+        check(x=value)
+    assert str(err.value).endswith(f", got {shown}")

@@ -271,12 +271,14 @@ class TestOfflineOptimal:
             source_capacity_j=2.0, rx_energy_cost_j=0.1,
         )
 
-        layers = sched._run_dp(p, levels, 10**9, pareto)[1:]  # the layer after each slot
+        layers = run_dp(p, levels, pareto)[1:-1]  # the layer after each slot but the last
         states = [len(set(zip(x.b_s.tolist(), x.b_r.tolist(), x.buf.tolist()))) for x in layers]
         stored = [x.bits.size for x in layers]
         assert states == sorted(set(states))  # every layer is larger than the last
         if pareto:
             assert stored != states  # some state holds several Pareto values
+        # the last slot has more states than any stored layer, and the bound leaves them out
+        assert sched._survivors(last_slot_candidates(p, layers, levels), pareto)[1] > max(stored)
 
         def solve(bound):
             if pareto:
@@ -653,6 +655,18 @@ def five_slot_problem(index, **fields):
     )
 
 
+def wide_problem(slots, seed, index):
+    """Unbounded-battery instance with arrivals drawn from ``index`` and gains
+    from ``seed``, drawn as the benchmark draws its wide instances."""
+    arrivals = substream(index, "schedule-wide", slots)
+    gains = substream(seed, "schedule-wide", slots, index)
+    return sched.ScheduleProblem(
+        slots, 1.0, tuple(arrivals.uniform(0.0, 2.0, slots)),
+        tuple(arrivals.uniform(0.0, 2.0, slots)), tuple(gains.uniform(0.2e-3, 2e-3, slots)),
+        tuple(gains.uniform(0.2e-3, 2e-3, slots)), 1e-9,
+    )
+
+
 def five_slot_case(index):
     _, (source_capacity, relay_capacity), rx_cost, delay = FIVE_SLOT_CASES[index]
     return five_slot_problem(index, source_capacity_j=source_capacity,
@@ -670,6 +684,14 @@ def test_dp_matches_oracle_at_five_slots(index):
     assert optimal.objective_value == pytest.approx(oracle.objective_value, rel=1e-9)
     sched.validate_schedule(p, optimal)
     sched.validate_schedule(p, oracle)
+
+
+def test_six_slots_at_eight_levels_solve_at_the_default_bound():
+    # its last slot has 959,657 states, above the default bound, which counts stored layers only
+    p = wide_problem(6, 903, 0)
+    optimal = sched.offline_optimal(p, 8)
+    sched.validate_schedule(p, optimal)
+    assert optimal.objective_value > 0
 
 
 def reference_survivors(layer, pareto):
@@ -700,6 +722,17 @@ def reference_survivors(layer, pareto):
     return layer.take(np.sort(rows)), n_states
 
 
+def run_dp(problem, levels, pareto):
+    """The DP's stored layers and its pick under the path order, at no state bound."""
+    return sched._run_dp(problem, levels, 10**9, pareto, sched._path_keys)
+
+
+def last_slot_candidates(problem, layers, levels):
+    """Every path of the last slot, expanded in one block from the last of ``layers``."""
+    prev = layers[-1]
+    return sched._children(problem, problem.slot_count - 1, prev, slice(0, prev.bits.size), levels)
+
+
 def assert_layers_equal(layers, expected):
     assert len(layers) == len(expected)
     for layer, other in zip(layers, expected):
@@ -716,9 +749,9 @@ def solve_both(problem, levels):
 @settings(max_examples=80, deadline=None)
 @given(schedule_problems(), st.integers(2, 4), st.booleans())
 def test_dp_layers_equal_reference_survivors(problem, levels, pareto):
-    layers = sched._run_dp(problem, levels, 10**9, pareto)
+    layers = run_dp(problem, levels, pareto)
     with mock.patch.object(sched, "_survivors", reference_survivors):
-        expected = sched._run_dp(problem, levels, 10**9, pareto)
+        expected = run_dp(problem, levels, pareto)
     assert_layers_equal(layers, expected)
 
 
@@ -727,9 +760,46 @@ def test_dp_layers_equal_reference_survivors_at_five_slots(index):
     p = five_slot_case(index)
     levels = FIVE_SLOT_CASES[index][0]
     for pareto in (False, True):
-        layers = sched._run_dp(p, levels, 10**9, pareto)
+        layers = run_dp(p, levels, pareto)
         with mock.patch.object(sched, "_survivors", reference_survivors):
-            assert_layers_equal(layers, sched._run_dp(p, levels, 10**9, pareto))
+            assert_layers_equal(layers, run_dp(p, levels, pareto))
+
+
+def reference_pick(problem, levels, demand_bits=None):
+    """The last slot as the DP once took it: its survivors stored as a full
+    layer, then the first lexmin of the solver's keys over them. Returns the
+    ``Schedule``, or for an infeasible demand the survivors' most bits."""
+    layers = run_dp(problem, levels, demand_bits is not None)[:-1]
+    last, _ = reference_survivors(last_slot_candidates(problem, layers, levels),
+                                  demand_bits is not None)
+    if demand_bits is None:
+        best = sched._first_lexmin(*sched._path_keys(last))
+        return sched._replay(problem, sched._action_ids(layers + [last], best), levels)
+    feasible = last.bits >= demand_bits - 1e-9
+    if not feasible.any():
+        return float(last.bits.max())
+    best = sched._first_lexmin(*sched._path_keys(last, ~feasible, last.relay_slots))
+    return sched._replay(problem, sched._action_ids(layers + [last], best), levels, "relay_slots")
+
+
+@settings(max_examples=80, deadline=None)
+@given(schedule_problems(), st.integers(2, 4), st.floats(0.0, 2.0), st.booleans())
+def test_last_slot_pick_equals_the_pick_over_its_survivors(problem, levels, share, small_blocks):
+    # a share above 1 asks for more than the optimum, so the demand is infeasible
+    with tiny_blocks(levels) if small_blocks else contextlib.nullcontext():
+        optimal = sched.offline_optimal(problem, levels)
+        demand = share * optimal.objective_value + (share > 1.0)
+        try:
+            quickest = sched.min_relay_time(problem, demand, levels)
+        except InfeasibleDemandError as err:
+            quickest = err
+    assert optimal == reference_pick(problem, levels)
+    expected = reference_pick(problem, levels, demand)
+    if isinstance(expected, float):
+        assert isinstance(quickest, InfeasibleDemandError)
+        assert abs(quickest.max_achievable_bits - expected) <= 1e-12
+    else:
+        assert quickest == expected
 
 
 def tiny_blocks(levels):
@@ -740,10 +810,10 @@ def tiny_blocks(levels):
 @settings(max_examples=60, deadline=None)
 @given(schedule_problems(), st.integers(2, 4), st.booleans())
 def test_multi_block_layers_equal_one_block(problem, levels, pareto):
-    layers = sched._run_dp(problem, levels, 10**9, pareto)
+    layers = run_dp(problem, levels, pareto)
     schedules = solve_both(problem, levels)
     with tiny_blocks(levels):
-        assert_layers_equal(sched._run_dp(problem, levels, 10**9, pareto), layers)
+        assert_layers_equal(run_dp(problem, levels, pareto), layers)
         assert solve_both(problem, levels) == schedules
 
 
@@ -757,7 +827,7 @@ def test_multi_block_rejects_at_the_same_slot(pareto):
             return sched.min_relay_time(p, 0.0, levels, state_bound=bound)
         return sched.offline_optimal(p, levels, state_bound=bound)
 
-    stored = [x.bits.size for x in sched._run_dp(p, levels, 10**9, pareto)[1:]]
+    stored = [x.bits.size for x in run_dp(p, levels, pareto)[1:-1]]
     assert stored[1] > 2  # from slot 2 on, a slot expands several two-parent blocks
     for bound in sorted({n - 1 for n in stored}):
         with pytest.raises(ProblemTooLargeError) as one_block:
@@ -784,7 +854,7 @@ def action_tuples(layers):
 @given(schedule_problems(), st.integers(2, 4), st.booleans(), st.booleans())
 def test_dp_layers_are_in_action_tuple_order(problem, levels, pareto, small_blocks):
     with tiny_blocks(levels) if small_blocks else contextlib.nullcontext():
-        layers = sched._run_dp(problem, levels, 10**9, pareto)
+        layers = run_dp(problem, levels, pareto)
     for tuples in action_tuples(layers):
         assert all(a < b for a, b in zip(tuples, tuples[1:]))
 
@@ -803,7 +873,8 @@ ACTION_TIE_PROBLEM = sched.ScheduleProblem(
 
 def test_action_tuple_breaks_a_final_tie_as_the_oracle_does():
     levels = 2
-    layers = sched._run_dp(ACTION_TIE_PROBLEM, levels, 10**9, False)
+    layers = run_dp(ACTION_TIE_PROBLEM, levels, False)[:-1]
+    layers.append(last_slot_candidates(ACTION_TIE_PROBLEM, layers, levels))
     keys = sched._path_keys(layers[-1])
     best = sched._first_lexmin(*keys)
     tied = np.flatnonzero(np.all([key == key[best] for key in keys], axis=0))

@@ -22,11 +22,11 @@ After that it prints each defaulted parameter (``file:line
 qualified.name(parameter)``) and each dataclass field with a default
 (``file:line Class.field``) that every entered call left at its default
 value, and a count; the parameters of a function that was never entered
-are not listed, since the function already is. Two commands run into
+are not listed, since the function already is. Three commands run into
 the documented failure exits, 3 (infeasible demand) and 4 (a malformed
-input file). The tool exits 1 if a command exits with another code or a
-gate or a workload op fails, since the lists would then miss what the
-failed part reaches.
+input file, a value out of range). The tool exits 1 if a command exits
+with another code or a gate or a workload op fails, since the lists
+would then miss what the failed part reaches.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ COMMANDS = [(argv, 0) for argv in [
 ]] + [
     (["schedule", "solve", "--min-time", "1e6"], 3),  # infeasible demand
     (["collab", "--trace", "sites.csv"], 4),  # wrong header
+    (["sweep", "--target", "harvest", "--grid", "nan"], 4),  # a density out of range
 ]
 
 
