@@ -166,11 +166,17 @@ def _draw_points(
     """Point draw of a process and density from :func:`_at_density`.
 
     ``rng`` is the deployment seed's substream labelled with the process's
-    ``kind``.
+    ``kind``. A PPP's coordinates come from one ``rng.random(2 * n)`` call,
+    scaled in halves: numpy's ``uniform(0.0, w, n)`` is ``0.0 + w * random``,
+    so this is ``uniform(0.0, width, n)`` then ``uniform(0.0, height, n)``
+    bit for bit, and leaves the generator in the same state.
     """
     if isinstance(process, PoissonProcess):
         n = int(rng.poisson(density_per_km2 * region.area_km2))
-        return rng.uniform(0.0, region.width_m, n), rng.uniform(0.0, region.height_m, n)
+        unit = rng.random(2 * n)
+        unit[:n] *= region.width_m
+        unit[n:] *= region.height_m
+        return unit[:n], unit[n:]
     if region.boundary == "toroidal":
         pad = 0.0
     else:

@@ -286,27 +286,29 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-_TRIAL_BLOCK = 128  # trials whose substream states are derived together
+_TRIAL_BLOCK = 512  # trials whose substream states are derived together
 _SEED_BOUND = 2**63 - 1  # a trial's seeds are integers(0, _SEED_BOUND)
-_CHUNK_POINTS = 2**11  # points whose distances and powers are computed together
+_CHUNK_POINTS = 2**13  # points whose distances and powers are computed together
 
 
 class _LinkWorkspace:
-    """One worker's two float64 rows, link distances and link power.
+    """One worker's three float64 rows: link distances, link power and shadowing.
 
-    The rows are reused for every chunk and grow to the largest chunk seen;
-    the old buffer is freed before the larger one is allocated.
+    A trial's shadowing draws sit in the third row at the trial's offset in
+    the chunk, beside its distances in the first. The rows are reused for
+    every chunk and grow to the largest chunk seen; the old buffer is freed
+    before the larger one is allocated.
     """
 
     def __init__(self) -> None:
-        self._buffer = np.empty((2, 0))
+        self._buffer = np.empty((3, 0))
 
-    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first ``n`` columns of the distance row and of the power row."""
+    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first ``n`` columns of the distance, power and shadowing rows."""
         if self._buffer.shape[1] < n:
             del self._buffer
-            self._buffer = np.empty((2, n))
-        return self._buffer[0, :n], self._buffer[1, :n]
+            self._buffer = np.empty((3, n))
+        return self._buffer[0, :n], self._buffer[1, :n], self._buffer[2, :n]
 
 
 def _lemire_rejected(low: np.ndarray) -> np.ndarray:
@@ -388,25 +390,35 @@ def _trial_powers(
     Distances and powers are computed on at most ``_CHUNK_POINTS``
     points at a time (or one larger deployment), while every trial's sum,
     maximum and ``k_nearest`` partition is taken on that trial's own slice,
-    so values are bit-identical to the per-trial computation. A trial's
-    shadowing stream is drawn as far as its longest reading view needs; a
-    ``k_nearest`` view reads the stream's first draws. Workers take every
-    ``workers``-th block; results do not depend on ``workers``, which must
-    be an integer of at least 1.
+    so values are bit-identical to the per-trial computation and do not
+    depend on the block or chunk size. A trial's shadowing stream is drawn
+    as far as its longest reading view needs; a ``k_nearest`` view reads
+    the stream's first draws. Workers take every ``workers``-th block;
+    results do not depend on ``workers``, which must be an integer of at
+    least 1.
 
-    The link arithmetic allocates no array of the chunk's size. Each worker
-    owns one :class:`_LinkWorkspace` of two rows, sized to the largest chunk
-    it has seen: a chunk's distances go into the first row, with the chunk's
-    coordinates as scratch, and each view's links, partitioned in place for
+    The link arithmetic allocates no array of the chunk's size for a view
+    that reads every link of the chunk. Each worker owns one
+    :class:`_LinkWorkspace` of three rows, sized to the largest chunk it
+    has seen. A chunk's distances go into the first row, with the chunk's
+    coordinates as scratch. Views are taken one shadowing spec at a time:
+    each trial's draws for the spec go into the third row at the trial's
+    offset in the chunk (``draw_shadowing_db``'s ``out``), so a view that
+    reads every link of every trial in the chunk uses the row as it is,
+    and a view that reads a prefix (``k_nearest``, or fewer trials) gathers
+    its trials' first draws. Each view's links, partitioned in place for
     ``k_nearest``, floored and turned into link power with
-    :func:`received_power`'s ``out``, into the second. Every element sees
-    the operations of the allocating calls in their order, so the values
-    are the same bits.
+    :func:`received_power`'s ``out``, go into the second row. Every element
+    sees the operations of the allocating calls in their order, so the
+    values are the same bits.
     """
     _guard.count(workers=workers)
     processes = [_at_density(rat.spatial_process, density) for density in densities]
     specs = [v.shadowing if v.shadowing is not None and v.shadowing.active else None for v in views]
     shadow_trials = max((v.trials for v, spec in zip(views, specs) if spec), default=0)
+    views_by_spec: dict[ShadowingSpec | None, list[int]] = {}
+    for v, spec in enumerate(specs):
+        views_by_spec.setdefault(spec, []).append(v)
     totals = np.zeros((trials, len(views)))
     maxima = np.zeros((trials, len(views))) if strongest else None
 
@@ -424,7 +436,7 @@ def _trial_powers(
             probe = probes[rows[0]]
         else:
             probe = tuple(np.repeat([probes[r][i] for r in rows], counts) for i in (0, 1))
-        d, power_row = workspace.rows(xs.size)
+        d, power_row, shadow_row = workspace.rows(xs.size)
         distances_to_probe(region, probe, xs, ys, out=d)  # xs and ys become scratch
         del xs, ys, probe
         bounds = np.cumsum([0, *counts]).tolist()
@@ -437,46 +449,47 @@ def _trial_powers(
             ]
             for view in views
         ]
-        draws: dict[ShadowingSpec, list[np.ndarray | None]] = {}
-        for spec in dict.fromkeys(s for s in specs if s):
-            lengths = [max(col) for col in zip(*(m for m, s in zip(links, specs) if s == spec))]
-            draws[spec] = parts = []
-            for r, m in zip(rows, lengths):
-                if m:
-                    gen.bit_generator.state = state_dict(*shadow_states[r])
-                    parts.append(draw_shadowing_db(spec, m, gen))
-                else:
-                    parts.append(None)
-        for v, view in enumerate(views):
-            used = [i for i, m in enumerate(links[v]) if m]
-            if not used:
-                continue
-            view_d = d
-            if view.k_nearest is not None or len(used) < len(rows):
-                # every used trial's links, its k nearest partitioned in place
+        for spec, group in views_by_spec.items():
+            if spec:
+                # each trial's draws, as many as its longest reading view needs, at its offset
+                lengths = [max(col) for col in zip(*(links[v] for v in group))]
+                for r, (lo, _), m in zip(rows, spans, lengths):
+                    if m:
+                        gen.bit_generator.state = state_dict(*shadow_states[r])
+                        draw_shadowing_db(spec, m, gen, out=shadow_row[lo : lo + m])
+            for v in group:
+                view = views[v]
+                used = [i for i, m in enumerate(links[v]) if m]
+                if not used:
+                    continue
+                view_d = d
+                shadow_db = shadow_row[: d.size] if spec else None
+                if view.k_nearest is not None or len(used) < len(rows):
+                    # every used trial's links, its k nearest partitioned in place
+                    a = 0
+                    for i in used:
+                        lo, hi = spans[i]
+                        power_row[a : a + hi - lo] = d[lo:hi]
+                        if links[v][i] < hi - lo:
+                            power_row[a : a + hi - lo].partition(links[v][i] - 1)
+                        a += links[v][i]
+                    view_d = power_row[:a]
+                    if spec:
+                        shadow_db = _joined(
+                            [shadow_row[spans[i][0] : spans[i][0] + links[v][i]] for i in used]
+                        )
+                power = power_row[: view_d.size]
+                floor_m = max(view.model.reference_distance_m, rat.min_link_distance_m)
+                np.maximum(view_d, floor_m, out=power)
+                received_power(rat.transmit_power_w, view.model, power, shadow_db, out=power)
+                del shadow_db
                 a = 0
                 for i in used:
-                    lo, hi = spans[i]
-                    power_row[a : a + hi - lo] = d[lo:hi]
-                    if links[v][i] < hi - lo:
-                        power_row[a : a + hi - lo].partition(links[v][i] - 1)
-                    a += links[v][i]
-                view_d = power_row[:a]
-            power = power_row[: view_d.size]
-            floor_m = max(view.model.reference_distance_m, rat.min_link_distance_m)
-            np.maximum(view_d, floor_m, out=power)
-            shadow_db = None
-            if specs[v]:
-                shadow_db = _joined([draws[specs[v]][i][: links[v][i]] for i in used])
-            received_power(rat.transmit_power_w, view.model, power, shadow_db, out=power)
-            del shadow_db
-            a = 0
-            for i in used:
-                b = a + links[v][i]
-                totals[rows[i], v] = power[a:b].sum()
-                if strongest:
-                    maxima[rows[i], v] = power[a:b].max()
-                a = b
+                    b = a + links[v][i]
+                    totals[rows[i], v] = power[a:b].sum()
+                    if strongest:
+                        maxima[rows[i], v] = power[a:b].max()
+                    a = b
 
     kind = rat.spatial_process.kind  # the deployment substream label, as in sample_process
 

@@ -171,9 +171,25 @@ def received_power(
 
 
 def draw_shadowing_db(
-    spec: ShadowingSpec | None, size: int, rng: np.random.Generator
+    spec: ShadowingSpec | None,
+    size: int,
+    rng: np.random.Generator,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-link shadowing draws in dB; zeros when disabled or unspecified."""
+    """Per-link shadowing draws in dB; zeros when disabled or unspecified.
+
+    The draws are standard normals scaled by sigma in place. That equals
+    ``rng.normal(0.0, sigma, size)`` value for value (numpy adds the 0.0
+    mean, which can only turn a -0.0 draw into 0.0) and leaves the
+    generator in the same state. With ``out`` (float64, ``size`` elements)
+    they are written into ``out`` and nothing is allocated.
+    """
+    if out is None:
+        out = np.empty(size)
     if spec is None or not spec.active:
-        return np.zeros(size)
-    return rng.normal(0.0, spec.sigma_db, size)
+        out.fill(0.0)
+        return out
+    rng.standard_normal(size, out=out)
+    out *= spec.sigma_db
+    return out

@@ -504,7 +504,8 @@ def _run_dp(problem: ScheduleProblem, power_levels: int, state_bound: int, paret
     ``pareto`` the Pareto set over (delivered bits up, relay slots down)
     that minimum-relay-time queries need. States are keyed by their exact
     float values; only the path order rounds bits and energy. Parents are
-    expanded in blocks of at most ``_BLOCK_ROWS`` candidate rows, each
+    expanded in blocks of at most ``_BLOCK_ROWS`` candidate rows (an eighth
+    of that in the last slot, which keeps one row per block), each
     merged into the layer's survivors (a later block holds later parents,
     so the merge keeps action-tuple order), and the problem is rejected as
     soon as a stored layer holds more than ``state_bound`` states; with
@@ -534,6 +535,9 @@ def _run_dp(problem: ScheduleProblem, power_levels: int, state_bound: int, paret
                 f" at slot {k}"
             )
         layers.append(layer._replace(activity=np.unique(layer.activity, return_inverse=True)[1]))
+    # The last slot merges no blocks, so it expands an eighth of a block at a
+    # time: the pick is the same and the working set is an eighth as large.
+    per_block = max(1, _BLOCK_ROWS // 8 // (2 * power_levels + 1))
     prev, picks = layers[-1], []  # activity ranks over one stored layer compare across blocks
     for lo in range(0, prev.bits.size, per_block):
         block = _children(problem, last, prev, slice(lo, lo + per_block), power_levels)

@@ -28,3 +28,18 @@ def source_tree_unchanged():
     )
     if changed:
         pytest.fail(f"tests wrote into the source tree: {changed}")
+
+
+# Trial-kernel block and chunk sizes small enough that a test's few hundred
+# trials cross blocks and its deployments of a few thousand points cross chunks.
+SMALL_BLOCK = 128
+SMALL_CHUNK = 2**11
+
+
+@pytest.fixture
+def small_kernel(monkeypatch):
+    """Run the crowd kernel with ``SMALL_BLOCK`` trials per block and ``SMALL_CHUNK`` points."""
+    from crowdharvest import harvest
+
+    monkeypatch.setattr(harvest, "_TRIAL_BLOCK", SMALL_BLOCK)
+    monkeypatch.setattr(harvest, "_CHUNK_POINTS", SMALL_CHUNK)

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from crowdharvest import geometry
 from crowdharvest.errors import IngestionError, InvalidParameterError
+from crowdharvest.rng import substream
 from crowdharvest.scenario import ingest_locations_csv
 
 REGION = geometry.Region(7745.966692414834, 7745.966692414834)  # 60 km^2
@@ -16,6 +17,26 @@ REGION = geometry.Region(7745.966692414834, 7745.966692414834)  # 60 km^2
 def rayleigh_cdf(x, density_per_m2):
     scale = geometry.rayleigh_scale_for_density(density_per_m2)
     return 1.0 - np.exp(-np.square(x) / (2.0 * scale**2))
+
+
+@pytest.mark.parametrize("mean", [0.0, 0.3, 9.99, 10.0, 300.0, 5000.0])
+@pytest.mark.parametrize(
+    "region",
+    [geometry.Region(3000.0, 2000.0),
+     geometry.Region(3000.0, 2000.0, boundary="guard", guard_margin_m=400.0)],
+    ids=["toroidal", "guard"],
+)
+def test_ppp_draw_is_poisson_then_two_uniforms(mean, region):
+    # numpy draws a Poisson mean below 10 by multiplication and from 10 by PTRS
+    density = mean / region.area_km2
+    rng, reference = substream(5, "ppp-pin"), substream(5, "ppp-pin")
+    xs, ys = geometry._draw_points(rng, geometry.PoissonProcess(), density, region)
+    n = int(reference.poisson(density * region.area_km2))
+    expected_xs = reference.uniform(0.0, region.width_m, n)
+    expected_ys = reference.uniform(0.0, region.height_m, n)
+    assert xs.tobytes() == expected_xs.tobytes() and ys.tobytes() == expected_ys.tobytes()
+    assert xs.dtype == ys.dtype == np.float64 and xs.size == ys.size == n
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestRegion:

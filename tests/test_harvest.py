@@ -11,6 +11,7 @@ from crowdharvest.propagation import (
     winner_urban_nlos_model,
 )
 from crowdharvest.rng import substream
+from conftest import SMALL_BLOCK, SMALL_CHUNK
 
 REGION = geometry.Region(7745.966692414834, 7745.966692414834)
 MACRO = harvest.RatProfile(
@@ -265,17 +266,17 @@ ORACLE_CASES = {
     ),
     # about 6 and 12 transmitters per deployment, fewer than k_nearest
     "k-above-count": (MACRO, [1.5, 3.0], geometry.Region(2000.0, 2000.0), 40, 0),
-    # 135 trials per grid point: the 270 trials span three blocks of the kernel
-    "block-crossing": (
-        MACRO, [1.5, 3.0], geometry.Region(2000.0, 2000.0), 5, harvest._TRIAL_BLOCK
-    ),
+    # 135 trials per grid point: the 270 trials span three blocks of the small kernel
+    "block-crossing": (MACRO, [1.5, 3.0], geometry.Region(2000.0, 2000.0), 5, SMALL_BLOCK),
 }
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_crowd_sweep_matches_per_curve_reference(case, workers):
+def test_crowd_sweep_matches_per_curve_reference(case, workers, request):
     rat, grid, region, k, extra = ORACLE_CASES[case]
+    if extra:
+        request.getfixturevalue("small_kernel")
     los = free_space_model(rat.carrier_frequency_hz)
     nlos = winner_urban_nlos_model(rat.carrier_frequency_hz)
     views = [
@@ -289,9 +290,11 @@ def test_crowd_sweep_matches_per_curve_reference(case, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_link_workspace_grows_mid_sweep_and_serves_smaller_chunks(monkeypatch, workers):
+def test_link_workspace_grows_mid_sweep_and_serves_smaller_chunks(
+    monkeypatch, small_kernel, workers
+):
     # Wi-Fi on 3 km^2: about 900, 2070 and 450 points per deployment, so the
-    # middle grid point straddles _CHUNK_POINTS and the last one is smaller
+    # middle grid point straddles SMALL_CHUNK and the last one is smaller
     region = geometry.Region(2000.0, 1500.0)
     grid, seed = [300.0, 690.0, 150.0], 31
     nlos = winner_urban_nlos_model(WIFI.carrier_frequency_hz)
@@ -313,7 +316,7 @@ def test_link_workspace_grows_mid_sweep_and_serves_smaller_chunks(monkeypatch, w
     curves = harvest.crowd_sweep(WIFI, grid, views, seed, region=region, workers=workers)
     monkeypatch.undo()
     held = [h for _, h in widths]
-    assert max(n for n, _ in widths) > harvest._CHUNK_POINTS
+    assert max(n for n, _ in widths) > SMALL_CHUNK
     assert len(set(held)) > 2  # the buffer grew more than once
     assert any(n < h for n, h in widths[held.index(max(held)):])
     assert curves == tuple(per_curve_sweep(WIFI, grid, view, seed, region) for view in views)
@@ -379,9 +382,9 @@ def test_views_compute_only_the_links_they_read(monkeypatch):
         received["short" if model is LOS else "long_k"] += d.size
         return received_power(p_tx_w, model, d, shadow_db, out=out)
 
-    def counting_shadowing(spec, size, rng):
+    def counting_shadowing(spec, size, rng, *, out=None):
         shadow_sizes.append(size)
-        return draw_shadowing_db(spec, size, rng)
+        return draw_shadowing_db(spec, size, rng, out=out)
 
     monkeypatch.setattr(harvest, "received_power", counting_power)
     monkeypatch.setattr(harvest, "draw_shadowing_db", counting_shadowing)
@@ -458,25 +461,25 @@ SHARE_CASES = {
     "femto-guard": (
         FEMTO, 60.0, geometry.Region(3000.0, 2000.0, boundary="guard", guard_margin_m=400.0)
     ),
-    # 4,000 transmitters per deployment, more than one chunk holds
+    # 4,000 transmitters per deployment, more than one small chunk holds
     "wifi-dense": (WIFI, 1000.0, geometry.Region(2000.0, 2000.0)),
 }
 
 
 @pytest.mark.parametrize("shadowing", [ShadowingSpec(8.0), None], ids=["shadowed", "unshadowed"])
 @pytest.mark.parametrize("case", sorted(SHARE_CASES))
-def test_nearest_share_study_matches_per_draw_reference(case, shadowing):
+def test_nearest_share_study_matches_per_draw_reference(small_kernel, case, shadowing):
     rat, density, region = SHARE_CASES[case]
     model = winner_urban_nlos_model(rat.carrier_frequency_hz)
-    for draws, seed in ((harvest._TRIAL_BLOCK - 1, 3), (harvest._TRIAL_BLOCK + 1, 4)):
+    for draws, seed in ((SMALL_BLOCK - 1, 3), (SMALL_BLOCK + 1, 4)):
         got = harvest.nearest_share_study(
             rat, density, model, draws, seed, region=region, shadowing=shadowing
         )
         assert got == per_draw_share(rat, density, model, draws, seed, region, shadowing)
 
 
-def test_nearest_share_study_workers_do_not_change_results():
-    args = (MACRO, 5.0, NLOS, 2 * harvest._TRIAL_BLOCK + 1, 11)
+def test_nearest_share_study_workers_do_not_change_results(small_kernel):
+    args = (MACRO, 5.0, NLOS, 2 * SMALL_BLOCK + 1, 11)
     kwargs = dict(region=REGION, shadowing=ShadowingSpec(8.0))
     seq = harvest.nearest_share_study(*args, **kwargs, workers=1)
     assert harvest.nearest_share_study(*args, **kwargs, workers=2) == seq

@@ -101,10 +101,29 @@ def test_shadowing_lognormal_moment():
     assert np.mean(linear) == pytest.approx(expected, rel=0.01)
 
 
+@pytest.mark.parametrize("sigma", [0.5, 8.0])
+@pytest.mark.parametrize("size", [0, 1, 1000])
+def test_shadowing_into_a_buffer_equals_normal(sigma, size):
+    # the crowd kernel draws into a slice of its workspace row; the reference is numpy's normal
+    rng, reference = substream(7, "shadow-pin"), substream(7, "shadow-pin")
+    row = np.full(size + 5, np.nan)
+    out = row[3 : 3 + size]
+    got = prop.draw_shadowing_db(prop.ShadowingSpec(sigma), size, rng, out=out)
+    expected = reference.normal(0.0, sigma, size)
+    assert got is out and got.tobytes() == expected.tobytes()
+    assert np.isnan(row[:3]).all() and np.isnan(row[3 + size :]).all()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    alone = prop.draw_shadowing_db(prop.ShadowingSpec(sigma), size, substream(7, "shadow-pin"))
+    assert alone.tobytes() == expected.tobytes()
+
+
 def test_shadowing_disabled_is_zero():
     rng = substream(1, "x")
     assert np.all(prop.draw_shadowing_db(prop.ShadowingSpec(8.0, enabled=False), 10, rng) == 0)
     assert np.all(prop.draw_shadowing_db(None, 10, rng) == 0)
+    out = np.full(4, np.nan)
+    assert prop.draw_shadowing_db(None, 4, rng, out=out) is out and np.all(out == 0)
+    assert rng.bit_generator.state == substream(1, "x").bit_generator.state
 
 
 @given(

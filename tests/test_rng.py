@@ -7,6 +7,7 @@ from crowdharvest import geometry, harvest, rng
 from crowdharvest.errors import SimulationError
 from crowdharvest.propagation import ShadowingSpec, winner_urban_nlos_model
 from crowdharvest.rng import state_dict, substream, substream_columns
+from conftest import SMALL_BLOCK
 
 SMALL = geometry.Region(2000.0, 2000.0)
 GUARD = geometry.Region(3000.0, 2000.0, boundary="guard", guard_margin_m=400.0)
@@ -136,9 +137,9 @@ def test_changed_draw_formula_raises(monkeypatch):
         harvest.nearest_share_study(MACRO, 5.0, NLOS, 10, 3, region=SMALL)
 
 
-def test_forced_lemire_rejections_change_nothing(monkeypatch):
+def test_forced_lemire_rejections_change_nothing(monkeypatch, small_kernel):
     views = [harvest.SweepView(NLOS, 150, ShadowingSpec(8.0)), harvest.SweepView(NLOS, 90, None, 3)]
-    draws = 2 * harvest._TRIAL_BLOCK + 3
+    draws = 2 * SMALL_BLOCK + 3
 
     def crowd_results():
         sweep = harvest.crowd_sweep(MACRO, [1.0, 5.0], views, 5, region=GUARD)

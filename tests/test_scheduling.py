@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -692,6 +693,44 @@ def test_six_slots_at_eight_levels_solve_at_the_default_bound():
     optimal = sched.offline_optimal(p, 8)
     sched.validate_schedule(p, optimal)
     assert optimal.objective_value > 0
+
+
+def test_five_slots_at_eight_levels_peak_below_one_full_last_slot_block():
+    # the last slot's 565k candidate rows in one block held about 87 MB of
+    # arrays at once; expanded an eighth of a block at a time, about 23 MB
+    p = wide_problem(5, 903, 0)
+    tracemalloc.start()
+    try:
+        optimal = sched.offline_optimal(p, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sched.validate_schedule(p, optimal)
+    assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize("pareto", [False, True], ids=["offline_optimal", "min_relay_time"])
+def test_last_slot_expands_an_eighth_of_a_block_at_a_time(pareto):
+    # 80 parents per block of 3-level candidates, and 10 in the last slot,
+    # which keeps one row per block and merges none
+    levels, block_rows = 3, 8 * 7 * 10
+    p = five_slot_problem(1)
+    expected = run_dp(p, levels, pareto)
+    parents = {}  # slot -> parents of each _children call, in call order
+    children = sched._children
+
+    def recording_children(problem, k, prev, rows, power_levels):
+        parents.setdefault(k, []).append(len(range(prev.bits.size)[rows]))
+        return children(problem, k, prev, rows, power_levels)
+
+    with mock.patch.object(sched, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(sched, "_children", recording_children):
+        layers = run_dp(p, levels, pareto)
+    assert_layers_equal(layers, expected)
+    assert parents[3] == [80, 145 - 80]  # a stored slot: full blocks
+    last = parents[p.slot_count - 1]
+    assert sum(last) == expected[-2].bits.size > 80
+    assert last == [10] * (len(last) - 1) + [last[-1]] and 0 < last[-1] <= 10
 
 
 def reference_survivors(layer, pareto):

@@ -10,7 +10,10 @@ In a temporary directory, under ``sys.setprofile`` and
 
 * every ``crowdharvest`` command on the default config at small trial
   counts, the file-input forms included (``--config``, ``deploy
-  --from-csv``, ``schedule solve --problem``, ``collab --trace``);
+  --from-csv``, ``schedule solve --problem``, ``collab --trace``), and
+  then every command again with ``--config`` naming a perturbed copy of
+  that config, in which every numeric field has moved inside its valid
+  range;
 * the acceptance gates, ``tests/test_acceptance.py``;
 * one pass of each benchmark workload of ``perfbench/workloads.py``: its
   recorded digests are only read, and its output goes to the temporary
@@ -22,7 +25,9 @@ After that it prints each defaulted parameter (``file:line
 qualified.name(parameter)``) and each dataclass field with a default
 (``file:line Class.field``) that every entered call left at its default
 value, and a count; the parameters of a function that was never entered
-are not listed, since the function already is. Three commands run into
+are not listed, since the function already is. A value that a command
+reads from the config counts as set, since the perturbed run sets it.
+Three commands run into
 the documented failure exits, 3 (infeasible demand) and 4 (a malformed
 input file, a value out of range). The tool exits 1 if a command exits
 with another code or a gate or a workload op fails, since the lists
@@ -171,6 +176,65 @@ def is_default(value, default) -> bool:
         return False
 
 
+def numeric_fields(value, path=()):
+    """``(path, number)`` of every int or float field in a tree of dataclasses and tuples."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from numeric_fields(getattr(value, field.name), path + (field.name,))
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from numeric_fields(item, path + (i,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, value
+
+
+def with_field(value, path, new):
+    """``value`` with the field at ``path`` replaced, every level rebuilt and so checked."""
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, tuple):
+        return value[:head] + (with_field(value[head], rest, new),) + value[head + 1:]
+    return replace(value, **{head: with_field(getattr(value, head), rest, new)})
+
+
+def perturbed(config):
+    """``config`` with every numeric field moved inside its valid range.
+
+    An int moves by one, a float by 10% (a zero to 0.01), up if the config
+    and its document reader accept that, else down; a field that accepts
+    neither keeps its value.
+    """
+    from crowdharvest import scenario
+    from crowdharvest.errors import SimulationError
+
+    for path, value in list(numeric_fields(config)):
+        if isinstance(value, int):
+            moves = [value + 1, value - 1]
+        else:
+            moves = [value * 1.1, value * 0.9] if value else [0.01]
+        for new in moves:
+            try:
+                candidate = with_field(config, path, new)
+                scenario.config_from_dict(scenario.config_to_dict(candidate))
+            except SimulationError:
+                continue
+            config = candidate
+            break
+    return config
+
+
+@contextlib.contextmanager
+def unprofiled():
+    """No profile in this thread, so that the tool's own calls set no parameter."""
+    profile = sys.getprofile()
+    sys.setprofile(None)
+    try:
+        yield
+    finally:
+        sys.setprofile(profile)
+
+
 def run_commands(failures: list[str]) -> None:
     from crowdharvest import cli, scenario
 
@@ -180,8 +244,16 @@ def run_commands(failures: list[str]) -> None:
     config = scenario.load_config(ROOT / "configs" / "london.yaml")
     small = replace(config, case_study=replace(
         config.case_study, scaling_trials=20, nearest_share_draws=200))
-    scenario.save_config(small, Path("small.yaml"))
-    for argv, expected in COMMANDS:
+    with unprofiled():
+        scenario.save_config(small, Path("small.yaml"))
+        scenario.save_config(perturbed(small), Path("perturbed.yaml"))
+    # every command on the default config, then on the perturbed one
+    runs = COMMANDS + [
+        ([a if a != "small.yaml" else "perturbed.yaml" for a in argv]
+         + ([] if "--config" in argv else ["--config", "perturbed.yaml"]), expected)
+        for argv, expected in COMMANDS
+    ]
+    for argv, expected in runs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
         if code != expected:
