@@ -160,6 +160,19 @@ def _at_density(
     return spec, spec.density_per_km2
 
 
+def _wrap(values: np.ndarray, period: float) -> None:
+    """Replace ``values`` by ``np.mod(values, period)``, byte for byte, in place.
+
+    ``period`` is positive and finite. ``np.mod`` is ``fmod`` plus the
+    period where that is negative, with a zero result made +0.0; the
+    last ``+= 0.0`` turns fmod's -0.0 into that +0.0. Spelt out, it
+    avoids ``np.mod``'s slower per-element loop.
+    """
+    np.fmod(values, period, out=values)
+    np.add(values, period, out=values, where=values < 0)
+    values += 0.0
+
+
 def _draw_points(
     rng: np.random.Generator, process: SpatialProcess, density_per_km2: float, region: Region
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -192,8 +205,8 @@ def _draw_points(
     xs = np.repeat(pxs, n_children) + rng.normal(0.0, process.spread_m, total)
     ys = np.repeat(pys, n_children) + rng.normal(0.0, process.spread_m, total)
     if region.boundary == "toroidal":
-        xs = np.mod(xs, region.width_m)
-        ys = np.mod(ys, region.height_m)
+        _wrap(xs, region.width_m)
+        _wrap(ys, region.height_m)
     else:
         keep = region.contains(xs, ys)
         xs, ys = xs[keep], ys[keep]

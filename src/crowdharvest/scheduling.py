@@ -24,9 +24,9 @@ lower spent energy, then earlier activity, then the lower action-id tuple.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import asdict, astuple, dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -155,18 +155,24 @@ def _markov_path(process: MarkovArrivals, k: int, rng: np.random.Generator) -> l
     """Energy-state index of each of k slots, starting in the first state.
 
     Consumes one uniform draw per slot; state i + 1 is the first state
-    whose cumulative transition probability from state i exceeds draw i.
-    Draws are taken a chunk at a time, which yields the same numbers as
-    one call for all k and keeps few of them alive as Python floats.
+    whose cumulative transition probability from state i exceeds draw i
+    (the last state if none does). Draws are taken a chunk at a time,
+    which yields the same numbers as one call for all k. For each chunk,
+    one ``searchsorted`` per energy state tabulates the next state of
+    every draw from that state, making the comparisons ``bisect_right``
+    would; the path then walks the table with one lookup per slot.
     """
-    cum = np.cumsum(process.matrix, axis=1).tolist()
+    cum = np.cumsum(process.matrix, axis=1)
     last = len(process.states_j) - 1
     path: list[int] = []
     state = 0
     for start in range(0, k, _PATH_CHUNK):
-        for u in rng.random(min(_PATH_CHUNK, k - start)).tolist():
+        u = rng.random(min(_PATH_CHUNK, k - start))
+        table = [np.minimum(np.searchsorted(row, u, side="right"), last).tolist()
+                 for row in cum]
+        for i in range(u.size):
             path.append(state)
-            state = min(bisect.bisect_right(cum[state], u), last)
+            state = table[state][i]
     return path
 
 
@@ -847,6 +853,11 @@ class BatteryMdp:
     def n_states(self) -> int:
         return self.battery_buckets * len(self.arrivals.states_j)
 
+    @cached_property
+    def _arrays(self) -> "_MdpArrays":
+        """The model's transition arrays, built on first use and shared by every solver."""
+        return _MdpArrays.build(self)
+
     def reward(self, action: int) -> float:
         return self.reward_scale * math.log2(
             1.0 + self.spend_levels_j[action] * self.snr_per_joule
@@ -931,15 +942,19 @@ class _MdpArrays:
     """Compact transition description of a BatteryMdp, built with numpy.
 
     States are flat, ``s = battery_bucket * n_energy + energy_state``.
-    Action ``a`` in state ``s`` moves to state ``nxt[a, s, j]`` with
-    probability ``prob[s, j]``, one entry per next energy state ``j``,
+    Action ``a`` in state ``s`` moves to state ``nxt[j, a, s]`` with
+    probability ``prob[j, 0, s]``, one entry per next energy state ``j``,
     and earns ``rewards[a]``; ``feasible[a, s]`` marks the actions the
     battery covers. Infeasible actions point at in-range states, so
-    gathers need no masking; their values are never chosen.
+    gathers need no masking; their values are never chosen. The next
+    energy state comes first, so an expectation adds one contiguous
+    (action, state) plane per energy state. Every array is read-only:
+    a model builds its arrays once (``BatteryMdp._arrays``) and every
+    solver shares them.
     """
 
-    nxt: np.ndarray  # (actions, states, energy states) next-state index
-    prob: np.ndarray  # (states, energy states)
+    nxt: np.ndarray  # (energy states, actions, states) next-state index
+    prob: np.ndarray  # (energy states, 1, states)
     rewards: np.ndarray  # (actions,)
     feasible: np.ndarray  # (actions, states) bool
 
@@ -950,17 +965,24 @@ class _MdpArrays:
         spend_units = np.array([round(s / mdp.bucket_j) for s in mdp.spend_levels_j])
         arrive_units = np.array([round(e / mdp.bucket_j) for e in mdp.arrivals.states_j])
         left = buckets - spend_units[:, None]
-        b_next = np.clip(left[:, :, None] + arrive_units, 0, mdp.battery_buckets - 1)
-        return _MdpArrays(
-            nxt=b_next * n_e + np.arange(n_e),
-            prob=np.tile(mdp.arrivals.matrix, (mdp.battery_buckets, 1)),
+        b_next = np.clip(left + arrive_units[:, None, None], 0, mdp.battery_buckets - 1)
+        arrays = _MdpArrays(
+            nxt=b_next * n_e + np.arange(n_e)[:, None, None],
+            prob=np.tile(mdp.arrivals.matrix.T, mdp.battery_buckets)[:, None, :],
             rewards=np.array([mdp.reward(a) for a in range(len(mdp.spend_levels_j))]),
             feasible=np.repeat(_feasible_spends(mdp), n_e, axis=1),
         )
+        for array in vars(arrays).values():
+            array.flags.writeable = False
+        return arrays
 
     def expected(self, v: np.ndarray) -> np.ndarray:
-        """E[v(next state)] for every (action, state) pair."""
-        return (self.prob * v[self.nxt]).sum(-1)
+        """E[v(next state)] for every (action, state) pair.
+
+        The terms are added in next-energy-state order. Below 8 energy
+        states that is also the order of a pairwise sum over them.
+        """
+        return np.add.reduce(self.prob * v[self.nxt], axis=0)
 
 
 def _policy_tables(arrays: _MdpArrays, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -968,7 +990,7 @@ def _policy_tables(arrays: _MdpArrays, actions: np.ndarray) -> tuple[np.ndarray,
     chosen = np.asarray(actions).ravel()
     states = np.arange(chosen.size)
     p = np.zeros((chosen.size, chosen.size))
-    p[states[:, None], arrays.nxt[chosen, states]] = arrays.prob
+    p[states, arrays.nxt[:, chosen, states]] = arrays.prob[:, 0]
     return p, arrays.rewards[chosen]
 
 
@@ -999,7 +1021,8 @@ def _evaluate_average_reward(p: np.ndarray, r: np.ndarray) -> tuple[float, np.nd
 
 def mdp_policy_iteration(mdp: BatteryMdp, max_iterations: int = 1000) -> Policy:
     """Average-reward policy iteration run until the policy is stable."""
-    arrays = _MdpArrays.build(mdp)
+    _guard.count(max_iterations=max_iterations)
+    arrays = mdp._arrays
     shape = (mdp.battery_buckets, len(mdp.arrivals.states_j))
     states = np.arange(mdp.n_states)
     # myopic start: the first feasible action of highest reward
@@ -1023,25 +1046,43 @@ def mdp_policy_iteration(mdp: BatteryMdp, max_iterations: int = 1000) -> Policy:
     raise DegenerateModelError("policy iteration did not stabilise")
 
 
+# Sweeps of value iteration between two span checks.
+_VI_BLOCK = 48
+
+
 def value_iteration_gain(
     mdp: BatteryMdp, span_tol: float = 1e-9, max_iterations: int = 200_000
 ) -> float:
     """Average reward via relative value iteration (independent solver).
 
     A half-step damping makes the update aperiodic; the gain is the
-    midpoint of the Bellman-residual span once the span collapses.
+    midpoint of the Bellman-residual span ``tv - v`` once the span
+    collapses below ``span_tol``. Each sweep stores its residual as one
+    row of a block; the spans are checked once per block, and the gain
+    comes from the first sweep whose span is below the tolerance, as a
+    check after every sweep would find it. At most one block of sweeps
+    runs past that sweep, and no more than ``max_iterations`` run.
     """
-    arrays = _MdpArrays.build(mdp)
+    _guard.positive(span_tol=span_tol)
+    _guard.count(max_iterations=max_iterations)
+    arrays = mdp._arrays
     rewards = np.where(arrays.feasible, arrays.rewards[:, None], -np.inf)
     v = np.zeros(mdp.n_states)
-    for _ in range(max_iterations):
-        tv = (rewards + arrays.expected(v)).max(axis=0)
-        diff = tv - v
-        span = float(diff.max() - diff.min())
-        if span < span_tol:
-            return float((diff.max() + diff.min()) / 2.0)
-        v = 0.5 * v + 0.5 * tv
-        v -= v[0]
+    diffs = np.empty((_VI_BLOCK, mdp.n_states))
+    for start in range(0, max_iterations, _VI_BLOCK):
+        block = diffs[: min(_VI_BLOCK, max_iterations - start)]
+        for diff in block:
+            tv = np.maximum.reduce(rewards + arrays.expected(v), axis=0)
+            np.subtract(tv, v, out=diff)
+            v *= 0.5
+            tv *= 0.5
+            v += tv
+            v -= v[0]
+        hi, lo = block.max(axis=1), block.min(axis=1)
+        converged = np.flatnonzero(hi - lo < span_tol)
+        if converged.size:
+            first = converged[0]
+            return float((hi[first] + lo[first]) / 2.0)
     raise DegenerateModelError("value iteration did not converge")
 
 
@@ -1067,7 +1108,7 @@ def threshold_policy(
     transmit = allowed.any(axis=0) & (held_j + 1e-12 >= theta_j) & (held_j > 0)
     chosen = np.where(transmit, largest, mdp.spend_levels_j.index(0.0))
     actions = np.repeat(chosen[:, None], len(mdp.arrivals.states_j), axis=1)
-    p, r = _policy_tables(_MdpArrays.build(mdp), actions)
+    p, r = _policy_tables(mdp._arrays, actions)
     return Policy(mdp, actions, _evaluate_average_reward(p, r)[0])
 
 
@@ -1090,7 +1131,7 @@ def evaluate_policy(
     _guard.count(horizon=horizon)
     mdp = policy.mdp
     if exact:
-        p, r = _policy_tables(_MdpArrays.build(mdp), policy.actions)
+        p, r = _policy_tables(mdp._arrays, policy.actions)
         return _evaluate_average_reward(p, r)[0]
     # the stream simulate_arrivals draws from, so the trace is the same
     path = _markov_path(mdp.arrivals, horizon, substream(seed, "arrivals"))

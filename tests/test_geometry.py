@@ -128,6 +128,20 @@ class TestSampleClustered:
         assert wide < 0.03
         assert tight > 5.0 * wide
 
+    @pytest.mark.parametrize("period", [REGION.width_m, 2000.0, 1.0, 0.3])
+    def test_offspring_wrap_is_np_mod_byte_for_byte(self, period):
+        w = period
+        edges = np.array([0.0, -0.0, w, -w, 2 * w, -2 * w, np.nextafter(w, 0),
+                          -np.nextafter(w, 0), 1e308, -1e308, 5e-324, -5e-324,
+                          2.2e-308, -2.2e-308, -1e-300, math.nan, -math.nan])
+        normals = substream(7, "wrap").normal(0.0, 3 * w, 1_000_000)
+        for values in (edges, normals):
+            with np.errstate(invalid="ignore"):
+                want = np.mod(values, w)
+            got = values.copy()
+            geometry._wrap(got, w)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestNthNearestPdf:
     def test_analytic_value(self):

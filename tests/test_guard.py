@@ -42,7 +42,9 @@ from crowdharvest.scheduling import (
     MarkovArrivals,
     combined_mode_controller,
     directional_water_fill,
+    mdp_policy_iteration,
     simulate_arrivals,
+    value_iteration_gain,
 )
 from crowdharvest.swipt import LinkState
 
@@ -55,6 +57,7 @@ NODE = NodeState(0.0, 10.0, BernoulliArrivals(0.3, 2.0), 1.0)
 PARAMS = CollabParams(0.5, 8.0, 1.0)
 DESK = LinkState(1e-3, 1e-3, 1e-9, 1.0)
 CHAIN = MarkovArrivals((0.0, 1.0), ((0.5, 0.5), (0.5, 0.5)))
+MDP = BatteryMdp(CHAIN, 4, 1.0, (0.0, 1.0), 1.0)
 
 # Each of these was accepted before (most returned or stored NaN or inf), or
 # failed only inside numpy with a bare ValueError.
@@ -103,6 +106,17 @@ REJECTED = {
     "BernoulliArrivals p 1.5": lambda: BernoulliArrivals(1.5, 1.0),
     "simulate_arrivals k -1": lambda: simulate_arrivals(BernoulliArrivals(0.3, 2.0), -1, 0),
     "BatteryMdp bucket nan": lambda: BatteryMdp(CHAIN, 4, NAN, (0.0, 1.0), 1.0),
+    "value_iteration_gain span_tol nan": lambda: value_iteration_gain(MDP, span_tol=NAN),
+    "value_iteration_gain span_tol -1e-9": lambda: value_iteration_gain(MDP, span_tol=-1e-9),
+    "value_iteration_gain span_tol 0": lambda: value_iteration_gain(MDP, span_tol=0.0),
+    "value_iteration_gain max_iterations 1.5": lambda: value_iteration_gain(
+        MDP, max_iterations=1.5),
+    "value_iteration_gain max_iterations 0": lambda: value_iteration_gain(
+        MDP, max_iterations=0),
+    "mdp_policy_iteration max_iterations 0": lambda: mdp_policy_iteration(
+        MDP, max_iterations=0),
+    "mdp_policy_iteration max_iterations 1.5": lambda: mdp_policy_iteration(
+        MDP, max_iterations=1.5),
     "directional_water_fill slot duration nan": lambda: directional_water_fill(
         np.ones(3), np.ones(3), 1.0, slot_duration_s=NAN),
     "traffic_correlation_kernel correlation distance 0": lambda: traffic_correlation_kernel(

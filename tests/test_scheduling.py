@@ -1,3 +1,4 @@
+import bisect
 import contextlib
 import hashlib
 import json
@@ -1157,11 +1158,171 @@ class TestMdpArrays:
                 assert np.flatnonzero(arrays.feasible[:, s]).tolist() == feasible
                 for a in feasible:
                     row = np.zeros(mdp.n_states)
-                    np.add.at(row, arrays.nxt[a, s], arrays.prob[s])
+                    np.add.at(row, arrays.nxt[:, a, s], arrays.prob[:, 0, s])
                     assert np.array_equal(row, self.transition_row(mdp, b, e, a))
         assert arrays.rewards.tolist() == [
             mdp.reward(a) for a in range(len(mdp.spend_levels_j))
         ]
+
+
+# ---------------------------------------------------------------------------
+# The MDP kernel against the code it replaced, kept here as references.
+
+
+def reference_arrays(mdp):
+    """``(nxt, prob)`` in the earlier layout: next state ``nxt[a, s, j]``
+    with probability ``prob[s, j]`` for next energy state ``j``."""
+    n_e = len(mdp.arrivals.states_j)
+    buckets = np.repeat(np.arange(mdp.battery_buckets), n_e)
+    spend_units = np.array([round(s / mdp.bucket_j) for s in mdp.spend_levels_j])
+    arrive_units = np.array([round(e / mdp.bucket_j) for e in mdp.arrivals.states_j])
+    left = buckets - spend_units[:, None]
+    b_next = np.clip(left[:, :, None] + arrive_units, 0, mdp.battery_buckets - 1)
+    return b_next * n_e + np.arange(n_e), np.tile(mdp.arrivals.matrix, (mdp.battery_buckets, 1))
+
+
+def reference_value_iteration(mdp, span_tol=1e-9, max_iterations=200_000):
+    """The loop that checks the span after every sweep: ``(gain, sweeps)``,
+    or None where it raises after ``max_iterations`` sweeps."""
+    nxt, prob = reference_arrays(mdp)
+    n_e = len(mdp.arrivals.states_j)
+    feasible = np.repeat(sched._feasible_spends(mdp), n_e, axis=1)
+    rewards = np.array([mdp.reward(a) for a in range(len(mdp.spend_levels_j))])
+    rewards = np.where(feasible, rewards[:, None], -np.inf)
+    v = np.zeros(mdp.n_states)
+    for sweep in range(1, max_iterations + 1):
+        tv = (rewards + (prob * v[nxt]).sum(-1)).max(axis=0)
+        diff = tv - v
+        span = float(diff.max() - diff.min())
+        if span < span_tol:
+            return float((diff.max() + diff.min()) / 2.0), sweep
+        v = 0.5 * v + 0.5 * tv
+        v -= v[0]
+    return None
+
+
+def reference_markov_path(process, k, rng):
+    """One ``bisect_right`` per slot on the cumulative rows."""
+    cum = np.cumsum(process.matrix, axis=1).tolist()
+    last = len(process.states_j) - 1
+    path = []
+    state = 0
+    for start in range(0, k, sched._PATH_CHUNK):
+        for u in rng.random(min(sched._PATH_CHUNK, k - start)).tolist():
+            path.append(state)
+            state = min(bisect.bisect_right(cum[state], u), last)
+    return path
+
+
+@st.composite
+def small_mdps(draw):
+    """Models of 1-7 energy states whose transition rows hold zeros."""
+    n_e = draw(st.integers(1, 7))
+    weights = st.lists(st.integers(0, 3), min_size=n_e, max_size=n_e).filter(any)
+    rows = tuple(tuple(w / sum(row) for w in row)
+                 for row in draw(st.lists(weights, min_size=n_e, max_size=n_e)))
+    states = tuple(float(draw(st.integers(0, 3))) for _ in range(n_e))
+    spends = (0.0,) + tuple(float(s) for s in sorted(draw(st.sets(st.integers(1, 4)))))
+    return sched.BatteryMdp(sched.MarkovArrivals(states, rows), draw(st.integers(2, 6)),
+                            1.0, spends, 2.0)
+
+
+class TestMdpKernelReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_expected_matches_the_last_axis_sum(self, data):
+        mdp = data.draw(small_mdps())
+        v = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=mdp.n_states,
+                                        max_size=mdp.n_states)))
+        nxt, prob = reference_arrays(mdp)
+        arrays = mdp._arrays
+        assert np.array_equal(np.moveaxis(arrays.nxt, 0, -1), nxt)
+        assert np.array_equal(arrays.prob[:, 0].T, prob)
+        assert arrays.expected(v).tobytes() == (prob * v[nxt]).sum(-1).tobytes()
+
+    MODELS = {"desk16": desk_mdp(16), "desk32": desk_mdp(32), "shared_energy": SHARED_ENERGY_MDP}
+    CONVERGED = {}
+
+    def converged(self, name):
+        """The reference's gain and converging sweep n, computed once per model."""
+        if name not in self.CONVERGED:
+            self.CONVERGED[name] = reference_value_iteration(self.MODELS[name])
+        return self.CONVERGED[name]
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("place", ["as-built", "first-row", "last-row"])
+    def test_value_iteration_matches_the_per_sweep_loop(self, name, place, monkeypatch):
+        mdp = self.MODELS[name]
+        gain, n = self.converged(name)
+        assert n > 2
+        # n - 1 rows per block put sweep n first in the second block; n rows put it last
+        block = {"as-built": sched._VI_BLOCK, "first-row": n - 1, "last-row": n}[place]
+        monkeypatch.setattr(sched, "_VI_BLOCK", block)
+        with pytest.raises(DegenerateModelError):
+            sched.value_iteration_gain(mdp, span_tol=1e-9, max_iterations=n - 1)
+        assert reference_value_iteration(mdp, max_iterations=n - 1) is None
+        for cap in (n, n + 1):
+            assert sched.value_iteration_gain(mdp, span_tol=1e-9, max_iterations=cap) == gain
+
+    CHAINS = {
+        "one": sched.MarkovArrivals((1.0,), ((1.0,),)),
+        "flip": sched.MarkovArrivals((0.0, 2.0), ((0.0, 1.0), (1.0, 0.0))),
+        "shared_energy": SHARED_ENERGY_MDP.arrivals,
+        "short_row": sched.MarkovArrivals(
+            (0.0, 1.0, 2.0, 3.0),
+            ((0.1, 0.2, 0.3, 0.4 - 5e-10), (0.25, 0.25, 0.25, 0.25),
+             (0.0, 0.0, 0.5, 0.5), (1.0, 0.0, 0.0, 0.0))),
+        "five": sched.MarkovArrivals(
+            (0.0, 1.0, 2.0, 3.0, 4.0),
+            ((0.2, 0.0, 0.3, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0), (0.3, 0.3, 0.4, 0.0, 0.0),
+             (0.1, 0.1, 0.1, 0.1, 0.6), (0.0, 0.9, 0.0, 0.1, 0.0))),
+    }
+
+    class TieDraws:
+        """Uniform draws, half of them replaced by a chain's cumulative
+        sums, their float neighbours and values above a short row's total,
+        so that ties and the clip to the last state occur."""
+
+        def __init__(self, chain, seed):
+            cum = np.cumsum(chain.matrix, axis=1).ravel()
+            pool = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+                                   [0.0, np.nextafter(1.0, 0.0)]])
+            self.pool = pool[pool < 1.0]
+            self.rng = np.random.default_rng(seed)
+
+        def random(self, size):
+            u = self.rng.random(size)
+            picked = self.rng.random(size) < 0.5
+            u[picked] = self.rng.choice(self.pool, int(picked.sum()))
+            return u
+
+    def test_a_row_of_the_short_chain_sums_below_one(self):
+        assert np.cumsum(self.CHAINS["short_row"].matrix, axis=1)[0, -1] < 1.0
+
+    @pytest.mark.parametrize("name", CHAINS)
+    @pytest.mark.parametrize("k", [0, 1, sched._PATH_CHUNK - 1, sched._PATH_CHUNK,
+                                   sched._PATH_CHUNK + 1, 2 * sched._PATH_CHUNK + 1])
+    def test_markov_path_matches_the_bisect_loop(self, name, k):
+        chain = self.CHAINS[name]
+        for draws in (lambda: substream(11, "path"), lambda: self.TieDraws(chain, 11)):
+            path = sched._markov_path(chain, k, draws())
+            assert path == reference_markov_path(chain, k, draws())
+            assert len(path) == k
+
+    def test_one_array_build_per_model(self, monkeypatch):
+        build, calls = sched._MdpArrays.build, []
+        monkeypatch.setattr(sched._MdpArrays, "build",
+                            staticmethod(lambda mdp: calls.append(mdp) or build(mdp)))
+        mdp = desk_mdp(16)  # a new model object, its arrays not built yet
+        policy = sched.mdp_policy_iteration(mdp)
+        sched.value_iteration_gain(mdp)
+        for theta in np.linspace(0.0, mdp.capacity_j, 20):
+            sched.threshold_policy(mdp, float(theta), spend_j=2.0)
+        sched.evaluate_policy(policy, exact=True)
+        assert len(calls) == 1 and calls[0] is mdp
+        for array in vars(mdp._arrays).values():
+            with pytest.raises(ValueError):
+                array[...] = 0
 
 
 class TestPolicyFeasibility:
