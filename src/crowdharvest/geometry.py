@@ -173,23 +173,37 @@ def _wrap(values: np.ndarray, period: float) -> None:
     values += 0.0
 
 
+def _unit_ppp(
+    rng: np.random.Generator, density_per_km2: float, region: Region
+) -> tuple[np.ndarray, np.ndarray]:
+    """A PPP's coordinates before scaling: the two halves of one ``rng.random(2 * n)`` call.
+
+    ``n`` is the Poisson point count of the region at the density. The
+    halves are views of one array, x first; :func:`_draw_points` scales
+    them in place, and the crowd kernel scales a chunk of them at once.
+    """
+    n = int(rng.poisson(density_per_km2 * region.area_km2))
+    unit = rng.random(2 * n)
+    return unit[:n], unit[n:]
+
+
 def _draw_points(
     rng: np.random.Generator, process: SpatialProcess, density_per_km2: float, region: Region
 ) -> tuple[np.ndarray, np.ndarray]:
     """Point draw of a process and density from :func:`_at_density`.
 
     ``rng`` is the deployment seed's substream labelled with the process's
-    ``kind``. A PPP's coordinates come from one ``rng.random(2 * n)`` call,
-    scaled in halves: numpy's ``uniform(0.0, w, n)`` is ``0.0 + w * random``,
-    so this is ``uniform(0.0, width, n)`` then ``uniform(0.0, height, n)``
-    bit for bit, and leaves the generator in the same state.
+    ``kind``. A PPP's coordinates are :func:`_unit_ppp`'s halves scaled by
+    the width and the height: numpy's ``uniform(0.0, w, n)`` is
+    ``0.0 + w * random``, so this is ``uniform(0.0, width, n)`` then
+    ``uniform(0.0, height, n)`` bit for bit, and leaves the generator in the
+    same state.
     """
     if isinstance(process, PoissonProcess):
-        n = int(rng.poisson(density_per_km2 * region.area_km2))
-        unit = rng.random(2 * n)
-        unit[:n] *= region.width_m
-        unit[n:] *= region.height_m
-        return unit[:n], unit[n:]
+        xs, ys = _unit_ppp(rng, density_per_km2, region)
+        xs *= region.width_m
+        ys *= region.height_m
+        return xs, ys
     if region.boundary == "toroidal":
         pad = 0.0
     else:

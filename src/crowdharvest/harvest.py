@@ -34,6 +34,7 @@ import math
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,14 +43,24 @@ from ._documents import write_csv
 from .errors import FitFailureError, InvalidParameterError, SimulationError
 from .geometry import (
     Deployment,
+    PoissonProcess,
     Region,
     SpatialProcess,
     _at_density,
     _draw_points,
+    _unit_ppp,
     distances_to_probe,
 )
 from .propagation import PathlossModel, ShadowingSpec, draw_shadowing_db, received_power
-from .rng import _mulhi, _raw_outputs, state_dict, substream, substream_columns
+from .rng import (
+    _mulhi,
+    _raw_outputs,
+    _reseat,
+    _state_words,
+    state_dict,
+    substream,
+    substream_columns,
+)
 
 __all__ = [
     "RatProfile",
@@ -386,16 +397,23 @@ def _trial_powers(
     states with one :func:`substream_columns` call, computes their seeds
     and probes from raw outputs (:func:`_trial_draws`), derives the
     deployment and shadowing states with one call each, and re-points one
-    generator per worker to draw the deployments and the shadowing.
+    generator per worker to draw the deployments and the shadowing, through
+    one state dict that the worker keeps (``_reseat``).
     Distances and powers are computed on at most ``_CHUNK_POINTS``
-    points at a time (or one larger deployment), while every trial's sum,
-    maximum and ``k_nearest`` partition is taken on that trial's own slice,
-    so values are bit-identical to the per-trial computation and do not
-    depend on the block or chunk size. A trial's shadowing stream is drawn
-    as far as its longest reading view needs; a ``k_nearest`` view reads
-    the stream's first draws. Workers take every ``workers``-th block;
-    results do not depend on ``workers``, which must be an integer of at
-    least 1.
+    points at a time (or one larger deployment), while every trial's sum
+    and ``k_nearest`` partition is taken on that trial's own slice, so
+    values are bit-identical to the per-trial computation and do not
+    depend on the block or chunk size. The steps that are elementwise or
+    exact run once per chunk instead of once per trial: a PPP deployment
+    is drawn as :func:`_unit_ppp`'s unit coordinates, and the chunk's x
+    and y are scaled by the width and height at once (in place when the
+    chunk holds one deployment), as :func:`_draw_points` scales each
+    deployment; the strongest links of a view are one
+    ``np.maximum.reduceat`` over its trials' segments, which are never
+    empty. A trial's shadowing stream is drawn as far as its longest
+    reading view needs; a ``k_nearest`` view reads the stream's first
+    draws. Workers take every ``workers``-th block; results do not depend
+    on ``workers``, which must be an integer of at least 1.
 
     The link arithmetic allocates no array of the chunk's size for a view
     that reads every link of the chunk. Each worker owns one
@@ -406,7 +424,12 @@ def _trial_powers(
     offset in the chunk (``draw_shadowing_db``'s ``out``), so a view that
     reads every link of every trial in the chunk uses the row as it is,
     and a view that reads a prefix (``k_nearest``, or fewer trials) gathers
-    its trials' first draws. Each view's links, partitioned in place for
+    its trials' first draws. When every trial of the chunk draws its whole
+    deployment for the spec (as when a full-crowd view reads them all),
+    each trial makes only ``draw_shadowing_db``'s standard-normal draw and
+    its multiply by sigma runs once over the chunk's row; otherwise each
+    trial calls ``draw_shadowing_db``, and no entry the chunk did not write
+    is scaled. Each view's links, partitioned in place for
     ``k_nearest``, floored and turned into link power with
     :func:`received_power`'s ``out``, go into the second row. Every element
     sees the operations of the allocating calls in their order, so the
@@ -422,14 +445,14 @@ def _trial_powers(
     totals = np.zeros((trials, len(views)))
     maxima = np.zeros((trials, len(views))) if strongest else None
 
-    def run_chunk(gen, workspace, chunk, probes, shadow_states) -> None:
-        """Compute the (row, t, xs, ys) deployments of ``chunk`` and empty it."""
-        rows = [r for r, _, _, _ in chunk]
-        ts = [t for _, t, _, _ in chunk]
-        counts = [xs.size for _, _, xs, _ in chunk]
-        xs = _joined([xs for _, _, xs, _ in chunk])
-        ys = _joined([ys for _, _, _, ys in chunk])
+    def run_chunk(gen, seat, workspace, chunk, probes, shadow_states) -> None:
+        """Compute the (row, t, count, xs, ys) deployments of ``chunk`` and empty it."""
+        rows, ts, counts, xs, ys = zip(*chunk)
         chunk.clear()
+        xs, ys = _joined(xs), _joined(ys)
+        if ppp:  # unit coordinates, scaled here once per chunk (in place for one deployment)
+            xs *= region.width_m
+            ys *= region.height_m
         if not np.all(region.contains(xs, ys)):
             raise InvalidParameterError("deployment points must lie inside the region")
         if len(rows) == 1:
@@ -439,8 +462,7 @@ def _trial_powers(
         d, power_row, shadow_row = workspace.rows(xs.size)
         distances_to_probe(region, probe, xs, ys, out=d)  # xs and ys become scratch
         del xs, ys, probe
-        bounds = np.cumsum([0, *counts]).tolist()
-        spans = list(zip(bounds[:-1], bounds[1:]))
+        starts = list(accumulate(counts[:-1], initial=0))
         # links[v][i]: how many links view v reads in the chunk's i-th trial
         links = [
             [
@@ -453,10 +475,18 @@ def _trial_powers(
             if spec:
                 # each trial's draws, as many as its longest reading view needs, at its offset
                 lengths = [max(col) for col in zip(*(links[v] for v in group))]
-                for r, (lo, _), m in zip(rows, spans, lengths):
+                # if every trial draws its whole deployment, the row is all written, so
+                # draw_shadowing_db's multiply by sigma runs once, after the per-trial draws
+                whole = lengths == list(counts)
+                for r, lo, m in zip(rows, starts, lengths):
                     if m:
-                        gen.bit_generator.state = state_dict(*shadow_states[r])
-                        draw_shadowing_db(spec, m, gen, out=shadow_row[lo : lo + m])
+                        _reseat(gen, seat, *shadow_states[r])
+                        if whole:
+                            gen.standard_normal(m, out=shadow_row[lo : lo + m])
+                        else:
+                            draw_shadowing_db(spec, m, gen, out=shadow_row[lo : lo + m])
+                if whole:
+                    shadow_row[: d.size] *= spec.sigma_db
             for v in group:
                 view = views[v]
                 used = [i for i, m in enumerate(links[v]) if m]
@@ -468,32 +498,32 @@ def _trial_powers(
                     # every used trial's links, its k nearest partitioned in place
                     a = 0
                     for i in used:
-                        lo, hi = spans[i]
-                        power_row[a : a + hi - lo] = d[lo:hi]
-                        if links[v][i] < hi - lo:
-                            power_row[a : a + hi - lo].partition(links[v][i] - 1)
+                        lo, n = starts[i], counts[i]
+                        power_row[a : a + n] = d[lo : lo + n]
+                        if links[v][i] < n:
+                            power_row[a : a + n].partition(links[v][i] - 1)
                         a += links[v][i]
                     view_d = power_row[:a]
                     if spec:
                         shadow_db = _joined(
-                            [shadow_row[spans[i][0] : spans[i][0] + links[v][i]] for i in used]
+                            [shadow_row[starts[i] : starts[i] + links[v][i]] for i in used]
                         )
                 power = power_row[: view_d.size]
                 floor_m = max(view.model.reference_distance_m, rat.min_link_distance_m)
                 np.maximum(view_d, floor_m, out=power)
                 received_power(rat.transmit_power_w, view.model, power, shadow_db, out=power)
                 del shadow_db
-                a = 0
-                for i in used:
-                    b = a + links[v][i]
-                    totals[rows[i], v] = power[a:b].sum()
-                    if strongest:
-                        maxima[rows[i], v] = power[a:b].max()
-                    a = b
+                # each used trial's segment of power, in order and never empty
+                segments = list(accumulate([links[v][i] for i in used], initial=0))
+                used_rows = [rows[i] for i in used]
+                totals[used_rows, v] = [power[a:b].sum() for a, b in zip(segments, segments[1:])]
+                if strongest:
+                    maxima[used_rows, v] = np.maximum.reduceat(power, segments[:-1])
 
     kind = rat.spatial_process.kind  # the deployment substream label, as in sample_process
+    ppp = isinstance(rat.spatial_process, PoissonProcess)
 
-    def run_block(gen, workspace, block: range) -> None:
+    def run_block(gen, seat, workspace, block: range) -> None:
         rows = np.arange(block.start, block.stop, dtype=np.uint64)
         js, ts, path = trial_key(rows)
         deployment_seeds, probe_x, probe_y, shadow_seeds = _trial_draws(
@@ -503,28 +533,32 @@ def _trial_powers(
         shadowed = ts < shadow_trials  # some shadowed view reads these trials
         shadow_states = dict(zip(
             rows[shadowed].tolist(),
-            zip(*(c.tolist() for c in substream_columns(shadow_seeds[shadowed], "shadowing"))),
+            _state_words(substream_columns(shadow_seeds[shadowed], "shadowing")),
         ))
-        deployment_states = zip(*(c.tolist() for c in substream_columns(deployment_seeds, kind)))
+        deployment_states = _state_words(substream_columns(deployment_seeds, kind))
         # a chunk holds at most _CHUNK_POINTS points or one larger deployment,
         # which is computed alone and before the next deployment is drawn
         chunk, points = [], 0
         for r, j, t, state in zip(block, js.tolist(), ts.tolist(), deployment_states):
-            gen.bit_generator.state = state_dict(*state)
-            xs, ys = _draw_points(gen, *processes[j], region)
-            if not xs.size:
+            _reseat(gen, seat, *state)
+            if ppp:
+                xs, ys = _unit_ppp(gen, processes[j][1], region)
+            else:
+                xs, ys = _draw_points(gen, *processes[j], region)
+            n = xs.size
+            if not n:
                 continue
-            if chunk and points + xs.size > _CHUNK_POINTS:
-                run_chunk(gen, workspace, chunk, probes, shadow_states)
+            if chunk and points + n > _CHUNK_POINTS:
+                run_chunk(gen, seat, workspace, chunk, probes, shadow_states)
                 points = 0
-            chunk.append((r, t, xs, ys))
-            points += xs.size
+            chunk.append((r, t, n, xs, ys))
+            points += n
             del xs, ys
             if points >= _CHUNK_POINTS:
-                run_chunk(gen, workspace, chunk, probes, shadow_states)
+                run_chunk(gen, seat, workspace, chunk, probes, shadow_states)
                 points = 0
         if chunk:
-            run_chunk(gen, workspace, chunk, probes, shadow_states)
+            run_chunk(gen, seat, workspace, chunk, probes, shadow_states)
 
     blocks = [
         range(start, min(start + _TRIAL_BLOCK, trials))
@@ -533,9 +567,10 @@ def _trial_powers(
 
     def run_worker(w: int) -> None:
         gen = np.random.default_rng(0)  # re-pointed to each substream's state
+        seat = state_dict(0, 0, 0, 0)  # this worker's one dict for re-pointing gen
         workspace = _LinkWorkspace()
         for block in blocks[w::workers]:
-            run_block(gen, workspace, block)
+            run_block(gen, seat, workspace, block)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -668,6 +703,7 @@ def nearest_share_study(
     ``workers`` threads (see :func:`_trial_powers`), and results are
     bit-identical for any worker count.
     """
+    _guard.count(draws=draws)
     view = SweepView(model, draws, shadowing)
     totals, maxima = _trial_powers(
         rat,

@@ -179,11 +179,17 @@ def draw_shadowing_db(
 ) -> np.ndarray:
     """Per-link shadowing draws in dB; zeros when disabled or unspecified.
 
-    The draws are standard normals scaled by sigma in place. That equals
-    ``rng.normal(0.0, sigma, size)`` value for value (numpy adds the 0.0
-    mean, which can only turn a -0.0 draw into 0.0) and leaves the
-    generator in the same state. With ``out`` (float64, ``size`` elements)
-    they are written into ``out`` and nothing is allocated.
+    The draws are standard normals scaled by sigma in place: one
+    ``rng.standard_normal(size, out=out)`` call, then ``out *= sigma_db``.
+    That equals ``rng.normal(0.0, sigma, size)`` value for value (numpy
+    adds the 0.0 mean, which can only turn a -0.0 draw into 0.0) and
+    leaves the generator in the same state. With ``out`` (float64,
+    ``size`` elements) they are written into ``out`` and nothing is
+    allocated. The crowd kernel (``harvest._trial_powers``) splits the two
+    steps where a chunk's trials all draw every link: it makes the
+    standard-normal call per trial, at the trial's offset in one row, and
+    the multiply once over the row; a multiply is elementwise, so every
+    value is the same.
     """
     if out is None:
         out = np.empty(size)

@@ -23,8 +23,9 @@ SeedSequence mixing and the 128-bit PCG64 seeding step run on numpy
 columns. ``_raw_outputs`` continues the streams in the same way, giving
 the first raw 64-bit outputs of every state without a generator, and
 :func:`state_dict` turns one state into a ``bit_generator.state`` that
-re-points a generator to it. :func:`substream` stays the definition:
-every batch checks its first key against it.
+re-points a generator to it; ``_reseat`` re-points one through a dict
+that it reuses, given the state's ``_state_words``. :func:`substream`
+stays the definition: every batch checks its first key against it.
 """
 
 from __future__ import annotations
@@ -227,6 +228,25 @@ def state_dict(state_hi, state_lo, inc_hi, inc_lo) -> dict:
     state, inc = int(state_hi) << 64 | int(state_lo), int(inc_hi) << 64 | int(inc_lo)
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
+
+
+def _state_words(states: StateColumns) -> list[tuple[int, int]]:
+    """The 128-bit ``(state, inc)`` of every row, the words :func:`state_dict` writes."""
+    hi, lo, inc_hi, inc_lo = (c.tolist() for c in states)
+    return [(h << 64 | l, ih << 64 | il) for h, l, ih, il in zip(hi, lo, inc_hi, inc_lo)]
+
+
+def _reseat(gen: np.random.Generator, seat: dict, state: int, inc: int) -> None:
+    """Re-point ``gen`` to the PCG64 ``state`` and ``inc`` through ``seat``.
+
+    ``seat`` is a dict from :func:`state_dict` that the caller keeps for many
+    states: its ``state`` and ``inc`` are overwritten in place, and numpy's
+    setter copies them into the generator, so the generator reads nothing
+    from the dict afterwards. Threads must not share a seat.
+    """
+    words = seat["state"]
+    words["state"], words["inc"] = state, inc
+    gen.bit_generator.state = seat
 
 
 def substream_columns(seed, *path) -> StateColumns:

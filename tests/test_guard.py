@@ -27,7 +27,13 @@ from crowdharvest.geometry import (
     rayleigh_scale_for_density,
     sample_ppp,
 )
-from crowdharvest.harvest import RatProfile, SweepView, aggregate_power, upper_bound_sweep
+from crowdharvest.harvest import (
+    RatProfile,
+    SweepView,
+    aggregate_power,
+    nearest_share_study,
+    upper_bound_sweep,
+)
 from crowdharvest.propagation import (
     ShadowingSpec,
     free_space_model,
@@ -127,6 +133,11 @@ REJECTED = {
         (0.0, 0.0), sample_ppp(1.0, REGION, 0), MACRO, LOS, k_nearest=0),
     "upper_bound_sweep workers 0": lambda: upper_bound_sweep(
         MACRO, [1.0], LOS, 10, 0, region=REGION, workers=0),
+    **{
+        f"nearest_share_study draws {draws}": partial(
+            nearest_share_study, MACRO, 5.0, LOS, draws, 0, region=REGION)
+        for draws in (0, -1, 1.5, True)
+    },
 }
 
 

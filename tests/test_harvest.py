@@ -7,6 +7,7 @@ from crowdharvest import geometry, harvest
 from crowdharvest.errors import FitFailureError, InvalidParameterError
 from crowdharvest.propagation import (
     ShadowingSpec,
+    draw_shadowing_db,
     free_space_model,
     winner_urban_nlos_model,
 )
@@ -483,6 +484,217 @@ def test_nearest_share_study_workers_do_not_change_results(small_kernel):
     kwargs = dict(region=REGION, shadowing=ShadowingSpec(8.0))
     seq = harvest.nearest_share_study(*args, **kwargs, workers=1)
     assert harvest.nearest_share_study(*args, **kwargs, workers=2) == seq
+
+
+# ---------------------------------------------------------------------------
+# The kernel's per-chunk steps against the per-trial code they replaced.
+
+
+def per_deployment_ppp(rng, density, region):
+    """Reference: the PPP draw as it was, each deployment's halves scaled on their own."""
+    n = int(rng.poisson(density * region.area_km2))
+    unit = rng.random(2 * n)
+    unit[:n] *= region.width_m
+    unit[n:] *= region.height_m
+    return unit[:n], unit[n:]
+
+
+def share_deployment_stream(seed, t):
+    """The deployment substream of share draw t."""
+    return substream(int(substream(seed, "share", t).integers(0, 2**63 - 1)), "ppp")
+
+
+@pytest.mark.parametrize("mean", [0.0, 0.4, 300.0, 3000.0])
+def test_unit_ppp_scaled_is_the_per_deployment_draw(mean):
+    region = geometry.Region(2000.0, 1500.0)
+    density = mean / region.area_km2
+    for seed in range(20):
+        reference = substream(seed, "ppp")
+        want_xs, want_ys = per_deployment_ppp(reference, density, region)
+        drawn = substream(seed, "ppp")
+        xs, ys = geometry._draw_points(drawn, geometry.PoissonProcess(), density, region)
+        unit = substream(seed, "ppp")
+        unit_xs, unit_ys = geometry._unit_ppp(unit, density, region)
+        unit_xs *= region.width_m
+        unit_ys *= region.height_m
+        for got in ((xs, ys), (unit_xs, unit_ys)):
+            assert got[0].tobytes() == want_xs.tobytes() and got[1].tobytes() == want_ys.tobytes()
+        state = reference.bit_generator.state
+        assert drawn.bit_generator.state == state and unit.bit_generator.state == state
+
+
+def test_chunks_scale_unit_points_as_each_deployment_was_scaled(monkeypatch, small_kernel):
+    # means of 0.5, 300 and 3,000 points: empty deployments, several deployments
+    # per SMALL_CHUNK chunk, and deployments that fill a chunk alone
+    region, seed, draws = geometry.Region(2500.0, 1600.0), 13, SMALL_BLOCK + 1
+    chunks = []  # (deployments in the chunk, xs, ys) as the distances see them
+    distances = harvest.distances_to_probe
+
+    def recording_distances(region, probe, xs, ys, *, out=None):
+        chunks.append((np.size(probe[0]) > 1, xs.copy(), ys.copy()))
+        return distances(region, probe, xs, ys, out=out)
+
+    monkeypatch.setattr(harvest, "distances_to_probe", recording_distances)
+    for density in (0.125, 75.0, 750.0):
+        chunks.clear()
+        harvest.nearest_share_study(MACRO, density, NLOS, draws, seed, region=region)
+        points = [
+            per_deployment_ppp(share_deployment_stream(seed, t), density, region)
+            for t in range(draws)
+        ]
+        assert np.concatenate([xs for _, xs, _ in chunks]).tobytes() == np.concatenate(
+            [xs for xs, _ in points]).tobytes()
+        assert np.concatenate([ys for _, _, ys in chunks]).tobytes() == np.concatenate(
+            [ys for _, ys in points]).tobytes()
+        several = {many for many, _, _ in chunks}
+        if density == 0.125:
+            assert min(xs.size for xs, _ in points) == 0
+        elif density == 75.0:
+            assert True in several
+        else:
+            assert several == {False}
+
+
+def chunk_shadowing_reference(rat, grid, view, seed, region):
+    """Reference: a view's shadowing, one draw_shadowing_db call per non-empty trial."""
+    draws = []
+    for j, density in enumerate(grid):
+        for t in range(view.trials):
+            rng = substream(seed, "sweep", j, t)
+            dep = geometry.sample_process(
+                rat.spatial_process, density, region, int(rng.integers(0, 2**63 - 1))
+            )
+            region.sample_probe(rng)
+            shadow_seed = int(rng.integers(0, 2**63 - 1))
+            n = dep.count if view.k_nearest is None else min(dep.count, view.k_nearest)
+            if n:
+                stream = substream(shadow_seed, "shadowing")
+                draws.append(draw_shadowing_db(view.shadowing, n, stream))
+    return np.concatenate(draws)
+
+
+@pytest.mark.parametrize("full_view", [True, False], ids=["full-and-k", "k-only"])
+def test_chunk_shadowing_is_the_per_trial_draw(monkeypatch, small_kernel, full_view):
+    # with a full-crowd view every trial draws its whole deployment and sigma
+    # scales the chunk's row once; with only a k-nearest view each trial draws
+    # and scales its prefix. Workspace rows start at 1e308, which overflows if
+    # any entry the chunk did not write is scaled.
+    region, grid, seed, trials = geometry.Region(2000.0, 2000.0), [15.0, 60.0], 7, 70
+    spec = ShadowingSpec(8.0)
+    views = [
+        harvest.SweepView(LOS, trials, spec if full_view else None, None, "full"),
+        harvest.SweepView(NLOS, trials, spec, 20, "k"),
+    ]
+    shadows = {"full": [], "k": []}
+    per_trial_calls = []
+    received_power, draw, rows = (
+        harvest.received_power, harvest.draw_shadowing_db, harvest._LinkWorkspace.rows
+    )
+
+    def recording_power(p_tx_w, model, d, shadow_db=None, *, out=None):
+        if shadow_db is not None:
+            shadows["full" if model is LOS else "k"].append(np.array(shadow_db))
+        return received_power(p_tx_w, model, d, shadow_db, out=out)
+
+    def counting_draw(spec, size, rng, *, out=None):
+        per_trial_calls.append(size)
+        return draw(spec, size, rng, out=out)
+
+    def poisoned_rows(self, n):
+        out = rows(self, n)
+        for row in out:
+            row.fill(1e308)
+        return out
+
+    monkeypatch.setattr(harvest, "received_power", recording_power)
+    monkeypatch.setattr(harvest, "draw_shadowing_db", counting_draw)
+    monkeypatch.setattr(harvest._LinkWorkspace, "rows", poisoned_rows)
+    with np.errstate(over="raise"):
+        harvest.crowd_sweep(MACRO, grid, views, seed, region=region)
+    monkeypatch.undo()
+    for view in views:
+        if view.shadowing is None:
+            assert not shadows[view.scenario]
+            continue
+        want = chunk_shadowing_reference(MACRO, grid, view, seed, region)
+        assert np.concatenate(shadows[view.scenario]).tobytes() == want.tobytes()
+    # the chunk path makes no draw_shadowing_db call; the prefix path one per trial
+    if full_view:
+        assert per_trial_calls == []
+    else:
+        assert sum(per_trial_calls) == sum(s.size for s in shadows["k"])
+
+
+def per_trial_strongest(rat, density, view, draws, seed, region):
+    """Reference: each draw's total and strongest link, the max of its own slice.
+
+    Also returns each draw's link count and whether its strongest link ties.
+    """
+    totals, maxima = np.zeros(draws), np.zeros(draws)
+    links, tied = np.zeros(draws, dtype=int), np.zeros(draws, dtype=bool)
+    for t in range(view.trials):
+        rng = substream(seed, "share", t)
+        deployment = geometry.sample_process(
+            rat.spatial_process, density, region, int(rng.integers(0, 2**63 - 1))
+        )
+        probe = region.sample_probe(rng)
+        report = harvest.aggregate_power(
+            probe, deployment, rat, view.model, shadowing=view.shadowing,
+            seed=int(rng.integers(0, 2**63 - 1)), k_nearest=view.k_nearest,
+        )
+        power = report.per_transmitter_w
+        totals[t] = report.total_power_w
+        maxima[t] = power.max() if power.size else 0.0
+        links[t] = power.size
+        tied[t] = np.count_nonzero(power == maxima[t]) > 1
+    return totals, maxima, links, tied
+
+
+# a floor beyond every link in the region: every link of a draw has one power
+FLOORED = harvest.RatProfile("floored", 20e6, 40.0, (0.5, 5.0), geometry.PoissonProcess(),
+                             2.1e9, min_link_distance_m=10_000.0)
+STRONGEST_CASES = {
+    # a mean of one point per deployment: single-link and empty draws
+    "single-links": (MACRO, 0.25),
+    "ties": (FLOORED, 2.0),
+    # several deployments per chunk
+    "chunks": (MACRO, 75.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRONGEST_CASES))
+def test_strongest_links_are_the_per_slice_maxima(small_kernel, case):
+    rat, density = STRONGEST_CASES[case]
+    region, seed, draws = geometry.Region(2000.0, 2000.0), 17, SMALL_BLOCK + 3
+    views = [
+        harvest.SweepView(NLOS, draws, ShadowingSpec(8.0)),
+        harvest.SweepView(NLOS, draws, None, 3),
+        harvest.SweepView(LOS, SMALL_BLOCK // 2),
+    ]
+    totals, maxima = harvest._trial_powers(
+        rat, region, seed, [density], draws,
+        lambda rows: (np.zeros_like(rows), rows, ("share", rows)), views, strongest=True,
+    )
+    for v, view in enumerate(views):
+        want_totals, want_maxima, links, tied = per_trial_strongest(
+            rat, density, view, draws, seed, region
+        )
+        assert totals[:, v].tobytes() == want_totals.tobytes()
+        assert maxima[:, v].tobytes() == want_maxima.tobytes()
+        if case == "single-links":
+            assert (links == 1).any()
+        elif case == "ties" and view.shadowing is None:
+            assert tied.any()
+        else:
+            assert (links > 1).any()
+
+
+@pytest.mark.parametrize("draws", [0, -1, 1.5, True])
+def test_invalid_draws_named_before_any_trial(monkeypatch, draws):
+    # draws=0 used to raise about SweepView's trials
+    monkeypatch.setattr(harvest, "substream_columns", no_trials)
+    with pytest.raises(InvalidParameterError, match="draws must be an integer >= 1"):
+        harvest.nearest_share_study(MACRO, 5.0, NLOS, draws, 3, region=REGION)
 
 
 @pytest.mark.parametrize("workers", [-1, 0, 1.5, True, "2"])

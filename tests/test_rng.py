@@ -55,6 +55,28 @@ def test_repointed_generator_draws_the_substream():
             assert np.array_equal(gen.normal(0.0, 8.0, 5), reference.normal(0.0, 8.0, 5))
 
 
+def test_reused_seat_draws_what_a_fresh_state_dict_draws():
+    # one dict re-seats the generator again and again; a 32-bit draw between
+    # seats leaves a buffered half word that seating must drop, as state_dict does
+    rows = np.arange(40, dtype=np.uint64)
+    states = substream_columns(11, "sweep", rows % 5, rows)
+    words = rng._state_words(states)
+    seated, fresh = np.random.default_rng(0), np.random.default_rng(0)
+    seat = state_dict(0, 0, 0, 0)
+    for i in [0, 1, 0, *range(2, 40), 39]:
+        assert words[i] == (
+            row_state(states, i)["state"]["state"], row_state(states, i)["state"]["inc"]
+        )
+        rng._reseat(seated, seat, *words[i])
+        fresh.bit_generator.state = row_state(states, i)
+        assert seated.bit_generator.state == fresh.bit_generator.state
+        assert seated.integers(0, 2**32, dtype=np.uint32) == fresh.integers(
+            0, 2**32, dtype=np.uint32
+        )
+        assert seated.random(3).tobytes() == fresh.random(3).tobytes()
+    assert seat == state_dict(*(c[39] for c in states))
+
+
 def test_empty_batch():
     assert all(c.size == 0 for c in substream_columns(7, np.zeros(0, np.uint64), "x"))
 
