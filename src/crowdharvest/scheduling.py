@@ -43,9 +43,9 @@ from .rng import substream
 from .swipt import (
     LinkState,
     RelayMode,
+    _cascade,
     _check_eta,
-    _rate,
-    end_to_end_snr,
+    _relay_rate,
     optimize_split,
 )
 
@@ -1143,8 +1143,11 @@ def evaluate_policy(
     battery = 0.0
     total = 0.0
     for e in path:
-        battery = min(capacity, battery + energies[e])
-        a = actions[min(top, int(battery / quantum + 1e-12))][e]
+        # min(capacity, filled) and min(top, bucket), compared as min compares
+        filled = battery + energies[e]
+        battery = filled if filled < capacity else capacity
+        bucket = int(battery / quantum + 1e-12)
+        a = actions[bucket if bucket < top else top][e]
         spend = levels[a]
         if spend <= battery:
             total += rewards[a]
@@ -1188,6 +1191,7 @@ def combined_mode_controller(
     fallback slots idle, which is the pure non-SWIPT baseline.
     """
     _check_eta(eta)
+    cascade = _cascade(mode)
     _guard.positive(slot_duration_s=slot_duration_s)
     _guard.non_negative(activation_threshold_j=activation_threshold_j)
     trace = np.asarray(ambient_trace_j, dtype=float)
@@ -1210,7 +1214,7 @@ def combined_mode_controller(
             gamma2 = (
                 relay_power * swipt_link.relay_destination_gain / swipt_link.noise_power_w
             )
-            slot_bits = _rate(0.5, end_to_end_snr(gamma1, gamma2, mode))
+            slot_bits = _relay_rate(0.5, gamma1, gamma2, cascade)
             bank = 0.0
             modes.append("non_swipt")
         else:

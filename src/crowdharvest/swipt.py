@@ -25,6 +25,7 @@ with the cascade g1*g2/(g1+g2+1).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -103,20 +104,40 @@ def _check_eta(eta: float) -> None:
         raise InvalidParameterError("eta must lie in (0, 1]")
 
 
-def end_to_end_snr(gamma1: float, gamma2: float, mode: RelayMode) -> float:
-    """Compose hop SNRs: min for DF, cascade g1 g2/(g1+g2+1) for AF."""
+def _cascade(mode: RelayMode) -> bool:
+    """Whether ``mode`` composes hop SNRs by the AF cascade; anything else raises."""
     if mode is RelayMode.DECODE_FORWARD:
-        return min(gamma1, gamma2)
+        return False
     if mode is not RelayMode.AMPLIFY_FORWARD:
         raise InvalidParameterError(f"mode must be a RelayMode, got {mode!r}")
-    denom = gamma1 + gamma2 + 1.0
-    return gamma1 * gamma2 / denom if denom > 0 else 0.0
+    return True
 
 
-def _rate(pre_log: float, snr: float) -> float:
+def _relay_rate(pre_log: float | None, gamma1: float, gamma2: float, cascade: bool) -> float:
+    """Compose two hop SNRs, then rate them as ``pre_log * log2(1 + snr)``.
+
+    The one definition of both steps. Decode-and-forward keeps the weaker
+    hop, compared as ``min(gamma1, gamma2)`` compares (``gamma1`` on ties
+    and on NaN); amplify-and-forward (``cascade``) takes g1 g2/(g1+g2+1).
+    A non-positive pre-log or SNR rates 0. With ``pre_log=None`` the
+    composed SNR itself is returned. Callers resolve the mode with
+    ``_cascade`` once, so a rate evaluation is one call of this function.
+    """
+    if cascade:
+        denom = gamma1 + gamma2 + 1.0
+        snr = gamma1 * gamma2 / denom if denom > 0 else 0.0
+    else:
+        snr = gamma2 if gamma2 < gamma1 else gamma1
+    if pre_log is None:
+        return snr
     if pre_log <= 0 or snr <= 0:
         return 0.0
     return pre_log * math.log2(1.0 + snr)
+
+
+def end_to_end_snr(gamma1: float, gamma2: float, mode: RelayMode) -> float:
+    """Compose hop SNRs: min for DF, cascade g1 g2/(g1+g2+1) for AF."""
+    return _relay_rate(None, gamma1, gamma2, _cascade(mode))
 
 
 def _ts_rate(
@@ -127,12 +148,14 @@ def _ts_rate(
     This is the one definition of time switching; ``alpha2`` is the
     hybrid's second slot, which harvests the relay's ambient power, and
     the information time is what both slots leave. The split-independent
-    terms (the first-hop SNR and the ambient energy) are computed once per
-    call of ``_ts_rate``; every expression keeps the operation order of the
-    per-split formula, so a search that reuses the returned function gets
-    the same floats as one ``ts_throughput`` call per split.
+    terms (the relay mode, the first-hop SNR and the ambient energy) are
+    resolved once per call of ``_ts_rate``; every expression keeps the
+    operation order of the per-split formula, so a search that reuses the
+    returned function gets the same floats as one ``ts_throughput`` call
+    per split.
     """
     _check_eta(eta)
+    cascade = _cascade(mode)
     p, h = link.source_power_w, link.source_relay_gain
     g, n = link.relay_destination_gain, link.noise_power_w
     gamma1 = p * h / n
@@ -146,7 +169,7 @@ def _ts_rate(
         hop_time = info * t / 2.0
         relay_power = harvested / hop_time
         gamma2 = relay_power * g / n
-        return _rate(info / 2.0, end_to_end_snr(gamma1, gamma2, mode))
+        return _relay_rate(info / 2.0, gamma1, gamma2, cascade)
 
     return rate
 
@@ -158,11 +181,12 @@ def _ps_rate(
 
     This is the one definition of power splitting; ``rho2`` is the
     hybrid's second split, which harvests the relay's ambient power, and
-    the decoder gets what both splits leave. The received power, the
-    half-frame and the ambient energy are computed once; as in
+    the decoder gets what both splits leave. The relay mode, the received
+    power, the half-frame and the ambient energy are resolved once; as in
     ``_ts_rate``, every expression keeps its per-split operation order.
     """
     _check_eta(eta)
+    cascade = _cascade(mode)
     received = link.source_power_w * link.source_relay_gain
     half_frame = t / 2.0
     g, n = link.relay_destination_gain, link.noise_power_w
@@ -176,7 +200,7 @@ def _ps_rate(
         relay_power = harvested / half_frame
         gamma1 = info * received / n
         gamma2 = relay_power * g / n
-        return _rate(0.5, end_to_end_snr(gamma1, gamma2, mode))
+        return _relay_rate(0.5, gamma1, gamma2, cascade)
 
     return rate
 
@@ -260,13 +284,27 @@ def _search_rate(
     """Check the arguments shared by the split searches, then build the rate."""
     if protocol not in _RATES:
         raise InvalidParameterError(f"unknown protocol {protocol!r}, expected 'ts' or 'ps'")
-    if not isinstance(mode, RelayMode):
-        raise InvalidParameterError(f"mode must be a RelayMode, got {mode!r}")
     _guard.positive(frame_duration_s=frame_duration_s)
     return _RATES[protocol](link, eta, mode, frame_duration_s)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@functools.lru_cache(maxsize=8)
+def _coarse_grid(points: int) -> tuple[float, ...]:
+    """``points`` evenly spaced splits on [0, 1], built once per grid size."""
+    return tuple(np.linspace(0.0, 1.0, points).tolist())
+
+
+def _first_argmax(values: list[float]) -> int:
+    """``np.argmax(values)``: the first NaN if there is one, else the first maximum."""
+    total = sum(values)
+    if total != total:  # a NaN, or +inf with -inf
+        for i, v in enumerate(values):
+            if v != v:
+                return i
+    return values.index(max(values))
 
 
 def optimize_split(
@@ -289,9 +327,9 @@ def optimize_split(
     _guard.count(minimum=2, coarse_points=coarse_points)
     _guard.positive(tol=tol)
     rate = _search_rate(protocol, link, eta, mode, frame_duration_s)
-    grid = np.linspace(0.0, 1.0, coarse_points).tolist()
+    grid = _coarse_grid(coarse_points)
     values = [rate(s) for s in grid]
-    best_i = int(np.argmax(values))
+    best_i = _first_argmax(values)
     grid_best_split, grid_best_value = grid[best_i], values[best_i]
 
     a = grid[max(best_i - 1, 0)]

@@ -1435,6 +1435,53 @@ class TestEvaluatePolicy:
         b = sched.evaluate_policy(policy, horizon=10_000, seed=9)
         assert a == b
 
+    # arrivals of 3 J into a 3 J battery that spends at most 1 J a slot
+    CAPPED_MDP = sched.BatteryMdp(
+        arrivals=sched.MarkovArrivals((0.0, 3.0), ((0.5, 0.5), (0.5, 0.5))),
+        battery_buckets=4,
+        bucket_j=1.0,
+        spend_levels_j=(0.0, 1.0),
+        snr_per_joule=2.0,
+    )
+    SIMULATED = {"desk16": desk_mdp(16), "desk32": desk_mdp(32), "capped": CAPPED_MDP}
+
+    @staticmethod
+    def reference_simulation(policy, horizon, seed):
+        """The simulation with the builtin ``min`` calls it made per slot,
+        and the number of slots whose arrival the capacity cut off."""
+        mdp = policy.mdp
+        path = sched._markov_path(mdp.arrivals, horizon, substream(seed, "arrivals"))
+        energies = [float(e) for e in mdp.arrivals.states_j]
+        actions = policy.actions.tolist()
+        levels = mdp.spend_levels_j
+        rewards = [mdp.reward(a) for a in range(len(levels))]
+        capacity, top, quantum = mdp.capacity_j, mdp.battery_buckets - 1, mdp.bucket_j
+        battery = 0.0
+        total = 0.0
+        capped = 0
+        for e in path:
+            capped += battery + energies[e] > capacity
+            battery = min(capacity, battery + energies[e])
+            a = actions[min(top, int(battery / quantum + 1e-12))][e]
+            spend = levels[a]
+            if spend <= battery:
+                total += rewards[a]
+            else:
+                spend = battery
+                total += mdp.reward_scale * math.log2(1.0 + spend * mdp.snr_per_joule)
+            battery -= spend
+        return total / horizon, capped
+
+    @pytest.mark.parametrize("name", SIMULATED)
+    @pytest.mark.parametrize("horizon", [1, sched._PATH_CHUNK - 1, sched._PATH_CHUNK + 1, 20_000])
+    def test_simulation_matches_the_min_loop(self, name, horizon):
+        policy = sched.mdp_policy_iteration(self.SIMULATED[name])
+        for seed in (0, 5):
+            want, capped = self.reference_simulation(policy, horizon, seed)
+            assert sched.evaluate_policy(policy, horizon=horizon, seed=seed) == want
+            if name == "capped" and horizon > 1:
+                assert capped > 0
+
 
 class TestCombinedModeController:
     LINK = LinkState(1e-3, 1e-3, 1e-9, 1.0)
@@ -1467,6 +1514,14 @@ class TestCombinedModeController:
         with pytest.raises(InvalidParameterError):
             sched.combined_mode_controller(
                 np.full(3, 2.0), self.LINK, 1.0, swipt_enabled=swipt_enabled, **kwargs
+            )
+
+    @pytest.mark.parametrize("swipt_enabled", [True, False])
+    def test_unknown_mode_rejected_before_any_slot(self, swipt_enabled):
+        # a trace that never activates used to skip the mode check when SWIPT was off
+        with pytest.raises(InvalidParameterError):
+            sched.combined_mode_controller(
+                np.zeros(3), self.LINK, 1.0, mode="df", swipt_enabled=swipt_enabled
             )
 
 

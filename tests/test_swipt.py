@@ -124,7 +124,11 @@ class TestOptimizer:
         def no_evaluation(*args):
             raise AssertionError("a throughput was evaluated")
 
-        monkeypatch.setattr(swipt, "_rate", no_evaluation)
+        # every rate evaluation at a split below 1 makes one _relay_rate call;
+        # a valid search must reach the hook, or the test would check nothing
+        monkeypatch.setattr(swipt, "_relay_rate", no_evaluation)
+        with pytest.raises(AssertionError, match="evaluated"):
+            swipt.optimize_split(protocol, DESK)
         with pytest.raises(InvalidParameterError):
             swipt.optimize_split(protocol, DESK, **kwargs)
         sweep_kwargs = {k: v for k, v in kwargs.items() if k not in ("tol", "coarse_points")}
@@ -403,3 +407,148 @@ class TestPinned:
 
     def test_combined_mode_controller(self):
         assert controller_result() == PINNED["combined_mode_controller"]
+
+
+# The rate closures as they were before each built rate function resolved
+# its relay mode once: every evaluation composed the hop SNRs through the
+# mode check and the builtin min, then rated them in a second call. The
+# kernels must return the same floats.
+def reference_rate(pre_log, snr):
+    if pre_log <= 0 or snr <= 0:
+        return 0.0
+    return pre_log * math.log2(1.0 + snr)
+
+
+def reference_snr(gamma1, gamma2, mode):
+    if mode is DF:
+        return min(gamma1, gamma2)
+    assert mode is AF
+    denom = gamma1 + gamma2 + 1.0
+    return gamma1 * gamma2 / denom if denom > 0 else 0.0
+
+
+def reference_ts_rate(link, eta, mode, t, alpha2=0.0):
+    p, h = link.source_power_w, link.source_relay_gain
+    g, n = link.relay_destination_gain, link.noise_power_w
+    gamma1 = p * h / n
+    ambient = eta * alpha2 * t * link.ambient_power_at_relay_w
+
+    def rate(a):
+        info = 1.0 - a - alpha2
+        if info <= 0.0:
+            return 0.0
+        harvested = eta * a * t * p * h + ambient
+        hop_time = info * t / 2.0
+        relay_power = harvested / hop_time
+        gamma2 = relay_power * g / n
+        return reference_rate(info / 2.0, reference_snr(gamma1, gamma2, mode))
+
+    return rate
+
+
+def reference_ps_rate(link, eta, mode, t, rho2=0.0):
+    received = link.source_power_w * link.source_relay_gain
+    half_frame = t / 2.0
+    g, n = link.relay_destination_gain, link.noise_power_w
+    ambient = eta * rho2 * link.ambient_power_at_relay_w * half_frame
+
+    def rate(rho):
+        info = 1.0 - rho - rho2
+        if info <= 0.0:
+            return 0.0
+        harvested = eta * rho * received * half_frame + ambient
+        relay_power = harvested / half_frame
+        gamma1 = info * received / n
+        gamma2 = relay_power * g / n
+        return reference_rate(0.5, reference_snr(gamma1, gamma2, mode))
+
+    return rate
+
+
+def reference_search(rate, tol, coarse_points):
+    """``optimize_split``'s search on ``rate`` with a fresh grid and np.argmax."""
+    grid = np.linspace(0.0, 1.0, coarse_points).tolist()
+    values = [rate(s) for s in grid]
+    best_i = int(np.argmax(values))
+    a = grid[max(best_i - 1, 0)]
+    b = grid[min(best_i + 1, coarse_points - 1)]
+    c = b - swipt._INV_PHI * (b - a)
+    d = a + swipt._INV_PHI * (b - a)
+    fc, fd = rate(c), rate(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - swipt._INV_PHI * (b - a)
+            fc = rate(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + swipt._INV_PHI * (b - a)
+            fd = rate(d)
+    split = (a + b) / 2.0
+    value = rate(split)
+    return (split, value) if value >= values[best_i] else (grid[best_i], values[best_i])
+
+
+def same_floats(a, b):
+    """Equal as floats, NaN equal to NaN, and 0.0 told from -0.0."""
+    return np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
+
+
+# zero gains and powers, links that only just carry a bit, and gains whose
+# products overflow, which gives AF an inf / inf = NaN SNR
+powers = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(1e-12, 10.0))
+hop_links = st.builds(
+    swipt.LinkState,
+    source_relay_gain=powers,
+    relay_destination_gain=powers,
+    noise_power_w=st.one_of(st.floats(1e-300, 1e300), st.floats(1e-12, 1e-6)),
+    source_power_w=powers,
+    ambient_power_at_relay_w=powers,
+)
+# both endpoints, the smallest splits, points of the searches' coarse grids, anything
+splits = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e-12, math.nextafter(1.0, 0.0)]),
+    st.sampled_from(np.linspace(0.0, 1.0, 51).tolist() + np.linspace(0.0, 1.0, 201).tolist()),
+    st.floats(0.0, 1.0),
+)
+second_splits = st.one_of(st.just(0.0), splits)
+RATE_KERNELS = {"ts": (swipt._ts_rate, reference_ts_rate),
+                "ps": (swipt._ps_rate, reference_ps_rate)}
+
+
+class TestRateKernelReference:
+    @pytest.mark.parametrize("protocol", RATE_KERNELS)
+    @settings(max_examples=400, deadline=None)
+    @given(link=hop_links, eta=st.floats(1e-3, 1.0), t=st.floats(1e-3, 1e3),
+           mode=st.sampled_from([DF, AF]), split=splits, second=second_splits)
+    def test_rate_matches_the_two_call_closure(self, protocol, link, eta, t, mode, split,
+                                               second):
+        kernel, reference = RATE_KERNELS[protocol]
+        got = kernel(link, eta, mode, t, second)(split)
+        assert same_floats(got, reference(link, eta, mode, t, second)(split))
+
+    @pytest.mark.parametrize("protocol", RATE_KERNELS)
+    @settings(max_examples=60, deadline=None)
+    @given(link=hop_links, mode=st.sampled_from([DF, AF]),
+           coarse_points=st.sampled_from([2, 3, 51, 201]))
+    def test_search_matches_the_reference_search(self, protocol, link, mode, coarse_points):
+        got = swipt.optimize_split(protocol, link, mode=mode, tol=1e-6,
+                                   coarse_points=coarse_points)
+        rate = RATE_KERNELS[protocol][1](link, 0.5, mode, 1.0)
+        assert same_floats(got, reference_search(rate, 1e-6, coarse_points))
+
+    def test_af_overflow_gives_nan(self):
+        # the case the searches' first-NaN rule exists for
+        link = swipt.LinkState(1e300, 1e300, 1e-300, 1e300)
+        assert math.isnan(swipt._ts_rate(link, 0.5, AF, 1.0)(0.5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf])),
+                    min_size=1, max_size=12))
+    def test_first_argmax_is_np_argmax(self, values):
+        assert swipt._first_argmax(values) == int(np.argmax(values))
+
+    def test_coarse_grid_is_linspace(self):
+        for points in (2, 3, 51, 201):
+            assert swipt._coarse_grid(points) == tuple(np.linspace(0.0, 1.0, points).tolist())
+            assert swipt._coarse_grid(points) is swipt._coarse_grid(points)

@@ -31,7 +31,8 @@ Three commands run into
 the documented failure exits, 3 (infeasible demand) and 4 (a malformed
 input file, a value out of range). The tool exits 1 if a command exits
 with another code or a gate or a workload op fails, since the lists
-would then miss what the failed part reaches.
+would then miss what the failed part reaches; a failed gate is printed
+with its pytest node id and the first line of its reason.
 """
 
 from __future__ import annotations
@@ -260,13 +261,39 @@ def run_commands(failures: list[str]) -> None:
             failures.append(f"crowdharvest {' '.join(argv)}: exit {code}, expected {expected}")
 
 
+class FailedReports:
+    """A pytest plugin that keeps each failed report as ``node id: first line of why``.
+
+    A failure outside the test's call (setup, teardown, collection) also names its phase.
+    """
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+
+    def pytest_runtest_logreport(self, report) -> None:
+        self.keep(report)
+
+    def pytest_collectreport(self, report) -> None:
+        self.keep(report)
+
+    def keep(self, report) -> None:
+        if not report.failed:
+            return
+        crash = getattr(report.longrepr, "reprcrash", None)
+        reason = crash.message if crash is not None else str(report.longrepr)
+        where = report.nodeid if report.when == "call" else f"{report.nodeid} ({report.when})"
+        self.lines.append(f"{where}: " + reason.strip().partition("\n")[0])
+
+
 def run_gates(failures: list[str]) -> None:
     import pytest
 
+    failed = FailedReports()
     with contextlib.redirect_stdout(io.StringIO()):
         code = pytest.main(["-q", "-p", "no:cacheprovider",
-                            str(ROOT / "tests" / "test_acceptance.py")])
-    if code != 0:
+                            str(ROOT / "tests" / "test_acceptance.py")], plugins=[failed])
+    failures.extend(f"acceptance gate {line}" for line in failed.lines)
+    if code != 0 and not failed.lines:
         failures.append(f"acceptance gates: pytest exit {int(code)}")
 
 
