@@ -816,11 +816,13 @@ def directional_water_fill(
 class BatteryMdp:
     """Quantised battery, Markov energy chain, discrete spend levels.
 
-    State: (battery level after harvesting, current energy state).
-    Action: spend level, feasible when spend <= battery. Reward:
-    log2(1 + spend * snr_per_joule). The battery, spends, and arrival
-    energies are expressed on a common quantum so the chain stays exact;
-    energy beyond the top bucket is discarded.
+    State: (battery bucket after harvesting, current energy state).
+    Spend levels and arrival energies must lie within 1e-9 quanta of a
+    whole number of ``bucket_j`` quanta; the chain moves by those whole
+    numbers (``_quanta``), so it stays exact. Action: spend level,
+    feasible when its quanta are at most the bucket. Reward:
+    log2(1 + spend * snr_per_joule). Energy beyond the top bucket is
+    discarded.
     """
 
     arrivals: MarkovArrivals
@@ -836,12 +838,7 @@ class BatteryMdp:
                         reward_scale=self.reward_scale)
         if not all(0 <= s < math.inf for s in self.spend_levels_j):
             raise InvalidParameterError("spend levels must be non-negative and finite")
-        for v in self.spend_levels_j + self.arrivals.states_j:
-            units = v / self.bucket_j
-            if abs(units - round(units)) > 1e-9:
-                raise InvalidParameterError(
-                    "spend levels and arrival energies must be multiples of the quantum"
-                )
+        _quanta(self, self.spend_levels_j + self.arrivals.states_j)
         if 0.0 not in self.spend_levels_j:
             raise InvalidParameterError("spend levels must include 0")
 
@@ -864,10 +861,23 @@ class BatteryMdp:
         )
 
 
+def _quanta(mdp: BatteryMdp, values_j: tuple[float, ...]) -> np.ndarray:
+    """Each value as the whole number of battery quanta the transition moves.
+
+    A value more than 1e-9 quanta from a whole number raises.
+    """
+    units = [v / mdp.bucket_j for v in values_j]
+    if any(abs(u - round(u)) > 1e-9 for u in units):
+        raise InvalidParameterError(
+            "spend levels and arrival energies must be multiples of the quantum"
+        )
+    return np.array([round(u) for u in units])
+
+
 def _feasible_spends(mdp: BatteryMdp) -> np.ndarray:
-    """(spend level, battery bucket) mask of the spends each bucket covers."""
-    held_j = np.arange(mdp.battery_buckets) * mdp.bucket_j
-    return np.asarray(mdp.spend_levels_j)[:, None] <= held_j + 1e-12
+    """(spend level, battery bucket) mask: a level is feasible from the bucket
+    of its whole quanta on, the bucket the transition subtracts it from."""
+    return _quanta(mdp, mdp.spend_levels_j)[:, None] <= np.arange(mdp.battery_buckets)
 
 
 @dataclass(frozen=True)
@@ -962,10 +972,9 @@ class _MdpArrays:
     def build(mdp: BatteryMdp) -> "_MdpArrays":
         n_e = len(mdp.arrivals.states_j)
         buckets = np.repeat(np.arange(mdp.battery_buckets), n_e)
-        spend_units = np.array([round(s / mdp.bucket_j) for s in mdp.spend_levels_j])
-        arrive_units = np.array([round(e / mdp.bucket_j) for e in mdp.arrivals.states_j])
-        left = buckets - spend_units[:, None]
-        b_next = np.clip(left + arrive_units[:, None, None], 0, mdp.battery_buckets - 1)
+        left = buckets - _quanta(mdp, mdp.spend_levels_j)[:, None]
+        arrive = _quanta(mdp, mdp.arrivals.states_j)[:, None, None]
+        b_next = np.clip(left + arrive, 0, mdp.battery_buckets - 1)
         arrays = _MdpArrays(
             nxt=b_next * n_e + np.arange(n_e)[:, None, None],
             prob=np.tile(mdp.arrivals.matrix.T, mdp.battery_buckets)[:, None, :],
@@ -1093,6 +1102,7 @@ def threshold_policy(
 
     The spend defaults to one battery quantum; it is truncated to the
     largest feasible level when the battery holds less than the target.
+    Levels are compared by the whole quanta the transition spends.
     The returned policy carries its exact long-run gain. A closed loop
     with several closed classes raises :class:`DegenerateModelError` only
     when the average-reward solve is singular, and otherwise carries what
@@ -1101,11 +1111,12 @@ def threshold_policy(
     _guard.non_negative(theta_j=theta_j)
     target = mdp.bucket_j if spend_j is None else spend_j
     _guard.positive(spend_j=target)
-    levels = np.asarray(mdp.spend_levels_j)
+    units = _quanta(mdp, mdp.spend_levels_j)
     held_j = np.arange(mdp.battery_buckets) * mdp.bucket_j
-    allowed = _feasible_spends(mdp) & ((levels > 0) & (levels <= target + 1e-12))[:, None]
-    largest = np.where(allowed, levels[:, None], -1.0).argmax(axis=0)
-    transmit = allowed.any(axis=0) & (held_j + 1e-12 >= theta_j) & (held_j > 0)
+    wanted = (units > 0) & (units * mdp.bucket_j <= target + 1e-12)
+    allowed = _feasible_spends(mdp) & wanted[:, None]
+    largest = np.where(allowed, units[:, None], -1).argmax(axis=0)
+    transmit = allowed.any(axis=0) & (held_j + 1e-12 >= theta_j)
     chosen = np.where(transmit, largest, mdp.spend_levels_j.index(0.0))
     actions = np.repeat(chosen[:, None], len(mdp.arrivals.states_j), axis=1)
     p, r = _policy_tables(mdp._arrays, actions)
@@ -1123,38 +1134,29 @@ def evaluate_policy(
     The exact mode solves the closed loop's average-reward equations as
     policy iteration does; a loop with several closed classes raises only
     when that solve is singular (see ``_evaluate_average_reward``).
-    Simulation quantises the running battery to the policy's buckets
-    (rounding down) before each lookup. It follows the simulated state
-    path of the chain, so energy states that share an arrival energy
-    keep their own actions.
+    Simulation samples the model's own chain, the one every solver reads:
+    it starts at bucket 0 in energy state 0, before the first harvest,
+    and walks the closed loop's next-state table along the energy-state
+    path of ``simulate_arrivals(mdp.arrivals, horizon, seed)``, so energy
+    states that share an arrival energy keep their own actions.
     """
     _guard.count(horizon=horizon)
-    mdp = policy.mdp
+    arrays = policy.mdp._arrays
+    chosen = policy.actions.ravel()
     if exact:
-        p, r = _policy_tables(mdp._arrays, policy.actions)
+        p, r = _policy_tables(arrays, chosen)
         return _evaluate_average_reward(p, r)[0]
+    states = np.arange(chosen.size)
+    reward = arrays.rewards[chosen].tolist()
+    step = arrays.nxt[:, chosen, states].tolist()  # step[next energy state][state]
     # the stream simulate_arrivals draws from, so the trace is the same
-    path = _markov_path(mdp.arrivals, horizon, substream(seed, "arrivals"))
-    energies = [float(e) for e in mdp.arrivals.states_j]
-    actions = policy.actions.tolist()
-    levels = mdp.spend_levels_j
-    rewards = [mdp.reward(a) for a in range(len(levels))]
-    capacity, top, quantum = mdp.capacity_j, mdp.battery_buckets - 1, mdp.bucket_j
-    battery = 0.0
+    path = _markov_path(policy.mdp.arrivals, horizon, substream(seed, "arrivals"))
+    # state 0 (bucket 0, energy state 0) spends nothing, so its step is the first harvest
+    state = 0
     total = 0.0
     for e in path:
-        # min(capacity, filled) and min(top, bucket), compared as min compares
-        filled = battery + energies[e]
-        battery = filled if filled < capacity else capacity
-        bucket = int(battery / quantum + 1e-12)
-        a = actions[bucket if bucket < top else top][e]
-        spend = levels[a]
-        if spend <= battery:
-            total += rewards[a]
-        else:
-            spend = battery
-            total += mdp.reward_scale * math.log2(1.0 + spend * mdp.snr_per_joule)
-        battery -= spend
+        state = step[e][state]
+        total += reward[state]
     return total / horizon
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "SwiptConfig",
     "LinkState",
     "HybridFrame",
-    "end_to_end_snr",
     "ts_throughput",
     "ps_throughput",
     "hybrid_ts_frame",
@@ -113,14 +112,13 @@ def _cascade(mode: RelayMode) -> bool:
     return True
 
 
-def _relay_rate(pre_log: float | None, gamma1: float, gamma2: float, cascade: bool) -> float:
+def _relay_rate(pre_log: float, gamma1: float, gamma2: float, cascade: bool) -> float:
     """Compose two hop SNRs, then rate them as ``pre_log * log2(1 + snr)``.
 
     The one definition of both steps. Decode-and-forward keeps the weaker
     hop, compared as ``min(gamma1, gamma2)`` compares (``gamma1`` on ties
     and on NaN); amplify-and-forward (``cascade``) takes g1 g2/(g1+g2+1).
-    A non-positive pre-log or SNR rates 0. With ``pre_log=None`` the
-    composed SNR itself is returned. Callers resolve the mode with
+    A non-positive pre-log or SNR rates 0. Callers resolve the mode with
     ``_cascade`` once, so a rate evaluation is one call of this function.
     """
     if cascade:
@@ -128,16 +126,9 @@ def _relay_rate(pre_log: float | None, gamma1: float, gamma2: float, cascade: bo
         snr = gamma1 * gamma2 / denom if denom > 0 else 0.0
     else:
         snr = gamma2 if gamma2 < gamma1 else gamma1
-    if pre_log is None:
-        return snr
     if pre_log <= 0 or snr <= 0:
         return 0.0
     return pre_log * math.log2(1.0 + snr)
-
-
-def end_to_end_snr(gamma1: float, gamma2: float, mode: RelayMode) -> float:
-    """Compose hop SNRs: min for DF, cascade g1 g2/(g1+g2+1) for AF."""
-    return _relay_rate(None, gamma1, gamma2, _cascade(mode))
 
 
 def _ts_rate(

@@ -1227,6 +1227,41 @@ def small_mdps(draw):
                             1.0, spends, 2.0)
 
 
+@st.composite
+def unit_cases(draw):
+    """A model and a feasible policy in whole quanta: ``(rows, arrive, spend,
+    actions)``, the arrival and spend sizes in quanta, one action row per bucket."""
+    n_e = draw(st.integers(1, 3))
+    weights = st.lists(st.integers(0, 3), min_size=n_e, max_size=n_e).filter(any)
+    rows = tuple(tuple(w / sum(row) for w in row)
+                 for row in draw(st.lists(weights, min_size=n_e, max_size=n_e)))
+    arrive = draw(st.lists(st.integers(0, 4), min_size=n_e, max_size=n_e))
+    spend = [0] + sorted(draw(st.sets(st.integers(1, 8), max_size=4)))
+    actions = [[draw(st.sampled_from([a for a, u in enumerate(spend) if u <= b]))
+                for _ in range(n_e)] for b in range(draw(st.integers(2, 40)))]
+    return rows, arrive, spend, actions
+
+
+def quantised_policy(bucket_j, rows, arrive, spend, actions):
+    """The policy of a :func:`unit_cases` case on ``bucket_j`` quanta."""
+    mdp = sched.BatteryMdp(sched.MarkovArrivals(tuple(u * bucket_j for u in arrive), rows),
+                           len(actions), bucket_j, tuple(u * bucket_j for u in spend), 2.0)
+    return sched.Policy(mdp, np.array(actions), gain=0.0)
+
+
+# 0.3 J arrivals into a 3.9 J battery on 0.1 J quanta, and its optimal policy;
+# a float battery drifts off its buckets on it within a few thousand slots
+TENTH_JOULE_MDP = sched.BatteryMdp(
+    arrivals=sched.MarkovArrivals((0.0, 0.3), ((0.8, 0.2), (0.3, 0.7))),
+    battery_buckets=40,
+    bucket_j=0.1,
+    spend_levels_j=(0.0, 0.1, 0.2, 0.3, 0.7),
+    snr_per_joule=2.0,
+)
+TENTH_JOULE_CASE = (TENTH_JOULE_MDP.arrivals.transitions, [0, 3], [0, 1, 2, 3, 7],
+                    sched.mdp_policy_iteration(TENTH_JOULE_MDP).actions.tolist())
+
+
 class TestMdpKernelReferences:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -1355,6 +1390,31 @@ class TestPolicyFeasibility:
         with pytest.raises(InvalidParameterError):
             sched.Policy(DESK_MDP, actions, gain=0.0)
 
+    # 1.0000000001 J is one quantum to the model, which subtracts one bucket for it
+    OFF_GRID_MDP = sched.BatteryMdp(
+        arrivals=sched.MarkovArrivals((0.0, 3.0), ((0.5, 0.5), (0.5, 0.5))),
+        battery_buckets=4,
+        bucket_j=1.0,
+        spend_levels_j=(0.0, 1.0000000001, 2.0, 3.0),
+        snr_per_joule=2.0,
+    )
+
+    def test_feasibility_follows_the_transition(self):
+        # the float test spend <= held + 1e-12 marked it [False, False, True, True]
+        arrays = self.OFF_GRID_MDP._arrays
+        assert arrays.feasible[1].reshape(4, 2).all(axis=1).tolist() == [False, True, True, True]
+        # from bucket 1, energy state 0, it leaves bucket 0 before the next arrival
+        assert arrays.nxt[:, 1, 2].tolist() == [0, 3 * 2 + 1]
+
+    def test_policy_spending_one_quantum_at_bucket_1_accepted(self):
+        actions = np.zeros((4, 2), dtype=np.int64)
+        actions[1] = 1
+        sched.Policy(self.OFF_GRID_MDP, actions, gain=0.0)
+
+    def test_threshold_policy_spends_one_quantum_at_bucket_1(self):
+        policy = sched.threshold_policy(self.OFF_GRID_MDP, 1.0)
+        assert policy.actions[:, 0].tolist() == [0, 1, 1, 1]
+
     def test_threshold_policy_idles_on_the_zero_level(self):
         mdp = replace(DESK_MDP, spend_levels_j=(1.0, 2.0, 0.0))
         policy = sched.threshold_policy(mdp, 3.0, spend_j=2.0)
@@ -1481,6 +1541,47 @@ class TestEvaluatePolicy:
             assert sched.evaluate_policy(policy, horizon=horizon, seed=seed) == want
             if name == "capped" and horizon > 1:
                 assert capped > 0
+
+    @staticmethod
+    def reference_walk(policy, spend, arrive, horizon, seed):
+        """The closed loop in plain ints: the bucket after each harvest,
+        its action's reward and the spend's quanta, slot by slot."""
+        mdp = policy.mdp
+        path = reference_markov_path(mdp.arrivals, horizon, substream(seed, "arrivals"))
+        actions = policy.actions.tolist()
+        top = mdp.battery_buckets - 1
+        b, total = 0, 0.0
+        for e in path:
+            b = min(top, b + arrive[e])
+            a = actions[b][e]
+            total += mdp.reward(a)
+            b -= spend[a]
+        return total / horizon
+
+    @pytest.mark.parametrize("bucket_j", [1.0, 0.5, 0.25, 0.1, 1 / 3],
+                             ids=["1", "0.5", "0.25", "0.1", "1/3"])
+    @settings(max_examples=8, deadline=None)
+    @given(case=unit_cases(), seed=st.integers(0, 99))
+    @example(case=TENTH_JOULE_CASE, seed=0)
+    def test_walk_matches_the_integer_loop(self, bucket_j, case, seed):
+        # on 0.1 J quanta the float battery used to read the wrong bucket and
+        # pay rewards for spends the model does not have
+        policy = quantised_policy(bucket_j, *case)
+        for horizon in (1, sched._PATH_CHUNK - 1, sched._PATH_CHUNK + 1, 20_000):
+            want = self.reference_walk(policy, case[2], case[1], horizon, seed)
+            assert sched.evaluate_policy(policy, horizon=horizon, seed=seed) == want
+
+    def test_tenth_joule_estimate_samples_the_models_chain(self):
+        mdp, horizon = TENTH_JOULE_MDP, 200_000
+        policy = sched.mdp_policy_iteration(mdp)
+        mc = sched.evaluate_policy(policy, horizon=horizon, seed=0)
+        assert mc == self.reference_walk(policy, [0, 1, 2, 3, 7], [0, 3], horizon, 0)
+        # five standard errors, bounded as perfbench/workloads.py::mc_tolerance
+        # bounds them: rewards in [0, r_max], the chain's second eigenvalue lam
+        r_max = max(mdp.reward(a) for a in range(len(mdp.spend_levels_j)))
+        lam = float(np.sort(np.abs(np.linalg.eigvals(mdp.arrivals.matrix)))[-2])
+        tol = 5.0 * (r_max / 2.0) * math.sqrt((1.0 + lam) / (1.0 - lam) / horizon)
+        assert abs(mc - sched.evaluate_policy(policy, exact=True)) <= tol
 
 
 class TestCombinedModeController:
