@@ -31,8 +31,10 @@ operations, bit-identical to one :func:`aggregate_power` call per trial.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -303,7 +305,7 @@ _CHUNK_POINTS = 2**13  # points whose distances and powers are computed together
 
 
 class _LinkWorkspace:
-    """One worker's three float64 rows: link distances, link power and shadowing.
+    """One share's three float64 rows: link distances, link power and shadowing.
 
     A trial's shadowing draws sit in the third row at the trial's offset in
     the chunk, beside its distances in the first. The rows are reused for
@@ -368,6 +370,57 @@ def _trial_draws(
     return seeds[:, 0], xs, ys, seeds[:, 1]
 
 
+def _run_shares(run_share: Callable[[int], None], shares: int) -> None:
+    """Call ``run_share(w)`` for every share ``w`` < ``shares``, each but share 0 in a forked child.
+
+    The calling process runs share 0 and then waits for every child, also
+    when its own share raised. A child leaves through ``os._exit``; one
+    that raised sends its exception back pickled through a pipe, so it
+    keeps its type and message. Errors are raised in share order: the
+    calling process's own first, then the first failed child's. A child
+    that dies without reporting raises :class:`SimulationError`. Without
+    ``os.fork`` every share runs in the calling process.
+    """
+    if not hasattr(os, "fork"):
+        for w in range(shares):
+            run_share(w)
+        return
+    children = []  # (pid, read end of the child's error pipe), in share order
+    try:
+        for w in range(1, shares):
+            read_fd, write_fd = os.pipe()
+            reader, writer = open(read_fd, "rb"), open(write_fd, "wb")
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    reader.close()
+                    try:
+                        run_share(w)
+                        status = 0
+                    except BaseException as error:
+                        with writer:  # nothing is written if the error cannot be pickled
+                            writer.write(pickle.dumps(error))
+                finally:
+                    os._exit(status)
+            writer.close()
+            children.append((pid, reader))
+        run_share(0)
+    finally:
+        reports = []
+        for pid, reader in children:
+            with reader:
+                error = reader.read()  # to the end before waiting: a large error fills the pipe
+            reports.append((error, os.waitpid(pid, 0)[1]))
+    for w, (error, status) in enumerate(reports, 1):
+        if error:
+            raise pickle.loads(error)
+        if status:
+            raise SimulationError(
+                f"crowd worker {w} exited with code {os.waitstatus_to_exitcode(status)}"
+            )
+
+
 def _trial_powers(
     rat: RatProfile,
     region: Region,
@@ -397,8 +450,8 @@ def _trial_powers(
     states with one :func:`substream_columns` call, computes their seeds
     and probes from raw outputs (:func:`_trial_draws`), derives the
     deployment and shadowing states with one call each, and re-points one
-    generator per worker to draw the deployments and the shadowing, through
-    one state dict that the worker keeps (``_reseat``).
+    generator per share to draw the deployments and the shadowing, through
+    one state dict that the share keeps (``_reseat``).
     Distances and powers are computed on at most ``_CHUNK_POINTS``
     points at a time (or one larger deployment), while every trial's sum
     and ``k_nearest`` partition is taken on that trial's own slice, so
@@ -412,11 +465,19 @@ def _trial_powers(
     ``np.maximum.reduceat`` over its trials' segments, which are never
     empty. A trial's shadowing stream is drawn as far as its longest
     reading view needs; a ``k_nearest`` view reads the stream's first
-    draws. Workers take every ``workers``-th block; results do not depend
-    on ``workers``, which must be an integer of at least 1.
+    draws.
+
+    ``workers``, an integer of at least 1, splits the trials into ``n =
+    min(workers, trials)`` even shares of consecutive trials: share w
+    takes trials ``trials * w // n`` up to ``trials * (w + 1) // n``, in
+    its own blocks. The calling process runs share 0 and a
+    forked process each other one (:func:`_run_shares`); every share
+    writes its own trial rows of the two arrays, which live in one
+    anonymous shared mapping. A trial's draws come from its own keyed
+    substreams, so results do not depend on ``workers``.
 
     The link arithmetic allocates no array of the chunk's size for a view
-    that reads every link of the chunk. Each worker owns one
+    that reads every link of the chunk. Each share owns one
     :class:`_LinkWorkspace` of three rows, sized to the largest chunk it
     has seen. A chunk's distances go into the first row, with the chunk's
     coordinates as scratch. Views are taken one shadowing spec at a time:
@@ -442,8 +503,10 @@ def _trial_powers(
     views_by_spec: dict[ShadowingSpec | None, list[int]] = {}
     for v, spec in enumerate(specs):
         views_by_spec.setdefault(spec, []).append(v)
-    totals = np.zeros((trials, len(views)))
-    maxima = np.zeros((trials, len(views))) if strongest else None
+    # zero-filled and shared with forked shares, which write their own trial rows
+    results = np.frombuffer(mmap.mmap(-1, (1 + strongest) * trials * len(views) * 8))
+    results = results.reshape(1 + strongest, trials, len(views))
+    totals, maxima = results[0], results[1] if strongest else None
 
     def run_chunk(gen, seat, workspace, chunk, probes, shadow_states) -> None:
         """Compute the (row, t, count, xs, ys) deployments of ``chunk`` and empty it."""
@@ -560,23 +623,17 @@ def _trial_powers(
         if chunk:
             run_chunk(gen, seat, workspace, chunk, probes, shadow_states)
 
-    blocks = [
-        range(start, min(start + _TRIAL_BLOCK, trials))
-        for start in range(0, trials, _TRIAL_BLOCK)
-    ]
+    shares = min(workers, trials)
 
-    def run_worker(w: int) -> None:
+    def run_share(w: int) -> None:
         gen = np.random.default_rng(0)  # re-pointed to each substream's state
-        seat = state_dict(0, 0, 0, 0)  # this worker's one dict for re-pointing gen
+        seat = state_dict(0, 0, 0, 0)  # this share's one dict for re-pointing gen
         workspace = _LinkWorkspace()
-        for block in blocks[w::workers]:
-            run_block(gen, seat, workspace, block)
+        lo, hi = trials * w // shares, trials * (w + 1) // shares
+        for start in range(lo, hi, _TRIAL_BLOCK):
+            run_block(gen, seat, workspace, range(start, min(start + _TRIAL_BLOCK, hi)))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_worker, range(workers)))
-    else:
-        run_worker(0)
+    _run_shares(run_share, shares)
     return totals, maxima
 
 
@@ -597,8 +654,9 @@ def crowd_sweep(
     measures the probe's distances once, and computes the total received
     power of every view from those distances; so all views share the
     deployment, probe and shadowing seed at (j, t), and a view reads its
-    first ``view.trials`` trials. Trials run in blocks on one pool of
-    ``workers`` threads (see :func:`_trial_powers`), and results are
+    first ``view.trials`` trials. The trials are split into ``workers``
+    even shares, share 0 run by the calling process and each other one by
+    a forked process (see :func:`_trial_powers`), and results are
     bit-identical for any worker count.
     """
     grid = np.asarray(density_grid, dtype=float)
@@ -699,9 +757,10 @@ def nearest_share_study(
     share, the summed strongest-node power over the summed total power,
     which is the fraction of all harvested energy attributable to the
     nearest transmitter; ``mean_fraction`` is the unweighted mean of the
-    per-draw share, reported for sensitivity. Draws run in blocks on
-    ``workers`` threads (see :func:`_trial_powers`), and results are
-    bit-identical for any worker count.
+    per-draw share, reported for sensitivity. The draws are split into
+    ``workers`` even shares, share 0 run by the calling process and each
+    other one by a forked process (see :func:`_trial_powers`), and results
+    are bit-identical for any worker count.
     """
     _guard.count(draws=draws)
     view = SweepView(model, draws, shadowing)

@@ -242,7 +242,9 @@ def _reseat(gen: np.random.Generator, seat: dict, state: int, inc: int) -> None:
     ``seat`` is a dict from :func:`state_dict` that the caller keeps for many
     states: its ``state`` and ``inc`` are overwritten in place, and numpy's
     setter copies them into the generator, so the generator reads nothing
-    from the dict afterwards. Threads must not share a seat.
+    from the dict afterwards. Two threads must not write one seat at once;
+    the crowd kernel keeps one seat per share of trials, and runs each
+    share in its own process.
     """
     words = seat["state"]
     words["state"], words["inc"] = state, inc

@@ -427,10 +427,11 @@ def _changed(column: np.ndarray) -> np.ndarray:
     return column[1:] != column[:-1]
 
 
-def _survivors(layer: _Layer, pareto: bool) -> tuple[_Layer, int]:
+def _survivors(layer: _Layer, pareto: bool, state_bound: int, slot: int) -> _Layer:
     """Best path per state, or with ``pareto`` the Pareto set over (bits up,
-    relay slots down) per state; rows keep their order in ``layer``. Also
-    returns the number of states.
+    relay slots down) per state; rows keep their order in ``layer``. Raises
+    :class:`ProblemTooLargeError` naming ``slot`` when ``layer`` holds more
+    than ``state_bound`` states, as soon as they are counted.
 
     Rows are sorted stably by state (and relay count) only. Each group's
     first path in path order is then picked as ``_first_lexmin`` picks one
@@ -442,6 +443,11 @@ def _survivors(layer: _Layer, pareto: bool) -> tuple[_Layer, int]:
     new_state = np.ones(rows.size, dtype=bool)
     new_state[1:] = (_changed(layer.b_s[rows]) | _changed(layer.b_r[rows])
                      | _changed(layer.buf[rows]))
+    n_states = int(new_state.sum())
+    if n_states > state_bound:  # fail fast, before the path keys are ranked
+        raise ProblemTooLargeError(
+            f"state space exceeded the bound ({n_states} states > {state_bound}) at slot {slot}"
+        )
     new_group = new_state.copy()
     if pareto:
         new_group[1:] |= _changed(layer.relay_slots[rows])
@@ -454,7 +460,6 @@ def _survivors(layer: _Layer, pareto: bool) -> tuple[_Layer, int]:
         keep = values == np.minimum.reduceat(values, starts)[group_id]
         rows, group_id = rows[keep], group_id[keep]
     rows = rows[np.concatenate(([True], _changed(group_id)))]
-    n_states = int(new_state.sum())
     if pareto:  # keep a relay count only if it buys more bits than every smaller one
         state = (np.cumsum(new_state) - 1)[new_group]
         bits, relay_slots = layer.bits[rows], layer.relay_slots[rows]
@@ -466,7 +471,7 @@ def _survivors(layer: _Layer, pareto: bool) -> tuple[_Layer, int]:
             keep[at] = True
             best[state[at]] = bits[at]
         rows = rows[keep]
-    return layer.take(np.sort(rows)), n_states
+    return layer.take(np.sort(rows))
 
 
 def _children(
@@ -514,7 +519,8 @@ def _run_dp(problem: ScheduleProblem, power_levels: int, state_bound: int, paret
     of that in the last slot, which keeps one row per block), each
     merged into the layer's survivors (a later block holds later parents,
     so the merge keeps action-tuple order), and the problem is rejected as
-    soon as a stored layer holds more than ``state_bound`` states; with
+    soon as a stored layer holds more than ``state_bound`` states, counted
+    when a merge has sorted them and before it ranks their paths; with
     ``pareto`` also when a finished layer stores more values.
     """
     start = np.array([problem.initial_source_j, problem.initial_relay_j, 0.0], dtype=float)
@@ -529,12 +535,7 @@ def _run_dp(problem: ScheduleProblem, power_levels: int, state_bound: int, paret
             block = _children(problem, k, prev, slice(lo, lo + per_block), power_levels)
             if layer is not None:
                 block = _Layer(*map(np.concatenate, zip(layer, block)))
-            layer, n_states = _survivors(block, pareto)
-            if n_states > state_bound:  # fail fast, before the layer is complete
-                raise ProblemTooLargeError(
-                    f"state space exceeded the bound ({n_states} states > {state_bound})"
-                    f" at slot {k}"
-                )
+            layer = _survivors(block, pareto, state_bound, k)  # fails fast on too many states
         if layer.bits.size > state_bound:  # a state may hold several Pareto values
             raise ProblemTooLargeError(
                 f"state space exceeded the bound ({layer.bits.size} values > {state_bound})"
@@ -864,14 +865,19 @@ class BatteryMdp:
 def _quanta(mdp: BatteryMdp, values_j: tuple[float, ...]) -> np.ndarray:
     """Each value as the whole number of battery quanta the transition moves.
 
-    A value more than 1e-9 quanta from a whole number raises.
+    A value more than 1e-9 quanta from a whole number, or one whose quanta
+    overflow a float, raises. Counts are capped at ``battery_buckets``,
+    which changes no transition a policy can take: a spend of that many
+    quanta is never feasible, and an arrival of that many fills the battery.
     """
     units = [v / mdp.bucket_j for v in values_j]
+    if not all(math.isfinite(u) for u in units):
+        raise InvalidParameterError("spend levels and arrival energies overflow the quantum")
     if any(abs(u - round(u)) > 1e-9 for u in units):
         raise InvalidParameterError(
             "spend levels and arrival energies must be multiples of the quantum"
         )
-    return np.array([round(u) for u in units])
+    return np.array([min(round(u), mdp.battery_buckets) for u in units])
 
 
 def _feasible_spends(mdp: BatteryMdp) -> np.ndarray:

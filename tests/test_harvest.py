@@ -1,10 +1,11 @@
+import os
 import sys
 
 import numpy as np
 import pytest
 
 from crowdharvest import geometry, harvest
-from crowdharvest.errors import FitFailureError, InvalidParameterError
+from crowdharvest.errors import FitFailureError, InvalidParameterError, SimulationError
 from crowdharvest.propagation import (
     ShadowingSpec,
     draw_shadowing_db,
@@ -292,12 +293,13 @@ def test_crowd_sweep_matches_per_curve_reference(case, workers, request):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_link_workspace_grows_mid_sweep_and_serves_smaller_chunks(
-    monkeypatch, small_kernel, workers
+    monkeypatch, small_kernel, tmp_path, workers
 ):
     # Wi-Fi on 3 km^2: about 900, 2070 and 450 points per deployment, so the
-    # middle grid point straddles SMALL_CHUNK and the last one is smaller
+    # middle grid point straddles SMALL_CHUNK and the last one is smaller; the
+    # grid is run twice, so with 2 workers each share sees all three
     region = geometry.Region(2000.0, 1500.0)
-    grid, seed = [300.0, 690.0, 150.0], 31
+    grid, seed = [300.0, 690.0, 150.0] * 2, 31
     nlos = winner_urban_nlos_model(WIFI.carrier_frequency_hz)
     views = [
         harvest.SweepView(free_space_model(WIFI.carrier_frequency_hz), 10, scenario="full"),
@@ -305,21 +307,30 @@ def test_link_workspace_grows_mid_sweep_and_serves_smaller_chunks(
         harvest.SweepView(nlos, 8, ShadowingSpec(8.0), scenario="shadowed"),
         harvest.SweepView(nlos, 10, scenario="unshadowed"),
     ]
-    widths = []  # (columns asked for, columns held) per chunk
+    # (process, columns asked for, columns held) per chunk, appended by every
+    # process that runs a share, since each share owns its workspace
+    record = tmp_path / "widths.txt"
     rows = harvest._LinkWorkspace.rows
 
     def recording_rows(self, n):
         out = rows(self, n)
-        widths.append((n, self._buffer.shape[1]))
+        with open(record, "a") as f:
+            f.write(f"{os.getpid()} {n} {self._buffer.shape[1]}\n")
         return out
 
     monkeypatch.setattr(harvest._LinkWorkspace, "rows", recording_rows)
     curves = harvest.crowd_sweep(WIFI, grid, views, seed, region=region, workers=workers)
     monkeypatch.undo()
-    held = [h for _, h in widths]
-    assert max(n for n, _ in widths) > SMALL_CHUNK
-    assert len(set(held)) > 2  # the buffer grew more than once
-    assert any(n < h for n, h in widths[held.index(max(held)):])
+    by_process = {}
+    for line in record.read_text().splitlines():
+        pid, n, held = map(int, line.split())
+        by_process.setdefault(pid, []).append((n, held))
+    assert len(by_process) == workers
+    for widths in by_process.values():
+        held = [h for _, h in widths]
+        assert max(n for n, _ in widths) > SMALL_CHUNK
+        assert len(set(held)) > 2  # the buffer grew more than once
+        assert any(n < h for n, h in widths[held.index(max(held)):])
     assert curves == tuple(per_curve_sweep(WIFI, grid, view, seed, region) for view in views)
 
 
@@ -411,18 +422,13 @@ def test_views_compute_only_the_links_they_read(monkeypatch):
     assert curves == tuple(per_curve_sweep(MACRO, grid, view, seed, region) for view in views)
 
 
-def test_workers_write_disjoint_trials_under_fast_switching():
-    # more workers than blocks of work per core, switching threads every microsecond
+def test_workers_write_disjoint_trials_of_one_shared_mapping():
+    # more worker processes than cores, each writing its share of the trial
+    # rows into the one shared mapping; 600 trials split 150 apiece, so two
+    # shares meet inside a page and a write lost to a private copy reads 0
     region = geometry.Region(2000.0, 2000.0)
     args = (MACRO, [1.0, 3.0], NLOS, 300, 5)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        par = harvest.upper_bound_sweep(
-            *args, region=region, shadowing=ShadowingSpec(8.0), workers=4
-        )
-    finally:
-        sys.setswitchinterval(interval)
+    par = harvest.upper_bound_sweep(*args, region=region, shadowing=ShadowingSpec(8.0), workers=4)
     assert par == harvest.upper_bound_sweep(*args, region=region, shadowing=ShadowingSpec(8.0))
 
 
@@ -484,6 +490,103 @@ def test_nearest_share_study_workers_do_not_change_results(small_kernel):
     kwargs = dict(region=REGION, shadowing=ShadowingSpec(8.0))
     seq = harvest.nearest_share_study(*args, **kwargs, workers=1)
     assert harvest.nearest_share_study(*args, **kwargs, workers=2) == seq
+
+
+SHARE_VIEWS = [
+    harvest.SweepView(LOS, 1, scenario="los"),
+    harvest.SweepView(NLOS, 131, ShadowingSpec(8.0), 5, "nlos_k"),
+    harvest.SweepView(NLOS, 100, ShadowingSpec(8.0), scenario="nlos"),
+]
+# each entry point at a trial count: shares of the trials run in forked processes
+SHARE_SPLITS = {
+    # 2 trials in all, fewer than most worker counts
+    "sweep-2": lambda workers: harvest.crowd_sweep(
+        MACRO, [1.5], SHARE_VIEWS[:1] + [harvest.SweepView(NLOS, 2, ShadowingSpec(8.0), 5)],
+        7, region=geometry.Region(2000.0, 2000.0), workers=workers,
+    ),
+    # 2 x 131 trials: no worker count divides them, and shares cross blocks
+    "sweep-262": lambda workers: harvest.crowd_sweep(
+        MACRO, [1.5, 3.0], SHARE_VIEWS, 7, region=geometry.Region(2000.0, 2000.0),
+        workers=workers,
+    ),
+    "share-3": lambda workers: harvest.nearest_share_study(
+        MACRO, 5.0, NLOS, 3, 11, region=REGION, shadowing=ShadowingSpec(8.0), workers=workers
+    ),
+    "share-257": lambda workers: harvest.nearest_share_study(
+        MACRO, 5.0, NLOS, 2 * SMALL_BLOCK + 1, 11, region=REGION, shadowing=ShadowingSpec(8.0),
+        workers=workers,
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+@pytest.mark.parametrize("split", sorted(SHARE_SPLITS))
+def test_shares_do_not_change_results(small_kernel, split, workers):
+    assert SHARE_SPLITS[split](workers) == SHARE_SPLITS[split](1)
+    with pytest.raises(ChildProcessError):  # every forked share was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("split", ["sweep-262", "share-257"])
+def test_shares_run_in_the_calling_process_without_fork(monkeypatch, small_kernel, split):
+    expected = SHARE_SPLITS[split](1)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert SHARE_SPLITS[split](3) == expected
+
+
+class ShareFailure(RuntimeError):
+    """Raised by a test inside a share of the trials."""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="shares run in forked processes")
+@pytest.mark.parametrize(
+    "failing, expected",
+    [
+        # a share that only a child runs: its error keeps its type and message
+        ("children", ShareFailure("child")),
+        # the kernel's own typed error, raised inside a child
+        ("children", InvalidParameterError("deployment points must lie inside the region")),
+        # every share fails: the calling process's share 0 comes first
+        ("all", ShareFailure("parent")),
+    ],
+    ids=["child-only", "typed-child", "parent-first"],
+)
+@pytest.mark.parametrize("entry", ["crowd_sweep", "nearest_share_study"])
+def test_error_in_a_share_reaches_the_caller(monkeypatch, entry, failing, expected):
+    parent = os.getpid()
+    contains = geometry.Region.contains
+
+    def patched(self, xs, ys):
+        inside = contains(self, xs, ys)
+        if failing == "all" or os.getpid() != parent:
+            if isinstance(expected, ShareFailure):
+                raise ShareFailure("parent" if os.getpid() == parent else "child")
+            inside[:] = False  # the kernel raises on points outside the region
+        return inside
+
+    monkeypatch.setattr(geometry.Region, "contains", patched)
+    with pytest.raises(type(expected)) as raised:
+        ENTRIES[entry](3)
+    assert type(raised.value) is type(expected) and str(raised.value) == str(expected)
+    with pytest.raises(ChildProcessError):  # every forked share was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="shares run in forked processes")
+def test_a_share_that_dies_unreported_raises(monkeypatch):
+    parent = os.getpid()
+    contains = geometry.Region.contains
+
+    def dying_contains(self, xs, ys):
+        if os.getpid() != parent:
+            os._exit(3)
+        return contains(self, xs, ys)
+
+    monkeypatch.setattr(geometry.Region, "contains", dying_contains)
+    with pytest.raises(SimulationError, match="crowd worker 1 exited with code 3"):
+        ENTRIES["crowd_sweep"](2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

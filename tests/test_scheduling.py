@@ -265,6 +265,26 @@ class TestOfflineOptimal:
             sched.offline_optimal(p, 8, state_bound=10_000)
 
     @pytest.mark.parametrize("pareto", [False, True], ids=["offline_optimal", "min_relay_time"])
+    def test_state_bound_fires_before_the_paths_are_ranked(self, monkeypatch, pareto):
+        p = sched.ScheduleProblem(
+            10, 1.0, (1.0,) * 10, (1.0,) * 10, (1e-3,) * 10, (1e-3,) * 10, 1e-9
+        )
+        ranked = []  # distinct states of every block whose path keys were computed
+        path_keys = sched._path_keys
+
+        def recording_path_keys(layer, *primary):
+            ranked.append(len(set(zip(layer.b_s.tolist(), layer.b_r.tolist(), layer.buf.tolist()))))
+            return path_keys(layer, *primary)
+
+        monkeypatch.setattr(sched, "_path_keys", recording_path_keys)
+        with pytest.raises(ProblemTooLargeError, match=r"states > 10000\) at slot \d+$"):
+            if pareto:
+                sched.min_relay_time(p, 0.0, 8, state_bound=10_000)
+            else:
+                sched.offline_optimal(p, 8, state_bound=10_000)
+        assert ranked and max(ranked) <= 10_000
+
+    @pytest.mark.parametrize("pareto", [False, True], ids=["offline_optimal", "min_relay_time"])
     def test_state_bound_rejects_exactly_when_a_layer_exceeds_it(self, pareto):
         levels = 2
         p = sched.ScheduleProblem(
@@ -280,7 +300,7 @@ class TestOfflineOptimal:
         if pareto:
             assert stored != states  # some state holds several Pareto values
         # the last slot has more states than any stored layer, and the bound leaves them out
-        assert sched._survivors(last_slot_candidates(p, layers, levels), pareto)[1] > max(stored)
+        assert reference_survivors(last_slot_candidates(p, layers, levels), pareto)[1] > max(stored)
 
         def solve(bound):
             if pareto:
@@ -762,6 +782,11 @@ def reference_survivors(layer, pareto):
     return layer.take(np.sort(rows)), n_states
 
 
+def reference_step(layer, pareto, state_bound, slot):
+    """``reference_survivors`` in the place of ``_survivors``, for runs at no state bound."""
+    return reference_survivors(layer, pareto)[0]
+
+
 def run_dp(problem, levels, pareto):
     """The DP's stored layers and its pick under the path order, at no state bound."""
     return sched._run_dp(problem, levels, 10**9, pareto, sched._path_keys)
@@ -790,7 +815,7 @@ def solve_both(problem, levels):
 @given(schedule_problems(), st.integers(2, 4), st.booleans())
 def test_dp_layers_equal_reference_survivors(problem, levels, pareto):
     layers = run_dp(problem, levels, pareto)
-    with mock.patch.object(sched, "_survivors", reference_survivors):
+    with mock.patch.object(sched, "_survivors", reference_step):
         expected = run_dp(problem, levels, pareto)
     assert_layers_equal(layers, expected)
 
@@ -801,7 +826,7 @@ def test_dp_layers_equal_reference_survivors_at_five_slots(index):
     levels = FIVE_SLOT_CASES[index][0]
     for pareto in (False, True):
         layers = run_dp(p, levels, pareto)
-        with mock.patch.object(sched, "_survivors", reference_survivors):
+        with mock.patch.object(sched, "_survivors", reference_step):
             assert_layers_equal(layers, run_dp(p, levels, pareto))
 
 
@@ -1171,11 +1196,13 @@ class TestMdpArrays:
 
 def reference_arrays(mdp):
     """``(nxt, prob)`` in the earlier layout: next state ``nxt[a, s, j]``
-    with probability ``prob[s, j]`` for next energy state ``j``."""
+    with probability ``prob[s, j]`` for next energy state ``j``. Quanta are
+    capped at the bucket count, as the model counts them."""
     n_e = len(mdp.arrivals.states_j)
     buckets = np.repeat(np.arange(mdp.battery_buckets), n_e)
-    spend_units = np.array([round(s / mdp.bucket_j) for s in mdp.spend_levels_j])
-    arrive_units = np.array([round(e / mdp.bucket_j) for e in mdp.arrivals.states_j])
+    units = [[min(round(v / mdp.bucket_j), mdp.battery_buckets) for v in values]
+             for values in (mdp.spend_levels_j, mdp.arrivals.states_j)]
+    spend_units, arrive_units = map(np.array, units)
     left = buckets - spend_units[:, None]
     b_next = np.clip(left[:, :, None] + arrive_units, 0, mdp.battery_buckets - 1)
     return b_next * n_e + np.arange(n_e), np.tile(mdp.arrivals.matrix, (mdp.battery_buckets, 1))
@@ -1447,7 +1474,38 @@ MDP_REJECTIONS = {
     "horizon-fraction": lambda: sched.evaluate_policy(NEVER_TRANSMIT, horizon=2.5),
     "horizon-zero": lambda: sched.evaluate_policy(NEVER_TRANSMIT, horizon=0),
     "horizon-bool": lambda: sched.evaluate_policy(NEVER_TRANSMIT, horizon=True),
+    # 1e10 J is an infinite number of 1e-300 J quanta: this raised a bare OverflowError
+    "spend-quanta-overflow": lambda: sched.BatteryMdp(
+        sched.MarkovArrivals((0.0, 1.0), ((0.5, 0.5), (0.5, 0.5))), 4, 1e-300, (0.0, 1e10), 2.0
+    ),
+    "arrival-quanta-overflow": lambda: sched.BatteryMdp(
+        sched.MarkovArrivals((0.0, 1e10), ((0.5, 0.5), (0.5, 0.5))), 4, 1e-300, (0.0,), 2.0
+    ),
 }
+
+
+@pytest.mark.parametrize(
+    "spends, arrivals",
+    [((0.0, "big"), (0.0, 1.0)), ((0.0, 1.0, "big"), (0.0, 1.0)), ((0.0, 1.0), (0.0, "big"))],
+    ids=["spend-example", "spend", "arrival"],
+)
+def test_quanta_past_the_battery_act_as_a_full_battery(spends, arrivals):
+    # 1e19 J is more than 2^63 quanta of 1 J: such a model used to build float
+    # next-state indices, and policy iteration raised a bare IndexError
+    def model(big):
+        spend_j, arrival_j = (
+            tuple(big if v == "big" else v for v in values) for values in (spends, arrivals)
+        )
+        chain = sched.MarkovArrivals(arrival_j, ((0.5, 0.5), (0.5, 0.5)))
+        return sched.BatteryMdp(chain, 4, 1.0, spend_j, 2.0)
+
+    huge, full = model(1e19), model(4.0)  # 4 quanta: never spent, fills the 4-bucket battery
+    assert np.array_equal(huge._arrays.nxt, full._arrays.nxt)
+    got, expected = sched.mdp_policy_iteration(huge), sched.mdp_policy_iteration(full)
+    assert np.array_equal(got.actions, expected.actions) and got.gain == expected.gain
+    assert sched.evaluate_policy(got, horizon=2_000, seed=1) == sched.evaluate_policy(
+        expected, horizon=2_000, seed=1
+    )
 
 
 @pytest.mark.parametrize("call", list(MDP_REJECTIONS.values()), ids=list(MDP_REJECTIONS))
