@@ -33,6 +33,13 @@ def non_negative(**values: float) -> None:
                 f"{name} must be non-negative and finite, got {_shown(value)}")
 
 
+def non_negative_elements(**sequences) -> None:
+    """Every element of each sequence is finite and at least 0; element i is named name[i]."""
+    for name, values in sequences.items():
+        for i, value in enumerate(values):
+            non_negative(**{f"{name}[{i}]": value})
+
+
 def unit(**values: float) -> None:
     """Each value lies in [0, 1]."""
     for name, value in values.items():

@@ -305,12 +305,12 @@ _CHUNK_POINTS = 2**13  # points whose distances and powers are computed together
 
 
 class _LinkWorkspace:
-    """One share's three float64 rows: link distances, link power and shadowing.
+    """A kernel call's three float64 rows: link distances, link power and shadowing.
 
     A trial's shadowing draws sit in the third row at the trial's offset in
     the chunk, beside its distances in the first. The rows are reused for
-    every chunk and grow to the largest chunk seen; the old buffer is freed
-    before the larger one is allocated.
+    every chunk of a kernel call (a forked share grows its own copy) and
+    grow to the largest chunk seen; the old buffer is freed first.
     """
 
     def __init__(self) -> None:
@@ -449,9 +449,9 @@ def _trial_powers(
     Trials run in blocks of ``_TRIAL_BLOCK``: each block derives its trial
     states with one :func:`substream_columns` call, computes their seeds
     and probes from raw outputs (:func:`_trial_draws`), derives the
-    deployment and shadowing states with one call each, and re-points one
-    generator per share to draw the deployments and the shadowing, through
-    one state dict that the share keeps (``_reseat``).
+    deployment and shadowing states with one call each, and re-points the
+    call's one generator to draw the deployments and the shadowing, through
+    the call's one state dict (``_reseat``).
     Distances and powers are computed on at most ``_CHUNK_POINTS``
     points at a time (or one larger deployment), while every trial's sum
     and ``k_nearest`` partition is taken on that trial's own slice, so
@@ -467,19 +467,19 @@ def _trial_powers(
     reading view needs; a ``k_nearest`` view reads the stream's first
     draws.
 
-    ``workers``, an integer of at least 1, splits the trials into ``n =
-    min(workers, trials)`` even shares of consecutive trials: share w
-    takes trials ``trials * w // n`` up to ``trials * (w + 1) // n``, in
-    its own blocks. The calling process runs share 0 and a
-    forked process each other one (:func:`_run_shares`); every share
-    writes its own trial rows of the two arrays, which live in one
-    anonymous shared mapping. A trial's draws come from its own keyed
-    substreams, so results do not depend on ``workers``.
+    ``workers``, an integer of at least 1, deals the trials to ``n =
+    min(workers, trials)`` shares: share w is ``range(w, trials, n)``, run
+    in slices of ``_TRIAL_BLOCK``, so every share gets every grid point's
+    trials. The calling process runs share 0 and a forked process, which
+    copies the call's generator, dict and workspace, each other one
+    (:func:`_run_shares`); every share writes its own trial rows of the
+    two arrays, which live in one anonymous shared mapping. A trial's draws
+    come from its own keyed substreams, so results do not depend on ``workers``.
 
     The link arithmetic allocates no array of the chunk's size for a view
-    that reads every link of the chunk. Each share owns one
-    :class:`_LinkWorkspace` of three rows, sized to the largest chunk it
-    has seen. A chunk's distances go into the first row, with the chunk's
+    that reads every link of the chunk. The call's
+    :class:`_LinkWorkspace` holds three rows, sized to the largest chunk
+    seen. A chunk's distances go into the first row, with the chunk's
     coordinates as scratch. Views are taken one shadowing spec at a time:
     each trial's draws for the spec go into the third row at the trial's
     offset in the chunk (``draw_shadowing_db``'s ``out``), so a view that
@@ -508,7 +508,11 @@ def _trial_powers(
     results = results.reshape(1 + strongest, trials, len(views))
     totals, maxima = results[0], results[1] if strongest else None
 
-    def run_chunk(gen, seat, workspace, chunk, probes, shadow_states) -> None:
+    gen = np.random.default_rng(0)  # re-pointed to each substream's state
+    seat = state_dict(0, 0, 0, 0)  # the one dict that re-points gen
+    workspace = _LinkWorkspace()
+
+    def run_chunk(chunk, probes, shadow_states) -> None:
         """Compute the (row, t, count, xs, ys) deployments of ``chunk`` and empty it."""
         rows, ts, counts, xs, ys = zip(*chunk)
         chunk.clear()
@@ -586,8 +590,8 @@ def _trial_powers(
     kind = rat.spatial_process.kind  # the deployment substream label, as in sample_process
     ppp = isinstance(rat.spatial_process, PoissonProcess)
 
-    def run_block(gen, seat, workspace, block: range) -> None:
-        rows = np.arange(block.start, block.stop, dtype=np.uint64)
+    def run_block(block: range) -> None:
+        rows = np.arange(block.start, block.stop, block.step, dtype=np.uint64)
         js, ts, path = trial_key(rows)
         deployment_seeds, probe_x, probe_y, shadow_seeds = _trial_draws(
             gen, region, substream_columns(seed, *path)
@@ -612,26 +616,23 @@ def _trial_powers(
             if not n:
                 continue
             if chunk and points + n > _CHUNK_POINTS:
-                run_chunk(gen, seat, workspace, chunk, probes, shadow_states)
+                run_chunk(chunk, probes, shadow_states)
                 points = 0
             chunk.append((r, t, n, xs, ys))
             points += n
             del xs, ys
             if points >= _CHUNK_POINTS:
-                run_chunk(gen, seat, workspace, chunk, probes, shadow_states)
+                run_chunk(chunk, probes, shadow_states)
                 points = 0
         if chunk:
-            run_chunk(gen, seat, workspace, chunk, probes, shadow_states)
+            run_chunk(chunk, probes, shadow_states)
 
     shares = min(workers, trials)
 
     def run_share(w: int) -> None:
-        gen = np.random.default_rng(0)  # re-pointed to each substream's state
-        seat = state_dict(0, 0, 0, 0)  # this share's one dict for re-pointing gen
-        workspace = _LinkWorkspace()
-        lo, hi = trials * w // shares, trials * (w + 1) // shares
-        for start in range(lo, hi, _TRIAL_BLOCK):
-            run_block(gen, seat, workspace, range(start, min(start + _TRIAL_BLOCK, hi)))
+        share = range(w, trials, shares)
+        for start in range(0, len(share), _TRIAL_BLOCK):
+            run_block(share[start : start + _TRIAL_BLOCK])
 
     _run_shares(run_share, shares)
     return totals, maxima
@@ -654,10 +655,10 @@ def crowd_sweep(
     measures the probe's distances once, and computes the total received
     power of every view from those distances; so all views share the
     deployment, probe and shadowing seed at (j, t), and a view reads its
-    first ``view.trials`` trials. The trials are split into ``workers``
-    even shares, share 0 run by the calling process and each other one by
-    a forked process (see :func:`_trial_powers`), and results are
-    bit-identical for any worker count.
+    first ``view.trials`` trials. Share w of ``workers`` takes every
+    ``workers``-th trial from trial w; share 0 runs in the calling process
+    and each other one in a forked process (see :func:`_trial_powers`),
+    and results are bit-identical for any worker count.
     """
     grid = np.asarray(density_grid, dtype=float)
     if grid.size == 0:
@@ -757,10 +758,10 @@ def nearest_share_study(
     share, the summed strongest-node power over the summed total power,
     which is the fraction of all harvested energy attributable to the
     nearest transmitter; ``mean_fraction`` is the unweighted mean of the
-    per-draw share, reported for sensitivity. The draws are split into
-    ``workers`` even shares, share 0 run by the calling process and each
-    other one by a forked process (see :func:`_trial_powers`), and results
-    are bit-identical for any worker count.
+    per-draw share, reported for sensitivity. Share w of ``workers`` takes
+    every ``workers``-th draw from draw w; share 0 runs in the calling
+    process and each other one in a forked process (see
+    :func:`_trial_powers`); results are bit-identical for any worker count.
     """
     _guard.count(draws=draws)
     view = SweepView(model, draws, shadowing)

@@ -18,14 +18,15 @@ integers with SHA-256, which is stable across platforms and runs
 
 Batch routines that need thousands of substreams use
 :func:`substream_columns`, which derives the PCG64 states of many keys at
-once: each of ``seed, *path`` is a scalar or a uint64 column, and the
-SeedSequence mixing and the 128-bit PCG64 seeding step run on numpy
-columns. ``_raw_outputs`` continues the streams in the same way, giving
-the first raw 64-bit outputs of every state without a generator, and
-:func:`state_dict` turns one state into a ``bit_generator.state`` that
-re-points a generator to it; ``_reseat`` re-points one through a dict
-that it reuses, given the state's ``_state_words``. :func:`substream`
-stays the definition: every batch checks its first key against it.
+once: each of ``seed, *path`` is a scalar or a uint64 column (a path
+column below 2**32), and the SeedSequence mixing and the 128-bit PCG64
+seeding step run on numpy columns. ``_raw_outputs`` continues the
+streams in the same way, giving the first raw 64-bit outputs of every
+state without a generator, and :func:`state_dict` turns one state into a
+``bit_generator.state`` that re-points a generator to it; ``_reseat``
+re-points one through a dict that it reuses, given the state's
+``_state_words``. :func:`substream` stays the definition: every batch
+checks its first key against it.
 """
 
 from __future__ import annotations
@@ -84,31 +85,27 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _entropy_blocks(columns: Sequence) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
-    """SeedSequence's assembled entropy of every row, one block per word layout.
+def _entropy(columns: Sequence) -> np.ndarray:
+    """SeedSequence's assembled entropy of every row, as an (m, words) uint32 table.
 
     ``columns`` is ``(seed, *path)``; each is a scalar or a uint64 array of
     one common length m. The entropy is the seed's words zero-padded to the
     pool size, then the spawn-key words. (SeedSequence pads only when there
     is a spawn key; padding an unspawned seed is a no-op, since missing pool
     words are hashed as zeros.) A seed column is below 2**64, so it is
-    always the words ``[lo, hi, 0, 0]``; an array path element is one word
-    below 2**32 and two otherwise, so rows are grouped by which of those
-    high words they keep. Returns m and, per layout, the rows and their
-    (rows, words) uint32 entropy.
+    always the words ``[lo, hi, 0, 0]``; an array path element is one word,
+    so its values must lie below 2**32. Scalars keep their own words.
     """
     m = next((c.size for c in columns if isinstance(c, np.ndarray)), 1)
-    words: list = []  # uint64 arrays and ints, one per candidate word
-    optional: list[int] = []  # the high words of array path elements
+    words: list = []  # uint64 arrays and ints, one per word
     for pos, element in enumerate(columns):
         if isinstance(element, np.ndarray):
             if element.dtype != np.uint64 or element.shape != (m,):
                 raise ValueError("substream key columns must be uint64 arrays of one length")
-            words += [element & _MASK32, element >> 32]
-            if pos:
-                optional.append(len(words) - 1)
-            else:
-                words += [0, 0]
+            if pos and m and element.max() > _MASK32:
+                raise ValueError(
+                    f"substream path columns must lie below 2**32, got {element.max()}")
+            words += [element] if pos else [element & _MASK32, element >> 32, 0, 0]
         elif pos:
             words += _words(path_key(element))
         else:
@@ -117,16 +114,7 @@ def _entropy_blocks(columns: Sequence) -> tuple[int, list[tuple[np.ndarray, np.n
     table = np.empty((m, len(words)), dtype=np.uint32)
     for k, word in enumerate(words):
         table[:, k] = word
-    layout = np.zeros(m, dtype=np.int64)
-    for bit, k in enumerate(optional):
-        layout |= (table[:, k] != 0).astype(np.int64) << bit
-    blocks = []
-    for code in set(layout.tolist()):  # (np.unique would import numpy.ma)
-        dropped = {k for bit, k in enumerate(optional) if not code >> bit & 1}
-        keep = [k for k in range(len(words)) if k not in dropped]
-        rows = np.flatnonzero(layout == code)
-        blocks.append((rows, table[np.ix_(rows, keep)]))
-    return m, blocks
+    return table
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -243,8 +231,8 @@ def _reseat(gen: np.random.Generator, seat: dict, state: int, inc: int) -> None:
     states: its ``state`` and ``inc`` are overwritten in place, and numpy's
     setter copies them into the generator, so the generator reads nothing
     from the dict afterwards. Two threads must not write one seat at once;
-    the crowd kernel keeps one seat per share of trials, and runs each
-    share in its own process.
+    the crowd kernel keeps one seat per call, and a forked share of its
+    trials writes its own copy.
     """
     words = seat["state"]
     words["state"], words["inc"] = state, inc
@@ -256,19 +244,16 @@ def substream_columns(seed, *path) -> StateColumns:
 
     Each of ``seed, *path`` is a scalar (an int seed, an int or str path
     element) or a uint64 array; the arrays share one length m, which is the
-    number of rows. Returns the
+    number of rows. A path column, one spawn-key word per row, must lie
+    below 2**32, or :class:`ValueError` is raised. Returns the
     ``(state high, state low, inc high, inc low)`` uint64 columns; pass a
     row to :func:`state_dict` to re-point a generator to it. The first row
     is checked against :func:`substream`; a mismatch (a numpy release that
     seeds differently) raises :class:`SimulationError`.
     """
     columns = (seed, *path)
-    m, blocks = _entropy_blocks(columns)
-    out = tuple(np.empty(m, dtype=np.uint64) for _ in range(4))
-    for rows, entropy in blocks:
-        for column, part in zip(out, _pool_states(entropy)):
-            column[rows] = part
-    if m:
+    out = _pool_states(_entropy(columns))
+    if out[0].size:
         key = [int(c[0]) if isinstance(c, np.ndarray) else c for c in columns]
         if state_dict(*(c[0] for c in out)) != substream(*key).bit_generator.state:
             raise SimulationError(

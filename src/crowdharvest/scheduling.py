@@ -102,8 +102,7 @@ class MarkovArrivals:
         n = len(self.states_j)
         if n == 0:
             raise InvalidParameterError("need at least one energy state")
-        if not all(0 <= s < math.inf for s in self.states_j):
-            raise InvalidParameterError("state energies must be non-negative and finite")
+        _guard.non_negative_elements(states_j=self.states_j)
         if len(self.transitions) != n or any(len(row) != n for row in self.transitions):
             raise InvalidParameterError("transition matrix must be square")
         for row in self.transitions:
@@ -124,8 +123,7 @@ class DeterministicArrivals:
     trace_j: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not all(0 <= e < math.inf for e in self.trace_j):
-            raise InvalidParameterError("trace entries must be non-negative and finite")
+        _guard.non_negative_elements(trace_j=self.trace_j)
 
 
 EnergyArrivalProcess = BernoulliArrivals | MarkovArrivals | DeterministicArrivals
@@ -203,8 +201,7 @@ class ScheduleProblem:
             values = getattr(self, name)
             if len(values) != k:
                 raise InvalidParameterError(f"{name} must have length {k}")
-            if not all(0 <= v < math.inf for v in values):
-                raise InvalidParameterError(f"{name} must be non-negative and finite")
+            _guard.non_negative_elements(**{name: values})
         _guard.positive(slot_duration_s=self.slot_duration_s, noise_power_w=self.noise_power_w)
         if not (self.source_capacity_j > 0 and self.relay_capacity_j > 0):
             raise InvalidParameterError("battery capacities must be positive (or inf)")
@@ -766,8 +763,9 @@ def directional_water_fill(
     g = np.asarray(gains, dtype=float)
     if e.ndim != 1 or e.shape != g.shape or e.size == 0:
         raise InvalidParameterError("arrivals and gains must be matched 1-D arrays")
-    if not (np.all((e >= 0) & (e < math.inf)) and np.all(g > 0)):
-        raise InvalidParameterError("arrivals must be finite and >= 0, and gains > 0")
+    _guard.non_negative_elements(arrivals_j=e)
+    if not np.all(g > 0):
+        raise InvalidParameterError("gains must be positive")
     _guard.positive(noise_w=noise_w, slot_duration_s=slot_duration_s)
     if not capacity_j > 0:
         raise InvalidParameterError("capacity must be positive (or inf)")
@@ -837,8 +835,7 @@ class BatteryMdp:
         _guard.count(minimum=2, battery_buckets=self.battery_buckets)
         _guard.positive(bucket_j=self.bucket_j, snr_per_joule=self.snr_per_joule,
                         reward_scale=self.reward_scale)
-        if not all(0 <= s < math.inf for s in self.spend_levels_j):
-            raise InvalidParameterError("spend levels must be non-negative and finite")
+        _guard.non_negative_elements(spend_levels_j=self.spend_levels_j)
         _quanta(self, self.spend_levels_j + self.arrivals.states_j)
         if 0.0 not in self.spend_levels_j:
             raise InvalidParameterError("spend levels must include 0")
@@ -1203,8 +1200,7 @@ def combined_mode_controller(
     _guard.positive(slot_duration_s=slot_duration_s)
     _guard.non_negative(activation_threshold_j=activation_threshold_j)
     trace = np.asarray(ambient_trace_j, dtype=float)
-    if not np.all((trace >= 0) & (trace < math.inf)):
-        raise InvalidParameterError("ambient energies must be non-negative and finite")
+    _guard.non_negative_elements(ambient_trace_j=trace)
     swipt_rate = 0.0
     if swipt_enabled:
         _, swipt_rate = optimize_split(

@@ -117,13 +117,18 @@ def _relay_rate(pre_log: float, gamma1: float, gamma2: float, cascade: bool) -> 
 
     The one definition of both steps. Decode-and-forward keeps the weaker
     hop, compared as ``min(gamma1, gamma2)`` compares (``gamma1`` on ties
-    and on NaN); amplify-and-forward (``cascade``) takes g1 g2/(g1+g2+1).
+    and on NaN); amplify-and-forward (``cascade``) takes g1 g2/(g1+g2+1),
+    as g1/(1 + (g1+1)/g2) where the product g1 g2 overflows (SNRs past 1e154).
     A non-positive pre-log or SNR rates 0. Callers resolve the mode with
     ``_cascade`` once, so a rate evaluation is one call of this function.
     """
     if cascade:
-        denom = gamma1 + gamma2 + 1.0
-        snr = gamma1 * gamma2 / denom if denom > 0 else 0.0
+        product = gamma1 * gamma2
+        if product == math.inf:
+            snr = gamma1 / (1.0 + (gamma1 + 1.0) / gamma2)
+        else:
+            denom = gamma1 + gamma2 + 1.0
+            snr = product / denom if denom > 0 else 0.0
     else:
         snr = gamma2 if gamma2 < gamma1 else gamma1
     if pre_log <= 0 or snr <= 0:

@@ -45,7 +45,9 @@ from crowdharvest.propagation import (
 from crowdharvest.scheduling import (
     BatteryMdp,
     BernoulliArrivals,
+    DeterministicArrivals,
     MarkovArrivals,
+    ScheduleProblem,
     combined_mode_controller,
     directional_water_fill,
     mdp_policy_iteration,
@@ -152,6 +154,36 @@ def test_out_of_range_argument_rejected(call):
 def test_every_rule_names_the_argument_and_fails_nan(check):
     with pytest.raises(InvalidParameterError, match="spread_m.*nan"):
         check(spread_m=NAN)
+
+
+# each sequence field, built from two elements: (0.0, 1.0) is valid
+PROBLEM = dict(slot_count=2, slot_duration_s=1.0, source_arrivals_j=(1.0, 0.5),
+               relay_arrivals_j=(0.5, 1.0), source_gains=(1e-3, 1e-3), relay_gains=(1e-3, 1e-3),
+               noise_power_w=1e-9)
+SEQUENCE_FIELDS = {
+    "states_j": lambda v: MarkovArrivals(v, ((0.5, 0.5), (0.5, 0.5))),
+    "trace_j": DeterministicArrivals,
+    **{name: partial(lambda name, v: ScheduleProblem(**{**PROBLEM, name: v}), name)
+       for name in ("source_arrivals_j", "relay_arrivals_j", "source_gains", "relay_gains")},
+    "spend_levels_j": lambda v: BatteryMdp(CHAIN, 4, 1.0, v, 1.0),
+    "arrivals_j": lambda v: directional_water_fill(np.array(v), np.ones(2), 1.0),
+    "ambient_trace_j": lambda v: combined_mode_controller(np.array(v), DESK, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("field", SEQUENCE_FIELDS)
+def test_sequence_field_names_its_first_bad_element(field, bad):
+    SEQUENCE_FIELDS[field]((0.0, 1.0))
+    with pytest.raises(InvalidParameterError) as err:
+        SEQUENCE_FIELDS[field]((0.0, bad))
+    assert str(err.value) == f"{field}[1] must be non-negative and finite, got {bad!r}"
+
+
+def test_sequence_rule_reports_the_first_bad_element():
+    _guard.non_negative_elements(x=(), y=[0, 2.5], z=np.zeros(3))
+    with pytest.raises(InvalidParameterError, match=r"^y\[2\] .* got -1\.0$"):
+        _guard.non_negative_elements(x=[1.0], y=np.array([0.0, 3.0, -1.0, NAN]))
 
 
 @pytest.mark.parametrize("check,bad,good", [

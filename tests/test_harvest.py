@@ -424,12 +424,37 @@ def test_views_compute_only_the_links_they_read(monkeypatch):
 
 def test_workers_write_disjoint_trials_of_one_shared_mapping():
     # more worker processes than cores, each writing its share of the trial
-    # rows into the one shared mapping; 600 trials split 150 apiece, so two
-    # shares meet inside a page and a write lost to a private copy reads 0
+    # rows into the one shared mapping; share w takes every 4th trial, so all
+    # shares meet inside every page and a write lost to a private copy reads 0
     region = geometry.Region(2000.0, 2000.0)
     args = (MACRO, [1.0, 3.0], NLOS, 300, 5)
     par = harvest.upper_bound_sweep(*args, region=region, shadowing=ShadowingSpec(8.0), workers=4)
     assert par == harvest.upper_bound_sweep(*args, region=region, shadowing=ShadowingSpec(8.0))
+
+
+def test_every_share_computes_trials_of_every_density(monkeypatch, tmp_path):
+    # a sweep's trials are grid-major, so shares of consecutive trials would
+    # give one process the sparse grid point and the other the dense one
+    record = tmp_path / "densities.txt"
+    unit_ppp = harvest._unit_ppp
+
+    def recording_unit_ppp(rng, density, region):
+        with open(record, "a") as f:
+            f.write(f"{os.getpid()} {density}\n")
+        return unit_ppp(rng, density, region)
+
+    grid, views = [1.0, 3.0], [harvest.SweepView(NLOS, 40)]
+    expected = harvest.crowd_sweep(MACRO, grid, views, 5, region=REGION)
+    monkeypatch.setattr(harvest, "_unit_ppp", recording_unit_ppp)
+    curves = harvest.crowd_sweep(MACRO, grid, views, 5, region=REGION, workers=2)
+    monkeypatch.undo()
+    by_process = {}
+    for line in record.read_text().splitlines():
+        pid, density = line.split()
+        by_process.setdefault(int(pid), set()).add(float(density))
+    assert len(by_process) == 2
+    assert all(len(densities) == 2 for densities in by_process.values())
+    assert curves == expected
 
 
 def per_draw_share(rat, density, model, draws, seed, region, shadowing):

@@ -96,21 +96,26 @@ def test_corrupted_state_raises(monkeypatch):
         harvest.nearest_share_study(MACRO, 5.0, NLOS, 10, 3, region=SMALL)
 
 
-# uint64 column values at the word-layout edges (one word below 2**32, two from it)
-COLUMN_VALUES = st.one_of(
+# seed column values over the whole uint64 range, at the word edges (one word
+# below 2**32, two from it); a path column holds one word, below 2**32
+SEED_COLUMN_VALUES = st.one_of(
     st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]), st.integers(0, 2**64 - 1)
 )
+PATH_COLUMN_VALUES = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
 
 
 @st.composite
 def column_keys(draw):
     """(seed, *path) with some elements uint64 columns of one length, the rest scalars."""
     m = draw(st.integers(1, 8))
-    column = st.lists(COLUMN_VALUES, min_size=m, max_size=m).map(
-        lambda values: np.array(values, dtype=np.uint64)
-    )
-    seed = draw(st.one_of(column, SEEDS))
-    path = draw(st.lists(st.one_of(column, ELEMENTS), max_size=4))
+
+    def column(values):
+        return st.lists(values, min_size=m, max_size=m).map(
+            lambda values: np.array(values, dtype=np.uint64)
+        )
+
+    seed = draw(st.one_of(column(SEED_COLUMN_VALUES), SEEDS))
+    path = draw(st.lists(st.one_of(column(PATH_COLUMN_VALUES), ELEMENTS), max_size=4))
     return seed, *path
 
 
@@ -126,11 +131,22 @@ def test_substream_columns_match_substream(columns, n):
 
 
 def test_layout_edges_in_one_call():
-    edges = np.array([0, 2**32 - 1, 2**32, 2**63 - 1], dtype=np.uint64)
-    columns = (edges, "sweep", edges[::-1].copy(), 7, edges)
+    # seed columns at the word edges in one call; a path column of 2**32 or more raises
+    edges = np.array([0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1], dtype=np.uint64)
+    low = np.array([0, 1, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint64)
+    columns = (edges, "sweep", low, 2**64, low[::-1].copy())
     states = substream_columns(*columns)
     for i in range(edges.size):
         assert row_state(states, i) == substream(*row_key(columns, i)).bit_generator.state
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        substream_columns(7, "sweep", low, edges)
+
+
+@pytest.mark.parametrize("value", [2**32, 2**64 - 1])
+def test_path_column_of_two_words_rejected(value):
+    column = np.array([0, value, 5], dtype=np.uint64)
+    with pytest.raises(ValueError, match=f"below 2\\*\\*32, got {value}"):
+        substream_columns(7, "sweep", column)
 
 
 def test_mistyped_columns_rejected():

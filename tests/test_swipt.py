@@ -88,6 +88,21 @@ class TestSnrComposition:
         assert af <= df
         assert df == math.log2(1.0 + min(g1, g2))
 
+    def test_af_finite_where_the_hop_product_overflows(self):
+        # first-hop SNR 1e210: the cascade's g1 * g2 overflowed and read NaN
+        link = swipt.LinkState(1e200, 1e200, 1e-10, 1.0)
+        _, af = swipt.optimize_split("ts", link, mode=AF)
+        _, df = swipt.optimize_split("ts", link, mode=DF)
+        assert df == pytest.approx(348.80, abs=0.005)
+        assert math.isfinite(af) and 0 < af <= df
+        sweep = swipt.split_sweep("ps", link, np.linspace(0.0, 1.0, 41), mode=AF)
+        assert not any(math.isnan(rate) for _, rate in sweep)
+
+    @pytest.mark.parametrize("g1, g2", [(1e200, 1e200), (1e300, 1e10), (1e10, 1e300), (1e308, 1e308)])
+    def test_af_cascade_past_overflow_below_df(self, g1, g2):
+        af = swipt._relay_rate(1.0, g1, g2, cascade=True)
+        assert math.isfinite(af) and af <= swipt._relay_rate(1.0, g1, g2, cascade=False)
+
     @pytest.mark.parametrize("mode", ["df", "af", None])
     def test_unknown_mode_rejected(self, mode):
         # anything but a RelayMode used to be composed as amplify-and-forward
@@ -423,6 +438,8 @@ def reference_snr(gamma1, gamma2, mode):
     if mode is DF:
         return min(gamma1, gamma2)
     assert mode is AF
+    if gamma1 * gamma2 == math.inf:  # the product overflows: the same ratio, rearranged
+        return gamma1 / (1.0 + (gamma1 + 1.0) / gamma2)
     denom = gamma1 + gamma2 + 1.0
     return gamma1 * gamma2 / denom if denom > 0 else 0.0
 
@@ -495,7 +512,8 @@ def same_floats(a, b):
 
 
 # zero gains and powers, links that only just carry a bit, and gains whose
-# products overflow, which gives AF an inf / inf = NaN SNR
+# products overflow: AF then takes the rearranged cascade, and an infinite
+# hop SNR gives it an inf / inf = NaN SNR
 powers = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(1e-12, 10.0))
 hop_links = st.builds(
     swipt.LinkState,
