@@ -113,13 +113,17 @@ def jt_snr(
     """SNR of a coherent joint transmission from two nodes.
 
     Ideal distributed beamforming adds amplitudes, so the combined SNR is
-    (sqrt(Pa ga) + sqrt(Pb gb))^2 / noise.
+    (sqrt(Pa ga) + sqrt(Pb gb))^2 / noise. An SNR that overflows raises:
+    :func:`collab_schedule` would scale the nodes' energy by threshold /
+    inf and book a joint delivery that spends nothing.
     """
     _guard.positive(noise_w=noise_w)
     _guard.non_negative(power_a_w=power_a_w, power_b_w=power_b_w, gain_a=gain_a, gain_b=gain_b)
     sa = power_a_w * gain_a
     sb = power_b_w * gain_b
-    return (sa + sb + 2.0 * math.sqrt(sa * sb)) / noise_w
+    snr = (sa + sb + 2.0 * math.sqrt(sa * sb)) / noise_w
+    _guard.non_negative(joint_transmission_snr=snr)
+    return snr
 
 
 def _single_required_energy(gain: float, params: CollabParams) -> float:

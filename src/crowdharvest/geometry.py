@@ -28,12 +28,8 @@ __all__ = [
     "sample_ppp",
     "sample_clustered",
     "sample_process",
-    "nth_nearest_distance_pdf",
     "nth_nearest_distance_cdf",
-    "rayleigh_scale_for_density",
     "distances_to_probe",
-    "nearest_distance_batch",
-    "ks_statistic",
     "deployment_to_csv",
     "deployment_to_json",
     "deployment_from_json",
@@ -258,51 +254,16 @@ def sample_process(
     return Deployment(xs, ys, density_per_km2, region, process, seed)
 
 
-def rayleigh_scale_for_density(density_per_m2: float) -> float:
-    """Scale of the Rayleigh nearest-distance law for a PPP of this density."""
-    _guard.positive(density_per_m2=density_per_m2)
-    return 1.0 / math.sqrt(2.0 * math.pi * density_per_m2)
-
-
-def nth_nearest_distance_pdf(
-    r: float | np.ndarray, n: int, density_per_m2: float
-) -> float | np.ndarray:
-    """Density of the distance to the n-th nearest point of a planar PPP.
-
-    f(r) = 2 (pi L)^n r^(2n-1) exp(-pi L r^2) / (n-1)!  for r >= 0,
-    which is the generalised-Gamma law whose n=1 case is Rayleigh with
-    scale 1/sqrt(2 pi L).
-    """
-    _guard.count(n=n)
-    _guard.positive(density_per_m2=density_per_m2)
-    r_arr = np.asarray(r, dtype=float)
-    if not np.all(r_arr >= 0):
-        raise InvalidParameterError("distances must be non-negative")
-    lam_pi = math.pi * density_per_m2
-    with np.errstate(divide="ignore"):
-        log_r = np.where(r_arr > 0, np.log(r_arr), -np.inf)
-    log_f = (
-        math.log(2.0)
-        + n * math.log(lam_pi)
-        + (2 * n - 1) * log_r
-        - lam_pi * r_arr**2
-        - math.lgamma(n)
-    )
-    out = np.where(r_arr > 0, np.exp(log_f), 0.0)
-    # r = 0 has density 0 except for the n=1 slope limit, which is still 0.
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def nth_nearest_distance_cdf(
     r: float | np.ndarray, n: int, density_per_m2: float
 ) -> float | np.ndarray:
-    """CDF companion of :func:`nth_nearest_distance_pdf` (regularised Gamma).
+    """CDF of the distance to the n-th nearest point of a planar PPP of density L.
 
-    It is the chance that a Poisson count of mean x = pi L r^2 reaches n,
-    1 - e^(-x) sum_{k<n} x^k / k!. Each term of the sum is the one before
-    times x / k, starting from e^(-x), so none of them overflows.
+    It is the regularised Gamma P(n, x): the chance that a Poisson count of
+    mean x = pi L r^2 reaches n, 1 - e^(-x) sum_{k<n} x^k / k!. The n = 1
+    case is the Rayleigh law of scale 1/sqrt(2 pi L). Each term of the sum
+    is the one before times x / k, starting from e^(-x), so none of them
+    overflows.
     """
     _guard.count(n=n)
     _guard.positive(density_per_m2=density_per_m2)
@@ -343,65 +304,6 @@ def distances_to_probe(
         dx = np.minimum(dx, np.subtract(region.width_m, dx, out=out), out=sx)
         dy = np.minimum(dy, np.subtract(region.height_m, dy, out=out), out=sy)
     return np.hypot(dx, dy, out=out)
-
-
-def nearest_distance_batch(
-    density_per_km2: float,
-    region: Region,
-    trials: int,
-    seed: int,
-    order: int = 1,
-) -> np.ndarray:
-    """Distance to the order-th nearest transmitter over many fresh deployments.
-
-    Each trial draws an independent PPP realisation and probes the region
-    centre (the process is stationary on the torus, so a fixed probe is a
-    uniform probe). Trials with fewer than ``order`` points are returned
-    as ``inf`` so callers can drop or count them. Fully vectorised, single
-    stream, bit-reproducible for a fixed seed.
-    """
-    _guard.positive(density_per_km2=density_per_km2)
-    _guard.count(order=order)
-    _guard.count(minimum=0, trials=trials)
-    rng = substream(seed, "nearest-batch")
-    lam = density_per_km2 * region.area_km2
-    counts = rng.poisson(lam, trials)
-    total = int(counts.sum())
-    xs = rng.uniform(0.0, region.width_m, total)
-    ys = rng.uniform(0.0, region.height_m, total)
-    probe = (region.width_m / 2.0, region.height_m / 2.0)
-    d = distances_to_probe(region, probe, xs, ys)
-
-    starts = np.zeros(trials, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    out = np.full(trials, np.inf)
-    nonempty = counts >= order
-    if total == 0 or not np.any(nonempty):
-        return out
-    if order == 1:
-        mins = np.minimum.reduceat(d, np.minimum(starts, total - 1))
-        out[nonempty] = mins[nonempty]
-        return out
-    # Sort once with a per-trial offset so each trial's block stays contiguous.
-    seg = np.repeat(np.arange(trials), counts)
-    shift = (d.max() + 1.0) if total else 1.0
-    d_sorted = np.sort(d + seg * shift)
-    idx = starts[nonempty] + order - 1
-    out[nonempty] = d_sorted[idx] - np.flatnonzero(nonempty) * shift
-    return out
-
-
-def ks_statistic(samples: np.ndarray, cdf) -> float:
-    """Kolmogorov-Smirnov distance between a sample and a cdf callable."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    if n == 0:
-        raise InvalidParameterError("KS statistic needs at least one sample")
-    f = np.asarray(cdf(x), dtype=float)
-    grid = np.arange(1, n + 1) / n
-    d_plus = np.max(grid - f)
-    d_minus = np.max(f - (grid - 1.0 / n))
-    return float(max(d_plus, d_minus, 0.0))
 
 
 # ---------------------------------------------------------------------------

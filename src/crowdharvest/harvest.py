@@ -283,13 +283,14 @@ class SweepView:
 
 
 def _sweep_point(density: float, totals: np.ndarray, bandwidth_hz: float) -> SweepPoint:
+    mean, median = np.mean(totals), np.median(totals)
     return SweepPoint(
         density_per_km2=float(density),
-        mean_power_w=float(np.mean(totals)),
-        mean_density_w_per_hz=float(np.mean(totals) / bandwidth_hz),
+        mean_power_w=float(mean),
+        mean_density_w_per_hz=float(mean / bandwidth_hz),
         std_power_w=float(np.std(totals)),
-        median_power_w=float(np.median(totals)),
-        median_density_w_per_hz=float(np.median(totals) / bandwidth_hz),
+        median_power_w=float(median),
+        median_density_w_per_hz=float(median / bandwidth_hz),
         trials=totals.size,
     )
 

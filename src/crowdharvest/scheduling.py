@@ -207,6 +207,16 @@ class ScheduleProblem:
             raise InvalidParameterError("battery capacities must be positive (or inf)")
         _guard.non_negative(**{name: getattr(self, name) for name in (
             "rx_energy_cost_j", "initial_source_j", "initial_relay_j")})
+        for hop, capacity, initial, arrivals, gains in (
+            ("source", self.source_capacity_j, self.initial_source_j, self.source_arrivals_j,
+             self.source_gains),
+            ("relay", self.relay_capacity_j, self.initial_relay_j, self.relay_arrivals_j,
+             self.relay_gains),
+        ):
+            # a hop's whole battery spent in one slot on its best gain
+            power = min(capacity, initial + sum(arrivals)) / self.slot_duration_s
+            snr = (power * max(gains)) / self.noise_power_w
+            _guard.non_negative(**{f"the {hop} hop's largest SNR": snr})
 
     # An unbounded battery capacity is written as null.
     _CAPACITIES = ("source_capacity_j", "relay_capacity_j")
@@ -606,16 +616,18 @@ def brute_force_oracle(
     """Exhaustive enumeration of every quantised schedule, by prefix expansion.
 
     Independent of the DP path: it derives the slot transition and the
-    schedule on its own and calls none of the DP's code. After slot ``k``
-    the arrays hold one row per action prefix of ``k + 1`` slots, in
-    ``itertools.product`` order: slot ``k`` extends every prefix by each of
-    the n = 2L + 1 action ids, so row ``prefix * n + action``, and each
-    prefix's transition is computed once. The best final row has the most
-    delivered bits, then the least spent energy (both rounded to 12
-    decimals), then an active slot before an idle one, slot by slot, then
-    the lowest row, which orders the action ids: the DP's tie-breaking.
-    The schedule is read from each slot's arrays at the best row's prefix,
-    row ``best // n^(K-1-k)`` after slot ``k``.
+    schedule on its own. The one piece of the DP's code it calls is
+    ``_first_lexmin``, which picks the best final row and which
+    ``test_first_lexmin_is_first_row_of_lexsort`` pins to ``np.lexsort``'s
+    first row. After slot ``k`` the arrays hold one row per action prefix
+    of ``k + 1`` slots, in ``itertools.product`` order: slot ``k`` extends
+    every prefix by each of the n = 2L + 1 action ids, so row
+    ``prefix * n + action``, and each prefix's transition is computed once. The best
+    final row has the most delivered bits, then the least spent energy
+    (both rounded to 12 decimals), then an active slot before an idle one,
+    slot by slot, then the lowest row, which orders the action ids: the
+    DP's tie-breaking. The schedule is read from each slot's arrays at the
+    best row's prefix, row ``best // n^(K-1-k)`` after slot ``k``.
 
     A call peaks at about 80 bytes per sequence, so the default bound of
     2M sequences (5 slots at 8 levels is 1.42M) admits about 160 MB.

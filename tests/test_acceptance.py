@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from crowdharvest import collaboration as collab
 from crowdharvest import geometry, harvest, scenario
@@ -53,13 +54,18 @@ def case_study_runs(config, tmp_path_factory):
 
 
 def test_criterion_01_ppp_nearest_distance_law(config):
+    # the deployments are successive draws of one substream, each the draw
+    # sample_process makes and the crowd kernel scales chunk by chunk
     start = time.perf_counter()
-    samples = geometry.nearest_distance_batch(5.0, config.region, 100_000, config.seed)
-    samples = samples[np.isfinite(samples)]
-    scale = geometry.rayleigh_scale_for_density(5e-6)
-    ks = geometry.ks_statistic(
-        samples, lambda x: 1.0 - np.exp(-np.square(x) / (2.0 * scale**2))
-    )
+    region = config.region
+    rng = substream(config.seed, "ppp")
+    probe = (region.width_m / 2.0, region.height_m / 2.0)
+    samples = []
+    for _ in range(100_000):
+        xs, ys = geometry._draw_points(rng, geometry.PoissonProcess(), 5.0, region)
+        if xs.size:
+            samples.append(geometry.distances_to_probe(region, probe, xs, ys).min())
+    ks = kstest(samples, lambda x: geometry.nth_nearest_distance_cdf(x, 1, 5e-6)).statistic
     elapsed = time.perf_counter() - start
     assert ks < 0.02
     assert elapsed < 10.0

@@ -408,7 +408,7 @@ def test_sweep_harvest_failed_fit_prints_nan_and_its_reason(tmp_path, capsys, gr
 
 def test_importing_any_module_loads_no_scipy(tmp_path):
     # scipy is a test dependency only; a fresh interpreter (this one has scipy loaded)
-    # checks that neither the imports nor the distance laws and copula traces load it.
+    # checks that neither the imports nor the distance law and copula traces load it.
     probe = textwrap.dedent("""
         import importlib, pkgutil, sys
         import crowdharvest
@@ -419,7 +419,6 @@ def test_importing_any_module_loads_no_scipy(tmp_path):
         from crowdharvest import cli, collaboration, geometry, scenario
         cli.build_parser()
         scenario.default_config()
-        geometry.nth_nearest_distance_pdf(100.0, 2, 1e-5)
         geometry.nth_nearest_distance_cdf(100.0, 2, 1e-5)
         collaboration.correlated_bernoulli_traces(0.4, 1.0, 10.0, 10, 0)
         print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))

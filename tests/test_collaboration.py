@@ -116,6 +116,15 @@ class TestCollabSchedule:
         b = collab.collab_schedule(nodes, qos, PARAMS, 3)
         assert a == b
 
+    def test_no_joint_delivery_on_an_overflowing_snr(self):
+        # B's 10 W over a 1e308 gain overflows; scaled by threshold / inf, a
+        # joint delivery would spend nothing from either battery
+        idle = DeterministicArrivals((0.0,) * 4)
+        nodes = (collab.NodeState(10.0, 10.0, idle, 1e-300),
+                 collab.NodeState(5.0, 5.0, idle, 1e308))
+        with pytest.raises(InvalidParameterError, match="snr must be non-negative and finite"):
+            collab.collab_schedule(nodes, collab.QosSpec(1, 4), PARAMS)
+
 
 class TestOptimizeFrameSplit:
     def test_single_point_grid(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.stats import kstest
 
 from crowdharvest import geometry
 from crowdharvest.errors import IngestionError, InvalidParameterError
@@ -15,8 +15,25 @@ REGION = geometry.Region(7745.966692414834, 7745.966692414834)  # 60 km^2
 
 
 def rayleigh_cdf(x, density_per_m2):
-    scale = geometry.rayleigh_scale_for_density(density_per_m2)
-    return 1.0 - np.exp(-np.square(x) / (2.0 * scale**2))
+    return geometry.nth_nearest_distance_cdf(x, 1, density_per_m2)
+
+
+def nearest_distances(order, draws, seed):
+    """Distance from the centre of REGION to the order-th nearest point of 5/km^2 PPP draws.
+
+    The deployments are successive draws of one substream, each made as
+    :func:`geometry.sample_process` makes it; a draw with fewer than
+    ``order`` points is left out.
+    """
+    rng = substream(seed, "ppp")
+    probe = (REGION.width_m / 2.0, REGION.height_m / 2.0)
+    samples = []
+    for _ in range(draws):
+        xs, ys = geometry._draw_points(rng, geometry.PoissonProcess(), 5.0, REGION)
+        if xs.size >= order:
+            d = geometry.distances_to_probe(REGION, probe, xs, ys)
+            samples.append(np.partition(d, order - 1)[order - 1])
+    return np.array(samples)
 
 
 @pytest.mark.parametrize("mean", [0.0, 0.3, 9.99, 10.0, 300.0, 5000.0])
@@ -82,14 +99,12 @@ class TestSamplePpp:
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
         assert a.count != c.count or not np.array_equal(a.xs, c.xs)
 
-    def test_nearest_distance_follows_rayleigh(self):
-        samples = geometry.nearest_distance_batch(5.0, REGION, 20_000, 11)
-        samples = samples[np.isfinite(samples)]
-        ks = geometry.ks_statistic(samples, lambda x: rayleigh_cdf(x, 5e-6))
-        assert ks < 0.02
-
-    def test_nearest_distance_batch_of_no_trials_is_empty(self):
-        assert geometry.nearest_distance_batch(5.0, REGION, 0, 11).shape == (0,)
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_nth_nearest_distance_follows_the_analytic_law(self, order):
+        # order 1 is the Rayleigh law
+        samples = nearest_distances(order, 20_000, 11)
+        law = kstest(samples, lambda x: geometry.nth_nearest_distance_cdf(x, order, 5e-6))
+        assert law.statistic < 0.02
 
 
 class TestSampleClustered:
@@ -122,7 +137,7 @@ class TestSampleClustered:
                 if dep.count:
                     d = geometry.distances_to_probe(REGION, probe, dep.xs, dep.ys)
                     samples.append(d.min())
-            return geometry.ks_statistic(np.array(samples), lambda x: rayleigh_cdf(x, 200e-6))
+            return kstest(samples, lambda x: rayleigh_cdf(x, 200e-6)).statistic
 
         wide, tight = ks_for(3_000.0), ks_for(50.0)
         assert wide < 0.03
@@ -143,31 +158,12 @@ class TestSampleClustered:
             assert got.tobytes() == want.tobytes()
 
 
-class TestNthNearestPdf:
-    def test_analytic_value(self):
-        # 2 (pi L)^1 r e^{-pi L r^2} at r=1, L=1/pi: 2 e^{-1}
-        assert geometry.nth_nearest_distance_pdf(1.0, 1, 1.0 / math.pi) == pytest.approx(
-            2.0 * math.exp(-1.0), abs=1e-12
-        )
-
-    @pytest.mark.parametrize("n,density", [(1, 5e-6), (2, 5e-6), (3, 1e-4), (5, 1e-6)])
-    def test_normalisation(self, n, density):
-        total, _ = quad(lambda r: geometry.nth_nearest_distance_pdf(r, n, density), 0, np.inf)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_matches_rayleigh_for_first_neighbour(self):
-        density = 5e-6
-        scale = geometry.rayleigh_scale_for_density(density)
-        r = np.linspace(1.0, 2000.0, 500)
-        ours = geometry.nth_nearest_distance_pdf(r, 1, density)
-        rayleigh = (r / scale**2) * np.exp(-np.square(r) / (2 * scale**2))
-        assert np.max(np.abs(ours - rayleigh)) < 1e-12
-
+class TestNthNearestCdf:
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
-            geometry.nth_nearest_distance_pdf(1.0, 0, 1e-6)
+            geometry.nth_nearest_distance_cdf(1.0, 0, 1e-6)
         with pytest.raises(InvalidParameterError):
-            geometry.nth_nearest_distance_pdf(1.0, 1, 0.0)
+            geometry.nth_nearest_distance_cdf(1.0, 1, 0.0)
 
     def test_cdf_matches_the_regularised_gamma(self):
         from scipy.special import gammainc
@@ -179,11 +175,6 @@ class TestNthNearestPdf:
             ours = geometry.nth_nearest_distance_cdf(r, n, density)
             assert np.max(np.abs(ours - expected)) < 1e-13
         assert geometry.nth_nearest_distance_cdf(np.inf, 3, density) == 1.0
-
-    def test_cdf_is_pdf_integral(self):
-        density, n = 2e-5, 2
-        value, _ = quad(lambda r: geometry.nth_nearest_distance_pdf(r, n, density), 0, 300.0)
-        assert geometry.nth_nearest_distance_cdf(300.0, n, density) == pytest.approx(value, abs=1e-8)
 
 
 class TestNearestDistances:
@@ -217,15 +208,6 @@ class TestNearestDistances:
         d = geometry.distances_to_probe(region, (1.0, 0.0), dep.xs, dep.ys)
         assert d.min() == pytest.approx(998.0)
 
-    def test_empirical_law_matches_analytic_for_higher_orders(self):
-        for n in (2, 3):
-            samples = geometry.nearest_distance_batch(5.0, REGION, 20_000, 100 + n, order=n)
-            samples = samples[np.isfinite(samples)]
-            ks = geometry.ks_statistic(
-                samples, lambda x: geometry.nth_nearest_distance_cdf(x, n, 5e-6)
-            )
-            assert ks < 0.02
-
 
 def test_superposition_of_ppps_is_ppp():
     # union of 2/km^2 and 3/km^2 has the 5/km^2 nearest-distance law
@@ -239,8 +221,7 @@ def test_superposition_of_ppps_is_ppp():
         if xs.size:
             d = geometry.distances_to_probe(REGION, probe, xs, ys)
             samples.append(d.min())
-    ks = geometry.ks_statistic(np.array(samples), lambda x: rayleigh_cdf(x, 5e-6))
-    assert ks < 0.02
+    assert kstest(samples, lambda x: rayleigh_cdf(x, 5e-6)).statistic < 0.02
 
 
 def ingest(tmp_path, text):

@@ -22,9 +22,7 @@ from crowdharvest.geometry import (
     Deployment,
     PoissonProcess,
     Region,
-    nearest_distance_batch,
     nth_nearest_distance_cdf,
-    rayleigh_scale_for_density,
     sample_ppp,
 )
 from crowdharvest.harvest import (
@@ -88,9 +86,9 @@ REJECTED = {
     "ShadowingSpec sigma nan": lambda: ShadowingSpec(NAN),
     "friis_reference_loss_db nan": lambda: friis_reference_loss_db(NAN),
     "received_power nan": lambda: received_power(NAN, LOS, 10.0),
-    "rayleigh_scale_for_density nan": lambda: rayleigh_scale_for_density(NAN),
     "jt_snr nan": lambda: jt_snr(NAN, 1.0, 1.0, 1.0, 1.0),
     "jt_snr noise nan": lambda: jt_snr(1.0, 1.0, 1.0, 1.0, NAN),
+    "jt_snr overflow": lambda: jt_snr(0.0, 1e150, 1.0, 1.0, 1e-300),
     "traffic_correlation_kernel nan": lambda: traffic_correlation_kernel(NAN),
     "winner_urban_nlos_model frequency -1": lambda: winner_urban_nlos_model(-1.0),
     "NodeState gain nan": lambda: replace(NODE, channel_gain_to_sink=NAN),
@@ -104,10 +102,6 @@ REJECTED = {
         np.ones(3), DESK, NAN),
     "SweepView trials 2.5": lambda: SweepView(LOS, 2.5),
     "sample_ppp density nan": lambda: sample_ppp(NAN, REGION, 0),
-    "nearest_distance_batch density nan": lambda: nearest_distance_batch(NAN, REGION, 10, 0),
-    "nearest_distance_batch trials 2.5": lambda: nearest_distance_batch(1.0, REGION, 2.5, 0),
-    "nearest_distance_batch trials True": lambda: nearest_distance_batch(1.0, REGION, True, 0),
-    "nearest_distance_batch trials -1": lambda: nearest_distance_batch(1.0, REGION, -1, 0),
     "nth_nearest_distance_cdf density nan": lambda: nth_nearest_distance_cdf(1.0, 1, NAN),
     "LinkState noise nan": lambda: replace(DESK, noise_power_w=NAN),
     "LinkState ambient power at relay -1": lambda: replace(DESK, ambient_power_at_relay_w=-1.0),

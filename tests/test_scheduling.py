@@ -175,6 +175,21 @@ def test_problem_rejects_nan_infinite_or_negative_fields(field):
             sched.ScheduleProblem(**{**VALID_PROBLEM, field: value})
 
 
+@pytest.mark.parametrize("hop", ["source", "relay"])
+def test_problem_whose_largest_snr_overflows_is_rejected(hop):
+    # 1e300 J in one slot over 1e-9 W of noise is an SNR of 1e309, past the float range
+    arrivals = {f"{h}_arrivals_j": (1e300, 0.0, 0.0) if h == hop else (1.0, 1.0, 1.0)
+                for h in ("source", "relay")}
+    with pytest.raises(InvalidParameterError, match=f"{hop} hop's largest SNR must be"):
+        sched.ScheduleProblem(3, 1.0, **arrivals, source_gains=(1.0,) * 3,
+                              relay_gains=(1.0,) * 3, noise_power_w=1e-9)
+    # a capacity caps the energy a hop can spend, so the same arrivals are fine
+    capped = sched.ScheduleProblem(3, 1.0, **arrivals, source_gains=(1.0,) * 3,
+                                   relay_gains=(1.0,) * 3, noise_power_w=1e-9,
+                                   **{f"{hop}_capacity_j": 2.0})
+    assert sched.offline_optimal(capped, 4) == sched.brute_force_oracle(capped, 4)
+
+
 def problem_of(slot_count, slots):
     """VALID_PROBLEM with ``slot_count`` and per-slot fields ``slots`` long."""
     per_slot = ("source_arrivals_j", "relay_arrivals_j", "source_gains", "relay_gains")
