@@ -99,6 +99,11 @@ class TestSamplePpp:
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
         assert a.count != c.count or not np.array_equal(a.xs, c.xs)
 
+    def test_zero_density_draws_no_points(self):
+        xs, ys = geometry._draw_points(substream(0, "ppp"), geometry.PoissonProcess(), 0.0, REGION)
+        assert xs.shape == ys.shape == (0,)
+        assert geometry.sample_ppp(0.0, REGION, 0).count == 0
+
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_nth_nearest_distance_follows_the_analytic_law(self, order):
         # order 1 is the Rayleigh law
@@ -175,6 +180,31 @@ class TestNthNearestCdf:
             ours = geometry.nth_nearest_distance_cdf(r, n, density)
             assert np.max(np.abs(ours - expected)) < 1e-13
         assert geometry.nth_nearest_distance_cdf(np.inf, 3, density) == 1.0
+
+    def test_analytic_value(self):
+        # at r = 1, L = 1/pi the Poisson mean is 1: 1 - e^-1, then 1 - 2 e^-1
+        assert geometry.nth_nearest_distance_cdf(1.0, 1, 1.0 / math.pi) == pytest.approx(
+            1.0 - math.exp(-1.0), abs=1e-15
+        )
+        assert geometry.nth_nearest_distance_cdf(1.0, 2, 1.0 / math.pi) == pytest.approx(
+            1.0 - 2.0 * math.exp(-1.0), abs=1e-15
+        )
+
+    def test_first_neighbour_is_rayleigh(self):
+        density = 5e-6
+        scale = 1.0 / math.sqrt(2.0 * math.pi * density)
+        r = np.linspace(0.0, 2000.0, 500)
+        rayleigh = 1.0 - np.exp(-np.square(r) / (2.0 * scale**2))
+        assert np.max(np.abs(geometry.nth_nearest_distance_cdf(r, 1, density) - rayleigh)) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_rises_from_zero_to_one(self, n):
+        r = np.concatenate(([0.0], np.geomspace(1.0, 5000.0, 200), [np.inf]))
+        cdf = geometry.nth_nearest_distance_cdf(r, n, 5e-6)
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
+        # 1 - (sum of the terms below n) rounds at the spacing of floats near 1
+        ulp = np.spacing(1.0)
+        assert np.all(cdf >= -ulp) and np.all(np.diff(cdf) >= -ulp)
 
 
 class TestNearestDistances:

@@ -103,6 +103,9 @@ REJECTED = {
     "SweepView trials 2.5": lambda: SweepView(LOS, 2.5),
     "sample_ppp density nan": lambda: sample_ppp(NAN, REGION, 0),
     "nth_nearest_distance_cdf density nan": lambda: nth_nearest_distance_cdf(1.0, 1, NAN),
+    "nth_nearest_distance_cdf density inf": lambda: nth_nearest_distance_cdf(1.0, 1, INF),
+    "nth_nearest_distance_cdf order 2.5": lambda: nth_nearest_distance_cdf(1.0, 2.5, 1e-6),
+    "nth_nearest_distance_cdf order True": lambda: nth_nearest_distance_cdf(1.0, True, 1e-6),
     "LinkState noise nan": lambda: replace(DESK, noise_power_w=NAN),
     "LinkState ambient power at relay -1": lambda: replace(DESK, ambient_power_at_relay_w=-1.0),
     "BernoulliArrivals p 1.5": lambda: BernoulliArrivals(1.5, 1.0),

@@ -190,6 +190,17 @@ def test_problem_whose_largest_snr_overflows_is_rejected(hop):
     assert sched.offline_optimal(capped, 4) == sched.brute_force_oracle(capped, 4)
 
 
+@pytest.mark.parametrize("hop", ["source", "relay"])
+def test_problem_whose_largest_gain_overflows_the_snr_is_rejected(hop):
+    # 3 J in one slot on a 1e300 gain over 1e-9 W of noise is past the float range
+    gains = {f"{h}_gains": (1.0, 1e300, 1.0) if h == hop else (1.0,) * 3
+             for h in ("source", "relay")}
+    with pytest.raises(InvalidParameterError, match=f"{hop} hop's largest SNR must be"):
+        sched.ScheduleProblem(3, 1.0, (1.0,) * 3, (1.0,) * 3, **gains, noise_power_w=1e-9)
+    # over 1 W of noise the same SNR is finite, and the problem builds
+    sched.ScheduleProblem(3, 1.0, (1.0,) * 3, (1.0,) * 3, **gains, noise_power_w=1.0)
+
+
 def problem_of(slot_count, slots):
     """VALID_PROBLEM with ``slot_count`` and per-slot fields ``slots`` long."""
     per_slot = ("source_arrivals_j", "relay_arrivals_j", "source_gains", "relay_gains")
