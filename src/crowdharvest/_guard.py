@@ -37,7 +37,8 @@ def non_negative_elements(**sequences) -> None:
     """Every element of each sequence is finite and at least 0; element i is named name[i]."""
     for name, values in sequences.items():
         for i, value in enumerate(values):
-            non_negative(**{f"{name}[{i}]": value})
+            if not 0 <= value < math.inf:  # the element's name is built only to be reported
+                non_negative(**{f"{name}[{i}]": value})
 
 
 def unit(**values: float) -> None:

@@ -263,7 +263,9 @@ def nth_nearest_distance_cdf(
     mean x = pi L r^2 reaches n, 1 - e^(-x) sum_{k<n} x^k / k!. The n = 1
     case is the Rayleigh law of scale 1/sqrt(2 pi L). Each term of the sum
     is the one before times x / k, starting from e^(-x), so none of them
-    overflows.
+    overflows. Below x = n, where 1 minus that sum cancels, the CDF is the
+    upper sum e^(-x) sum_{k>=n} x^k / k!, whose terms shrink from the first
+    on; it is summed until a term no longer moves it.
     """
     _guard.count(n=n)
     _guard.positive(density_per_m2=density_per_m2)
@@ -275,6 +277,15 @@ def nth_nearest_distance_cdf(
             term = term * x / k
             below += term
     out = np.where(np.isinf(x), 1.0, 1.0 - below)
+    small = x < n
+    x = x[small]
+    term = term[small] * x / n
+    above, k = term.copy(), n
+    while np.any(term > 1e-17 * above):
+        k += 1
+        term = term * x / k
+        above += term
+    out[small] = above
     if out.ndim == 0:
         return float(out)
     return out

@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -294,14 +294,7 @@ def build_pathloss_model(
 ) -> PathlossModel:
     if scenario.anchor == "friis":
         model = free_space_model(carrier_frequency_hz, scenario.reference_distance_m)
-        if scenario.exponent != 2.0:
-            model = PathlossModel(
-                exponent=scenario.exponent,
-                reference_distance_m=model.reference_distance_m,
-                reference_loss_db=model.reference_loss_db,
-                carrier_frequency_hz=carrier_frequency_hz,
-            )
-        return model
+        return replace(model, exponent=scenario.exponent)
     return winner_urban_nlos_model(
         carrier_frequency_hz,
         slope_db_per_decade=10.0 * scenario.exponent,

@@ -25,7 +25,7 @@ lower spent energy, then earlier activity, then the lower action-id tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -241,30 +241,37 @@ class ScheduleProblem:
 
 @dataclass(frozen=True)
 class Schedule:
+    """Per-slot transmit powers and delivered bits; a node is active where its power is positive."""
+
     source_powers_w: tuple[float, ...]
     relay_powers_w: tuple[float, ...]
-    source_indicators: tuple[int, ...]
-    relay_indicators: tuple[int, ...]
     bits_per_slot: tuple[float, ...]  # bits delivered to the destination per slot
-    objective_value: float
     objective_kind: str = "delivered_bits"  # or "relay_slots"
+
+    def __post_init__(self) -> None:
+        if self.objective_kind not in ("delivered_bits", "relay_slots"):
+            raise InvalidParameterError(f"unknown objective kind {self.objective_kind!r}")
+
+    @property
+    def objective_value(self) -> float:
+        """The summed delivered bits, or the count of relay slots, as the kind says."""
+        if self.objective_kind == "delivered_bits":
+            return sum(self.bits_per_slot)
+        return float(sum(p > 0 for p in self.relay_powers_w))
 
 
 SCHEDULE_CSV_HEADER = ["slot", "P_s", "P_r", "d_s", "d_r", "bits"]
 
 
 def schedule_to_csv(schedule: Schedule) -> str:
-    slots = zip(schedule.source_powers_w, schedule.relay_powers_w, schedule.source_indicators,
-                schedule.relay_indicators, schedule.bits_per_slot)
+    slots = zip(schedule.source_powers_w, schedule.relay_powers_w, schedule.bits_per_slot)
     return write_csv(SCHEDULE_CSV_HEADER, (
-        (k, f"{p_s:.10g}", f"{p_r:.10g}", d_s, d_r, f"{bits:.10g}")
-        for k, (p_s, p_r, d_s, d_r, bits) in enumerate(slots)
+        (k, f"{p_s:.10g}", f"{p_r:.10g}", int(p_s > 0), int(p_r > 0), f"{bits:.10g}")
+        for k, (p_s, p_r, bits) in enumerate(slots)
     ))
 
 
 def _rate_bits(spend_j: float, gain: float, problem: ScheduleProblem) -> float:
-    if spend_j <= 0 or gain <= 0:
-        return 0.0
     power = spend_j / problem.slot_duration_s
     return math.log2(1.0 + power * gain / problem.noise_power_w)
 
@@ -272,36 +279,26 @@ def _rate_bits(spend_j: float, gain: float, problem: ScheduleProblem) -> float:
 def validate_schedule(problem: ScheduleProblem, schedule: Schedule, tol: float = 1e-9) -> None:
     """Independent causality audit; raises InvalidParameterError on violation.
 
-    Checks that the schedule has one entry per slot and that its objective
-    is the sum of its delivered bits or the count of its relay slots, as
-    its kind says. Recomputes the battery and buffer trajectories from the
-    raw powers and checks energy causality, capacity bounds, half-duplex
-    exclusivity, information causality, and the claimed per-slot delivered
-    bits.
+    Checks that the schedule has one entry per slot and that every power
+    and delivered bit is finite and non-negative. Recomputes the battery
+    and buffer trajectories from the raw powers and checks energy
+    causality, capacity bounds, half-duplex exclusivity, information
+    causality, and the claimed per-slot delivered bits.
     """
     k_slots = problem.slot_count
-    per_slot = (schedule.source_powers_w, schedule.relay_powers_w, schedule.source_indicators,
-                schedule.relay_indicators, schedule.bits_per_slot)
-    if any(len(values) != k_slots for values in per_slot):
+    per_slot = {name: getattr(schedule, name)
+                for name in ("source_powers_w", "relay_powers_w", "bits_per_slot")}
+    if any(len(values) != k_slots for values in per_slot.values()):
         raise InvalidParameterError(f"a schedule of this problem has {k_slots} slots")
-    claimed = {"delivered_bits": sum(schedule.bits_per_slot),
-               "relay_slots": sum(map(bool, schedule.relay_indicators))}
-    if not abs(schedule.objective_value - claimed.get(schedule.objective_kind, math.nan)) <= tol:
-        raise InvalidParameterError(
-            f"objective {schedule.objective_value!r} is not the schedule's "
-            f"{schedule.objective_kind}"
-        )
+    _guard.non_negative_elements(**per_slot)
     b_s, b_r = problem.initial_source_j, problem.initial_relay_j
     buffer_bits = 0.0
     for k in range(k_slots):
         b_s = min(problem.source_capacity_j, b_s + problem.source_arrivals_j[k])
         b_r = min(problem.relay_capacity_j, b_r + problem.relay_arrivals_j[k])
         p_s, p_r = schedule.source_powers_w[k], schedule.relay_powers_w[k]
-        d_s, d_r = schedule.source_indicators[k], schedule.relay_indicators[k]
-        if d_s and d_r:
+        if p_s > 0 and p_r > 0:
             raise InvalidParameterError(f"slot {k}: source and relay both active")
-        if (p_s > 0) != bool(d_s) or (p_r > 0) != bool(d_r):
-            raise InvalidParameterError(f"slot {k}: indicator inconsistent with power")
         spend_s = p_s * problem.slot_duration_s
         spend_r = p_r * problem.slot_duration_s
         if spend_s > b_s + tol:
@@ -310,13 +307,13 @@ def validate_schedule(problem: ScheduleProblem, schedule: Schedule, tol: float =
             raise InvalidParameterError(f"slot {k}: relay energy causality violated")
         delivered = schedule.bits_per_slot[k]
         received = 0.0
-        if d_s:
+        if p_s > 0:
             if b_r + tol >= problem.rx_energy_cost_j:
                 b_r -= problem.rx_energy_cost_j
                 received = _rate_bits(spend_s, problem.source_gains[k], problem)
             if delivered > tol:
                 raise InvalidParameterError(f"slot {k}: delivery during a source slot")
-        elif d_r:
+        elif p_r > 0:
             capacity_bits = _rate_bits(spend_r, problem.relay_gains[k], problem)
             if delivered > min(buffer_bits, capacity_bits) + tol:
                 raise InvalidParameterError(
@@ -575,25 +572,16 @@ def _replay(problem: ScheduleProblem, action_ids: list[int], power_levels: int,
     b_s = np.array([problem.initial_source_j], dtype=float)
     b_r = np.array([problem.initial_relay_j], dtype=float)
     buf = np.zeros(1)
-    p_s, p_r, d_s, d_r, bits = [], [], [], [], []
+    p_s, p_r, bits = [], [], []
     for k, a in enumerate(action_ids):
         b_s, b_r, buf, delivered, _, spend = _transition(
             problem, k, b_s, b_r, buf, np.array([a]), power_levels
         )
-        active = bool(spend[0] > 0)
         power = float(spend[0]) / problem.slot_duration_s
-        source = active and a <= power_levels
-        relay = active and a > power_levels
-        p_s.append(power if source else 0.0)
-        p_r.append(power if relay else 0.0)
-        d_s.append(int(source))
-        d_r.append(int(relay))
+        p_s.append(power if a <= power_levels else 0.0)
+        p_r.append(power if a > power_levels else 0.0)
         bits.append(float(delivered[0]))
-    objective = sum(bits) if objective_kind == "delivered_bits" else float(sum(d_r))
-    return Schedule(
-        tuple(p_s), tuple(p_r), tuple(d_s), tuple(d_r), tuple(bits),
-        objective, objective_kind,
-    )
+    return Schedule(tuple(p_s), tuple(p_r), tuple(bits), objective_kind)
 
 
 def offline_optimal(problem: ScheduleProblem, power_levels: int = 8,
@@ -687,16 +675,13 @@ def brute_force_oracle(
     idle = [np.repeat(~((spend_s > 0) | (spend_r > 0)), n)
             for (spend_s, spend_r, _), n in zip(slots, shared)]
     best = _first_lexmin(-np.round(bits, 12), np.round(energy, 12), *idle)
-    p_s, p_r, d_s, d_r, per_slot = [], [], [], [], []
+    p_s, p_r, per_slot = [], [], []
     for (spend_s, spend_r, delivered), n in zip(slots, shared):
         row = best // n
-        s_s, s_r = float(spend_s[row]), float(spend_r[row])
-        p_s.append(s_s / dt if s_s > 0 else 0.0)
-        p_r.append(s_r / dt if s_r > 0 else 0.0)
-        d_s.append(int(s_s > 0))
-        d_r.append(int(s_r > 0))
+        p_s.append(float(spend_s[row]) / dt)
+        p_r.append(float(spend_r[row]) / dt)
         per_slot.append(float(delivered[row]))
-    return Schedule(tuple(p_s), tuple(p_r), tuple(d_s), tuple(d_r), tuple(per_slot), sum(per_slot))
+    return Schedule(tuple(p_s), tuple(p_r), tuple(per_slot))
 
 
 def min_relay_time(problem: ScheduleProblem, demand_bits: float, power_levels: int = 8,
@@ -841,12 +826,10 @@ class BatteryMdp:
     bucket_j: float
     spend_levels_j: tuple[float, ...]
     snr_per_joule: float
-    reward_scale: float = 1.0
 
     def __post_init__(self) -> None:
         _guard.count(minimum=2, battery_buckets=self.battery_buckets)
-        _guard.positive(bucket_j=self.bucket_j, snr_per_joule=self.snr_per_joule,
-                        reward_scale=self.reward_scale)
+        _guard.positive(bucket_j=self.bucket_j, snr_per_joule=self.snr_per_joule)
         _guard.non_negative_elements(spend_levels_j=self.spend_levels_j)
         _quanta(self, self.spend_levels_j + self.arrivals.states_j)
         if 0.0 not in self.spend_levels_j:
@@ -866,9 +849,7 @@ class BatteryMdp:
         return _MdpArrays.build(self)
 
     def reward(self, action: int) -> float:
-        return self.reward_scale * math.log2(
-            1.0 + self.spend_levels_j[action] * self.snr_per_joule
-        )
+        return math.log2(1.0 + self.spend_levels_j[action] * self.snr_per_joule)
 
 
 def _quanta(mdp: BatteryMdp, values_j: tuple[float, ...]) -> np.ndarray:
@@ -921,45 +902,14 @@ class Policy:
         return int(self.actions[battery_bucket, energy_state])
 
     def to_json(self) -> str:
-        chain = self.mdp.arrivals
-        mdp = _MdpDoc(chain.states_j, chain.transitions, *astuple(self.mdp)[1:])
-        return dumps(asdict(_PolicyDoc(mdp, self.actions.tolist(), self.gain)))
+        doc = asdict(self)
+        doc["actions"] = self.actions.tolist()
+        return dumps(doc)
 
     @staticmethod
     def from_json(text: str) -> "Policy":
         """Parse :meth:`to_json`; a missing, unknown or mistyped key raises, naming its path."""
-        doc = dataclass_from_dict(_PolicyDoc, loads(text))
-        return Policy(doc.mdp.battery(), doc.actions, doc.gain)
-
-
-@dataclass(frozen=True)
-class _MdpDoc:
-    """The ``mdp`` of a policy document: the :class:`BatteryMdp` fields in
-    order, its arrival chain's two with an ``arrival_`` prefix."""
-
-    arrival_states_j: tuple[float, ...]
-    arrival_transitions: tuple[tuple[float, ...], ...]
-    battery_buckets: int
-    bucket_j: float
-    spend_levels_j: tuple[float, ...]
-    snr_per_joule: float
-    reward_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        self.battery()  # the chain and the MDP check themselves here, so their errors name "mdp"
-
-    def battery(self) -> BatteryMdp:
-        values = astuple(self)
-        return BatteryMdp(MarkovArrivals(*values[:2]), *values[2:])
-
-
-@dataclass(frozen=True)
-class _PolicyDoc:
-    """The layout of a policy document."""
-
-    mdp: _MdpDoc
-    actions: np.ndarray
-    gain: float
+        return dataclass_from_dict(Policy, loads(text))
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,9 @@ POLICY_MDP = sched.BatteryMdp(
     snr_per_joule=2.0,
 )
 
-# PROBLEM.to_json() and mdp_policy_iteration(POLICY_MDP).to_json() as written by
-# the hand-built serialisers that the document layer replaced.
+# PROBLEM.to_json() as written by the hand-built serialiser that the document
+# layer replaced, and mdp_policy_iteration(POLICY_MDP).to_json(), whose "mdp"
+# is the BatteryMdp's own fields.
 PROBLEM_JSON = """{
   "delay_constrained": true,
   "initial_relay_j": 0.0,
@@ -79,23 +80,24 @@ POLICY_JSON = """{
   ],
   "gain": 0.6792696431662097,
   "mdp": {
-    "arrival_states_j": [
-      0.0,
-      1.0
-    ],
-    "arrival_transitions": [
-      [
-        0.7,
-        0.3
+    "arrivals": {
+      "states_j": [
+        0.0,
+        1.0
       ],
-      [
-        0.4,
-        0.6
+      "transitions": [
+        [
+          0.7,
+          0.3
+        ],
+        [
+          0.4,
+          0.6
+        ]
       ]
-    ],
+    },
     "battery_buckets": 3,
     "bucket_j": 1.0,
-    "reward_scale": 1.0,
     "snr_per_joule": 2.0,
     "spend_levels_j": [
       0.0,
@@ -172,6 +174,8 @@ def test_strict_json_readers_reject_bad_documents(reader, defect):
 @pytest.mark.parametrize("reader,edit,path", [
     ("policy", lambda d: d["mdp"].update(bucket_j=None), "mdp.bucket_j"),
     ("policy", lambda d: d["mdp"].update(spend_levels_j=[0.0, "x"]), "mdp.spend_levels_j[1]"),
+    ("policy", lambda d: d["mdp"]["arrivals"].update(states_j=[0.0, "x"]),
+     "mdp.arrivals.states_j[1]"),
     ("deployment", lambda d: d["region"].update(width_m=None), "region.width_m"),
 ])
 def test_errors_name_the_full_key_path(reader, edit, path):
@@ -185,26 +189,26 @@ def test_errors_name_the_full_key_path(reader, edit, path):
 
 def test_policy_arrival_chain_keys_are_strict():
     doc = json.loads(POLICY_JSON)
-    doc["mdp"]["arrivals"] = {"states_j": [0.0, 1.0]}
-    with pytest.raises(InvalidParameterError, match="arrivals"):
+    doc["mdp"]["arrival_states_j"] = [0.0, 1.0]
+    with pytest.raises(InvalidParameterError, match="arrival_states_j"):
         sched.Policy.from_json(json.dumps(doc))
     doc = json.loads(POLICY_JSON)
-    doc["mdp"].pop("arrival_transitions")
+    doc["mdp"]["arrivals"].pop("transitions")
     with pytest.raises(InvalidParameterError, match="transitions"):
         sched.Policy.from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda mdp: mdp.update(arrival_transitions=[[0.8, 0.2], None]),
-     "mdp.arrival_transitions[1]: expected a list, got None"),
-    (lambda mdp: mdp.update(arrival_kind="markov"), "mdp: unknown key(s) ['arrival_kind']"),
-    (lambda mdp: mdp.pop("arrival_states_j"), "mdp: missing key(s) ['arrival_states_j']"),
-    (lambda mdp: mdp.update(arrival_transitions=[[0.8, 0.3], [0.4, 0.6]]),
-     "mdp: transition matrix rows must sum to 1"),
+    (lambda chain: chain.update(transitions=[[0.8, 0.2], None]),
+     "mdp.arrivals.transitions[1]: expected a list, got None"),
+    (lambda chain: chain.update(kind="markov"), "mdp.arrivals: unknown key(s) ['kind']"),
+    (lambda chain: chain.pop("states_j"), "mdp.arrivals: missing key(s) ['states_j']"),
+    (lambda chain: chain.update(transitions=[[0.8, 0.3], [0.4, 0.6]]),
+     "mdp.arrivals: transition matrix rows must sum to 1"),
 ], ids=["null-row", "unknown-arrival-key", "missing-arrival-key", "bad-chain"])
 def test_policy_errors_name_the_arrival_keys_of_the_document(edit, message):
     doc = json.loads(POLICY_JSON)
-    edit(doc["mdp"])
+    edit(doc["mdp"]["arrivals"])
     with pytest.raises(InvalidParameterError) as info:
         sched.Policy.from_json(json.dumps(doc))
     assert str(info.value) == message

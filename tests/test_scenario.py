@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crowdharvest import geometry, scenario
+from crowdharvest import geometry, propagation, scenario
 from crowdharvest.errors import ConfigError, IngestionError, InvalidParameterError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -315,3 +315,16 @@ def test_build_pathloss_models(config):
     assert los.exponent == 2.0
     nlos = scenario.build_pathloss_model(config.nlos, 2.1e9)
     assert nlos.exponent == pytest.approx(4.3)
+
+
+def test_friis_anchor_takes_the_scenario_exponent():
+    model = scenario.build_pathloss_model(
+        scenario.PathlossScenarioConfig(exponent=2.5, reference_distance_m=2.0), 2.1e9
+    )
+    assert model.exponent == 2.5
+    assert propagation.pathloss_db(model, 2.0) == pytest.approx(
+        propagation.friis_reference_loss_db(2.1e9, 2.0), abs=1e-12
+    )
+    assert propagation.pathloss_db(model, 200.0) - propagation.pathloss_db(model, 20.0) == (
+        pytest.approx(25.0, abs=1e-9)
+    )

@@ -232,7 +232,7 @@ class TestOfflineOptimal:
         )
         s = sched.offline_optimal(p, 4)
         assert s.objective_value == 0.0
-        assert all(v == 0 for v in s.source_indicators)
+        assert all(p == 0 for p in s.source_powers_w)
 
     def test_single_slot_cannot_deliver(self):
         p = sched.ScheduleProblem(1, 1.0, (5.0,), (5.0,), (1e-3,), (1e-3,), 1e-9)
@@ -405,20 +405,14 @@ class TestOfflineOptimal:
         bad = sched.Schedule(
             source_powers_w=(5.0, 0.0),  # spends 5 J with only 1 J harvested
             relay_powers_w=(0.0, 0.0),
-            source_indicators=(1, 0),
-            relay_indicators=(0, 0),
             bits_per_slot=(0.0, 0.0),
-            objective_value=0.0,
         )
         with pytest.raises(InvalidParameterError):
             sched.validate_schedule(p, bad)
         fake_bits = sched.Schedule(
             source_powers_w=(0.0, 0.0),
             relay_powers_w=(0.0, 1.0),
-            source_indicators=(0, 0),
-            relay_indicators=(0, 1),
             bits_per_slot=(0.0, 5.0),  # forwards bits never received
-            objective_value=5.0,
         )
         with pytest.raises(InvalidParameterError):
             sched.validate_schedule(p, fake_bits)
@@ -428,34 +422,49 @@ class TestOfflineOptimal:
         phantom_slot = sched.Schedule(  # a third slot relays 100 bits the problem never had
             source_powers_w=(1.0, 0.0, 0.0),
             relay_powers_w=(0.0, 0.0, 1.0),
-            source_indicators=(1, 0, 0),
-            relay_indicators=(0, 0, 1),
             bits_per_slot=(0.0, 0.0, 100.0),
-            objective_value=100.0,
         )
-        one_slot = sched.Schedule((0.0,), (0.0,), (0,), (0,), (0.0,), 0.0)
+        one_slot = sched.Schedule((0.0,), (0.0,), (0.0,))
         short_bits = replace(sched.offline_optimal(p, 2), bits_per_slot=(0.0,))
         for schedule in (phantom_slot, one_slot, short_bits):
             with pytest.raises(InvalidParameterError, match="has 2 slots"):
                 sched.validate_schedule(p, schedule)
 
-    def test_validator_checks_the_objective_against_its_kind(self):
+    def test_objective_follows_its_kind(self):
         p = random_problem(13)
         optimal = sched.offline_optimal(p, 6)
         quickest = sched.min_relay_time(p, 0.5 * optimal.objective_value, 6)
-        assert optimal.objective_value > 0 and quickest.objective_value > 0
-        sched.validate_schedule(p, optimal)
-        sched.validate_schedule(p, quickest)
-        for bad in (
-            replace(optimal, objective_value=optimal.objective_value + 1.0),
-            replace(optimal, objective_value=math.nan),
-            replace(optimal, objective_kind="relay_slots"),
-            replace(optimal, objective_kind="bits"),
-            replace(quickest, objective_value=quickest.objective_value - 1.0),
-            replace(quickest, objective_kind="delivered_bits"),
-        ):
-            with pytest.raises(InvalidParameterError, match="objective"):
-                sched.validate_schedule(p, bad)
+        assert optimal.objective_value == sum(optimal.bits_per_slot) > 0
+        assert quickest.objective_value == sum(w > 0 for w in quickest.relay_powers_w) > 0
+        as_bits = replace(quickest, objective_kind="delivered_bits")
+        assert as_bits.objective_value == sum(quickest.bits_per_slot)
+        with pytest.raises(InvalidParameterError, match="unknown objective kind 'bits'"):
+            replace(optimal, objective_kind="bits")
+
+    @pytest.mark.parametrize("schedule,message", [
+        # slot 0 looks idle and creates 5 J; slot 1 spends 6 J of the 1 J that arrived
+        (sched.Schedule((-5.0, 6.0), (0.0, 0.0), (0.0, 0.0)), r"source_powers_w\[0\]"),
+        (sched.Schedule((math.nan, 6.0), (0.0, 0.0), (0.0, 0.0)), r"source_powers_w\[0\]"),
+        (sched.Schedule((1.0, 0.0), (0.0, 0.0), (0.0, -3.0)), r"bits_per_slot\[1\]"),
+        (sched.Schedule((1.0, 0.0), (0.5, 0.0), (0.0, 0.0)), "source and relay both active"),
+        (sched.Schedule((0.0, 0.0), (0.5, 0.0), (0.0, 0.0)), "relay energy causality violated"),
+        (sched.Schedule((1.0, 0.0), (0.0, 0.0), (0.5, 0.0)), "delivery during a source slot"),
+        (sched.Schedule((0.0, 0.0), (0.0, 0.0), (0.5, 0.0)), "delivery during an idle slot"),
+    ], ids=["negative-power", "nan-power", "negative-bits", "both-active", "relay-causality",
+            "source-slot-delivery", "idle-slot-delivery"])
+    def test_validator_rejects_a_tampered_schedule(self, schedule, message):
+        p = sched.ScheduleProblem(2, 1.0, (1.0, 0.0), (0.0, 1.0), (1e-3,) * 2, (1e-3,) * 2, 1e-9)
+        with pytest.raises(InvalidParameterError, match=message):
+            sched.validate_schedule(p, schedule)
+
+    def test_a_spend_below_the_smallest_power_is_idle(self):
+        # 5e-324 J over 2 s rounds to 0 W: both solvers report an idle slot
+        p = sched.ScheduleProblem(
+            2, 2.0, (5e-324, 0.0), (0.0, 1.0), (1.0, 1.0), (1e-3, 1e-3), 1e-9
+        )
+        for schedule in (sched.offline_optimal(p, 1), sched.brute_force_oracle(p, 1)):
+            assert schedule.source_powers_w[0] == 0.0
+            sched.validate_schedule(p, schedule)
 
 
 def min_time_oracle(problem, demand, levels):
@@ -972,7 +981,7 @@ def test_action_tuple_breaks_a_final_tie_as_the_oracle_does():
     assert [sched._action_ids(layers, int(row)) for row in tied] == [[1, 1, 4], [2, 3, 3]]
     optimal = sched.offline_optimal(ACTION_TIE_PROBLEM, levels)
     assert optimal == sched.brute_force_oracle(ACTION_TIE_PROBLEM, levels)
-    assert optimal.relay_indicators == (0, 0, 1)
+    assert [p > 0 for p in optimal.relay_powers_w] == [False, False, True]
 
 
 class TestWaterFilling:
@@ -1110,14 +1119,6 @@ class TestMdp:
         pi_gain = sched.mdp_policy_iteration(DESK_MDP).gain
         vi_gain = sched.value_iteration_gain(DESK_MDP, span_tol=1e-9)
         assert pi_gain == pytest.approx(vi_gain, abs=1e-6)
-
-    def test_reward_scaling_leaves_policy_unchanged(self):
-        from dataclasses import replace
-
-        base = sched.mdp_policy_iteration(DESK_MDP)
-        scaled = sched.mdp_policy_iteration(replace(DESK_MDP, reward_scale=7.5))
-        assert np.array_equal(base.actions, scaled.actions)
-        assert scaled.gain == pytest.approx(7.5 * base.gain, rel=1e-9)
 
     def test_degenerate_chain_raises(self):
         with pytest.raises(DegenerateModelError):
@@ -1485,9 +1486,6 @@ MDP_REJECTIONS = {
     "quantum-zero": lambda: replace(DESK_MDP, bucket_j=0.0),
     "snr-nan": lambda: replace(DESK_MDP, snr_per_joule=math.nan),
     "snr-inf": lambda: replace(DESK_MDP, snr_per_joule=math.inf),
-    "scale-nan": lambda: replace(DESK_MDP, reward_scale=math.nan),
-    "scale-inf": lambda: replace(DESK_MDP, reward_scale=math.inf),
-    "scale-negative": lambda: replace(DESK_MDP, reward_scale=-1.0),
     "spend-negative": lambda: replace(DESK_MDP, spend_levels_j=(0.0, -1.0)),
     "spend-nan": lambda: replace(DESK_MDP, spend_levels_j=(0.0, math.nan)),
     "spend-inf": lambda: replace(DESK_MDP, spend_levels_j=(0.0, math.inf)),
@@ -1612,7 +1610,7 @@ class TestEvaluatePolicy:
                 total += rewards[a]
             else:
                 spend = battery
-                total += mdp.reward_scale * math.log2(1.0 + spend * mdp.snr_per_joule)
+                total += math.log2(1.0 + spend * mdp.snr_per_joule)
             battery -= spend
         return total / horizon, capped
 
