@@ -332,7 +332,7 @@ def cmd_casestudy(args: argparse.Namespace) -> int:
         print(
             f"  {row.rat:6s} table density {row.table_density_per_km2:8.4g}/km^2  "
             f"LoS {row.peak_power_w * 1e6:10.4g} uW  "
-            f"({row.peak_density_w_per_hz * 1e15:10.4g} fW/Hz)"
+            f"({row.peak_power_density_w_per_hz * 1e15:10.4g} fW/Hz)"
         )
     print(f"  nearest-node energy share {report.nearest_share:.3f}")
     return 0

@@ -10,6 +10,7 @@ an optional guard margin for probe placement.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -261,31 +262,31 @@ def nth_nearest_distance_cdf(
 
     It is the regularised Gamma P(n, x): the chance that a Poisson count of
     mean x = pi L r^2 reaches n, 1 - e^(-x) sum_{k<n} x^k / k!. The n = 1
-    case is the Rayleigh law of scale 1/sqrt(2 pi L). Each term of the sum
-    is the one before times x / k, starting from e^(-x), so none of them
-    overflows. Below x = n, where 1 minus that sum cancels, the CDF is the
-    upper sum e^(-x) sum_{k>=n} x^k / k!, whose terms shrink from the first
-    on; it is summed until a term no longer moves it.
+    case is the Rayleigh law of scale 1/sqrt(2 pi L). Each sum starts from
+    its largest term, exp(k log x - x - lgamma(k + 1)), so no term under-
+    or overflows while it matters (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 1-2). From x = n on, the lower sum runs
+    down from k = n - 1; below x = n, where 1 minus that sum cancels, the
+    CDF is the upper sum e^(-x) sum_{k>=n} x^k / k!, run up from k = n.
+    Each is summed until a term no longer moves it.
     """
     _guard.count(n=n)
     _guard.positive(density_per_m2=density_per_m2)
     x = math.pi * density_per_m2 * np.square(np.asarray(r, dtype=float))
-    term = np.exp(-x)
-    below = term.copy()
-    with np.errstate(invalid="ignore"):  # 0 * inf at r = inf, where the CDF is 1
-        for k in range(1, n):
-            term = term * x / k
-            below += term
-    out = np.where(np.isinf(x), 1.0, 1.0 - below)
-    small = x < n
-    x = x[small]
-    term = term[small] * x / n
-    above, k = term.copy(), n
-    while np.any(term > 1e-17 * above):
-        k += 1
-        term = term * x / k
-        above += term
-    out[small] = above
+    out = np.where(x == math.inf, 1.0, math.nan)
+    for lower in (True, False):
+        part = (n <= x) & (x < math.inf) if lower else x < n
+        xs = x[part]
+        top = n - 1 if lower else n
+        with np.errstate(divide="ignore"):  # at x = 0 the upper sum starts from exp(-inf) = 0
+            term = np.exp(top * np.log(xs) - xs - math.lgamma(top + 1))
+        total = term.copy()
+        for k in range(top, 0, -1) if lower else itertools.count(top + 1):
+            term = term * k / xs if lower else term * xs / k
+            total += term
+            if not np.any(term > 1e-17 * total):
+                break
+        out[part] = 1.0 - total if lower else total
     if out.ndim == 0:
         return float(out)
     return out

@@ -7,16 +7,17 @@ run is reproducible from (config, seed) alone; reports embed the config
 hash and the seed, and the deterministic artifacts never contain wall
 clocks, so a rerun is byte-identical.
 
-The bundled default models a 60 km^2 central-London-like area with four
-technologies: cellular macro downlink (20 MHz, 40 W, up to 5/km^2),
-home femto downlink (20 MHz, 1 W, up to 200/km^2, clustered), Wi-Fi
-(60 MHz, 100 mW, up to 1000/km^2), and TV broadcast (100 MHz, 1 MW,
-sparse real sites). Peak-power table rows are evaluated at each
-technology's representative deployment density: the range top for the
-crowd technologies, the real-site density for TV (about one high-power
-site per study area; evaluating TV at the top of its generic density
-range would model a dozen megawatt towers inside the window and lands
-milliwatts, far above any published field value).
+The bundled default, ``configs/london.yaml``, models a 60 km^2
+central-London-like area with four technologies: cellular macro
+downlink (20 MHz, 40 W, up to 5/km^2), home femto downlink (20 MHz,
+1 W, up to 200/km^2, clustered), Wi-Fi (60 MHz, 100 mW, up to
+1000/km^2), and TV broadcast (100 MHz, 1 MW, sparse real sites).
+Peak-power table rows are evaluated at each technology's representative
+deployment density: the range top for the crowd technologies, the
+real-site density for TV (about one high-power site per study area;
+evaluating TV at the top of its generic density range would model a
+dozen megawatt towers inside the window and lands milliwatts, far above
+any published field value).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import yaml
 from . import _guard
 from ._documents import dataclass_from_dict, dumps, read_text, write_csv
 from .errors import ConfigError, FitFailureError, IngestionError, InvalidParameterError
-from .geometry import ClusteredProcess, Deployment, PoissonProcess, Region, _points_from_csv
+from .geometry import Deployment, PoissonProcess, Region, _points_from_csv
 from .harvest import (
     SWEEP_CSV_HEADER,
     RatProfile,
@@ -56,6 +57,7 @@ from .swipt import LinkState, RelayMode
 
 __all__ = [
     "PathlossScenarioConfig",
+    "Pathloss",
     "SwiptDefaults",
     "SchedulingDefaults",
     "CollabDefaults",
@@ -194,16 +196,25 @@ class CaseStudyDefaults:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
-    seed: int
-    region: Region
-    rats: tuple[RatProfile, ...]
+class Pathloss:
+    """The two propagation scenarios every RAT is evaluated under."""
+
     los: PathlossScenarioConfig
     nlos: PathlossScenarioConfig
-    swipt: SwiptDefaults
-    scheduling: SchedulingDefaults
-    collab: CollabDefaults
-    case_study: CaseStudyDefaults
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """A scenario, laid out as its document; a missing defaults section takes its defaults."""
+
+    seed: int  # required: no implicit entropy
+    region: Region
+    rats: tuple[RatProfile, ...]
+    pathloss: Pathloss
+    swipt: SwiptDefaults = SwiptDefaults()
+    scheduling: SchedulingDefaults = SchedulingDefaults()
+    collab: CollabDefaults = CollabDefaults()
+    case_study: CaseStudyDefaults = CaseStudyDefaults()
 
     def __post_init__(self) -> None:
         """The rules that span sections."""
@@ -219,6 +230,14 @@ class ScenarioConfig:
                 except InvalidParameterError as exc:
                     raise InvalidParameterError(f"pathloss.{name} for rats[{i}]: {exc}") from exc
 
+    @property
+    def los(self) -> PathlossScenarioConfig:
+        return self.pathloss.los
+
+    @property
+    def nlos(self) -> PathlossScenarioConfig:
+        return self.pathloss.nlos
+
     def rat(self, name: str) -> RatProfile:
         for rat in self.rats:
             if rat.name == name:
@@ -232,61 +251,13 @@ class ScenarioConfig:
         return model, ShadowingSpec(scen.shadowing_sigma_db, scen.shadowing_sigma_db > 0)
 
 
+# The bundled scenario, read from the source checkout.
+DEFAULT_CONFIG_PATH = Path(__file__).resolve().parents[2] / "configs" / "london.yaml"
+
+
 def default_config() -> ScenarioConfig:
-    side = math.sqrt(60e6)  # 60 km^2 study window
-    return ScenarioConfig(
-        seed=20260808,
-        region=Region(width_m=side, height_m=side),
-        rats=(
-            RatProfile(
-                name="macro",
-                bandwidth_hz=20e6,
-                transmit_power_w=40.0,
-                density_range_per_km2=(0.5, 5.0),
-                carrier_frequency_hz=2.1e9,
-                spatial_process=PoissonProcess(),
-                min_link_distance_m=50.0,  # urban-NLoS validity floor (elevated masts)
-            ),
-            RatProfile(
-                name="femto",
-                bandwidth_hz=20e6,
-                transmit_power_w=1.0,
-                density_range_per_km2=(15.0, 200.0),
-                carrier_frequency_hz=2.1e9,
-                spatial_process=ClusteredProcess(
-                    parent_density_per_km2=20.0, mean_offspring=10.0, spread_m=50.0
-                ),
-                min_link_distance_m=5.0,
-            ),
-            RatProfile(
-                name="wifi",
-                bandwidth_hz=60e6,
-                transmit_power_w=0.1,
-                density_range_per_km2=(50.0, 1000.0),
-                carrier_frequency_hz=2.4e9,
-                spatial_process=PoissonProcess(),
-                min_link_distance_m=2.0,
-            ),
-            RatProfile(
-                name="tv",
-                bandwidth_hz=100e6,
-                transmit_power_w=1e6,
-                density_range_per_km2=(0.01, 0.2),
-                carrier_frequency_hz=600e6,
-                spatial_process=PoissonProcess(),
-                min_link_distance_m=100.0,  # broadcast masts are ~100 m structures
-                table_density_per_km2=1.0 / 60.0,  # one real site per study window
-            ),
-        ),
-        los=PathlossScenarioConfig(exponent=2.0, anchor="friis", shadowing_sigma_db=0.0),
-        nlos=PathlossScenarioConfig(
-            exponent=4.3, anchor="winner", shadowing_sigma_db=8.0
-        ),
-        swipt=SwiptDefaults(),
-        scheduling=SchedulingDefaults(),
-        collab=CollabDefaults(),
-        case_study=CaseStudyDefaults(),
-    )
+    """The scenario of ``DEFAULT_CONFIG_PATH``; a missing file raises ``ConfigError``."""
+    return load_config(DEFAULT_CONFIG_PATH)
 
 
 def build_pathloss_model(
@@ -318,38 +289,14 @@ def build_rat_profile(rat: RatProfile) -> RatProfile:
 # YAML serialisation with strict validation.
 
 
-@dataclass(frozen=True)
-class _Pathloss:
-    los: PathlossScenarioConfig
-    nlos: PathlossScenarioConfig
-
-
-@dataclass(frozen=True)
-class _ScenarioDoc:
-    """The layout of a scenario document; a missing defaults section takes its defaults."""
-
-    seed: int  # required: no implicit entropy
-    region: Region
-    rats: tuple[RatProfile, ...]
-    pathloss: _Pathloss
-    swipt: SwiptDefaults = SwiptDefaults()
-    scheduling: SchedulingDefaults = SchedulingDefaults()
-    collab: CollabDefaults = CollabDefaults()
-    case_study: CaseStudyDefaults = CaseStudyDefaults()
-
-
 def config_to_dict(config: ScenarioConfig) -> dict:
-    pathloss = _Pathloss(config.los, config.nlos)
-    return asdict(_ScenarioDoc(config.seed, config.region, config.rats, pathloss, config.swipt,
-                               config.scheduling, config.collab, config.case_study))
+    return asdict(config)
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """The config a scenario document describes; any error names its key path."""
     try:
-        d = dataclass_from_dict(_ScenarioDoc, doc)
-        return ScenarioConfig(d.seed, d.region, d.rats, d.pathloss.los, d.pathloss.nlos,
-                              d.swipt, d.scheduling, d.collab, d.case_study)
+        return dataclass_from_dict(ScenarioConfig, doc)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -403,9 +350,9 @@ class TableRow:
     rat: str
     table_density_per_km2: float
     peak_power_w: float  # LoS, median over trials at the table density
-    peak_density_w_per_hz: float
+    peak_power_density_w_per_hz: float
     nlos_power_w: float
-    nlos_density_w_per_hz: float
+    nlos_power_density_w_per_hz: float
     winner_extrapolated: bool
 
 
@@ -498,9 +445,9 @@ def run_case_study(config: ScenarioConfig, workers: int = 1) -> CaseStudyReport:
                 rat=rat.name,
                 table_density_per_km2=float(table_density),
                 peak_power_w=los_power,
-                peak_density_w_per_hz=los_power / rat.bandwidth_hz,
+                peak_power_density_w_per_hz=los_power / rat.bandwidth_hz,
                 nlos_power_w=nlos_power,
-                nlos_density_w_per_hz=nlos_power / rat.bandwidth_hz,
+                nlos_power_density_w_per_hz=nlos_power / rat.bandwidth_hz,
                 winner_extrapolated=winner_extrapolated(config.channel(rat, "nlos")[0]),
             )
         )
@@ -543,18 +490,11 @@ TABLE_CSV_HEADER = [
 ]
 
 
-def _table_doc(row: TableRow) -> dict:
-    """A table row under its report.json keys; table1.csv has every column but the last."""
-    doc = asdict(row)
-    for prefix in ("peak", "nlos"):
-        doc[f"{prefix}_power_density_w_per_hz"] = doc.pop(f"{prefix}_density_w_per_hz")
-    return doc
-
-
 def _table_csv(report: CaseStudyReport) -> str:
+    """Every field of a table row but the last, ``winner_extrapolated``."""
     return write_csv(TABLE_CSV_HEADER, (
-        [doc["rat"]] + [f"{doc[key]:.10g}" for key in TABLE_CSV_HEADER[1:]]
-        for doc in map(_table_doc, report.table)
+        [row.rat] + [f"{getattr(row, key):.10g}" for key in TABLE_CSV_HEADER[1:]]
+        for row in report.table
     ))
 
 
@@ -581,7 +521,7 @@ def _report_json(report: CaseStudyReport) -> str:
     doc = {
         "config_hash": report.config_hash,
         "seed": report.seed,
-        "table": [_table_doc(row) for row in report.table],
+        "table": [asdict(row) for row in report.table],
         "scaling_exponents": exponents,
         "nearest_node_energy_share": report.nearest_share,
         "nearest_node_mean_fraction": report.nearest_mean_fraction,

@@ -89,6 +89,9 @@ class LinkState:
             "source_relay_gain", "relay_destination_gain", "source_power_w",
             "ambient_power_at_relay_w", "ambient_power_at_source_w",
         )})
+        # bounds every rate: DF keeps the smaller hop SNR, and AF's cascade is at most this one
+        _guard.non_negative(**{"first-hop SNR": (
+            self.source_power_w * self.source_relay_gain / self.noise_power_w)})
 
     def with_fading(self, h_draw: float, g_draw: float) -> "LinkState":
         return replace(

@@ -125,7 +125,7 @@ def test_criterion_04_table_reproduction(case_study_runs):
     for rat, (power_target, density_target) in TABLE_TARGETS.items():
         row = rows[rat]
         power_ratio = row.peak_power_w / power_target
-        density_ratio = row.peak_density_w_per_hz / density_target
+        density_ratio = row.peak_power_density_w_per_hz / density_target
         assert 0.1 <= power_ratio <= 10.0, (rat, "power", power_ratio)
         assert 0.1 <= density_ratio <= 10.0, (rat, "density", density_ratio)
         details.append(f"{rat} x{power_ratio:.2f}/x{density_ratio:.2f}")

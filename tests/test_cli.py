@@ -171,8 +171,10 @@ def test_config_error_exit_code(tmp_path, capsys, command, edit):
      r"scheduling.*source_capacity_j"),
     (["schedule", "solve"], lambda doc: doc["scheduling"].update(source_capacity_j=-1.0),
      r"scheduling.*source_capacity_j"),
+    (["swipt"], lambda doc: doc["swipt"].update(source_power_w=1e308),
+     r"^swipt: first-hop SNR"),
 ], ids=["nan-exponent", "nan-sigma", "nan-bandwidth", "inf-power", "share-rat-typo",
-        "zero-trials", "zero-capacity", "negative-capacity"])
+        "zero-trials", "zero-capacity", "negative-capacity", "overflowing-snr"])
 def test_bad_config_value_rejected_at_load(tmp_path, capsys, monkeypatch, command, edit, match):
     def reached(*args, **kwargs):
         raise AssertionError("the run started before the config was rejected")

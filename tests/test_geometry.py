@@ -181,6 +181,17 @@ class TestNthNearestCdf:
             assert np.max(np.abs(ours - expected)) < 1e-13
         assert geometry.nth_nearest_distance_cdf(np.inf, 3, density) == 1.0
 
+    @pytest.mark.parametrize("n, x", [
+        (1000, 1000.0), (760, 760.0), (745, 745.0), (800, 850.0), (1000, 900.0), (2000, 1900.0),
+    ])
+    def test_large_orders_match_the_regularised_gamma(self, n, x):
+        # e^-x underflows past x = 745: a sum that starts from it read 1.0 or 0.0 here
+        from scipy.special import gammainc
+
+        r = math.sqrt(x)
+        got = geometry.nth_nearest_distance_cdf(r, n, 1.0 / math.pi)
+        assert abs(got - gammainc(n, math.pi * (1.0 / math.pi) * r**2)) < 1e-12
+
     def test_analytic_value(self):
         # at r = 1, L = 1/pi the Poisson mean is 1: 1 - e^-1, then 1 - 2 e^-1
         assert geometry.nth_nearest_distance_cdf(1.0, 1, 1.0 / math.pi) == pytest.approx(

@@ -1,12 +1,13 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crowdharvest import geometry, propagation, scenario
+from crowdharvest import cli, geometry, propagation, scenario
 from crowdharvest.errors import ConfigError, IngestionError, InvalidParameterError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -34,9 +35,26 @@ class TestConfig:
         assert config.region.area_km2 == pytest.approx(60.0)
         assert {r.name for r in config.rats} == {"macro", "femto", "wifi", "tv"}
 
-    def test_bundled_scenario_matches_default(self, config):
-        loaded = scenario.load_config(REPO_ROOT / "configs" / "london.yaml")
-        assert loaded == config
+    def test_default_is_the_bundled_file(self, config):
+        assert config == scenario.load_config(REPO_ROOT / "configs" / "london.yaml")
+
+    def test_missing_default_file_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        missing = tmp_path / "london.yaml"
+        monkeypatch.setattr(scenario, "DEFAULT_CONFIG_PATH", missing)
+        with pytest.raises(ConfigError, match=re.escape(str(missing))):
+            scenario.default_config()
+        assert cli.main(["pathloss", "--out", str(tmp_path)]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_omitted_defaults_sections_take_their_defaults(self, config):
+        doc = scenario.config_to_dict(config)
+        for section in ("swipt", "scheduling", "collab", "case_study"):
+            del doc[section]
+        loaded = scenario.config_from_dict(doc)
+        assert loaded.swipt == scenario.SwiptDefaults()
+        assert loaded.scheduling == scenario.SchedulingDefaults()
+        assert loaded.collab == scenario.CollabDefaults()
+        assert loaded.case_study == scenario.CaseStudyDefaults()
 
     def test_round_trip_identity(self, config, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -105,8 +123,10 @@ class TestConfig:
         (lambda cfg: replace(cfg, rats=()), "rats"),
         (lambda cfg: replace(cfg, case_study=replace(cfg.case_study, nearest_share_rat="x")),
          "nearest_share_rat"),
-        (lambda cfg: replace(cfg, nlos=replace(cfg.nlos, exponent=math.nan)), r"pathloss\.nlos"),
-        (lambda cfg: replace(cfg, los=replace(cfg.los, anchor="okumura")), "okumura"),
+        (lambda cfg: replace(cfg, pathloss=replace(
+            cfg.pathloss, nlos=replace(cfg.nlos, exponent=math.nan))), r"pathloss\.nlos"),
+        (lambda cfg: replace(cfg, pathloss=replace(
+            cfg.pathloss, los=replace(cfg.los, anchor="okumura"))), "okumura"),
     ], ids=["no-rats", "share-rat-typo", "nan-exponent", "unknown-anchor"])
     def test_cross_section_rules_hold_when_built(self, config, edit, match):
         with pytest.raises(InvalidParameterError, match=match):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import asdict
@@ -512,17 +513,18 @@ def same_floats(a, b):
 
 
 # zero gains and powers, links that only just carry a bit, and gains whose
-# products overflow: AF then takes the rearranged cascade, and an infinite
-# hop SNR gives it an inf / inf = NaN SNR
+# products overflow, where AF takes the rearranged cascade; only admitted
+# links are drawn (a first-hop SNR that overflows is rejected when built)
 powers = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(1e-12, 10.0))
-hop_links = st.builds(
-    swipt.LinkState,
+hop_links = st.fixed_dictionaries(dict(
     source_relay_gain=powers,
     relay_destination_gain=powers,
     noise_power_w=st.one_of(st.floats(1e-300, 1e300), st.floats(1e-12, 1e-6)),
     source_power_w=powers,
     ambient_power_at_relay_w=powers,
-)
+)).filter(
+    lambda kw: kw["source_power_w"] * kw["source_relay_gain"] / kw["noise_power_w"] < math.inf
+).map(lambda kw: swipt.LinkState(**kw))
 # both endpoints, the smallest splits, points of the searches' coarse grids, anything
 splits = st.one_of(
     st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1e-12, math.nextafter(1.0, 0.0)]),
@@ -555,10 +557,29 @@ class TestRateKernelReference:
         rate = RATE_KERNELS[protocol][1](link, 0.5, mode, 1.0)
         assert same_floats(got, reference_search(rate, 1e-6, coarse_points))
 
-    def test_af_overflow_gives_nan(self):
-        # the case the searches' first-NaN rule exists for
-        link = swipt.LinkState(1e300, 1e300, 1e-300, 1e300)
-        assert math.isnan(swipt._ts_rate(link, 0.5, AF, 1.0)(0.5))
+    @pytest.mark.parametrize("args", [
+        (1e300, 1e300, 1e-300, 1e300),
+        (1.0, 0.0, 1e-9, 1e300),  # AF read (0.0, nan): an infinite hop SNR times a zero gain
+        (1.0, 1.0, 1e-9, 1e300),  # DF read (0.152..., inf)
+    ])
+    def test_overflowing_first_hop_snr_is_rejected(self, args):
+        with pytest.raises(InvalidParameterError, match="first-hop SNR"):
+            swipt.LinkState(*args)
+
+    def test_every_admitted_link_has_a_finite_best_split(self):
+        values = [5e-324, 1e-300, 1e-150, 1e-9, 1.0, 1e9, 1e150, 1e300, 1.7e308]
+        admitted = 0
+        for h, g, p in itertools.product(values, repeat=3):
+            try:
+                link = swipt.LinkState(h, g, 1e-9, p)
+            except InvalidParameterError:
+                assert not p * h / 1e-9 < math.inf
+                continue
+            admitted += 1
+            for protocol, mode in itertools.product(("ts", "ps"), (DF, AF)):
+                split, rate = swipt.optimize_split(protocol, link, mode=mode)
+                assert math.isfinite(rate) and 0.0 <= split <= 1.0, (protocol, mode, link)
+        assert admitted == 576  # of 729
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf])),
