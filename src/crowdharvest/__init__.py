@@ -8,7 +8,7 @@ Modules:
 * :mod:`crowdharvest.harvest` -- crowd-harvested power aggregation,
   scaling laws, traffic-load convolutions;
 * :mod:`crowdharvest.swipt` -- time-switching / power-splitting relay
-  throughput and split optimisation;
+  throughput, split optimisation and the ambient/SWIPT mode controller;
 * :mod:`crowdharvest.scheduling` -- energy-causal transmission
   scheduling, water-filling, finite-battery MDP policies;
 * :mod:`crowdharvest.collaboration` -- two-node joint transmission under
@@ -21,4 +21,4 @@ __version__ = "0.1.0"
 from .geometry import Deployment, Region  # noqa: F401
 from .harvest import HarvestReport, RatProfile  # noqa: F401
 from .scenario import ScenarioConfig, default_config, load_config  # noqa: F401
-from .swipt import LinkState, RelayMode, SwiptConfig  # noqa: F401
+from .swipt import LinkState, RelayMode  # noqa: F401

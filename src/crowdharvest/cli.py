@@ -142,8 +142,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.target == "swipt_split":
         if grid is None:
             grid = np.linspace(0.0, 1.0, 101)
-        rows, text = _split_sweep_csv(cfg, args.protocol, grid)
-        _write(out / f"sweep_swipt_{args.protocol}.csv", text)
+        s = cfg.swipt
+        rows = swipt.split_sweep(args.protocol, s.link(), grid, s.efficiency, s.mode())
+        _write(out / f"sweep_swipt_{args.protocol}.csv", write_csv(
+            ["split", "throughput_bps_hz"], ((f"{a:.6g}", f"{v:.10g}") for a, v in rows)
+        ))
         best = max(rows, key=lambda r: r[1])
         print(f"swipt split sweep: best {args.protocol} split {best[0]:.4g} "
               f"-> {best[1]:.6g} bits/s/Hz")
@@ -175,29 +178,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_swipt(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    link = cfg.swipt.link()
-    mode = cfg.swipt.mode()
-    split, value = swipt.optimize_split(
-        args.protocol, link, cfg.swipt.efficiency, mode,
-        frame_duration_s=cfg.swipt.frame_duration_s,
-    )
+    s = cfg.swipt
+    split, value = swipt.optimize_split(args.protocol, s.link(), s.efficiency, s.mode())
     name = "alpha" if args.protocol == "ts" else "rho"
     print(f"optimal {args.protocol} split {name}={split:.6g} -> {value:.6g} bits/s/Hz")
-    if args.out:
-        _, text = _split_sweep_csv(cfg, args.protocol, np.linspace(0.0, 1.0, args.points))
-        _write(_out_dir(args) / f"swipt_{args.protocol}.csv", text)
     return 0
-
-
-def _split_sweep_csv(
-    cfg: scenario.ScenarioConfig, protocol: str, grid: np.ndarray
-) -> tuple[list[tuple[float, float]], str]:
-    """The configured link's split sweep, and its ``split,throughput_bps_hz`` CSV."""
-    s = cfg.swipt
-    rows = swipt.split_sweep(protocol, s.link(), grid, s.efficiency, s.mode(), s.frame_duration_s)
-    return rows, write_csv(
-        ["split", "throughput_bps_hz"], ((f"{a:.6g}", f"{v:.10g}") for a, v in rows)
-    )
 
 
 def _desk_problem(cfg: scenario.ScenarioConfig) -> scheduling.ScheduleProblem:
@@ -388,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("swipt", parents=[common], help="optimise a SWIPT link")
     p.add_argument("--protocol", choices=["ts", "ps"], default="ts")
-    p.add_argument("--points", type=_count, default=101)
     p.set_defaults(func=cmd_swipt)
 
     p = sub.add_parser("schedule", parents=[common, trials],

@@ -40,14 +40,6 @@ from .errors import (
     ProblemTooLargeError,
 )
 from .rng import substream
-from .swipt import (
-    LinkState,
-    RelayMode,
-    _cascade,
-    _check_eta,
-    _relay_rate,
-    optimize_split,
-)
 
 __all__ = [
     "BernoulliArrivals",
@@ -68,8 +60,6 @@ __all__ = [
     "value_iteration_gain",
     "threshold_policy",
     "evaluate_policy",
-    "combined_mode_controller",
-    "ModeControllerResult",
     "SCHEDULE_CSV_HEADER",
     "schedule_to_csv",
 ]
@@ -1123,71 +1113,4 @@ def evaluate_policy(
         state = step[e][state]
         total += reward[state]
     return total / horizon
-
-
-# ---------------------------------------------------------------------------
-# Combined operation: ambient (non-SWIPT) harvesting with SWIPT fallback.
-
-
-@dataclass(frozen=True)
-class ModeControllerResult:
-    modes: tuple[str, ...]  # "non_swipt" or "swipt" per slot
-    bits_per_slot: tuple[float, ...]
-    total_bits: float
-    bank_trace_j: tuple[float, ...]
-
-
-def combined_mode_controller(
-    ambient_trace_j: np.ndarray,
-    swipt_link: LinkState,
-    activation_threshold_j: float,
-    *,
-    eta: float = 0.5,
-    mode: RelayMode = RelayMode.DECODE_FORWARD,
-    slot_duration_s: float = 1.0,
-    swipt_enabled: bool = True,
-) -> ModeControllerResult:
-    """Per-slot choice between ambient-powered relaying and SWIPT.
-
-    While banked plus incoming ambient energy covers the activation
-    threshold the relay runs conventionally on harvested crowd energy
-    (source sends the first half-slot, the relay forwards with all
-    banked energy in the second). Otherwise the slot falls back to
-    source-powered SWIPT at the currently optimal time split, and the
-    ambient trickle keeps accumulating. With ``swipt_enabled=False`` the
-    fallback slots idle, which is the pure non-SWIPT baseline.
-    """
-    _check_eta(eta)
-    cascade = _cascade(mode)
-    _guard.positive(slot_duration_s=slot_duration_s)
-    _guard.non_negative(activation_threshold_j=activation_threshold_j)
-    trace = np.asarray(ambient_trace_j, dtype=float)
-    _guard.non_negative_elements(ambient_trace_j=trace)
-    swipt_rate = 0.0
-    if swipt_enabled:
-        _, swipt_rate = optimize_split(
-            "ts", swipt_link, eta, mode, frame_duration_s=slot_duration_s
-        )
-    gamma1 = swipt_link.source_power_w * swipt_link.source_relay_gain / swipt_link.noise_power_w
-    modes: list[str] = []
-    bits: list[float] = []
-    banks: list[float] = []
-    bank = 0.0
-    for arrival in trace:
-        available = bank + float(arrival)
-        if available >= activation_threshold_j and available > 0:
-            relay_power = available / (slot_duration_s / 2.0)
-            gamma2 = (
-                relay_power * swipt_link.relay_destination_gain / swipt_link.noise_power_w
-            )
-            slot_bits = _relay_rate(0.5, gamma1, gamma2, cascade)
-            bank = 0.0
-            modes.append("non_swipt")
-        else:
-            slot_bits = swipt_rate if swipt_enabled else 0.0
-            bank = available
-            modes.append("swipt" if swipt_enabled else "idle")
-        bits.append(slot_bits)
-        banks.append(bank)
-    return ModeControllerResult(tuple(modes), tuple(bits), float(sum(bits)), tuple(banks))
 

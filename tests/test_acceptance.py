@@ -189,10 +189,10 @@ def _random_link(seed):
 
 def test_criterion_07_swipt_endpoints_and_optimizer():
     desk = swipt.LinkState(1e-3, 1e-3, 1e-9, 1.0)
-    assert swipt.ts_throughput(swipt.SwiptConfig(alpha=0.0), desk) == 0.0
-    assert swipt.ts_throughput(swipt.SwiptConfig(alpha=1.0), desk) == 0.0
-    assert swipt.ps_throughput(swipt.SwiptConfig(rho=0.0), desk) == 0.0
-    assert swipt.ps_throughput(swipt.SwiptConfig(rho=1.0), desk) == 0.0
+    assert swipt.throughput("ts", 0.0, desk) == 0.0
+    assert swipt.throughput("ts", 1.0, desk) == 0.0
+    assert swipt.throughput("ps", 0.0, desk) == 0.0
+    assert swipt.throughput("ps", 1.0, desk) == 0.0
 
     grid = np.arange(0.0, 1.0 + 5e-5, 1e-4)
     worst = 0.0

@@ -68,12 +68,51 @@ def test_pathloss_csv(tmp_path, capsys):
     assert losses == sorted(losses)
 
 
-def test_swipt_optimize(tmp_path, capsys):
-    code, out, _ = run(["swipt", "--protocol", "ts", "--out", str(tmp_path)], capsys)
+@pytest.mark.parametrize("protocol,line", [
+    ("ts", "optimal ts split alpha=0.183668 -> 3.19191 bits/s/Hz"),
+    ("ps", "optimal ps split rho=0.9995 -> 4.48397 bits/s/Hz"),
+])
+def test_swipt_optimize(tmp_path, capsys, protocol, line):
+    # the optimum and nothing else: sweep --target swipt_split writes the split CSV
+    code, out, _ = run(["swipt", "--protocol", protocol, "--out", str(tmp_path)], capsys)
     assert code == 0
-    assert "optimal ts split" in out
-    text = (tmp_path / "swipt_ts.csv").read_text()
-    assert text.splitlines()[0] == "split,throughput_bps_hz"
+    assert out == line + "\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_swipt_ignores_the_frame_duration(tmp_path, capsys):
+    # the throughput does not depend on it; a subnormal one divided by 0 and exited 1
+    doc = scenario.config_to_dict(scenario.default_config())
+    doc["swipt"]["frame_duration_s"] = 5e-324
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    code, out, err = run(["swipt", "--config", str(config)], capsys)
+    assert (code, err) == (0, "")
+    assert out == "optimal ts split alpha=0.183668 -> 3.19191 bits/s/Hz\n"
+
+
+def test_swipt_has_no_points_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["swipt", "--points", "11", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --points 11" in capsys.readouterr().err
+
+
+def test_pathloss_without_out_writes_csv_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(["pathloss", "--points", "5"], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["d_m", "loss_db"] and len(rows) == 6
+    assert not any(tmp_path.iterdir())
+
+
+def test_seed_overrides_the_config_seed(tmp_path, capsys):
+    code, out, _ = run(["deploy", "--seed", "5", "--out", str(tmp_path / "a")], capsys)
+    assert code == 0 and "(seed 5)" in out
+    run(["deploy", "--out", str(tmp_path / "b")], capsys)
+    points = [(tmp_path / d / "macro_points.csv").read_text() for d in ("a", "b")]
+    assert points[0] != points[1]
 
 
 def test_sweep_swipt_endpoints_zero(tmp_path, capsys):
@@ -104,6 +143,29 @@ def test_schedule_solve_csv(tmp_path, capsys):
     assert lines[0] == "slot,P_s,P_r,d_s,d_r,bits"
 
 
+def test_schedule_solve_min_time(tmp_path, capsys):
+    code, out, _ = run(["schedule", "solve", "--min-time", "20", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "min relay slots: 1 (delivered 21.3388 bits)" in out
+    lines = (tmp_path / "schedule.csv").read_text().splitlines()
+    assert lines[0] == "slot,P_s,P_r,d_s,d_r,bits" and len(lines) == 5
+
+
+def test_schedule_evaluate(tmp_path, capsys):
+    code, out, _ = run(["schedule", "evaluate", "--trials", "2000", "--out", str(tmp_path)],
+                       capsys)
+    assert code == 0
+    assert out == "policy gain: exact 1.4851982, monte-carlo 1.5491558 (2000 slots)\n"
+
+
+def test_sweep_schedule_theta(tmp_path, capsys):
+    code, out, _ = run(["sweep", "--target", "schedule_theta", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    rows = (tmp_path / "sweep_schedule_theta.csv").read_text().splitlines()
+    assert rows[0] == "theta_j,gain_bits_per_slot" and len(rows) == 21
+    assert "threshold sweep: best theta 0 J, gain 1.40886 bits/slot" in out
+
+
 def test_schedule_infeasible_exit_code(tmp_path, capsys):
     code, _, err = run(
         ["schedule", "solve", "--min-time", "1e9", "--out", str(tmp_path)], capsys
@@ -128,6 +190,31 @@ def test_collab_demo_rescue(tmp_path, capsys):
     assert "without joint transmission: violations 1" in out
     lines = (tmp_path / "collab_frames.csv").read_text().splitlines()
     assert lines[0] == "frame,node,jt,delivered,gap"
+
+
+def test_collab_on_the_config_nodes(tmp_path, capsys):
+    code, out, _ = run(["collab", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "deliveries 14, violations 2 over 48 slots (deadline 4)" in out
+    lines = (tmp_path / "collab_frames.csv").read_text().splitlines()
+    assert lines[0] == "frame,node,jt,delivered,gap"
+
+
+def test_casestudy_small_config(tmp_path, capsys):
+    doc = scenario.config_to_dict(scenario.default_config())
+    doc["case_study"].update(trials=10, scaling_trials=10, nearest_share_draws=10)
+    config = tmp_path / "small.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    out_dir = tmp_path / "out"
+    code, out, _ = run(["casestudy", "--config", str(config), "--trials", "5",
+                        "--out", str(out_dir)], capsys)
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "report.json", "runmeta.txt", "sweeps.csv", "table1.csv"]
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines if "table density" in line] == [
+        "macro", "femto", "wifi", "tv"]
+    assert lines[-1] == "  nearest-node energy share 0.993"
 
 
 def test_collab_trace_round_trip(tmp_path, capsys):
@@ -222,8 +309,8 @@ def test_bad_trials_rejected_at_parse_time(tmp_path, capsys, monkeypatch, comman
 
 @pytest.mark.parametrize("value", ["0", "-3", "2.5", "abc"])
 @pytest.mark.parametrize("command", [
-    ["pathloss", "--points"], ["swipt", "--points"], ["casestudy", "--workers"],
-], ids=["pathloss-points", "swipt-points", "casestudy-workers"])
+    ["pathloss", "--points"], ["casestudy", "--workers"],
+], ids=["pathloss-points", "casestudy-workers"])
 def test_bad_counts_rejected_at_parse_time(tmp_path, capsys, monkeypatch, command, value):
     assert_rejected_at_parse_time(tmp_path, capsys, monkeypatch, [*command, value])
 

@@ -46,13 +46,12 @@ from crowdharvest.scheduling import (
     DeterministicArrivals,
     MarkovArrivals,
     ScheduleProblem,
-    combined_mode_controller,
     directional_water_fill,
     mdp_policy_iteration,
     simulate_arrivals,
     value_iteration_gain,
 )
-from crowdharvest.swipt import LinkState
+from crowdharvest.swipt import LinkState, combined_mode_controller
 
 NAN, INF = math.nan, math.inf
 MACRO = RatProfile("macro", 20e6, 40.0, (0.5, 5.0), PoissonProcess(), 2.1e9, 50.0)

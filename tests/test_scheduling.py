@@ -22,7 +22,6 @@ from crowdharvest.errors import (
     ProblemTooLargeError,
 )
 from crowdharvest.rng import substream
-from crowdharvest.swipt import LinkState
 
 
 def random_problem(seed, max_slots=4, key="problem"):
@@ -1664,48 +1663,6 @@ class TestEvaluatePolicy:
         lam = float(np.sort(np.abs(np.linalg.eigvals(mdp.arrivals.matrix)))[-2])
         tol = 5.0 * (r_max / 2.0) * math.sqrt((1.0 + lam) / (1.0 - lam) / horizon)
         assert abs(mc - sched.evaluate_policy(policy, exact=True)) <= tol
-
-
-class TestCombinedModeController:
-    LINK = LinkState(1e-3, 1e-3, 1e-9, 1.0)
-
-    def test_abundant_ambient_never_uses_swipt(self):
-        trace = np.full(20, 5.0)
-        result = sched.combined_mode_controller(trace, self.LINK, activation_threshold_j=1.0)
-        assert all(m == "non_swipt" for m in result.modes)
-
-    def test_zero_ambient_always_swipt(self):
-        result = sched.combined_mode_controller(
-            np.zeros(20), self.LINK, activation_threshold_j=0.5
-        )
-        assert all(m == "swipt" for m in result.modes)
-        assert result.total_bits > 0
-
-    def test_outage_recovery_beats_pure_baseline(self):
-        trace = np.concatenate([np.full(10, 2.0), np.zeros(10), np.full(10, 2.0)])
-        combined = sched.combined_mode_controller(trace, self.LINK, 1.0)
-        baseline = sched.combined_mode_controller(trace, self.LINK, 1.0, swipt_enabled=False)
-        assert combined.total_bits > baseline.total_bits
-        # outside the outage both behave identically
-        assert combined.bits_per_slot[:10] == baseline.bits_per_slot[:10]
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(slot_duration_s=0.0), dict(slot_duration_s=math.nan), dict(eta=5.0),
-    ])
-    @pytest.mark.parametrize("swipt_enabled", [True, False])
-    def test_invalid_slot_or_efficiency_rejected(self, kwargs, swipt_enabled):
-        with pytest.raises(InvalidParameterError):
-            sched.combined_mode_controller(
-                np.full(3, 2.0), self.LINK, 1.0, swipt_enabled=swipt_enabled, **kwargs
-            )
-
-    @pytest.mark.parametrize("swipt_enabled", [True, False])
-    def test_unknown_mode_rejected_before_any_slot(self, swipt_enabled):
-        # a trace that never activates used to skip the mode check when SWIPT was off
-        with pytest.raises(InvalidParameterError):
-            sched.combined_mode_controller(
-                np.zeros(3), self.LINK, 1.0, mode="df", swipt_enabled=swipt_enabled
-            )
 
 
 class TestSerialisation:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdharvest import scheduling, swipt
+from crowdharvest import swipt
 from crowdharvest.errors import InvalidParameterError
 from crowdharvest.rng import substream
 
@@ -38,20 +38,18 @@ def grid_max(protocol, link, step=1e-4, mode=DF):
     grid = np.arange(0.0, 1.0 + step / 2, step)
     best = 0.0
     for s in grid:
-        cfg = swipt.SwiptConfig(alpha=s) if protocol == "ts" else swipt.SwiptConfig(rho=s)
-        fn = swipt.ts_throughput if protocol == "ts" else swipt.ps_throughput
-        best = max(best, fn(cfg, link, 0.5, mode))
+        best = max(best, swipt.throughput(protocol, s, link, 0.5, mode))
     return best
 
 
 class TestEndpoints:
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_ts_zero_at_endpoints(self, alpha):
-        assert swipt.ts_throughput(swipt.SwiptConfig(alpha=alpha), DESK) == 0.0
+        assert swipt.throughput("ts", alpha, DESK) == 0.0
 
     @pytest.mark.parametrize("rho", [0.0, 1.0])
     def test_ps_zero_at_endpoints(self, rho):
-        assert swipt.ps_throughput(swipt.SwiptConfig(rho=rho), DESK) == 0.0
+        assert swipt.throughput("ps", rho, DESK) == 0.0
 
     @pytest.mark.parametrize("mode", [DF, AF], ids=["df", "af"])
     def test_ps_closed_form(self, mode):
@@ -59,25 +57,39 @@ class TestEndpoints:
         gamma1 = 0.6 * 1e-3 / 1e-9
         gamma2 = 0.5 * 0.4 * 1e-3 * 1e-3 / 1e-9
         snr = min(gamma1, gamma2) if mode is DF else gamma1 * gamma2 / (gamma1 + gamma2 + 1.0)
-        rate = swipt.ps_throughput(swipt.SwiptConfig(rho=0.4), DESK, 0.5, mode)
+        rate = swipt.throughput("ps", 0.4, DESK, 0.5, mode)
         assert rate == pytest.approx(0.5 * math.log2(1.0 + snr), rel=1e-12)
 
     def test_hybrid_full_split_zero(self):
-        ts = swipt.hybrid_ts_frame(swipt.SwiptConfig(alpha=0.6, alpha2=0.4), DESK)
-        ps = swipt.hybrid_ps_frame(swipt.SwiptConfig(rho=0.3, rho2=0.7), DESK)
+        ts = swipt.hybrid_frame("ts", 0.6, 0.4, DESK)
+        ps = swipt.hybrid_frame("ps", 0.3, 0.7, DESK)
         assert ts.throughput_bps_hz == 0.0 and ps.throughput_bps_hz == 0.0
 
-    def test_invalid_splits_rejected(self):
+    @pytest.mark.parametrize("protocol", ["ts", "ps"])
+    def test_invalid_splits_rejected(self, protocol):
         with pytest.raises(InvalidParameterError):
-            swipt.SwiptConfig(alpha=1.2)
+            swipt.throughput(protocol, 1.2, DESK)
         with pytest.raises(InvalidParameterError):
-            swipt.SwiptConfig(alpha=0.7, alpha2=0.5)
+            swipt.hybrid_frame(protocol, 0.7, 0.5, DESK)
         with pytest.raises(InvalidParameterError):
-            swipt.SwiptConfig(rho=-0.1)
+            swipt.throughput(protocol, -0.1, DESK)
         # NaN fails every ordered comparison, so a check like a < 0 lets it through
-        for name in ("alpha", "alpha2", "rho", "rho2"):
+        with pytest.raises(InvalidParameterError):
+            swipt.throughput(protocol, math.nan, DESK)
+        for splits in ((math.nan, 0.0), (0.0, math.nan)):
             with pytest.raises(InvalidParameterError):
-                swipt.SwiptConfig(**{name: math.nan})
+                swipt.hybrid_frame(protocol, *splits, DESK)
+
+    @pytest.mark.parametrize("frame_duration_s", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_frame_duration_rejected(self, frame_duration_s):
+        with pytest.raises(InvalidParameterError):
+            swipt.hybrid_frame("ts", 0.3, 0.2, DESK, frame_duration_s=frame_duration_s)
+
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            swipt.throughput("qs", 0.3, DESK)
+        with pytest.raises(InvalidParameterError):
+            swipt.hybrid_frame("qs", 0.3, 0.2, DESK)
 
 
 class TestSnrComposition:
@@ -110,7 +122,7 @@ class TestSnrComposition:
         with pytest.raises(InvalidParameterError):
             swipt._cascade(mode)
         with pytest.raises(InvalidParameterError):
-            swipt.ts_throughput(swipt.SwiptConfig(alpha=0.3), DESK, mode=mode)
+            swipt.throughput("ts", 0.3, DESK, mode=mode)
 
 
 class TestOptimizer:
@@ -118,6 +130,16 @@ class TestOptimizer:
         link = swipt.LinkState(0.0, 1e-3, 1e-9, 1.0)
         _, value = swipt.optimize_split("ts", link)
         assert value == 0.0
+
+    @pytest.mark.parametrize("mode", [DF, AF], ids=["df", "af"])
+    def test_dead_hop_rates_zero(self, mode):
+        # the relay power overflowed on a zero relay-destination gain (inf * 0 = NaN),
+        # and DF kept the first hop: (0.6426, 182.86)
+        _, value = swipt.optimize_split("ts", swipt.LinkState(1.0, 0.0, 1.0, 1e308), mode=mode)
+        assert value == 0.0
+        # a zero first hop in the cascade of an infinite second read NaN under AF
+        link = swipt.LinkState(0.0, 1e300, 1e-9, 1.0, ambient_power_at_relay_w=1e300)
+        assert swipt.hybrid_frame("ts", 0.0, 0.5, link, mode=mode).throughput_bps_hz == 0.0
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
@@ -131,9 +153,7 @@ class TestOptimizer:
         dict(coarse_points=0), dict(coarse_points=-3), dict(coarse_points=1),
         dict(coarse_points=51.0), dict(coarse_points=True),
         dict(tol=math.nan), dict(tol=math.inf), dict(tol=-1e-9),
-        dict(eta=-0.5), dict(eta=0.0), dict(eta=2.0), dict(eta=math.nan),
-        dict(frame_duration_s=math.nan), dict(frame_duration_s=math.inf),
-        dict(frame_duration_s=0.0), dict(mode="df"),
+        dict(eta=-0.5), dict(eta=0.0), dict(eta=2.0), dict(eta=math.nan), dict(mode="df"),
     ])
     @pytest.mark.parametrize("protocol", ["ts", "ps"])
     def test_invalid_search_rejected_before_any_evaluation(self, monkeypatch, protocol, kwargs):
@@ -238,15 +258,13 @@ class TestOrderings:
 
 
 @pytest.mark.parametrize("eta", [7.0, 0.0, -0.5, math.nan])
-@pytest.mark.parametrize("rate,cfg", [
-    (swipt.ts_throughput, swipt.SwiptConfig(alpha=0.3)),
-    (swipt.ps_throughput, swipt.SwiptConfig(rho=0.3)),
-    (swipt.hybrid_ts_frame, swipt.SwiptConfig(alpha=0.3)),
-    (swipt.hybrid_ps_frame, swipt.SwiptConfig(rho=0.3)),
-], ids=lambda v: getattr(v, "__name__", None))
-def test_rate_functions_reject_efficiency_outside_unit_interval(rate, cfg, eta):
+@pytest.mark.parametrize("protocol", ["ts", "ps"])
+@pytest.mark.parametrize("rate,splits", [
+    (swipt.throughput, (0.3,)), (swipt.hybrid_frame, (0.3, 0.0)),
+], ids=["throughput", "hybrid_frame"])
+def test_rate_functions_reject_efficiency_outside_unit_interval(rate, splits, protocol, eta):
     with pytest.raises(InvalidParameterError):
-        rate(cfg, DESK, eta=eta)
+        rate(protocol, *splits, DESK, eta=eta)
 
 
 class TestHybrid:
@@ -254,14 +272,17 @@ class TestHybrid:
     # Random links with ambient power and random eta: on DESK alone (P = 1)
     # a second copy of the maths can agree while differing elsewhere.
 
+    # The frame duration scales only the banked energy, so any duration gives
+    # the plain protocol's throughput.
+
     @pytest.mark.parametrize("mode", [DF, AF], ids=["df", "af"])
     def test_ts_reduction_exact(self, mode):
         for i in range(200):
             link = random_link(i, "hybrid")
             rng = substream(i, "hybrid-split")
             eta, t, alpha = rng.uniform(0.05, 1.0), rng.uniform(0.2, 3.0), rng.uniform()
-            plain = swipt.ts_throughput(swipt.SwiptConfig(t, alpha=alpha), link, eta, mode)
-            hybrid = swipt.hybrid_ts_frame(swipt.SwiptConfig(t, alpha=alpha), link, eta, mode)
+            plain = swipt.throughput("ts", alpha, link, eta, mode)
+            hybrid = swipt.hybrid_frame("ts", alpha, 0.0, link, eta, mode, t)
             assert hybrid.throughput_bps_hz == plain
 
     @pytest.mark.parametrize("mode", [DF, AF], ids=["df", "af"])
@@ -270,9 +291,22 @@ class TestHybrid:
             link = random_link(i, "hybrid")
             rng = substream(i, "hybrid-split")
             eta, t, rho = rng.uniform(0.05, 1.0), rng.uniform(0.2, 3.0), rng.uniform()
-            plain = swipt.ps_throughput(swipt.SwiptConfig(t, rho=rho), link, eta, mode)
-            hybrid = swipt.hybrid_ps_frame(swipt.SwiptConfig(t, rho=rho), link, eta, mode)
+            plain = swipt.throughput("ps", rho, link, eta, mode)
+            hybrid = swipt.hybrid_frame("ps", rho, 0.0, link, eta, mode, t)
             assert hybrid.throughput_bps_hz == plain
+
+    @pytest.mark.parametrize("protocol", ["ts", "ps"])
+    @pytest.mark.parametrize("frame_duration_s", [5e-324, 1e-320, 0.7, 1e300])
+    def test_frame_duration_scales_only_the_bank(self, protocol, frame_duration_s):
+        # a subnormal frame read 2.768 for 3.1919 (TS, 1e-320 s) or divided by 0 (5e-324 s)
+        from dataclasses import replace
+
+        link = replace(DESK, ambient_power_at_relay_w=1e-4, ambient_power_at_source_w=2.0)
+        frame = swipt.hybrid_frame(protocol, 0.2, 0.1, link, frame_duration_s=frame_duration_s)
+        unit = swipt.hybrid_frame(protocol, 0.2, 0.1, link)
+        assert frame.throughput_bps_hz == unit.throughput_bps_hz
+        assert frame.source_banked_j == pytest.approx(unit.source_banked_j * frame_duration_s,
+                                                      rel=1e-12, abs=1e-323)
 
     def test_large_ambient_drives_alpha1_to_zero(self):
         from dataclasses import replace
@@ -284,9 +318,7 @@ class TestHybrid:
             for a2 in grid:
                 if a1 + a2 > 1.0:
                     continue
-                v = swipt.hybrid_ts_frame(
-                    swipt.SwiptConfig(alpha=a1, alpha2=a2), link
-                ).throughput_bps_hz
+                v = swipt.hybrid_frame("ts", a1, a2, link).throughput_bps_hz
                 if v > best:
                     best, best_cfg = v, (a1, a2)
         assert best_cfg[0] == 0.0
@@ -296,11 +328,9 @@ class TestHybrid:
 
         link = replace(DESK, ambient_power_at_relay_w=0.5)
         grid = np.linspace(0.0, 1.0, 101)
-        pure = max(
-            swipt.ps_throughput(swipt.SwiptConfig(rho=r), link) for r in grid
-        )
+        pure = max(swipt.throughput("ps", r, link) for r in grid)
         hybrid = max(
-            swipt.hybrid_ps_frame(swipt.SwiptConfig(rho=r1, rho2=r2), link).throughput_bps_hz
+            swipt.hybrid_frame("ps", r1, r2, link).throughput_bps_hz
             for r1 in grid
             for r2 in grid
             if r1 + r2 <= 1.0
@@ -311,12 +341,13 @@ class TestHybrid:
         from dataclasses import replace
 
         link = replace(DESK, ambient_power_at_source_w=2.0)
-        cfg = swipt.SwiptConfig(alpha=0.2, alpha2=0.2)
-        frame = swipt.hybrid_ts_frame(cfg, link, eta=0.5)
+        frame = swipt.hybrid_frame("ts", 0.2, 0.2, link, eta=0.5)
         # eta * ambient * forwarding subframe = 0.5 * 2.0 * (0.6 / 2)
         assert frame.source_banked_j == pytest.approx(0.3)
-        base = swipt.hybrid_ts_frame(cfg, replace(link, ambient_power_at_source_w=0.0))
+        base = swipt.hybrid_frame("ts", 0.2, 0.2, replace(link, ambient_power_at_source_w=0.0))
         assert frame.throughput_bps_hz == base.throughput_bps_hz
+        # PS forwards for the second half-frame whatever the splits: 0.5 * 2.0 * (1.0 / 2)
+        assert swipt.hybrid_frame("ps", 0.2, 0.2, link).source_banked_j == pytest.approx(0.5)
 
 
 FIELDS = [
@@ -331,11 +362,10 @@ FIELDS = [
 def test_throughput_monotone_in_link_quality(name):
     from dataclasses import replace
 
-    cfg_ts = swipt.SwiptConfig(alpha=0.3, alpha2=0.2)
     base = swipt.LinkState(1e-3, 1e-3, 1e-9, 1.0, ambient_power_at_relay_w=1e-4)
-    lo = swipt.hybrid_ts_frame(cfg_ts, base).throughput_bps_hz
-    hi = swipt.hybrid_ts_frame(
-        cfg_ts, replace(base, **{name: getattr(base, name) * 3})
+    lo = swipt.hybrid_frame("ts", 0.3, 0.2, base).throughput_bps_hz
+    hi = swipt.hybrid_frame(
+        "ts", 0.3, 0.2, replace(base, **{name: getattr(base, name) * 3})
     ).throughput_bps_hz
     assert hi >= lo
 
@@ -343,25 +373,25 @@ def test_throughput_monotone_in_link_quality(name):
 @given(st.floats(0.0, 1.0), st.floats(0.1, 1.0))
 @settings(max_examples=100, deadline=None)
 def test_throughput_non_negative_and_monotone_in_eta(alpha, eta):
-    cfg = swipt.SwiptConfig(alpha=alpha)
-    low = swipt.ts_throughput(cfg, DESK, eta=eta * 0.5)
-    high = swipt.ts_throughput(cfg, DESK, eta=eta)
+    low = swipt.throughput("ts", alpha, DESK, eta=eta * 0.5)
+    high = swipt.throughput("ts", alpha, DESK, eta=eta)
     assert 0.0 <= low <= high
 
 
-# Results recorded from the optimiser that built a validated SwiptConfig for
-# every evaluation; the per-protocol rate kernels must reproduce them bit for
-# bit.
+# Results recorded from the optimiser that built a validated split config for
+# every evaluation, at a 1 s frame; the per-protocol rate kernels must
+# reproduce them bit for bit. The "eta0.3" keys were recorded at 0.7 s until
+# the frame duration left the throughput (it cancels), then re-recorded.
 PINNED = json.loads(Path(__file__).with_name("swipt_pinned.json").read_text())
 MODES = {"df": DF, "af": AF}
 SEARCH_SETTINGS = {
     "tol1e-6-grid51": dict(tol=1e-6, coarse_points=51),
     "tol1e-9-grid201": dict(tol=1e-9, coarse_points=201),
-    "eta0.3-frame0.7": dict(eta=0.3, frame_duration_s=0.7),
+    "eta0.3": dict(eta=0.3),
 }
 SWEEP_SETTINGS = {
     "default": {},
-    "eta0.3-frame0.7": dict(eta=0.3, frame_duration_s=0.7),
+    "eta0.3": dict(eta=0.3),
 }
 SWEEP_GRID = np.linspace(0.0, 1.0, 41)
 
@@ -393,7 +423,7 @@ def split_sweep_results(protocol, mode, setting):
 
 def controller_result():
     trace = substream(11, "ambient").uniform(0.0, 1.5, 40)
-    result = scheduling.combined_mode_controller(trace, pinned_links(2, 0)["fade/1"], 1.0)
+    result = swipt.combined_mode_controller(trace, pinned_links(2, 0)["fade/1"], 1.0)
     return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(result).items()}
 
 
@@ -428,16 +458,17 @@ class TestPinned:
 # The rate closures as they were before each built rate function resolved
 # its relay mode once: every evaluation composed the hop SNRs through the
 # mode check and the builtin min, then rated them in a second call. The
-# kernels must return the same floats.
+# kernels must return the same floats. A NaN SNR is a dead hop times an
+# infinite one and rates 0, so DF's min keeps a NaN second hop.
 def reference_rate(pre_log, snr):
-    if pre_log <= 0 or snr <= 0:
+    if pre_log <= 0 or not snr > 0:
         return 0.0
     return pre_log * math.log2(1.0 + snr)
 
 
 def reference_snr(gamma1, gamma2, mode):
     if mode is DF:
-        return min(gamma1, gamma2)
+        return min(gamma2, gamma1)
     assert mode is AF
     if gamma1 * gamma2 == math.inf:  # the product overflows: the same ratio, rearranged
         return gamma1 / (1.0 + (gamma1 + 1.0) / gamma2)
@@ -445,18 +476,18 @@ def reference_snr(gamma1, gamma2, mode):
     return gamma1 * gamma2 / denom if denom > 0 else 0.0
 
 
-def reference_ts_rate(link, eta, mode, t, alpha2=0.0):
+def reference_ts_rate(link, eta, mode, alpha2=0.0):
     p, h = link.source_power_w, link.source_relay_gain
     g, n = link.relay_destination_gain, link.noise_power_w
     gamma1 = p * h / n
-    ambient = eta * alpha2 * t * link.ambient_power_at_relay_w
+    ambient = eta * alpha2 * link.ambient_power_at_relay_w
 
     def rate(a):
         info = 1.0 - a - alpha2
         if info <= 0.0:
             return 0.0
-        harvested = eta * a * t * p * h + ambient
-        hop_time = info * t / 2.0
+        harvested = eta * a * p * h + ambient
+        hop_time = info / 2.0
         relay_power = harvested / hop_time
         gamma2 = relay_power * g / n
         return reference_rate(info / 2.0, reference_snr(gamma1, gamma2, mode))
@@ -464,18 +495,16 @@ def reference_ts_rate(link, eta, mode, t, alpha2=0.0):
     return rate
 
 
-def reference_ps_rate(link, eta, mode, t, rho2=0.0):
+def reference_ps_rate(link, eta, mode, rho2=0.0):
     received = link.source_power_w * link.source_relay_gain
-    half_frame = t / 2.0
     g, n = link.relay_destination_gain, link.noise_power_w
-    ambient = eta * rho2 * link.ambient_power_at_relay_w * half_frame
+    ambient = eta * rho2 * link.ambient_power_at_relay_w
 
     def rate(rho):
         info = 1.0 - rho - rho2
         if info <= 0.0:
             return 0.0
-        harvested = eta * rho * received * half_frame + ambient
-        relay_power = harvested / half_frame
+        relay_power = eta * rho * received + ambient
         gamma1 = info * received / n
         gamma2 = relay_power * g / n
         return reference_rate(0.5, reference_snr(gamma1, gamma2, mode))
@@ -532,6 +561,7 @@ splits = st.one_of(
     st.floats(0.0, 1.0),
 )
 second_splits = st.one_of(st.just(0.0), splits)
+DEAD_HOP_SPLITS = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, math.nextafter(1.0, 0.0), 1.0]
 RATE_KERNELS = {"ts": (swipt._ts_rate, reference_ts_rate),
                 "ps": (swipt._ps_rate, reference_ps_rate)}
 
@@ -539,13 +569,12 @@ RATE_KERNELS = {"ts": (swipt._ts_rate, reference_ts_rate),
 class TestRateKernelReference:
     @pytest.mark.parametrize("protocol", RATE_KERNELS)
     @settings(max_examples=400, deadline=None)
-    @given(link=hop_links, eta=st.floats(1e-3, 1.0), t=st.floats(1e-3, 1e3),
-           mode=st.sampled_from([DF, AF]), split=splits, second=second_splits)
-    def test_rate_matches_the_two_call_closure(self, protocol, link, eta, t, mode, split,
-                                               second):
+    @given(link=hop_links, eta=st.floats(1e-3, 1.0), mode=st.sampled_from([DF, AF]),
+           split=splits, second=second_splits)
+    def test_rate_matches_the_two_call_closure(self, protocol, link, eta, mode, split, second):
         kernel, reference = RATE_KERNELS[protocol]
-        got = kernel(link, eta, mode, t, second)(split)
-        assert same_floats(got, reference(link, eta, mode, t, second)(split))
+        got = kernel(link, eta, mode, second)(split)
+        assert same_floats(got, reference(link, eta, mode, second)(split))
 
     @pytest.mark.parametrize("protocol", RATE_KERNELS)
     @settings(max_examples=60, deadline=None)
@@ -554,7 +583,7 @@ class TestRateKernelReference:
     def test_search_matches_the_reference_search(self, protocol, link, mode, coarse_points):
         got = swipt.optimize_split(protocol, link, mode=mode, tol=1e-6,
                                    coarse_points=coarse_points)
-        rate = RATE_KERNELS[protocol][1](link, 0.5, mode, 1.0)
+        rate = RATE_KERNELS[protocol][1](link, 0.5, mode)
         assert same_floats(got, reference_search(rate, 1e-6, coarse_points))
 
     @pytest.mark.parametrize("args", [
@@ -569,6 +598,7 @@ class TestRateKernelReference:
     def test_every_admitted_link_has_a_finite_best_split(self):
         values = [5e-324, 1e-300, 1e-150, 1e-9, 1.0, 1e9, 1e150, 1e300, 1.7e308]
         admitted = 0
+        dead = set()
         for h, g, p in itertools.product(values, repeat=3):
             try:
                 link = swipt.LinkState(h, g, 1e-9, p)
@@ -576,10 +606,21 @@ class TestRateKernelReference:
                 assert not p * h / 1e-9 < math.inf
                 continue
             admitted += 1
+            dead.update([(0.0, g, p), (h, 0.0, p), (h, g, 0.0)])
             for protocol, mode in itertools.product(("ts", "ps"), (DF, AF)):
                 split, rate = swipt.optimize_split(protocol, link, mode=mode)
                 assert math.isfinite(rate) and 0.0 <= split <= 1.0, (protocol, mode, link)
         assert admitted == 576  # of 729
+        # the same links with a zero gain or a zero source power carry nothing at
+        # any split
+        for h, g, p in sorted(dead):
+            link = swipt.LinkState(h, g, 1e-9, p)
+            for protocol, mode in itertools.product(("ts", "ps"), (DF, AF)):
+                split, rate = swipt.optimize_split(protocol, link, mode=mode)
+                assert rate == 0.0 and 0.0 <= split <= 1.0, (protocol, mode, link)
+                sweep = swipt.split_sweep(protocol, link, DEAD_HOP_SPLITS, mode=mode)
+                assert all(r == 0.0 for _, r in sweep), (protocol, mode, link)
+        assert len(dead) == 226  # 81 with h = 0, 64 with g = 0, 81 with p = 0
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf])),
@@ -591,3 +632,60 @@ class TestRateKernelReference:
         for points in (2, 3, 51, 201):
             assert swipt._coarse_grid(points) == tuple(np.linspace(0.0, 1.0, points).tolist())
             assert swipt._coarse_grid(points) is swipt._coarse_grid(points)
+
+
+class TestCombinedModeController:
+    LINK = swipt.LinkState(1e-3, 1e-3, 1e-9, 1.0)
+
+    def test_abundant_ambient_never_uses_swipt(self):
+        trace = np.full(20, 5.0)
+        result = swipt.combined_mode_controller(trace, self.LINK, activation_threshold_j=1.0)
+        assert all(m == "non_swipt" for m in result.modes)
+
+    def test_zero_ambient_always_swipt(self):
+        result = swipt.combined_mode_controller(
+            np.zeros(20), self.LINK, activation_threshold_j=0.5
+        )
+        assert all(m == "swipt" for m in result.modes)
+        assert result.total_bits > 0
+
+    def test_outage_recovery_beats_pure_baseline(self):
+        trace = np.concatenate([np.full(10, 2.0), np.zeros(10), np.full(10, 2.0)])
+        combined = swipt.combined_mode_controller(trace, self.LINK, 1.0)
+        baseline = swipt.combined_mode_controller(trace, self.LINK, 1.0, swipt_enabled=False)
+        assert combined.total_bits > baseline.total_bits
+        # outside the outage both behave identically
+        assert combined.bits_per_slot[:10] == baseline.bits_per_slot[:10]
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(slot_duration_s=0.0), dict(slot_duration_s=math.nan), dict(eta=5.0),
+    ])
+    @pytest.mark.parametrize("swipt_enabled", [True, False])
+    def test_invalid_slot_or_efficiency_rejected(self, kwargs, swipt_enabled):
+        with pytest.raises(InvalidParameterError):
+            swipt.combined_mode_controller(
+                np.full(3, 2.0), self.LINK, 1.0, swipt_enabled=swipt_enabled, **kwargs
+            )
+
+    @pytest.mark.parametrize("swipt_enabled", [True, False])
+    def test_unknown_mode_rejected_before_any_slot(self, swipt_enabled):
+        # a trace that never activates used to skip the mode check when SWIPT was off
+        with pytest.raises(InvalidParameterError):
+            swipt.combined_mode_controller(
+                np.zeros(3), self.LINK, 1.0, mode="df", swipt_enabled=swipt_enabled
+            )
+
+    @pytest.mark.parametrize("mode", [DF, AF], ids=["df", "af"])
+    def test_subnormal_slot_is_finite(self, mode):
+        # the half-slot underflowed to 0 and the relay power divided by it
+        result = swipt.combined_mode_controller(
+            np.array([1.0, 1.0]), self.LINK, 0.5, mode=mode, slot_duration_s=5e-324
+        )
+        # an infinite relay power leaves the first hop, SNR 1e6, to bound the rate
+        assert result.modes == ("non_swipt", "non_swipt")
+        assert result.bits_per_slot == (0.5 * math.log2(1.0 + 1e6),) * 2
+        dead = swipt.combined_mode_controller(
+            np.array([1.0]), swipt.LinkState(1e-3, 0.0, 1e-9, 1.0), 0.5, mode=mode,
+            slot_duration_s=5e-324,
+        )
+        assert dead.bits_per_slot == (0.0,)

@@ -82,8 +82,8 @@ COMMANDS = [(argv, 0) for argv in [
     ["sweep", "--target", "swipt_split", "--protocol", "ps"],
     ["sweep", "--target", "schedule_theta"],
     ["sweep", "--target", "collab_xi"],
-    ["swipt", "--points", "11"],
-    ["swipt", "--protocol", "ps", "--points", "11"],
+    ["swipt"],
+    ["swipt", "--protocol", "ps"],
     ["schedule", "solve"],
     ["schedule", "solve", "--min-time", "20"],
     ["schedule", "solve", "--problem", "problem.json"],
