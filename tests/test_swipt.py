@@ -270,10 +270,8 @@ def test_rate_functions_reject_efficiency_outside_unit_interval(rate, splits, pr
 class TestHybrid:
     # With the second split at 0 a hybrid is its plain protocol, bit for bit.
     # Random links with ambient power and random eta: on DESK alone (P = 1)
-    # a second copy of the maths can agree while differing elsewhere.
-
-    # The frame duration scales only the banked energy, so any duration gives
-    # the plain protocol's throughput.
+    # a second copy of the maths can agree while differing elsewhere. The
+    # frame duration scales only the banked energy, so any duration will do.
 
     @pytest.mark.parametrize("mode", [DF, AF], ids=["df", "af"])
     def test_ts_reduction_exact(self, mode):
@@ -298,7 +296,8 @@ class TestHybrid:
     @pytest.mark.parametrize("protocol", ["ts", "ps"])
     @pytest.mark.parametrize("frame_duration_s", [5e-324, 1e-320, 0.7, 1e300])
     def test_frame_duration_scales_only_the_bank(self, protocol, frame_duration_s):
-        # a subnormal frame read 2.768 for 3.1919 (TS, 1e-320 s) or divided by 0 (5e-324 s)
+        # subnormal frames underflowed the rates (the desk link's TS optimum read 2.768
+        # for 3.1919 at 1e-320 s) or divided by 0 (5e-324 s)
         from dataclasses import replace
 
         link = replace(DESK, ambient_power_at_relay_w=1e-4, ambient_power_at_source_w=2.0)
@@ -379,9 +378,9 @@ def test_throughput_non_negative_and_monotone_in_eta(alpha, eta):
 
 
 # Results recorded from the optimiser that built a validated split config for
-# every evaluation, at a 1 s frame; the per-protocol rate kernels must
-# reproduce them bit for bit. The "eta0.3" keys were recorded at 0.7 s until
-# the frame duration left the throughput (it cancels), then re-recorded.
+# every evaluation; the per-protocol rate kernels must reproduce them bit for
+# bit. The "eta0.3" keys were re-recorded when the frame duration left the
+# throughput.
 PINNED = json.loads(Path(__file__).with_name("swipt_pinned.json").read_text())
 MODES = {"df": DF, "af": AF}
 SEARCH_SETTINGS = {
